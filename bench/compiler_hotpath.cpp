@@ -1,22 +1,21 @@
-//===- bench/compiler_hotpath.cpp - Compile-path overhaul benchmark ---------===//
+//===- bench/compiler_hotpath.cpp - Compile-path benchmark ----------------===//
 //
 // Part of the DRA project (CGO 2006 disk-access-locality reproduction).
 //
-// Benchmarks the compiler hot-path overhaul (docs/PERFORMANCE.md) on the
-// six Table 2 applications:
+// Benchmarks the compile hot path (docs/PERFORMANCE.md) on the six Table 2
+// applications:
 //
-//   1. times the pre-overhaul compile path (per-pass virtual executions,
-//      published rescan scheduler, serial graph build) against the
-//      overhauled one (shared TileAccessTable, ready-bucket scheduler,
-//      sharded graph build) and proves their outputs identical;
+//   1. times the table-fed compile path (shared TileAccessTable,
+//      ready-bucket scheduler, sharded graph build) per app and checks that
+//      repeated compiles produce identical outputs;
 //   2. asserts that a pipeline run publishes the pass.*.wall_ms timing
-//      histograms for every compile pass (the observability contract);
+//      histogram of every pass in TimedPasses (the observability
+//      contract drac --timings relies on);
 //   3. emits a dra-report-v1 artifact (DRA_BENCH_JSON) of a small
-//      app x scheme matrix, gated in CI against bench/baselines — the
-//      overhaul must not move a single simulated number.
+//      app x scheme matrix, gated in CI against bench/baselines — a
+//      compile-path change must not move a single simulated number.
 //
-// Any disagreement between the two paths exits nonzero, so CI fails even
-// without the JSON gate.
+// Any failed check exits nonzero, so CI fails even without the JSON gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,86 +38,23 @@ double nowMs() {
       .count();
 }
 
-/// Both paths replay the full T-x-M compile path at this processor count —
-/// parallelize, per-processor per-phase restructure, the locality report,
-/// the verifier's independent locality recount, and trace generation —
-/// because that is what Pipeline::compile + run execute per scheme.
+/// The bench replays the full T-x-M compile path at this processor count —
+/// parallelize, per-processor per-phase restructure, the locality report
+/// and trace generation — because that is what Pipeline::compile + run
+/// execute per scheme.
 constexpr unsigned BenchProcs = 4;
 
 struct PathResult {
   ScheduledWork Work;
   ScheduleLocality Loc;
-  ScheduleLocality VerifyLoc;
   uint64_t TraceRequests = 0;
   uint64_t TraceBytes = 0;
   double WallMs = 0.0;
 };
 
-/// restructurePerProc as the pipeline runs it, parameterized over the two
-/// sub-graph builders and schedulers.
-template <typename BuildSubGraph, typename ScheduleSubset>
-ScheduledWork restructure(const ScheduledWork &In, unsigned NumDisks,
-                          BuildSubGraph &&Build, ScheduleSubset &&Sched) {
-  ScheduledWork Out;
-  Out.PerProc.assign(In.PerProc.size(), {});
-  Out.PhaseOf = In.PhaseOf;
-  for (size_t P = 0; P != In.PerProc.size(); ++P) {
-    std::map<uint32_t, std::vector<GlobalIter>> ByPhase;
-    for (GlobalIter G : In.PerProc[P])
-      ByPhase[In.PhaseOf.empty() ? 0 : In.PhaseOf[G]].push_back(G);
-    unsigned StartDisk = unsigned(P) * NumDisks / unsigned(In.PerProc.size());
-    for (auto &[Phase, Subset] : ByPhase) {
-      (void)Phase;
-      std::sort(Subset.begin(), Subset.end());
-      IterationGraph SubGraph = Build(Subset);
-      Schedule S = Sched(SubGraph, Subset, StartDisk);
-      Out.PerProc[P].insert(Out.PerProc[P].end(), S.Order.begin(),
-                            S.Order.end());
-    }
-  }
-  return Out;
-}
-
-/// The compile path as it existed before the overhaul: every pass performs
-/// its own virtual execution (the parallelizer's affinity votes, every
-/// per-phase sub-graph, the locality report, the verifier's recount, the
-/// trace generator), and every schedule is the published rescan.
-PathResult runLegacyPath(const Program &P, const StripingConfig &SC) {
-  PathResult R;
-  double T0 = nowMs();
-  IterationSpace Space(P);
-  DiskLayout Layout(P, SC);
-  IterationGraph Graph(P, Space);
-  DiskReuseScheduler Sched(P, Space, Layout);
-  std::vector<uint64_t> Masks(Space.size());
-  for (GlobalIter G = 0; G != GlobalIter(Space.size()); ++G)
-    Masks[G] = Sched.diskMask(G);
-  ParallelPlan Plan = LayoutAwareParallelizer::parallelize(P, Space, Graph,
-                                                           Layout, BenchProcs);
-  R.Work = restructure(
-      Plan.toWork(BenchProcs), Layout.numDisks(),
-      [&](const std::vector<GlobalIter> &Subset) {
-        return IterationGraph(P, Space, Subset);
-      },
-      [&](const IterationGraph &G, const std::vector<GlobalIter> &Subset,
-          unsigned StartDisk) {
-        return DiskReuseScheduler::scheduleMaskedReference(
-            Masks, G, Layout.numDisks(), Subset, nullptr, StartDisk);
-      });
-  Schedule Proc0;
-  Proc0.Order = R.Work.PerProc[0];
-  R.Loc = Proc0.locality(P, Space, Layout);
-  R.VerifyLoc = Proc0.locality(P, Space, Layout);
-  TraceGenerator Gen(P, Space, Layout);
-  Trace T = Gen.generate(R.Work);
-  R.TraceRequests = T.size();
-  R.TraceBytes = T.totalBytes();
-  R.WallMs = nowMs() - T0;
-  return R;
-}
-
-/// The overhauled compile path: one virtual execution (the table), the
-/// ready-bucket scheduler, the sharded graph build, table-fed consumers.
+/// The compile path: one virtual execution (the table), the ready-bucket
+/// scheduler, the sharded graph build and table-fed consumers, with
+/// restructuring done as Pipeline::restructurePerProc does it.
 PathResult runHotPath(const Program &P, const StripingConfig &SC) {
   PathResult R;
   double T0 = nowMs();
@@ -127,19 +63,29 @@ PathResult runHotPath(const Program &P, const StripingConfig &SC) {
   TileAccessTable Table(P, Space);
   IterationGraph Graph(Table);
   DiskReuseScheduler Sched(Table, Layout);
-  ParallelPlan Plan = LayoutAwareParallelizer::parallelize(
-      P, Space, Graph, Layout, BenchProcs, nullptr, &Table);
-  R.Work = restructure(
-      Plan.toWork(BenchProcs), Layout.numDisks(),
-      [&](const std::vector<GlobalIter> &Subset) {
-        return IterationGraph(Table, Subset);
-      },
-      [&](const IterationGraph &G, const std::vector<GlobalIter> &Subset,
-          unsigned StartDisk) { return Sched.schedule(G, Subset, StartDisk); });
+  ScheduledWork In = LayoutAwareParallelizer::parallelize(
+                         P, Space, Graph, Layout, BenchProcs, nullptr, &Table)
+                         .toWork(BenchProcs);
+  R.Work.PerProc.assign(In.PerProc.size(), {});
+  R.Work.PhaseOf = In.PhaseOf;
+  for (size_t Proc = 0; Proc != In.PerProc.size(); ++Proc) {
+    std::map<uint32_t, std::vector<GlobalIter>> ByPhase;
+    for (GlobalIter G : In.PerProc[Proc])
+      ByPhase[In.PhaseOf.empty() ? 0 : In.PhaseOf[G]].push_back(G);
+    unsigned StartDisk =
+        unsigned(Proc) * Layout.numDisks() / unsigned(In.PerProc.size());
+    for (auto &[Phase, Subset] : ByPhase) {
+      (void)Phase;
+      std::sort(Subset.begin(), Subset.end());
+      Schedule S =
+          Sched.schedule(IterationGraph(Table, Subset), Subset, StartDisk);
+      R.Work.PerProc[Proc].insert(R.Work.PerProc[Proc].end(),
+                                  S.Order.begin(), S.Order.end());
+    }
+  }
   Schedule Proc0;
   Proc0.Order = R.Work.PerProc[0];
   R.Loc = Proc0.locality(Table, Layout);
-  R.VerifyLoc = Proc0.locality(Table, Layout);
   TraceGenerator Gen(P, Space, Layout, 4096, &Table);
   Trace T = Gen.generate(R.Work);
   R.TraceRequests = T.size();
@@ -148,33 +94,28 @@ PathResult runHotPath(const Program &P, const StripingConfig &SC) {
   return R;
 }
 
-bool sameLoc(const ScheduleLocality &A, const ScheduleLocality &B) {
-  return A.DiskSwitches == B.DiskSwitches && A.DiskVisits == B.DiskVisits &&
-         A.DisksUsed == B.DisksUsed;
-}
-
 bool samePath(const PathResult &A, const PathResult &B) {
   return A.Work.PerProc == B.Work.PerProc && A.Work.PhaseOf == B.Work.PhaseOf &&
-         sameLoc(A.Loc, B.Loc) && sameLoc(A.VerifyLoc, B.VerifyLoc) &&
+         A.Loc.DiskSwitches == B.Loc.DiskSwitches &&
+         A.Loc.DiskVisits == B.Loc.DiskVisits &&
+         A.Loc.DisksUsed == B.Loc.DisksUsed &&
          A.TraceRequests == B.TraceRequests && A.TraceBytes == B.TraceBytes;
 }
 
-/// Pass-timing presence gate: a pipeline run must publish a
-/// pass.<name>.wall_ms histogram for every compile pass, including the new
-/// tile-access-table pass. drac --timings and the run reports read these.
+/// Pass-timing presence gate: a verified pipeline run must publish a
+/// pass.<name>.wall_ms histogram for every pass in TimedPasses, trace-gen
+/// and simulate included. drac --timings and the run reports read these.
 bool checkPassTimings() {
   MetricsRegistry Metrics;
   PipelineConfig C = paperConfig(2);
   C.Metrics = &Metrics;
+  C.Verify = VerifyLevel::Cheap;
   Program P = makeAst(0.05);
   Pipeline Pipe(P, C);
-  (void)Pipe.compile(Scheme::TDrpmM);
+  (void)Pipe.run(Scheme::TDrpmM);
 
   bool Ok = true;
-  for (const char *Pass :
-       {"iteration-space", "tile-access-table", "disk-layout",
-        "dependence-graph", "scheduler-init", "parallelize", "restructure",
-        "compile"}) {
+  for (const char *Pass : TimedPasses) {
     std::string Name = std::string("pass.") + Pass + ".wall_ms";
     if (!Metrics.findHistogram(Name)) {
       std::fprintf(stderr, "FAIL missing timing histogram '%s'\n",
@@ -188,57 +129,41 @@ bool checkPassTimings() {
 } // namespace
 
 int main() {
-  std::printf("== Compiler hot-path overhaul: legacy vs overhauled compile "
-              "path ==\n\n");
+  std::printf("== Compiler hot path: table-fed compile path ==\n\n");
   double Scale = benchScale();
   StripingConfig SC = paperConfig(1).Striping;
 
-  double LegacyTotal = 0.0, HotTotal = 0.0;
-  bool Identical = true;
-  std::printf("  %-10s %12s %12s %9s\n", "app", "legacy-ms", "overhaul-ms",
-              "speedup");
+  double Total = 0.0;
+  std::printf("  %-10s %12s\n", "app", "compile-ms");
   for (const AppUnderTest &App : paperApps(Scale)) {
     Program P = App.Build();
-    // Best-of-3 per path absorbs allocator and frequency noise; outputs
-    // are compared on every repetition.
-    PathResult Legacy = runLegacyPath(P, SC);
+    // Best-of-3 absorbs allocator and frequency noise; outputs are
+    // compared on every repetition.
     PathResult Hot = runHotPath(P, SC);
     for (int Rep = 0; Rep != 2; ++Rep) {
-      PathResult L2 = runLegacyPath(P, SC);
       PathResult H2 = runHotPath(P, SC);
-      Identical &= samePath(Legacy, L2) && samePath(Hot, H2);
-      Legacy.WallMs = std::min(Legacy.WallMs, L2.WallMs);
+      if (!samePath(Hot, H2)) {
+        std::fprintf(stderr, "FAIL %s: compile path is not deterministic\n",
+                     App.Name.c_str());
+        return 1;
+      }
       Hot.WallMs = std::min(Hot.WallMs, H2.WallMs);
     }
-    if (!samePath(Legacy, Hot)) {
-      std::fprintf(stderr,
-                   "FAIL %s: overhauled compile path diverges from the "
-                   "pre-overhaul path\n",
-                   App.Name.c_str());
-      return 1;
-    }
-    LegacyTotal += Legacy.WallMs;
-    HotTotal += Hot.WallMs;
-    std::printf("  %-10s %12.2f %12.2f %8.2fx\n", App.Name.c_str(),
-                Legacy.WallMs, Hot.WallMs, Legacy.WallMs / Hot.WallMs);
+    Total += Hot.WallMs;
+    std::printf("  %-10s %12.2f\n", App.Name.c_str(), Hot.WallMs);
   }
-  if (!Identical) {
-    std::fprintf(stderr, "FAIL compile path is not deterministic\n");
-    return 1;
-  }
-  std::printf("  %-10s %12.2f %12.2f %8.2fx\n", "total", LegacyTotal, HotTotal,
-              LegacyTotal / HotTotal);
-  std::printf("\n  [ok] overhauled path byte-identical to the published "
-              "formulation on all apps\n");
+  std::printf("  %-10s %12.2f\n", "total", Total);
+  std::printf("\n  [ok] compile path deterministic on all apps\n");
 
   if (!checkPassTimings())
     return 1;
-  std::printf("  [ok] pass.*.wall_ms histograms published for every compile "
+  std::printf("  [ok] pass.*.wall_ms histograms published for every timed "
               "pass\n\n");
 
   // Deterministic end-to-end artifact for the CI regression gate: one
   // restructured scheme per family through the full pipeline (compile,
-  // trace, simulate). The overhaul must not move any simulated metric.
+  // trace, simulate). Compile-path changes must not move any simulated
+  // metric.
   PipelineConfig Config = paperConfig(4);
   Report Rep(Config, {Scheme::Base, Scheme::TTpmS, Scheme::TDrpmM});
   auto All = runAllApps(Rep);

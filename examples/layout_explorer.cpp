@@ -25,6 +25,8 @@ int main(int argc, char **argv) {
   double Scale = argc > 1 ? std::atof(argv[1]) : 0.4;
   Program P = makeScf(Scale);
   IterationSpace Space(P);
+  TileAccessTable Table(P, Space);
+  IterationGraph Graph(Table);
   DiskParams Disk;
   Disk.DrpmProactiveHints = true;
 
@@ -38,7 +40,8 @@ int main(int argc, char **argv) {
     for (ArrayId A = 0; A != P.arrays().size(); ++A)
       L.setArrayStartDisk(A, (A * Rot) % L.numDisks());
     double E = LayoutOptimizer::predictEnergy(P, Space, L, Disk,
-                                              PowerPolicyKind::Drpm);
+                                              PowerPolicyKind::Drpm, Table,
+                                              Graph);
     T.addRow({Rot == 0 ? "aligned (default)"
                        : "rotate each array by " + std::to_string(Rot),
               fmtDouble(E, 0)});

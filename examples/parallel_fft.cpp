@@ -57,10 +57,10 @@ int main(int argc, char **argv) {
   }
 
   // Diagnostics from the layout-aware pass itself.
-  IterationGraph G(Pipe.program(), Pipe.space());
   LayoutAwareInfo Info;
-  LayoutAwareParallelizer::parallelize(Pipe.program(), Pipe.space(), G,
-                                       Pipe.layout(), 4, &Info);
+  LayoutAwareParallelizer::parallelize(Pipe.program(), Pipe.space(),
+                                       Pipe.graph(), Pipe.layout(), 4, &Info,
+                                       &Pipe.table());
   std::printf("\nUnification step (Sec. 6.2.2) chose partition dimensions: ");
   for (size_t A = 0; A != Info.PartitionDimOfArray.size(); ++A)
     std::printf("%s[dim %u] ", Pipe.program().array(ArrayId(A)).Name.c_str(),

@@ -44,8 +44,10 @@ public:
   /// Builds the exact tile-granularity dependence graph of \p P over the
   /// iteration space \p Space with a private serial virtual execution.
   /// Optionally restricted to the iterations in \p Subset (others become
-  /// isolated nodes); an empty subset means all. Kept for standalone use;
-  /// the pipeline uses the table-based constructor.
+  /// isolated nodes); an empty subset means all. The pipeline uses the
+  /// table-based constructor; this serial build stays as its reference
+  /// (tests/hotpath_test.cpp checks the sharded build against it) and
+  /// serves LoopFusion, which checks legality before any table exists.
   IterationGraph(const Program &P, const IterationSpace &Space,
                  const std::vector<GlobalIter> &Subset = {});
 

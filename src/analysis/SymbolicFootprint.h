@@ -142,8 +142,10 @@ public:
   /// \param Table consulted only by the fallback tier (and required for
   ///        mode Enumerated to reproduce the oracle from table rows when
   ///        present); nullptr enumerates the fallback references directly.
-  ///        The table's rows must cover exactly the program's iteration
-  ///        space in original order.
+  ///        The null table is deliberate: it is the table-free Symbolic
+  ///        mode, which analyzes iteration spaces (10^10 and beyond) no
+  ///        table could hold. The table's rows must cover exactly the
+  ///        program's iteration space in original order.
   SymbolicFootprint(const Program &P, const DiskLayout &Layout,
                     FootprintMode Mode = FootprintMode::Auto,
                     const TileAccessTable *Table = nullptr,

@@ -20,37 +20,19 @@ uint64_t visitableBits(unsigned NumDisks) {
   return NumDisks >= 64 ? ~uint64_t(0) : (uint64_t(1) << NumDisks) - 1;
 }
 
-uint64_t maskOfTiles(std::span<const TileAccess> Touched,
-                     const DiskLayout &Layout) {
-  uint64_t M = 0;
-  for (const TileAccess &TA : Touched)
-    M |= Layout.diskMaskOfTile(TA.Tile);
-  return M;
-}
-
 } // namespace
-
-DiskReuseScheduler::DiskReuseScheduler(const Program &P,
-                                       const IterationSpace &Space,
-                                       const DiskLayout &Layout)
-    : Layout(Layout) {
-  assert(Layout.numDisks() <= 64 && "disk mask limited to 64 I/O nodes");
-  Mask.assign(Space.size(), 0);
-  std::vector<TileAccess> Touched;
-  for (GlobalIter G = 0, E = GlobalIter(Space.size()); G != E; ++G) {
-    Touched.clear();
-    P.appendTouchedTiles(Space.nestOf(G), Space.iterOf(G), Touched);
-    Mask[G] = maskOfTiles({Touched.data(), Touched.size()}, Layout);
-  }
-}
 
 DiskReuseScheduler::DiskReuseScheduler(const TileAccessTable &Table,
                                        const DiskLayout &Layout)
     : Layout(Layout) {
   assert(Layout.numDisks() <= 64 && "disk mask limited to 64 I/O nodes");
   Mask.resize(Table.numIters());
-  for (GlobalIter G = 0, E = GlobalIter(Table.numIters()); G != E; ++G)
-    Mask[G] = maskOfTiles(Table.row(G), Layout);
+  for (GlobalIter G = 0, E = GlobalIter(Table.numIters()); G != E; ++G) {
+    uint64_t M = 0;
+    for (const TileAccess &TA : Table.row(G))
+      M |= Layout.diskMaskOfTile(TA.Tile);
+    Mask[G] = M;
+  }
 }
 
 Schedule DiskReuseScheduler::scheduleMasked(
@@ -147,69 +129,6 @@ Schedule DiskReuseScheduler::scheduleMasked(
         }
       }
       B.resize(Out);
-    }
-    assert(Left < Before &&
-           "no progress in a full round; dependence graph is cyclic?");
-    if (RoundStatsOut)
-      RoundStatsOut->push_back({uint64_t(Before), uint64_t(Before - Left)});
-  }
-  if (RoundsOut)
-    *RoundsOut = Rounds;
-  return Result;
-}
-
-Schedule DiskReuseScheduler::scheduleMaskedReference(
-    const std::vector<uint64_t> &Masks, const IterationGraph &Graph,
-    unsigned NumDisks, const std::vector<GlobalIter> &Subset,
-    unsigned *RoundsOut, unsigned StartDisk,
-    std::vector<SchedulerRoundStats> *RoundStatsOut) {
-  if (RoundStatsOut)
-    RoundStatsOut->clear();
-  // Q: unscheduled iterations in original program order.
-  std::vector<GlobalIter> Q;
-  if (Subset.empty()) {
-    Q.resize(Masks.size());
-    for (GlobalIter G = 0; G != GlobalIter(Masks.size()); ++G)
-      Q[G] = G;
-  } else {
-    Q = Subset;
-    for (size_t I = 1; I < Q.size(); ++I)
-      assert(Q[I - 1] < Q[I] && "subset must be in ascending program order");
-  }
-
-  std::vector<uint32_t> RemainingPreds(Masks.size(), 0);
-  for (GlobalIter G : Q)
-    RemainingPreds[G] = Graph.inDegree(G);
-
-  Schedule Result;
-  Result.Order.reserve(Q.size());
-  Result.RoundOf.reserve(Q.size());
-  unsigned Rounds = 0;
-
-  size_t Left = Q.size();
-  while (Left != 0) {
-    ++Rounds;
-    size_t Before = Left;
-    for (unsigned DI = 0; DI != NumDisks; ++DI) {
-      unsigned D = (StartDisk + DI) % NumDisks;
-      uint64_t Bit = uint64_t(1) << D;
-      size_t Out = 0;
-      for (size_t I = 0; I != Q.size(); ++I) {
-        GlobalIter G = Q[I];
-        if ((Masks[G] & Bit) == 0 || RemainingPreds[G] != 0) {
-          Q[Out++] = G; // Keep for a later disk/round.
-          continue;
-        }
-        // Schedule G: all predecessors done and it touches disk D.
-        Result.Order.push_back(G);
-        Result.RoundOf.push_back(Rounds - 1);
-        for (GlobalIter V : Graph.succs(G)) {
-          assert(RemainingPreds[V] > 0 && "in-degree bookkeeping broken");
-          --RemainingPreds[V];
-        }
-        --Left;
-      }
-      Q.resize(Out);
     }
     assert(Left < Before &&
            "no progress in a full round; dependence graph is cyclic?");

@@ -30,7 +30,8 @@
 /// iteration readied mid-sweep sits ahead of the cursor and is claimed in
 /// the same sweep, so the emitted Schedule, round count and per-round stats
 /// are byte-identical to the published algorithm (proved by differential
-/// tests against scheduleMaskedReference). Cost drops to
+/// tests against the published rescan, kept in tests/hotpath_test.cpp as
+/// the oracle). Cost drops to
 /// O(V x popcount(mask) x rounds + E); rounds is small in practice (2-3 on
 /// the Table 2 applications). See docs/PERFORMANCE.md.
 ///
@@ -63,12 +64,6 @@ struct SchedulerRoundStats {
 /// Disk-reuse oriented code restructurer.
 class DiskReuseScheduler {
 public:
-  /// Derives disk masks with a private virtual execution of \p P. Kept for
-  /// standalone use (tests, benches); the pipeline uses the table overload
-  /// so the program is virtually executed once per run, not once per pass.
-  DiskReuseScheduler(const Program &P, const IterationSpace &Space,
-                     const DiskLayout &Layout);
-
   /// Derives disk masks from the precomputed access \p Table (one linear
   /// scan, no subscript re-evaluation).
   DiskReuseScheduler(const TileAccessTable &Table, const DiskLayout &Layout);
@@ -95,16 +90,6 @@ public:
                  const std::vector<GlobalIter> &Subset = {},
                  unsigned *RoundsOut = nullptr, unsigned StartDisk = 0,
                  std::vector<SchedulerRoundStats> *RoundStatsOut = nullptr);
-
-  /// The pre-overhaul published formulation (per-disk full-queue rescans).
-  /// Compiled in as the differential-testing oracle: scheduleMasked must
-  /// produce the exact same Order, round count and round stats for every
-  /// input. Not used by the pipeline.
-  static Schedule scheduleMaskedReference(
-      const std::vector<uint64_t> &Masks, const IterationGraph &Graph,
-      unsigned NumDisks, const std::vector<GlobalIter> &Subset = {},
-      unsigned *RoundsOut = nullptr, unsigned StartDisk = 0,
-      std::vector<SchedulerRoundStats> *RoundStatsOut = nullptr);
 
   /// Number of while-loop rounds the last schedule() call needed (1 when
   /// dependences never block a disk pass; grows with dependence pressure).

@@ -17,10 +17,11 @@ EnergyEstimator::EnergyEstimator(const Program &P, const IterationSpace &Space,
                                  const DiskLayout &Layout,
                                  const DiskParams &Params,
                                  PowerPolicyKind Policy,
-                                 const TileAccessTable *Table)
+                                 const TileAccessTable &Table)
     : Prog(P), Space(Space), Layout(Layout), Params(Params), PM(this->Params),
       Policy(Policy), Table(Table) {
-  assert(!Table || Table->numIters() == Space.size());
+  assert(Table.numIters() == Space.size() &&
+         "access table built over a different iteration space");
 }
 
 EnergyEstimate EnergyEstimator::estimate(const Schedule &S) const {
@@ -34,7 +35,6 @@ EnergyEstimate EnergyEstimator::estimate(const Schedule &S) const {
   std::vector<double> BusyEnd(D, 0.0);
   std::vector<unsigned> Rpm(D, Params.MaxRpm);
   double Clock = 0.0;
-  std::vector<TileAccess> Touched;
 
   auto AccountGap = [&](unsigned Disk, double GapMs, bool RequestArrives) {
     IdleOutcome O;
@@ -59,17 +59,8 @@ EnergyEstimate EnergyEstimator::estimate(const Schedule &S) const {
   };
 
   for (GlobalIter G : S.Order) {
-    const LoopNest &Nest = Prog.nest(Space.nestOf(G));
-    Clock += Nest.computePerIterMs();
-    std::span<const TileAccess> Row;
-    if (Table) {
-      Row = Table->row(G);
-    } else {
-      Touched.clear();
-      Prog.appendTouchedTiles(Nest.id(), Space.iterOf(G), Touched);
-      Row = {Touched.data(), Touched.size()};
-    }
-    for (const TileAccess &TA : Row) {
+    Clock += Prog.nest(Space.nestOf(G)).computePerIterMs();
+    for (const TileAccess &TA : Table.row(G)) {
       unsigned Disk = Layout.primaryDiskOfTile(TA.Tile);
       double Start = Clock;
       if (Start > BusyEnd[Disk])

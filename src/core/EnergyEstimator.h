@@ -46,13 +46,11 @@ class EnergyEstimator {
 public:
   /// \param Policy the power policy to predict for; proactive-hint flags in
   ///        \p Params apply exactly as in the simulator.
-  /// \param Table optional precomputed access table for \p Space; when
-  ///        given, per-iteration accesses are read from it instead of
-  ///        re-evaluating subscripts (same estimate either way).
+  /// \param Table the precomputed access table for \p Space; per-iteration
+  ///        accesses are read from its rows.
   EnergyEstimator(const Program &P, const IterationSpace &Space,
                   const DiskLayout &Layout, const DiskParams &Params,
-                  PowerPolicyKind Policy,
-                  const TileAccessTable *Table = nullptr);
+                  PowerPolicyKind Policy, const TileAccessTable &Table);
 
   /// Predicts energy/time for executing \p S on one processor.
   EnergyEstimate estimate(const Schedule &S) const;
@@ -77,7 +75,7 @@ private:
   DiskParams Params;
   PowerModel PM;
   PowerPolicyKind Policy;
-  const TileAccessTable *Table;
+  const TileAccessTable &Table;
 };
 
 } // namespace dra

@@ -68,7 +68,9 @@ ParallelPlan LayoutAwareParallelizer::parallelize(
     const DiskLayout &Layout, unsigned NumProcs, LayoutAwareInfo *Info,
     const TileAccessTable *Table, const SymbolicFootprint *Footprint) {
   assert(NumProcs >= 1 && "need at least one processor");
-  assert(!Table || Table->numIters() == Space.size());
+  assert(Table && "affinity votes read the shared access table");
+  assert(Table->numIters() == Space.size() &&
+         "access table built over a different iteration space");
   assert(NumProcs <= Layout.numDisks() &&
          "disk-aligned partitioning needs at least one disk per processor");
 
@@ -104,16 +106,8 @@ ParallelPlan LayoutAwareParallelizer::parallelize(
     GlobalIter Begin = Space.nestBegin(N), End = Space.nestEnd(N);
     std::vector<int64_t> DataKey(End - Begin, 0);
     std::vector<uint32_t> Vote(NumProcs);
-    std::vector<TileAccess> Touched;
     for (GlobalIter G = Begin; G != End; ++G) {
-      std::span<const TileAccess> Row;
-      if (Table) {
-        Row = Table->row(G);
-      } else {
-        Touched.clear();
-        P.appendTouchedTiles(N, Space.iterOf(G), Touched);
-        Row = {Touched.data(), Touched.size()};
-      }
+      std::span<const TileAccess> Row = Table->row(G);
       bool HasWrite = false;
       for (const TileAccess &TA : Row)
         if (TA.Kind == AccessKind::Write)

@@ -66,10 +66,9 @@ struct LayoutAwareInfo {
 class LayoutAwareParallelizer {
 public:
   /// Computes the layout-aware plan for \p NumProcs processors.
-  /// \param Info optional out-parameter for diagnostics.
-  /// \param Table optional precomputed access table for \p Space; when
-  ///        given, affinity votes read it instead of re-evaluating
-  ///        subscripts (same plan either way).
+  /// \param Info out-parameter for diagnostics; may be null.
+  /// \param Table the precomputed access table for \p Space (non-null);
+  ///        affinity votes read its rows.
   /// \param Footprint optional symbolic footprint; when given (with
   ///        \p Info), the expected per-processor demand is folded into
   ///        \p Info->PerProcDemand without touching the plan.
@@ -77,8 +76,8 @@ public:
                                   const IterationSpace &Space,
                                   const IterationGraph &Graph,
                                   const DiskLayout &Layout, unsigned NumProcs,
-                                  LayoutAwareInfo *Info = nullptr,
-                                  const TileAccessTable *Table = nullptr,
+                                  LayoutAwareInfo *Info,
+                                  const TileAccessTable *Table,
                                   const SymbolicFootprint *Footprint = nullptr);
 };
 

@@ -9,7 +9,6 @@
 #include "core/DiskReuseScheduler.h"
 
 #include <cassert>
-#include <optional>
 
 using namespace dra;
 
@@ -18,17 +17,11 @@ double LayoutOptimizer::predictEnergy(const Program &P,
                                       const DiskLayout &Layout,
                                       const DiskParams &Disk,
                                       PowerPolicyKind Policy,
-                                      const TileAccessTable *Table,
-                                      const IterationGraph *Graph) {
+                                      const TileAccessTable &Table,
+                                      const IterationGraph &Graph) {
   // Restructure under this layout (the unified part: layout changes feed
-  // back into the code transformation), then predict analytically. The
-  // dependence graph does not depend on the layout, so callers evaluating
-  // many candidates derive it (and the access table) once.
-  std::optional<IterationGraph> OwnGraph;
-  if (!Graph)
-    Graph = &OwnGraph.emplace(P, Space);
-  Schedule S = Table ? DiskReuseScheduler(*Table, Layout).schedule(*Graph)
-                     : DiskReuseScheduler(P, Space, Layout).schedule(*Graph);
+  // back into the code transformation), then predict analytically.
+  Schedule S = DiskReuseScheduler(Table, Layout).schedule(Graph);
   EnergyEstimator Est(P, Space, Layout, Disk, Policy, Table);
   return Est.estimate(S).EnergyJ;
 }
@@ -56,7 +49,7 @@ LayoutChoice LayoutOptimizer::optimize(const Program &P,
   {
     DiskLayout Default(P, Base);
     Best.DefaultEnergyJ =
-        predictEnergy(P, Space, Default, Pred, Opts.Policy, &Table, &Graph);
+        predictEnergy(P, Space, Default, Pred, Opts.Policy, Table, Graph);
     Best.PredictedEnergyJ = Best.DefaultEnergyJ;
     Best.CandidatesTried = 1;
   }
@@ -77,7 +70,7 @@ LayoutChoice LayoutOptimizer::optimize(const Program &P,
       for (ArrayId A = 0; A != Cand.size(); ++A)
         L.setArrayStartDisk(A, Cand[A]);
       ++Best.CandidatesTried;
-      return predictEnergy(P, Space, L, Pred, Opts.Policy, &Table, &Graph);
+      return predictEnergy(P, Space, L, Pred, Opts.Policy, Table, Graph);
     };
 
     double Cur = Evaluate(Starts);

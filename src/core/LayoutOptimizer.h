@@ -67,16 +67,14 @@ public:
                                const DiskParams &Disk, const Options &Opts);
 
   /// Predicted energy of the restructured schedule of \p P under a given
-  /// layout (helper shared with tests and benches).
-  /// \param Table optional shared access table; \p Graph optional
-  ///        dependence graph (layout-independent, so optimize() derives it
-  ///        once and reuses it across every candidate). Results are
-  ///        identical with or without them.
+  /// layout (helper shared with tests and examples). \p Table and \p Graph
+  /// are layout-independent, so optimize() derives them once and reuses
+  /// them across every candidate.
   static double predictEnergy(const Program &P, const IterationSpace &Space,
                               const DiskLayout &Layout,
                               const DiskParams &Disk, PowerPolicyKind Policy,
-                              const TileAccessTable *Table = nullptr,
-                              const IterationGraph *Graph = nullptr);
+                              const TileAccessTable &Table,
+                              const IterationGraph &Graph);
 };
 
 } // namespace dra

@@ -326,23 +326,18 @@ ScheduledWork Pipeline::compile(Scheme S) const {
   return Work;
 }
 
-Trace Pipeline::trace(Scheme S) const {
-  ScheduledWork Work = compile(S);
+Trace Pipeline::generateTrace(Scheme S, const ScheduledWork &Work) const {
   PassTimer PT(Config.Trace, TracePid, 0, "trace-gen", Config.Metrics,
                {TraceArg::str("scheme", schemeName(S))});
   TraceGenerator Gen(Prog, *Space, *Layout, Config.BlockBytes, Table.get());
   return Gen.generate(Work);
 }
 
+Trace Pipeline::trace(Scheme S) const { return generateTrace(S, compile(S)); }
+
 SchemeRun Pipeline::run(Scheme S) const {
   ScheduledWork Work = compile(S);
-  Trace T;
-  {
-    PassTimer PT(Config.Trace, TracePid, 0, "trace-gen", Config.Metrics,
-                 {TraceArg::str("scheme", schemeName(S))});
-    TraceGenerator Gen(Prog, *Space, *Layout, Config.BlockBytes, Table.get());
-    T = Gen.generate(Work);
-  }
+  Trace T = generateTrace(S, Work);
 
   // The restructured versions also get the compiler's proactive power
   // hints — spin-up calls for TPM (Son et al. [25]) and ramp-up calls for

@@ -79,6 +79,18 @@ AttributionNames attributionNamesOf(const Program &P);
 ///          bijection and dependence re-derivation for every schedule.
 enum class VerifyLevel { Off, Cheap, Full };
 
+/// Every pass the pipeline times into a pass.<name>.wall_ms histogram, in
+/// execution order; the verify-* passes run only when verification is on.
+/// No two of them nest, so each histogram is exclusive time. The inclusive
+/// "compile" span (parallelize + restructure + verify-schedule) is left out
+/// so a table over this list never double-counts.
+inline constexpr const char *TimedPasses[] = {
+    "verify-ir",        "iteration-space",    "tile-access-table",
+    "disk-layout",      "symbolic-footprint", "dependence-graph",
+    "scheduler-init",   "verify-layout",      "verify-footprint",
+    "parallelize",      "restructure",        "verify-schedule",
+    "trace-gen",        "simulate"};
+
 /// Pipeline configuration: machine + compilation parameters.
 struct PipelineConfig {
   unsigned NumProcs = 1;
@@ -236,6 +248,9 @@ private:
   /// Applies the Sec. 5 restructuring to each processor's work, one barrier
   /// phase at a time (reordering may not cross a barrier).
   ScheduledWork restructurePerProc(const ScheduledWork &Work) const;
+
+  /// The "trace-gen" pass: \p Work (compiled for \p S) as an I/O trace.
+  Trace generateTrace(Scheme S, const ScheduledWork &Work) const;
 };
 
 } // namespace dra

@@ -10,19 +10,15 @@
 
 using namespace dra;
 
-namespace {
-
-/// Shared metric accumulation over the per-iteration access rows; both
-/// locality overloads feed it the same row sequence, so their results are
-/// identical by construction.
-struct LocalityCounter {
+ScheduleLocality Schedule::locality(const TileAccessTable &Table,
+                                    const DiskLayout &Layout) const {
   ScheduleLocality L;
   std::set<unsigned> Seen;
   int LastDisk = -1;
-
-  void observe(std::span<const TileAccess> Touched, const DiskLayout &Layout) {
+  for (GlobalIter G : Order) {
+    std::span<const TileAccess> Touched = Table.row(G);
     if (Touched.empty())
-      return;
+      continue;
     unsigned D = Layout.primaryDiskOfTile(Touched.front().Tile);
     Seen.insert(D);
     if (int(D) != LastDisk) {
@@ -32,32 +28,6 @@ struct LocalityCounter {
       LastDisk = int(D);
     }
   }
-
-  ScheduleLocality finish() {
-    L.DisksUsed = unsigned(Seen.size());
-    return L;
-  }
-};
-
-} // namespace
-
-ScheduleLocality Schedule::locality(const Program &P,
-                                    const IterationSpace &Space,
-                                    const DiskLayout &Layout) const {
-  LocalityCounter C;
-  std::vector<TileAccess> Touched;
-  for (GlobalIter G : Order) {
-    Touched.clear();
-    P.appendTouchedTiles(Space.nestOf(G), Space.iterOf(G), Touched);
-    C.observe({Touched.data(), Touched.size()}, Layout);
-  }
-  return C.finish();
-}
-
-ScheduleLocality Schedule::locality(const TileAccessTable &Table,
-                                    const DiskLayout &Layout) const {
-  LocalityCounter C;
-  for (GlobalIter G : Order)
-    C.observe(Table.row(G), Layout);
-  return C.finish();
+  L.DisksUsed = unsigned(Seen.size());
+  return L;
 }

@@ -16,7 +16,6 @@
 #ifndef DRA_CORE_SCHEDULE_H
 #define DRA_CORE_SCHEDULE_H
 
-#include "ir/Program.h"
 #include "ir/TileAccessTable.h"
 #include "layout/DiskLayout.h"
 
@@ -44,13 +43,9 @@ struct Schedule {
   /// sim/Attribution.h). Empty for orders not produced by the scheduler.
   std::vector<uint32_t> RoundOf;
 
-  /// Computes locality metrics of this order under \p Layout, attributing
-  /// each iteration to the primary disk of its first tile access.
-  ScheduleLocality locality(const Program &P, const IterationSpace &Space,
-                            const DiskLayout &Layout) const;
-
-  /// Same metrics from the precomputed access \p Table (no subscript
-  /// re-evaluation; used by the pipeline hot path).
+  /// Computes locality metrics of this order under \p Layout from the
+  /// precomputed access \p Table, attributing each iteration to the primary
+  /// disk of its first tile access.
   ScheduleLocality locality(const TileAccessTable &Table,
                             const DiskLayout &Layout) const;
 };

@@ -21,6 +21,11 @@
 /// lookups. Rows are stored contiguously in iteration order, so consumers
 /// that sweep the whole space scan the table linearly.
 ///
+/// Every compile-side consumer requires the table; none keeps a table-less
+/// twin. The deliberate exceptions are the serial IterationGraph reference
+/// build and the ScheduleVerifier's Full-level re-derivation (CI rejects
+/// any other `appendTouchedTiles` call outside ir/).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRA_IR_TILEACCESSTABLE_H

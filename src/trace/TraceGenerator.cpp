@@ -17,7 +17,8 @@ TraceGenerator::TraceGenerator(const Program &P, const IterationSpace &Space,
       Table(Table) {
   assert(Layout.tileBytes() % BlockBytes == 0 &&
          "tile size must be a whole number of page blocks");
-  assert((!Table || Table->numIters() == Space.size()) &&
+  assert(Table && "trace generation reads the shared access table");
+  assert(Table->numIters() == Space.size() &&
          "access table built over a different iteration space");
 }
 
@@ -32,32 +33,20 @@ Trace TraceGenerator::generate(const ScheduledWork &Work) const {
   Trace T(unsigned(Work.PerProc.size()), BlockBytes);
 
   // Exact request count: one request per access of every scheduled
-  // iteration (with or without the table, the row lengths are the per-nest
-  // access counts).
+  // iteration.
   uint64_t NumRequests = 0;
   for (const std::vector<GlobalIter> &Proc : Work.PerProc)
     for (GlobalIter G : Proc)
-      NumRequests += Table ? Table->row(G).size()
-                           : Prog.nest(Space.nestOf(G)).accesses().size();
+      NumRequests += Table->row(G).size();
   T.reserve(size_t(NumRequests));
-
-  std::vector<TileAccess> Touched;
 
   for (uint32_t P = 0; P != Work.PerProc.size(); ++P) {
     double Clock = 0.0; // Nominal per-processor time.
     for (GlobalIter G : Work.PerProc[P]) {
       const LoopNest &Nest = Prog.nest(Space.nestOf(G));
-      std::span<const TileAccess> Row;
-      if (Table) {
-        Row = Table->row(G);
-      } else {
-        Touched.clear();
-        Prog.appendTouchedTiles(Nest.id(), Space.iterOf(G), Touched);
-        Row = {Touched.data(), Touched.size()};
-      }
       bool First = true;
       uint32_t Ref = 0;
-      for (const TileAccess &TA : Row) {
+      for (const TileAccess &TA : Table->row(G)) {
         Request R;
         R.ThinkMs = First ? Nest.computePerIterMs() : 0.0;
         First = false;

@@ -42,12 +42,13 @@ struct ScheduledWork {
 /// Generates traces from schedules.
 class TraceGenerator {
 public:
-  /// \param Table optional precomputed access table for \p Space; when
-  ///        given, per-iteration accesses are read from it instead of
-  ///        re-evaluating subscripts (same requests either way).
+  /// \param BlockBytes page-block size of the emitted requests (tiles must
+  ///        be a whole number of blocks).
+  /// \param Table the precomputed access table for \p Space (non-null);
+  ///        every request comes from one entry of its rows.
   TraceGenerator(const Program &P, const IterationSpace &Space,
-                 const DiskLayout &Layout, uint64_t BlockBytes = 4096,
-                 const TileAccessTable *Table = nullptr);
+                 const DiskLayout &Layout, uint64_t BlockBytes,
+                 const TileAccessTable *Table);
 
   /// Builds the trace for \p Work. Nominal arrival times assume full-speed
   /// service with no contention or power-mode penalties.

@@ -67,10 +67,12 @@ public:
   /// \param Layout disk layout, used only by the locality recount.
   /// \param DE destination for diagnostics.
   /// \param Table optional precomputed access table, consulted only by the
-  ///        locality recount. The pipeline shares it at VerifyLevel::Cheap;
-  ///        at Full it passes nullptr so every verdict rests exclusively on
-  ///        the verifier's own re-derivations (docs/VERIFICATION.md). The
-  ///        dependence checks never read it at any level.
+  ///        recounts. The pipeline shares it at VerifyLevel::Cheap; at Full
+  ///        it passes nullptr so every verdict rests exclusively on the
+  ///        verifier's own re-derivations (docs/VERIFICATION.md). That
+  ///        null-table path is deliberate: it is the compile side's single
+  ///        independent re-derivation, so a table bug cannot self-certify.
+  ///        The dependence checks never read the table at any level.
   ScheduleVerifier(const Program &P, const IterationSpace &Space,
                    const DiskLayout &Layout, DiagnosticEngine &DE,
                    const TileAccessTable *Table = nullptr)

@@ -67,7 +67,8 @@ TEST(CodeGenTest, RoundTripRestructuredSchedule) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
   Schedule S = Sched.schedule(G);
   ScheduleCodeGen CG(P, Space);
@@ -92,7 +93,8 @@ TEST(CodeGenTest, StridedRunDetected) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
   Schedule S = Sched.schedule(G);
   ScheduleCodeGen CG(P, Space);

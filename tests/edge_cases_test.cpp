@@ -118,9 +118,10 @@ TEST(PipelineEdge, MorePowerfulSchemesNeverChangeTraceVolume) {
 TEST(ScheduleEdge, EmptyOrderLocality) {
   Program P = makeFft(0.05);
   IterationSpace Space(P);
+  TileAccessTable Table(P, Space);
   DiskLayout L(P, StripingConfig());
   Schedule S;
-  ScheduleLocality Loc = S.locality(P, Space, L);
+  ScheduleLocality Loc = S.locality(Table, L);
   EXPECT_EQ(Loc.DiskSwitches, 0u);
   EXPECT_EQ(Loc.DiskVisits, 0u);
   EXPECT_EQ(Loc.DisksUsed, 0u);

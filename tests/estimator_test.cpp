@@ -32,7 +32,7 @@ std::pair<EnergyEstimate, SimResults> compare(const Program &P, Scheme S,
     Pred.DrpmProactiveHints = true;
 
   EnergyEstimator Est(Pipe.program(), Pipe.space(), Pipe.layout(), Pred,
-                      schemePolicy(S));
+                      schemePolicy(S), Pipe.table());
   Schedule Sch;
   Sch.Order = W.PerProc[0];
   return {Est.estimate(Sch), Pipe.run(S).Sim};
@@ -72,7 +72,7 @@ TEST(EstimatorTest, RanksRestructuredBelowOriginalUnderTpm) {
   DiskParams Pred = Cfg.Disk;
   Pred.TpmProactiveHints = true;
   EnergyEstimator Est(Pipe.program(), Pipe.space(), Pipe.layout(), Pred,
-                      PowerPolicyKind::Tpm);
+                      PowerPolicyKind::Tpm, Pipe.table());
   Schedule Orig;
   Orig.Order = Pipe.compile(Scheme::Base).PerProc[0];
   Schedule Restr;
@@ -97,7 +97,7 @@ TEST(EstimatorTest, EmptyScheduleIsZero) {
   PipelineConfig Cfg = paperConfig(1);
   Pipeline Pipe(P, Cfg);
   EnergyEstimator Est(Pipe.program(), Pipe.space(), Pipe.layout(), Cfg.Disk,
-                      PowerPolicyKind::None);
+                      PowerPolicyKind::None, Pipe.table());
   EnergyEstimate E = Est.estimate(Schedule{});
   EXPECT_DOUBLE_EQ(E.EnergyJ, 0.0);
   EXPECT_DOUBLE_EQ(E.WallMs, 0.0);

@@ -120,7 +120,8 @@ TEST(StaggerTest, StartDiskRotatesTheSweep) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
   Schedule S2 = Sched.schedule(G, {}, /*StartDisk=*/2);
   // Clusters come out in disk order 2, 3, 0, 1.

@@ -4,31 +4,28 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Differential and property tests for the compiler hot-path overhaul
-// (docs/PERFORMANCE.md). The overhaul is only admissible because it is
-// byte-identical to the published formulations, and these tests are that
-// proof:
+// Differential and property tests for the compiler hot path
+// (docs/PERFORMANCE.md). The optimized passes are only admissible because
+// they are byte-identical to the published formulations, and these tests
+// are that proof:
 //
 //   * the ready-bucket scheduler emits the exact Order, round count, and
-//     per-round stats of the published rescan (scheduleMaskedReference)
-//     across randomized programs, subsets, start disks and disk counts;
+//     per-round stats of the published rescan (scheduleMaskedReference,
+//     kept below as the oracle) across randomized programs, subsets, start
+//     disks and disk counts;
 //   * the sharded dependence-graph build produces the identical graph for
 //     every worker count, and identical to the serial program-based build;
-//   * the TileAccessTable rows agree row-for-row with
+//   * the TileAccessTable rows — the only access source of every
+//     compile-side consumer — agree row-for-row with
 //     Program::appendTouchedTiles;
 //   * duplicate edges in an explicit edge list no longer inflate
-//     in-degrees (the compaction regression);
-//   * the table-fed consumers (locality, estimator, trace generator,
-//     layout-aware parallelizer) match their re-evaluating selves.
+//     in-degrees (the compaction regression).
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/EnergyEstimator.h"
-#include "core/LayoutAwareParallelizer.h"
 #include "core/Pipeline.h"
 #include "ir/ProgramBuilder.h"
 #include "ir/TileAccessTable.h"
-#include "trace/TraceGenerator.h"
 
 #include <gtest/gtest.h>
 
@@ -85,6 +82,67 @@ std::vector<GlobalIter> everyNth(uint64_t N, uint64_t Step, uint64_t Phase) {
   for (uint64_t G = Phase; G < N; G += Step)
     S.push_back(G);
   return S;
+}
+
+/// The published Fig. 3 formulation: per disk per round, rescan the whole
+/// unscheduled queue. The differential oracle for
+/// DiskReuseScheduler::scheduleMasked, which must produce the exact same
+/// Order, round count and round stats for every input.
+Schedule
+scheduleMaskedReference(const std::vector<uint64_t> &Masks,
+                        const IterationGraph &Graph, unsigned NumDisks,
+                        const std::vector<GlobalIter> &Subset,
+                        unsigned *RoundsOut, unsigned StartDisk,
+                        std::vector<SchedulerRoundStats> *RoundStatsOut) {
+  // Q: unscheduled iterations in original program order.
+  std::vector<GlobalIter> Q;
+  if (Subset.empty()) {
+    Q.resize(Masks.size());
+    for (GlobalIter G = 0; G != GlobalIter(Masks.size()); ++G)
+      Q[G] = G;
+  } else {
+    Q = Subset;
+  }
+
+  std::vector<uint32_t> RemainingPreds(Masks.size(), 0);
+  for (GlobalIter G : Q)
+    RemainingPreds[G] = Graph.inDegree(G);
+
+  Schedule Result;
+  unsigned Rounds = 0;
+  size_t Left = Q.size();
+  while (Left != 0) {
+    ++Rounds;
+    size_t Before = Left;
+    for (unsigned DI = 0; DI != NumDisks; ++DI) {
+      unsigned D = (StartDisk + DI) % NumDisks;
+      uint64_t Bit = uint64_t(1) << D;
+      size_t Out = 0;
+      for (size_t I = 0; I != Q.size(); ++I) {
+        GlobalIter G = Q[I];
+        if ((Masks[G] & Bit) == 0 || RemainingPreds[G] != 0) {
+          Q[Out++] = G; // Keep for a later disk/round.
+          continue;
+        }
+        // Schedule G: all predecessors done and it touches disk D.
+        Result.Order.push_back(G);
+        Result.RoundOf.push_back(Rounds - 1);
+        for (GlobalIter V : Graph.succs(G))
+          --RemainingPreds[V];
+        --Left;
+      }
+      Q.resize(Out);
+    }
+    // A round without progress means a cyclic graph; fail instead of
+    // spinning.
+    if (Left == Before) {
+      ADD_FAILURE() << "reference scheduler made no progress in a round";
+      break;
+    }
+    RoundStatsOut->push_back({uint64_t(Before), uint64_t(Before - Left)});
+  }
+  *RoundsOut = Rounds;
+  return Result;
 }
 
 bool sameGraph(const IterationGraph &A, const IterationGraph &B) {
@@ -178,7 +236,7 @@ TEST(HotPathSchedulerTest, MatchesReferenceAcrossProgramsSubsetsAndDisks) {
           Schedule New = DiskReuseScheduler::scheduleMasked(
               Masks, Graph, NumDisks, Subset, &RoundsNew, StartDisk,
               &StatsNew);
-          Schedule Ref = DiskReuseScheduler::scheduleMaskedReference(
+          Schedule Ref = scheduleMaskedReference(
               Masks, Graph, NumDisks, Subset, &RoundsRef, StartDisk,
               &StatsRef);
           ASSERT_EQ(New.Order, Ref.Order)
@@ -212,29 +270,17 @@ TEST(HotPathSchedulerTest, MatchesReferenceOnSubGraphSubsets) {
       std::vector<GlobalIter> Subset = everyNth(Space.size(), Step, Phase);
       IterationGraph Sub(Table, Subset);
       unsigned RN = 0, RR = 0;
-      Schedule New = DiskReuseScheduler::scheduleMasked(Masks, Sub, 4, Subset,
-                                                        &RN, /*StartDisk=*/2);
-      Schedule Ref = DiskReuseScheduler::scheduleMaskedReference(
-          Masks, Sub, 4, Subset, &RR, /*StartDisk=*/2);
+      std::vector<SchedulerRoundStats> SN, SR;
+      Schedule New = DiskReuseScheduler::scheduleMasked(
+          Masks, Sub, 4, Subset, &RN, /*StartDisk=*/2, &SN);
+      Schedule Ref = scheduleMaskedReference(Masks, Sub, 4, Subset, &RR,
+                                             /*StartDisk=*/2, &SR);
       ASSERT_EQ(New.Order, Ref.Order);
       EXPECT_EQ(RN, RR);
+      EXPECT_EQ(SN, SR);
       EXPECT_TRUE(Sub.respectsDependences(New.Order));
     }
   }
-}
-
-TEST(HotPathSchedulerTest, TableCtorMatchesLegacyCtorMasks) {
-  Program P = randomProgram(5);
-  IterationSpace Space(P);
-  TileAccessTable Table(P, Space);
-  StripingConfig SC;
-  SC.StripeFactor = 4;
-  DiskLayout Layout(P, SC);
-
-  DiskReuseScheduler Legacy(P, Space, Layout);
-  DiskReuseScheduler FromTable(Table, Layout);
-  for (GlobalIter G = 0; G != GlobalIter(Space.size()); ++G)
-    EXPECT_EQ(Legacy.diskMask(G), FromTable.diskMask(G)) << "G " << G;
 }
 
 //===----------------------------------------------------------------------===//
@@ -316,56 +362,6 @@ TEST(ShardedGraphTest, ProgramBuildsEmitNoDuplicateEdges) {
       Sum += G.succs(U).size();
     EXPECT_EQ(G.numEdges(), Sum) << "seed " << Seed;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Table-fed consumers vs. re-evaluating consumers
-//===----------------------------------------------------------------------===//
-
-TEST(HotPathConsumersTest, LocalityTraceEstimatorAndParallelizerAgree) {
-  Program P = randomProgram(21);
-  IterationSpace Space(P);
-  TileAccessTable Table(P, Space);
-  StripingConfig SC;
-  SC.StripeFactor = 4;
-  DiskLayout Layout(P, SC);
-  IterationGraph Graph(Table);
-  DiskReuseScheduler Sched(Table, Layout);
-  Schedule S = Sched.schedule(Graph);
-
-  ScheduleLocality L1 = S.locality(P, Space, Layout);
-  ScheduleLocality L2 = S.locality(Table, Layout);
-  EXPECT_EQ(L1.DiskSwitches, L2.DiskSwitches);
-  EXPECT_EQ(L1.DiskVisits, L2.DiskVisits);
-  EXPECT_EQ(L1.DisksUsed, L2.DisksUsed);
-
-  TraceGenerator GenA(P, Space, Layout);
-  TraceGenerator GenB(P, Space, Layout, 4096, &Table);
-  Trace TA = GenA.generateSingle(S.Order);
-  Trace TB = GenB.generateSingle(S.Order);
-  ASSERT_EQ(TA.size(), TB.size());
-  for (size_t I = 0; I != TA.size(); ++I) {
-    EXPECT_EQ(TA.requests()[I].StartBlock, TB.requests()[I].StartBlock);
-    EXPECT_EQ(TA.requests()[I].IsWrite, TB.requests()[I].IsWrite);
-    EXPECT_DOUBLE_EQ(TA.requests()[I].ArrivalMs, TB.requests()[I].ArrivalMs);
-  }
-
-  DiskParams DP;
-  EnergyEstimator EstA(P, Space, Layout, DP, PowerPolicyKind::Drpm);
-  EnergyEstimator EstB(P, Space, Layout, DP, PowerPolicyKind::Drpm, &Table);
-  EnergyEstimate EA = EstA.estimate(S);
-  EnergyEstimate EB = EstB.estimate(S);
-  EXPECT_DOUBLE_EQ(EA.EnergyJ, EB.EnergyJ);
-  EXPECT_DOUBLE_EQ(EA.WallMs, EB.WallMs);
-  EXPECT_EQ(EA.SpinDowns, EB.SpinDowns);
-  EXPECT_EQ(EA.RpmSteps, EB.RpmSteps);
-
-  ParallelPlan PA = LayoutAwareParallelizer::parallelize(P, Space, Graph,
-                                                         Layout, 2);
-  ParallelPlan PB = LayoutAwareParallelizer::parallelize(
-      P, Space, Graph, Layout, 2, nullptr, &Table);
-  EXPECT_EQ(PA.ProcOf, PB.ProcOf);
-  EXPECT_EQ(PA.PhaseOf, PB.PhaseOf);
 }
 
 TEST(HotPathPipelineTest, GraphWorkerCountDoesNotChangeResults) {

@@ -158,11 +158,12 @@ TEST(LayoutAwareTest, UnificationPicksMajorityDistribution) {
   Program P = fig5Program(8);
   IterationSpace Space(P);
   IterationGraph G(P, Space);
+  TileAccessTable Table(P, Space);
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
   LayoutAwareInfo Info;
-  LayoutAwareParallelizer::parallelize(P, Space, G, L, 4, &Info);
+  LayoutAwareParallelizer::parallelize(P, Space, G, L, 4, &Info, &Table);
   ASSERT_EQ(Info.PartitionDimOfArray.size(), 1u);
   EXPECT_EQ(Info.PartitionDimOfArray[0], 0u); // row-block wins 2:1
 }
@@ -174,10 +175,12 @@ TEST(LayoutAwareTest, ProcessorsOwnDiskBlocks) {
   Program P = fig5Program(8);
   IterationSpace Space(P);
   IterationGraph G(P, Space);
+  TileAccessTable Table(P, Space);
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  ParallelPlan Plan = LayoutAwareParallelizer::parallelize(P, Space, G, L, 4);
+  ParallelPlan Plan =
+      LayoutAwareParallelizer::parallelize(P, Space, G, L, 4, nullptr, &Table);
   for (GlobalIter I = 0; I != Space.size(); ++I) {
     auto Tiles = P.touchedTiles(Space.nestOf(I), Space.iterOf(I));
     unsigned Disk = L.primaryDiskOfTile(Tiles[0].Tile);
@@ -192,11 +195,13 @@ TEST(LayoutAwareTest, LocalizesDisksUnlikeLoopBased) {
   Program P = fig5Program(8);
   IterationSpace Space(P);
   IterationGraph G(P, Space);
+  TileAccessTable Table(P, Space);
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
   ParallelPlan Loop = LoopParallelizer::parallelize(P, Space, G, 4);
-  ParallelPlan Aware = LayoutAwareParallelizer::parallelize(P, Space, G, L, 4);
+  ParallelPlan Aware =
+      LayoutAwareParallelizer::parallelize(P, Space, G, L, 4, nullptr, &Table);
 
   auto DisksOfProc = [&](const ParallelPlan &Plan, uint32_t S) {
     std::set<unsigned> Disks;
@@ -229,12 +234,13 @@ TEST(LayoutAwareTest, RebalancesSingleDiskNest) {
   Program P = B.build();
   IterationSpace Space(P);
   IterationGraph G(P, Space);
+  TileAccessTable Table(P, Space);
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
   LayoutAwareInfo Info;
   ParallelPlan Plan =
-      LayoutAwareParallelizer::parallelize(P, Space, G, L, 4, &Info);
+      LayoutAwareParallelizer::parallelize(P, Space, G, L, 4, &Info, &Table);
   ASSERT_EQ(Info.RebalancedNests.size(), 1u);
   EXPECT_EQ(Info.RebalancedNests[0], 1u);
   std::set<uint32_t> ProcsUsed;
@@ -254,10 +260,12 @@ TEST(LayoutAwareTest, SerializesUnparallelizableNest) {
   Program P = B.build();
   IterationSpace Space(P);
   IterationGraph G(P, Space);
+  TileAccessTable Table(P, Space);
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  ParallelPlan Plan = LayoutAwareParallelizer::parallelize(P, Space, G, L, 4);
+  ParallelPlan Plan =
+      LayoutAwareParallelizer::parallelize(P, Space, G, L, 4, nullptr, &Table);
   ASSERT_EQ(Plan.SerializedNests.size(), 1u);
   for (GlobalIter I = 0; I != Space.size(); ++I)
     EXPECT_EQ(Plan.ProcOf[I], 0u);

@@ -92,7 +92,8 @@ TEST_P(RandomProgramProperty, SchedulerEmitsValidTopologicalPermutation) {
   C.StripeFactor = 4;
   DiskLayout L(P, C);
   IterationGraph G(P, Space);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   Schedule S = Sched.schedule(G);
   EXPECT_TRUE(isPermutation(S.Order, Space.size()));
   EXPECT_TRUE(G.respectsDependences(S.Order));
@@ -109,7 +110,8 @@ TEST_P(RandomProgramProperty, SchedulerBoundsDisjointDiskTransitions) {
   C.StripeFactor = 4;
   DiskLayout L(P, C);
   IterationGraph G(P, Space);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   Schedule S = Sched.schedule(G);
   uint64_t Disjoint = 0;
   for (size_t I = 1; I < S.Order.size(); ++I)
@@ -134,10 +136,11 @@ TEST_P(RandomProgramProperty, SingleAccessProgramsClusterPerfectlyModuloDeps) {
   C.StripeFactor = 4;
   DiskLayout L(P, C);
   IterationGraph G(P, Space);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   Schedule S = Sched.schedule(G);
   EXPECT_TRUE(G.respectsDependences(S.Order));
-  ScheduleLocality Loc = S.locality(P, Space, L);
+  ScheduleLocality Loc = S.locality(Table, L);
   EXPECT_LE(Loc.DiskVisits, uint64_t(Sched.lastRounds()) * L.numDisks());
 }
 
@@ -148,7 +151,8 @@ TEST_P(RandomProgramProperty, CodegenRoundTripExact) {
   C.StripeFactor = 4;
   DiskLayout L(P, C);
   IterationGraph G(P, Space);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   Schedule S = Sched.schedule(G);
   ScheduleCodeGen CG(P, Space);
   EXPECT_EQ(CG.expandBands(CG.rollBands(S)), S.Order);
@@ -234,7 +238,7 @@ TEST_P(RandomProgramProperty, EstimatorMatchesSimulatorOnBase) {
   Pipeline Pipe(P, Cfg);
   SchemeRun Sim = Pipe.run(Scheme::Base);
   EnergyEstimator Est(Pipe.program(), Pipe.space(), Pipe.layout(), Cfg.Disk,
-                      PowerPolicyKind::None);
+                      PowerPolicyKind::None, Pipe.table());
   Schedule S;
   S.Order = Pipe.compile(Scheme::Base).PerProc[0];
   EnergyEstimate E = Est.estimate(S);

@@ -84,7 +84,8 @@ TEST(SchedulerTest, SingleRoundWithoutDependences) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
   ASSERT_EQ(G.numEdges(), 0u);
   Schedule S = Sched.schedule(G);
@@ -100,10 +101,11 @@ TEST(SchedulerTest, PerfectReuseVisitsEachDiskOnce) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
   Schedule S = Sched.schedule(G);
-  ScheduleLocality Loc = S.locality(P, Space, L);
+  ScheduleLocality Loc = S.locality(Table, L);
   // Dependence-free program: each disk is visited exactly once.
   EXPECT_EQ(Loc.DisksUsed, 4u);
   EXPECT_EQ(Loc.DiskVisits, 4u);
@@ -116,15 +118,16 @@ TEST(SchedulerTest, ImprovesLocalityOverOriginalOrder) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
   Schedule Original;
   Original.Order.resize(Space.size());
   for (GlobalIter I = 0; I != Space.size(); ++I)
     Original.Order[I] = I;
   Schedule S = Sched.schedule(G);
-  EXPECT_LT(S.locality(P, Space, L).DiskSwitches,
-            Original.locality(P, Space, L).DiskSwitches);
+  EXPECT_LT(S.locality(Table, L).DiskSwitches,
+            Original.locality(Table, L).DiskSwitches);
 }
 
 TEST(SchedulerTest, DependentProgramStillValidAndClustered) {
@@ -148,7 +151,8 @@ TEST(SchedulerTest, DependentProgramStillValidAndClustered) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
   ASSERT_GT(G.numEdges(), 0u);
   Schedule S = Sched.schedule(G);
@@ -162,7 +166,8 @@ TEST(SchedulerTest, SubsetScheduling) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   // Schedule only nest 1's iterations.
   std::vector<GlobalIter> Subset;
   for (GlobalIter G = Space.nestBegin(1); G != Space.nestEnd(1); ++G)
@@ -181,7 +186,8 @@ TEST(SchedulerTest, DiskMaskMatchesLayout) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   for (GlobalIter G = 0; G != GlobalIter(Space.size()); ++G) {
     auto Tiles = P.touchedTiles(Space.nestOf(G), Space.iterOf(G));
     uint64_t Expect = 0;
@@ -202,7 +208,8 @@ TEST(SchedulerTest, ClusteredOrderGroupsByDisk) {
   StripingConfig C;
   C.StripeFactor = 4;
   DiskLayout L(P, C);
-  DiskReuseScheduler Sched(P, Space, L);
+  TileAccessTable Table(P, Space);
+  DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
   Schedule S = Sched.schedule(G);
   std::vector<GlobalIter> Expected;

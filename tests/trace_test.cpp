@@ -31,12 +31,13 @@ Program twoArrayProgram(int64_t N) {
 struct Ctx {
   Program P;
   IterationSpace Space;
+  TileAccessTable Table;
   DiskLayout Layout;
   TraceGenerator Gen;
 
   explicit Ctx(Program Prog, StripingConfig C = StripingConfig())
-      : P(std::move(Prog)), Space(P), Layout(P, C),
-        Gen(P, Space, Layout) {}
+      : P(std::move(Prog)), Space(P), Table(P, Space), Layout(P, C),
+        Gen(P, Space, Layout, 4096, &Table) {}
 };
 
 } // namespace

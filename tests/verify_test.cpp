@@ -406,7 +406,7 @@ TEST(ScheduleVerifierTest, LocalityRecountMatchesAndDetectsCorruption) {
   ScheduledWork W = C.Pipe.compile(Scheme::TTpmS);
   Schedule S;
   S.Order = W.PerProc[0];
-  ScheduleLocality L = S.locality(C.P, C.Pipe.space(), C.Pipe.layout());
+  ScheduleLocality L = S.locality(C.Pipe.table(), C.Pipe.layout());
 
   ScheduleVerifier SV = C.verifier();
   EXPECT_TRUE(SV.verifyLocality(S, L));

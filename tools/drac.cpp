@@ -43,9 +43,10 @@
 //                      (per-nest/per-reference tile counts, per-disk
 //                      demand, symbolic coverage) to F; the same body is
 //                      embedded per app in --report-json output
-//     --timings        print per-pass host wall times (stable pass order)
-//                      and ready-bucket scheduler round counts after the
-//                      energy table (docs/PERFORMANCE.md)
+//     --timings        print every timed pass's exclusive host wall time
+//                      (stable pass order, trace-gen and simulate
+//                      included) and ready-bucket scheduler round counts
+//                      after the energy table (docs/PERFORMANCE.md)
 //     --timeline-json F
 //                      write the dra-timeline-v1 simulated-time series
 //                      (per-disk power-state/energy windows, gap events,
@@ -821,23 +822,19 @@ int main(int argc, char **argv) {
                       CG.printBands(CG.rollBands(Sch)).c_str());
         }
       }
-      if (!DumpTrace.empty()) {
-        if (!writeTraceFile(Pipe.trace(S), DumpTrace)) {
-          std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                       DumpTrace.c_str());
-          return 1;
-        }
-      }
+    }
+    if (!DumpTrace.empty() &&
+        !writeTraceFile(Pipe.trace(Schemes.back()), DumpTrace)) {
+      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
+                   DumpTrace.c_str());
+      return 1;
     }
     std::printf("%s", T.render().c_str());
     if (Timings) {
       // Stable pass order (pipeline execution order), so runs diff
       // cleanly; the same histograms back the JSON exports.
       TextTable TT({"Pass", "Runs", "Total (ms)", "Mean (ms)"});
-      for (const char *Pass :
-           {"iteration-space", "tile-access-table", "disk-layout",
-            "symbolic-footprint", "dependence-graph", "scheduler-init",
-            "parallelize", "restructure", "compile"}) {
+      for (const char *Pass : TimedPasses) {
         const Histogram *H =
             Metrics.findHistogram(std::string("pass.") + Pass + ".wall_ms");
         if (!H)
@@ -846,7 +843,8 @@ int main(int argc, char **argv) {
         TT.addRow({Pass, fmtGrouped(S.count()), fmtDouble(S.sum(), 3),
                    fmtDouble(S.mean(), 3)});
       }
-      std::printf("\nPass timings (host wall, all compiled schemes):\n%s",
+      std::printf("\nPass timings (exclusive host wall, all compiled "
+                  "schemes):\n%s",
                   TT.render().c_str());
       const Counter *Inv = Metrics.findCounter("scheduler.invocations");
       const Counter *Rounds = Metrics.findCounter("scheduler.rounds_total");
