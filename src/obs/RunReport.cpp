@@ -9,7 +9,7 @@
 #include "obs/IdleGapAnalyzer.h"
 
 #include <cmath>
-#include <set>
+#include <string_view>
 
 using namespace dra;
 
@@ -273,16 +273,27 @@ void dra::writeAttributionSectionJson(JsonWriter &W, const SchemeRun &R) {
   W.key("per_disk");
   W.beginArray();
   for (size_t D = 0; D != R.Sim.PerDisk.size(); ++D) {
-    // One rollup per disk for the per-disk view (rounds and refs collapse
-    // into the nest totals, so only PerNest/Unattributed are consumed).
-    AttributionRollup DiskRollup;
-    DiskRollup.add(R.Sim.PerDisk[D].Attrib);
+    // The per-disk view collapses refs and rounds into nest totals. The map
+    // is ordered by (Nest, Ref, Round), so each nest's entries are one
+    // contiguous run, summed here in the order AttributionRollup::add
+    // would sum them (same bits), and the unattributed keys sort last.
+    const AttributionMap &M = R.Sim.PerDisk[D].Attrib;
+    AttribEntry Unattributed;
     W.beginObject();
     W.key("disk");
     W.value(unsigned(D));
     W.key("nests");
     W.beginArray();
-    for (const auto &[Nest, E] : DiskRollup.PerNest) {
+    for (auto It = M.begin(); It != M.end();) {
+      const uint32_t Nest = It->first.Nest;
+      if (It->first.unattributed()) {
+        Unattributed += It->second;
+        ++It;
+        continue;
+      }
+      AttribEntry E;
+      for (; It != M.end() && It->first.Nest == Nest; ++It)
+        E += It->second;
       W.beginObject();
       W.key("nest");
       W.value(Nest);
@@ -294,7 +305,7 @@ void dra::writeAttributionSectionJson(JsonWriter &W, const SchemeRun &R) {
     W.endArray();
     W.key("unattributed");
     W.beginObject();
-    writeAttribEntryFields(W, DiskRollup.Unattributed);
+    writeAttribEntryFields(W, Unattributed);
     W.endObject();
     W.endObject();
   }
@@ -431,54 +442,61 @@ std::string dra::renderAttribReportJson(const PipelineConfig &Cfg,
                             });
 }
 
-/// One collapsed-stack flame line. \p Frames are joined with ';' and the
-/// weight follows after a space, matching the flamegraph.pl/speedscope
-/// collapsed format. Zero weights are elided by the caller.
-static void appendFlameLine(std::string &Out,
-                            const std::vector<std::string> &Frames,
-                            double Joules) {
-  for (size_t I = 0; I != Frames.size(); ++I) {
-    if (I)
-      Out += ';';
-    Out += Frames[I];
-  }
+/// One collapsed-stack flame line: \p Prefix holds the ';'-joined frames
+/// up to and including the trailing ';', then the category frame, a space
+/// and the weight, matching the flamegraph.pl/speedscope collapsed format.
+/// Zero weights are elided.
+static void appendFlameLine(std::string &Out, std::string_view Prefix,
+                            std::string_view Category, double Joules) {
+  if (Joules == 0.0)
+    return;
+  Out += Prefix;
+  Out += Category;
   Out += ' ';
-  Out += jsonNumber(Joules);
+  appendJsonNumber(Out, Joules);
   Out += '\n';
 }
 
 std::string dra::renderAttribFlame(const std::vector<AppResults> &Apps) {
   std::string Out;
+  std::string Prefix; // "app;scheme;nest;ref;diskD;", reused across stacks.
   for (const AppResults &A : Apps) {
     for (const SchemeRun &R : A.Runs) {
       if (!R.Sim.AttributionEnabled)
         continue;
+      const std::string_view Scheme = schemeName(R.S);
       for (size_t D = 0; D != R.Sim.PerDisk.size(); ++D) {
-        // Collapse rounds per (nest, ref) so each stack appears once.
-        std::map<std::pair<uint32_t, uint32_t>, EnergyLedger> PerRef;
-        for (const auto &[Key, E] : R.Sim.PerDisk[D].Attrib)
-          PerRef[{Key.Nest, Key.Ref}] += E.Energy;
-        for (const auto &[Ref, L] : PerRef) {
-          std::vector<std::string> Frames = {
-              A.Name, schemeName(R.S), R.AttribNames.nestLabel(Ref.first),
-              R.AttribNames.refLabel(Ref.first, Ref.second),
-              "disk" + std::to_string(D)};
-          Frames.push_back("");
-          auto Emit = [&](const std::string &Category, double Joules) {
-            if (Joules == 0.0)
-              return;
-            Frames.back() = Category;
-            appendFlameLine(Out, Frames, Joules);
-          };
-          Emit("active_read", L.ActiveReadJ);
-          Emit("active_write", L.ActiveWriteJ);
+        // Collapse rounds per (nest, ref) so each stack appears once: the
+        // map is ordered by (Nest, Ref, Round), so each (nest, ref) is one
+        // contiguous run of entries.
+        const AttributionMap &M = R.Sim.PerDisk[D].Attrib;
+        for (auto It = M.begin(); It != M.end();) {
+          const uint32_t Nest = It->first.Nest, Ref = It->first.Ref;
+          EnergyLedger L;
+          for (; It != M.end() && It->first.Nest == Nest &&
+                 It->first.Ref == Ref;
+               ++It)
+            L += It->second.Energy;
+          Prefix.assign(A.Name);
+          Prefix += ';';
+          Prefix += Scheme;
+          Prefix += ';';
+          Prefix += R.AttribNames.nestLabel(Nest);
+          Prefix += ';';
+          Prefix += R.AttribNames.refLabel(Nest, Ref);
+          Prefix += ";disk";
+          Prefix += std::to_string(D);
+          Prefix += ';';
+          appendFlameLine(Out, Prefix, "active_read", L.ActiveReadJ);
+          appendFlameLine(Out, Prefix, "active_write", L.ActiveWriteJ);
           for (const auto &[Rpm, Joules] : L.IdleByRpmJ)
-            Emit("idle@" + std::to_string(Rpm), Joules);
-          Emit("spin_down", L.SpinDownJ);
-          Emit("spin_up", L.SpinUpJ);
-          Emit("standby", L.StandbyJ);
-          Emit("rpm_step", L.RpmStepJ);
-          Emit("ready_penalty", L.ReadyPenaltyJ);
+            appendFlameLine(Out, Prefix, "idle@" + std::to_string(Rpm),
+                            Joules);
+          appendFlameLine(Out, Prefix, "spin_down", L.SpinDownJ);
+          appendFlameLine(Out, Prefix, "spin_up", L.SpinUpJ);
+          appendFlameLine(Out, Prefix, "standby", L.StandbyJ);
+          appendFlameLine(Out, Prefix, "rpm_step", L.RpmStepJ);
+          appendFlameLine(Out, Prefix, "ready_penalty", L.ReadyPenaltyJ);
         }
       }
     }

@@ -106,10 +106,11 @@ inline void mergeAttribution(AttributionMap &Dst, const AttributionMap &Src) {
     Dst[Key] += E;
 }
 
-/// The run-level aggregation every attribution renderer needs: totals, the
-/// unattributed bucket, per-nest and per-(nest, ref) rollups with rounds
-/// collapsed. Shared by the dra-attrib-v1 section writer and the flame
-/// exporter (obs/RunReport.cpp) so all views aggregate identically.
+/// The run-level aggregation of the dra-attrib-v1 section writer
+/// (obs/RunReport.cpp): totals, the unattributed bucket, per-nest and
+/// per-(nest, ref) rollups with rounds collapsed. The per-disk views (the
+/// section's per_disk array and the flame exporter) fold one disk's
+/// ordered map directly instead, in the same summation order.
 struct AttributionRollup {
   AttribEntry Total;
   AttribEntry Unattributed;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 
 using namespace dra;
@@ -30,12 +31,38 @@ std::string dra::fmtDouble(double Value, int Decimals) {
   return Buf;
 }
 
+void dra::appendExactDouble(std::string &Out, double Value) {
+  // to_chars(general, precision) is specified as printf "%.<precision>g",
+  // non-finite spellings included. max_digits10 for IEEE-754 binary64: 17
+  // significant digits always round-trip text -> double -> text exactly.
+  // The longest output, "-2.2250738585072014e-308", is 24 characters.
+  char Buf[32];
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), Value,
+                                         std::chars_format::general, 17);
+  assert(R.ec == std::errc() && "buffer holds every exact-double rendering");
+  Out.append(Buf, size_t(R.ptr - Buf));
+}
+
+template <typename IntT>
+static void appendIntegerImpl(std::string &Out, IntT Value) {
+  char Buf[24]; // 20 digits of UINT64_MAX, or a sign and 19 digits.
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), Value);
+  assert(R.ec == std::errc() && "buffer holds every 64-bit integer");
+  Out.append(Buf, size_t(R.ptr - Buf));
+}
+
+void dra::appendInteger(std::string &Out, uint64_t Value) {
+  appendIntegerImpl(Out, Value);
+}
+
+void dra::appendInteger(std::string &Out, int64_t Value) {
+  appendIntegerImpl(Out, Value);
+}
+
 std::string dra::fmtExact(double Value) {
-  char Buf[64];
-  // max_digits10 for IEEE-754 binary64: 17 significant digits always
-  // round-trip text -> double -> text exactly.
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Value);
-  return Buf;
+  std::string Out;
+  appendExactDouble(Out, Value);
+  return Out;
 }
 
 std::string dra::fmtPercent(double Fraction) {

@@ -14,17 +14,31 @@
 #ifndef DRA_SUPPORT_FORMAT_H
 #define DRA_SUPPORT_FORMAT_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace dra {
 
+/// Appends \p Value to \p Out exactly as printf "%.17g" prints it
+/// (max_digits10 significant digits, so the text reads back as the same
+/// double; inf, -inf, nan and -nan spelled as printf spells them). The one
+/// exact-double formatter: fmtExact, the JSON writer and the flame exporter
+/// all append through it, via std::to_chars rather than printf.
+void appendExactDouble(std::string &Out, double Value);
+
+/// Appends the decimal digits of \p Value to \p Out (std::to_string's
+/// text, without the temporary).
+void appendInteger(std::string &Out, uint64_t Value);
+void appendInteger(std::string &Out, int64_t Value);
+
 /// Formats \p Value with \p Decimals fractional digits ("12.34").
 std::string fmtDouble(double Value, int Decimals = 2);
 
 /// Formats \p Value with max_digits10 significant digits, so reading the
-/// text back recovers the exact double. For machine-consumed writers (CSV
-/// artifacts); human-facing tables keep fmtDouble.
+/// text back recovers the exact double (appendExactDouble's text). For
+/// machine-consumed writers (CSV artifacts); human-facing tables keep
+/// fmtDouble.
 std::string fmtExact(double Value);
 
 /// Formats \p Value as a percentage with two fractional digits ("18.17%").

@@ -5,17 +5,27 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Json.h"
+#include "support/Format.h"
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 using namespace dra;
 
-std::string dra::jsonQuote(const std::string &S) {
-  std::string Out = "\"";
-  for (unsigned char C : S) {
+/// Appends \p S to \p Out as a quoted JSON string literal, escaping quotes,
+/// backslashes and control characters (embedded NULs included).
+static void appendJsonString(std::string &Out, std::string_view S) {
+  Out += '"';
+  // Copy runs of plain characters in one append; only the characters that
+  // need an escape break a run.
+  size_t RunStart = 0;
+  for (size_t I = 0; I != S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + RunStart, I - RunStart);
+    RunStart = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -38,26 +48,34 @@ std::string dra::jsonQuote(const std::string &S) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += char(C);
-      }
+    default: {
+      static constexpr char Hex[] = "0123456789abcdef";
+      const char Escape[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xF]};
+      Out.append(Escape, sizeof(Escape));
+    }
     }
   }
+  Out.append(S.data() + RunStart, S.size() - RunStart);
   Out += '"';
+}
+
+void dra::appendJsonNumber(std::string &Out, double V) {
+  if (std::isfinite(V))
+    appendExactDouble(Out, V);
+  else
+    Out += "null";
+}
+
+std::string dra::jsonQuote(std::string_view S) {
+  std::string Out;
+  appendJsonString(Out, S);
   return Out;
 }
 
 std::string dra::jsonNumber(double V) {
-  if (!std::isfinite(V))
-    return "null";
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
+  std::string Out;
+  appendJsonNumber(Out, V);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -103,7 +121,7 @@ void JsonWriter::endArray() {
   Out += ']';
 }
 
-void JsonWriter::key(const std::string &K) {
+void JsonWriter::key(std::string_view K) {
   assert(!Stack.empty() && Stack.back().InObject && !Stack.back().KeyPending &&
          "key() only valid directly inside an object");
   Frame &F = Stack.back();
@@ -111,30 +129,28 @@ void JsonWriter::key(const std::string &K) {
     Out += ',';
   F.First = false;
   F.KeyPending = true;
-  Out += jsonQuote(K);
+  appendJsonString(Out, K);
   Out += ':';
 }
 
-void JsonWriter::value(const std::string &S) {
+void JsonWriter::value(std::string_view S) {
   prefix();
-  Out += jsonQuote(S);
+  appendJsonString(Out, S);
 }
-
-void JsonWriter::value(const char *S) { value(std::string(S)); }
 
 void JsonWriter::value(double V) {
   prefix();
-  Out += jsonNumber(V);
+  appendJsonNumber(Out, V);
 }
 
 void JsonWriter::value(uint64_t V) {
   prefix();
-  Out += std::to_string(V);
+  appendInteger(Out, V);
 }
 
 void JsonWriter::value(int64_t V) {
   prefix();
-  Out += std::to_string(V);
+  appendInteger(Out, V);
 }
 
 void JsonWriter::value(bool B) {
@@ -147,7 +163,7 @@ void JsonWriter::null() {
   Out += "null";
 }
 
-void JsonWriter::rawValue(const std::string &Json) {
+void JsonWriter::rawValue(std::string_view Json) {
   prefix();
   Out += Json;
 }

@@ -9,7 +9,10 @@
 /// (docs/FORMATS.md): a streaming JsonWriter used by the trace, metrics and
 /// run-report serializers, and a strict recursive-descent parser used by the
 /// round-trip tests. Emitted numbers use enough digits for doubles to
-/// round-trip exactly.
+/// round-trip exactly. The writer appends straight into its buffer: numbers
+/// go through std::to_chars and strings are escaped in place, so emitting a
+/// value allocates nothing beyond the growth of the buffer and the nesting
+/// stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,12 +22,17 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dra {
 
+/// Appends \p V to \p Out as a JSON number: printf "%.17g" digits, or null
+/// for non-finite values (which JSON cannot represent).
+void appendJsonNumber(std::string &Out, double V);
+
 /// Escapes and quotes \p S as a JSON string literal (including the quotes).
-std::string jsonQuote(const std::string &S);
+std::string jsonQuote(std::string_view S);
 
 /// Renders \p V as a JSON number. Non-finite values (which JSON cannot
 /// represent) render as null.
@@ -48,10 +56,12 @@ public:
   void endArray();
 
   /// Emits an object key; the next value/beginX call becomes its value.
-  void key(const std::string &K);
+  void key(std::string_view K);
 
-  void value(const std::string &S);
-  void value(const char *S);
+  void value(std::string_view S);
+  /// Keeps string literals off value(bool), which a pointer would
+  /// otherwise convert to ahead of std::string_view.
+  void value(const char *S) { value(std::string_view(S)); }
   void value(double V);
   void value(uint64_t V);
   void value(int64_t V);
@@ -62,7 +72,7 @@ public:
 
   /// Emits \p Json verbatim as the next value. The caller guarantees it is
   /// one well-formed JSON value (used to splice pre-rendered fragments).
-  void rawValue(const std::string &Json);
+  void rawValue(std::string_view Json);
 
   /// Finishes the document and returns it. The writer must be balanced
   /// (every begin closed).

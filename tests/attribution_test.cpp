@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <random>
 
 using namespace dra;
@@ -356,6 +357,253 @@ TEST(AttribReportTest, AttribDocumentRoundTripsAndCloses) {
   EXPECT_NE(Flame.find("pingpong;"), std::string::npos);
   EXPECT_NE(Flame.find("s0"), std::string::npos);
   EXPECT_NE(Flame.find("s1"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Per-disk folds against the AttributionRollup rendering they replaced.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+// The oracle: the dra-attrib-v1 section and flame exporter as they were
+// written before the per-disk views folded the ordered map directly, with
+// one AttributionRollup (or per-(nest, ref) std::map) per disk.
+
+void oracleLedgerCategories(JsonWriter &W, const EnergyLedger &L) {
+  W.key("active_read_j");
+  W.value(L.ActiveReadJ);
+  W.key("active_write_j");
+  W.value(L.ActiveWriteJ);
+  W.key("idle_by_rpm_j");
+  W.beginObject();
+  for (const auto &[Rpm, Joules] : L.IdleByRpmJ) {
+    W.key(std::to_string(Rpm));
+    W.value(Joules);
+  }
+  W.endObject();
+  W.key("spin_down_j");
+  W.value(L.SpinDownJ);
+  W.key("spin_up_j");
+  W.value(L.SpinUpJ);
+  W.key("standby_j");
+  W.value(L.StandbyJ);
+  W.key("rpm_step_j");
+  W.value(L.RpmStepJ);
+  W.key("ready_penalty_j");
+  W.value(L.ReadyPenaltyJ);
+}
+
+void oracleEntryFields(JsonWriter &W, const AttribEntry &E) {
+  W.key("energy_j");
+  W.value(E.Energy.totalJ());
+  W.key("busy_ms");
+  W.value(E.BusyMs);
+  W.key("ready_delay_ms");
+  W.value(E.ReadyDelayMs);
+  W.key("num_requests");
+  W.value(E.NumRequests);
+  oracleLedgerCategories(W, E.Energy);
+}
+
+void oracleAttributionSection(JsonWriter &W, const SchemeRun &R) {
+  AttributionRollup Rollup;
+  for (const DiskStats &S : R.Sim.PerDisk)
+    Rollup.add(S.Attrib);
+  W.beginObject();
+  W.key("schema");
+  W.value("dra-attrib-v1");
+  W.key("total");
+  W.beginObject();
+  oracleEntryFields(W, Rollup.Total);
+  W.endObject();
+  W.key("nests");
+  W.beginArray();
+  for (const auto &[Nest, E] : Rollup.PerNest) {
+    W.beginObject();
+    W.key("nest");
+    W.value(Nest);
+    W.key("label");
+    W.value(R.AttribNames.nestLabel(Nest));
+    W.key("rounds");
+    W.value(uint64_t(Rollup.NestRounds[Nest].size()));
+    oracleEntryFields(W, E);
+    W.key("refs");
+    W.beginArray();
+    for (auto It = Rollup.PerRef.lower_bound({Nest, 0});
+         It != Rollup.PerRef.end() && It->first.first == Nest; ++It) {
+      W.beginObject();
+      W.key("ref");
+      W.value(It->first.second);
+      W.key("label");
+      W.value(R.AttribNames.refLabel(Nest, It->first.second));
+      oracleEntryFields(W, It->second);
+      W.endObject();
+    }
+    W.endArray();
+    W.endObject();
+  }
+  W.endArray();
+  W.key("unattributed");
+  W.beginObject();
+  oracleEntryFields(W, Rollup.Unattributed);
+  W.endObject();
+  W.key("per_disk");
+  W.beginArray();
+  for (size_t D = 0; D != R.Sim.PerDisk.size(); ++D) {
+    AttributionRollup DiskRollup;
+    DiskRollup.add(R.Sim.PerDisk[D].Attrib);
+    W.beginObject();
+    W.key("disk");
+    W.value(unsigned(D));
+    W.key("nests");
+    W.beginArray();
+    for (const auto &[Nest, E] : DiskRollup.PerNest) {
+      W.beginObject();
+      W.key("nest");
+      W.value(Nest);
+      W.key("label");
+      W.value(R.AttribNames.nestLabel(Nest));
+      oracleEntryFields(W, E);
+      W.endObject();
+    }
+    W.endArray();
+    W.key("unattributed");
+    W.beginObject();
+    oracleEntryFields(W, DiskRollup.Unattributed);
+    W.endObject();
+    W.endObject();
+  }
+  W.endArray();
+  W.endObject();
+}
+
+std::string oracleFlame(const std::vector<AppResults> &Apps) {
+  std::string Out;
+  for (const AppResults &A : Apps) {
+    for (const SchemeRun &R : A.Runs) {
+      if (!R.Sim.AttributionEnabled)
+        continue;
+      for (size_t D = 0; D != R.Sim.PerDisk.size(); ++D) {
+        std::map<std::pair<uint32_t, uint32_t>, EnergyLedger> PerRef;
+        for (const auto &[Key, E] : R.Sim.PerDisk[D].Attrib)
+          PerRef[{Key.Nest, Key.Ref}] += E.Energy;
+        for (const auto &[Ref, L] : PerRef) {
+          std::vector<std::string> Frames = {
+              A.Name, schemeName(R.S), R.AttribNames.nestLabel(Ref.first),
+              R.AttribNames.refLabel(Ref.first, Ref.second),
+              "disk" + std::to_string(D), ""};
+          auto Emit = [&](const std::string &Category, double Joules) {
+            if (Joules == 0.0)
+              return;
+            Frames.back() = Category;
+            for (size_t I = 0; I != Frames.size(); ++I) {
+              if (I)
+                Out += ';';
+              Out += Frames[I];
+            }
+            Out += ' ';
+            Out += jsonNumber(Joules);
+            Out += '\n';
+          };
+          Emit("active_read", L.ActiveReadJ);
+          Emit("active_write", L.ActiveWriteJ);
+          for (const auto &[Rpm, Joules] : L.IdleByRpmJ)
+            Emit("idle@" + std::to_string(Rpm), Joules);
+          Emit("spin_down", L.SpinDownJ);
+          Emit("spin_up", L.SpinUpJ);
+          Emit("standby", L.StandbyJ);
+          Emit("rpm_step", L.RpmStepJ);
+          Emit("ready_penalty", L.ReadyPenaltyJ);
+        }
+      }
+    }
+  }
+  return Out;
+}
+
+/// A random attribution entry. Magnitudes span nine decades so that any
+/// change in summation order shows in the last bits; about a third of the
+/// categories are zero, which the flame exporter elides.
+AttribEntry randomAttribEntry(std::mt19937_64 &Rng) {
+  std::uniform_real_distribution<double> Unit(0.0, 1.0);
+  auto J = [&] {
+    if (Rng() % 3 == 0)
+      return 0.0;
+    return Unit(Rng) * std::pow(10.0, int(Rng() % 9) - 4);
+  };
+  static constexpr unsigned Rpms[] = {3600, 5400, 8400, 12000};
+  AttribEntry E;
+  E.BusyMs = J();
+  E.ReadyDelayMs = J();
+  E.NumRequests = Rng() % 50;
+  E.Energy.ActiveReadJ = J();
+  E.Energy.ActiveWriteJ = J();
+  for (uint64_t K = Rng() % 4; K != 0; --K)
+    E.Energy.addIdle(Rpms[Rng() % 4], J());
+  E.Energy.SpinDownJ = J();
+  E.Energy.SpinUpJ = J();
+  E.Energy.StandbyJ = J();
+  E.Energy.RpmStepJ = J();
+  E.Energy.ReadyPenaltyJ = J();
+  return E;
+}
+
+/// One disk's map of shape \p Shape: 0 empty, 1 unattributed only, 2
+/// several nests x refs x rounds, 3 the same plus unattributed keys. Nest
+/// ids run past the two named nests, so some labels fall back to
+/// "(unattributed)" and "-".
+AttributionMap randomAttributionMap(std::mt19937_64 &Rng, unsigned Shape) {
+  AttributionMap M;
+  if (Shape == 1 || Shape == 3) {
+    M[AttribKey()] = randomAttribEntry(Rng);
+    if (Rng() % 2) // A provenance-less key with a stray ref id.
+      M[AttribKey{Provenance::None, uint32_t(Rng() % 3), 0}] =
+          randomAttribEntry(Rng);
+  }
+  if (Shape >= 2) {
+    for (uint64_t K = 1 + Rng() % 12; K != 0; --K) {
+      AttribKey Key{uint32_t(Rng() % 5), uint32_t(Rng() % 4),
+                    uint32_t(Rng() % 6)};
+      M[Key] += randomAttribEntry(Rng);
+    }
+  }
+  return M;
+}
+
+} // namespace
+
+TEST(AttribFoldOracleTest, PerDiskViewsMatchRollupRendering) {
+  AttributionNames Names;
+  Names.Nests = {"s0", "s1"};
+  Names.Refs = {{"A.r0", "C.r1"}, {"C.r0"}};
+  for (unsigned Seed = 1; Seed != 41; ++Seed) {
+    std::mt19937_64 Rng(Seed);
+    AppResults App;
+    App.Name = "oracle";
+    for (Scheme S : {Scheme::Tpm, Scheme::TDrpmS}) {
+      SchemeRun R;
+      R.S = S;
+      R.AttribNames = Names;
+      R.Sim.AttributionEnabled = true;
+      // The first four disks take every shape in order, the rest mix.
+      R.Sim.PerDisk.resize(4 + Rng() % 4);
+      for (size_t D = 0; D != R.Sim.PerDisk.size(); ++D)
+        R.Sim.PerDisk[D].Attrib = randomAttributionMap(
+            Rng, D < 4 ? unsigned(D) : unsigned(Rng() % 4));
+      App.Runs.push_back(std::move(R));
+    }
+    // A run without attribution contributes nothing to the flame.
+    App.Runs.push_back(SchemeRun());
+    App.Runs.back().Sim.PerDisk.resize(2);
+
+    for (size_t I = 0; I != 2; ++I) {
+      JsonWriter Got, Want;
+      writeAttributionSectionJson(Got, App.Runs[I]);
+      oracleAttributionSection(Want, App.Runs[I]);
+      ASSERT_EQ(Got.take(), Want.take()) << "seed " << Seed << " run " << I;
+    }
+    ASSERT_EQ(renderAttribFlame({App}), oracleFlame({App})) << "seed " << Seed;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,12 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Format.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <random>
+#include <string_view>
 
 using namespace dra;
 
@@ -153,4 +158,212 @@ TEST(JsonRoundTripTest, WriterOutputReparses) {
   EXPECT_EQ(V.Arr[0].Str, "quote \" backslash \\ newline \n");
   EXPECT_EQ(V.Arr[1].Num, -0.000123456789012345);
   EXPECT_EQ(V.Arr[2].Num, -7.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Formatter differential: the to_chars append helpers against printf and
+// std::to_string, which define the exported text (docs/FORMATS.md).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string printfExact(double V) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  return Buf;
+}
+
+/// Seeded doubles covering every %.17g shape: random bit patterns (NaN
+/// payloads included), subnormals, signed zeros, the 2^53 integer edge,
+/// powers of ten across the whole range, and the non-finite values.
+std::vector<double> formatterCorpus() {
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> Vs = {0.0,
+                            -0.0,
+                            Inf,
+                            -Inf,
+                            NaN,
+                            -NaN,
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::denorm_min(),
+                            -std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::lowest(),
+                            std::numeric_limits<double>::epsilon(),
+                            9007199254740991.0,  // 2^53 - 1
+                            9007199254740992.0,  // 2^53
+                            9007199254740993.0,  // 2^53 + 1 (rounds to 2^53)
+                            -9007199254740993.0,
+                            0.1 + 0.2};
+  for (int E = -324; E <= 308; ++E) {
+    double P = std::pow(10.0, E);
+    Vs.insert(Vs.end(), {P, -P, std::nextafter(P, 0.0),
+                         std::nextafter(P, Inf)});
+  }
+  std::mt19937_64 Rng(20061);
+  for (int I = 0; I != 100000; ++I)
+    Vs.push_back(std::bit_cast<double>(Rng()));
+  // Subnormals: zero exponent field, random mantissa and sign.
+  for (int I = 0; I != 10000; ++I)
+    Vs.push_back(std::bit_cast<double>(Rng() & 0x800FFFFFFFFFFFFFull));
+  // Magnitudes the exporters actually write: joules and milliseconds.
+  std::uniform_real_distribution<double> Unit(0.0, 1.0);
+  for (int I = 0; I != 10000; ++I)
+    Vs.push_back(Unit(Rng) * std::pow(10.0, int(Rng() % 12) - 3));
+  return Vs;
+}
+
+} // namespace
+
+TEST(FormatterDifferentialTest, DoublesMatchPrintfExact) {
+  std::vector<double> Vs = formatterCorpus();
+  ASSERT_GE(Vs.size(), 100000u);
+  JsonWriter W;
+  W.beginArray();
+  std::string WantDoc = "[";
+  for (size_t I = 0; I != Vs.size(); ++I) {
+    const double V = Vs[I];
+    const std::string Printf = printfExact(V);
+    const std::string Json = std::isfinite(V) ? Printf : "null";
+    ASSERT_EQ(fmtExact(V), Printf) << "bits " << std::bit_cast<uint64_t>(V);
+    ASSERT_EQ(jsonNumber(V), Json) << "bits " << std::bit_cast<uint64_t>(V);
+    std::string Appended = "x";
+    appendExactDouble(Appended, V);
+    ASSERT_EQ(Appended, "x" + Printf);
+    W.value(V);
+    if (I)
+      WantDoc += ',';
+    WantDoc += Json;
+  }
+  W.endArray();
+  WantDoc += ']';
+  EXPECT_EQ(W.take(), WantDoc);
+}
+
+TEST(FormatterDifferentialTest, NonFiniteSpellings) {
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  // fmtExact keeps printf's spellings; JSON cannot carry them.
+  EXPECT_EQ(fmtExact(Inf), "inf");
+  EXPECT_EQ(fmtExact(-Inf), "-inf");
+  EXPECT_EQ(fmtExact(NaN), "nan");
+  EXPECT_EQ(fmtExact(-NaN), "-nan");
+  for (double V : {Inf, -Inf, NaN, -NaN})
+    EXPECT_EQ(jsonNumber(V), "null");
+}
+
+TEST(FormatterDifferentialTest, IntegersMatchToString) {
+  std::vector<int64_t> Signed = {0,
+                                 1,
+                                 -1,
+                                 9,
+                                 10,
+                                 -10,
+                                 std::numeric_limits<int64_t>::max(),
+                                 std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::min() + 1};
+  std::vector<uint64_t> Unsigned = {
+      0,
+      1,
+      9,
+      10,
+      99,
+      100,
+      std::numeric_limits<uint64_t>::max(),
+      std::numeric_limits<uint64_t>::max() - 1,
+      uint64_t(std::numeric_limits<int64_t>::max()) + 1};
+  std::mt19937_64 Rng(53);
+  for (int I = 0; I != 10000; ++I) {
+    uint64_t Bits = Rng() >> (Rng() % 64); // Every digit count.
+    Unsigned.push_back(Bits);
+    Signed.push_back(int64_t(Bits) * (I % 2 ? -1 : 1));
+  }
+  JsonWriter W;
+  W.beginArray();
+  std::string WantDoc = "[";
+  auto Check = [&](auto V) {
+    std::string Appended;
+    appendInteger(Appended, V);
+    EXPECT_EQ(Appended, std::to_string(V));
+    W.value(V);
+    if (WantDoc.size() > 1)
+      WantDoc += ',';
+    WantDoc += std::to_string(V);
+  };
+  for (int64_t V : Signed)
+    Check(V);
+  for (uint64_t V : Unsigned)
+    Check(V);
+  W.endArray();
+  WantDoc += ']';
+  EXPECT_EQ(W.take(), WantDoc);
+}
+
+TEST(FormatterDifferentialTest, StringViewsEscapeEveryByte) {
+  // Every byte value, NUL included, once as a whole string and once per
+  // character, against the escape table of RFC 8259's short escapes plus
+  // \u00XX for the remaining control characters.
+  auto Escaped = [](unsigned char C) -> std::string {
+    switch (C) {
+    case '"':
+      return "\\\"";
+    case '\\':
+      return "\\\\";
+    case '\b':
+      return "\\b";
+    case '\f':
+      return "\\f";
+    case '\n':
+      return "\\n";
+    case '\r':
+      return "\\r";
+    case '\t':
+      return "\\t";
+    }
+    if (C < 0x20) {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      return Buf;
+    }
+    return std::string(1, char(C));
+  };
+  std::string All, AllEscaped;
+  for (unsigned C = 0; C != 256; ++C) {
+    All += char(C);
+    AllEscaped += Escaped((unsigned char)C);
+    const char Byte = char(C);
+    EXPECT_EQ(jsonQuote(std::string_view(&Byte, 1)),
+              "\"" + Escaped((unsigned char)C) + "\"")
+        << "byte " << C;
+  }
+  ASSERT_EQ(All.size(), 256u);
+  const std::string Quoted = "\"" + AllEscaped + "\"";
+  EXPECT_EQ(jsonQuote(All), Quoted);
+
+  // Runs of plain text around escapes, as keys and as values.
+  static constexpr char MixedBytes[] = "a\0b\"c\\d\x01"
+                                       "e\x1f\x7f tail";
+  const std::string_view Mixed(MixedBytes, sizeof(MixedBytes) - 1);
+  const std::string MixedQuoted =
+      "\"a\\u0000b\\\"c\\\\d\\u0001e\\u001f\x7f tail\"";
+  EXPECT_EQ(jsonQuote(Mixed), MixedQuoted);
+  JsonWriter W;
+  W.beginObject();
+  W.key(All);
+  W.value(Mixed);
+  W.key(Mixed);
+  W.value(std::string_view());
+  W.key("literal");
+  W.value("plain");
+  W.endObject();
+  const std::string Doc = W.take();
+  EXPECT_EQ(Doc, "{" + Quoted + ":" + MixedQuoted + "," + MixedQuoted +
+                     ":\"\",\"literal\":\"plain\"}");
+  // The escapes decode back to the original bytes.
+  JsonValue V = parseOk(Doc);
+  ASSERT_TRUE(V.find(All));
+  EXPECT_EQ(V.find(All)->Str, std::string(Mixed));
+  ASSERT_TRUE(V.find(std::string(Mixed)));
+  EXPECT_EQ(V.find(std::string(Mixed))->Str, "");
 }
