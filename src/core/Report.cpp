@@ -129,14 +129,18 @@ std::string Report::renderCsv(const std::vector<AppResults> &All) const {
       Out += A.Name;
       Out += ",";
       Out += schemeName(Schemes[I]);
-      Out += "," + fmtExact(R.EnergyJ);
-      Out += "," + fmtExact(R.EnergyJ / B.EnergyJ);
-      Out += "," + fmtExact(R.IoTimeMs);
-      Out += "," + fmtExact(R.IoTimeMs / B.IoTimeMs - 1.0);
-      Out += "," + fmtExact(R.WallTimeMs);
-      Out += "," + std::to_string(R.SpinDowns);
-      Out += "," + std::to_string(R.RpmSteps);
-      Out += "," + fmtExact(MissedJ);
+      auto Field = [&Out](const std::string &Value) {
+        Out += ',';
+        Out += Value;
+      };
+      Field(fmtExact(R.EnergyJ));
+      Field(fmtExact(R.EnergyJ / B.EnergyJ));
+      Field(fmtExact(R.IoTimeMs));
+      Field(fmtExact(R.IoTimeMs / B.IoTimeMs - 1.0));
+      Field(fmtExact(R.WallTimeMs));
+      Field(std::to_string(R.SpinDowns));
+      Field(std::to_string(R.RpmSteps));
+      Field(fmtExact(MissedJ));
       Out += "\n";
     }
   }

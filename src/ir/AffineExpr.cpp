@@ -90,7 +90,8 @@ std::string AffineExpr::toString() const {
     uint64_t A = magnitude(C);
     if (A != 1)
       S += std::to_string(A) + "*";
-    S += "i" + std::to_string(K);
+    S += 'i';
+    S += std::to_string(K);
   }
   if (S.empty())
     return std::to_string(Const);

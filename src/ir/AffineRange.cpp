@@ -14,7 +14,12 @@ using namespace dra;
 std::string AffineRange::toString() const {
   if (isEmpty())
     return "[]";
-  return "[" + std::to_string(Lo) + ", " + std::to_string(Hi) + "]";
+  std::string S = "[";
+  S += std::to_string(Lo);
+  S += ", ";
+  S += std::to_string(Hi);
+  S += ']';
+  return S;
 }
 
 StridedRange StridedRange::make(int64_t Base, int64_t Step, uint64_t Count) {
@@ -45,8 +50,14 @@ StridedRange StridedRange::make(int64_t Base, int64_t Step, uint64_t Count) {
 std::string StridedRange::toString() const {
   if (isEmpty())
     return "{}";
-  return "{" + std::to_string(Base) + " + " + std::to_string(Stride) +
-         "*k, " + std::to_string(Count) + "}";
+  std::string S = "{";
+  S += std::to_string(Base);
+  S += " + ";
+  S += std::to_string(Stride);
+  S += "*k, ";
+  S += std::to_string(Count);
+  S += '}';
+  return S;
 }
 
 namespace {

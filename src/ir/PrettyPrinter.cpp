@@ -10,6 +10,13 @@
 
 using namespace dra;
 
+/// Appends one "[subscript]" of an access.
+static void appendSubscript(std::string &Out, const AffineExpr &S) {
+  Out += '[';
+  Out += S.toString();
+  Out += ']';
+}
+
 std::string dra::printNest(const Program &P, NestId N) {
   const LoopNest &Nest = P.nest(N);
   std::string Out = "// nest " + std::to_string(N) + ": " + Nest.name() +
@@ -26,7 +33,7 @@ std::string dra::printNest(const Program &P, NestId N) {
     Out += Indent + (A.Kind == AccessKind::Write ? "write " : "read  ") +
            P.array(A.Array).Name;
     for (const AffineExpr &S : A.Subscripts)
-      Out += "[" + S.toString() + "]";
+      appendSubscript(Out, S);
     Out += "\n";
   }
   return Out;
@@ -36,8 +43,11 @@ std::string dra::printProgramAsSource(const Program &P) {
   std::string Out = "program " + P.name() + "\n";
   for (const ArrayInfo &A : P.arrays()) {
     Out += "array " + A.Name;
-    for (int64_t D : A.DimsInTiles)
-      Out += "[" + std::to_string(D) + "]";
+    for (int64_t D : A.DimsInTiles) {
+      Out += '[';
+      Out += std::to_string(D);
+      Out += ']';
+    }
     Out += "\n";
   }
   char Buf[64];
@@ -54,7 +64,7 @@ std::string dra::printProgramAsSource(const Program &P) {
       Out += A.Kind == AccessKind::Write ? "  write " : "  read ";
       Out += P.array(A.Array).Name;
       for (const AffineExpr &S : A.Subscripts)
-        Out += "[" + S.toString() + "]";
+        appendSubscript(Out, S);
       Out += "\n";
     }
     Out += "}\n";

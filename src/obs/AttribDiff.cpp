@@ -241,6 +241,13 @@ std::string dra::renderAttribDiffJson(const AttribDiff &D) {
   return W.take();
 }
 
+/// A signed two-decimal delta: "+1.50", "-0.25".
+static std::string fmtDelta(double V) {
+  std::string S = V >= 0 ? "+" : "";
+  S += fmtDouble(V, 2);
+  return S;
+}
+
 std::string dra::renderAttribDiffTable(const AttribDiff &D) {
   std::string Out;
   for (const AppAttribDiff &App : D.Apps) {
@@ -258,10 +265,8 @@ std::string dra::renderAttribDiffTable(const AttribDiff &D) {
       else if (!N.InB)
         Label += " [A only]";
       T.addRow({Label, fmtDouble(N.AJ, 2), fmtDouble(N.BJ, 2),
-                (N.DeltaJ >= 0 ? "+" : "") + fmtDouble(N.DeltaJ, 2),
-                (N.DeltaBusyMs >= 0 ? "+" : "") + fmtDouble(N.DeltaBusyMs, 2),
-                (N.DeltaReadyDelayMs >= 0 ? "+" : "") +
-                    fmtDouble(N.DeltaReadyDelayMs, 2)});
+                fmtDelta(N.DeltaJ), fmtDelta(N.DeltaBusyMs),
+                fmtDelta(N.DeltaReadyDelayMs)});
     }
     Out += T.render();
     Out += '\n';

@@ -238,7 +238,7 @@ void TimelineRecorder::recordGap(unsigned D, double StartMs, double GapMs,
 
   // A stalled wake burns its ready energy after the gap: the request sits
   // out the remaining spin-up/step time. Mirrors the ledger's
-  // ready-penalty branch (sim/Disk.cpp accountGap).
+  // ready-penalty branch (sim/Disk.cpp chargeGap).
   if (O.ReadyDelayMs > 0)
     addSpan(DT, TlStall, TlEReadyPenalty, StartMs + GapMs, O.ReadyDelayMs,
             O.ReadyEnergyJ);

@@ -11,8 +11,11 @@
 /// its owning shard one at a time, the coordinator accumulates them into
 /// one CompletionBatch per destination shard and delivers whole batches at
 /// conservative window edges. Each event carries everything the shard's
-/// full Disk replay needs — and the coordinator's own expected completion
-/// time, which the shard cross-checks bit-for-bit after replaying.
+/// Disk replay needs — and the completion the coordinator's
+/// DiskTimingModel computed for it. The shard's Disk runs the same model
+/// over the same per-disk fragment sequence, so its completion must match
+/// bit-for-bit; a mismatch means a batch was mis-delivered (wrong disk,
+/// lost or reordered fragment).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,8 +6,6 @@
 
 #include "sim/Disk.h"
 
-#include "sim/ReplayCore.h" // SeqWindowBytes (shared with DiskTimingModel).
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -22,34 +20,9 @@ static double simUs(double Ms) { return Ms * 1000.0; }
 Disk::Disk(unsigned Id, const DiskParams &Params, PowerPolicyKind Policy,
            EventTracer *Trace, uint64_t TracePid, bool Attribution,
            TimelineRecorder *Timeline)
-    : Id(Id), Params(Params), PM(this->Params), Policy(Policy), Tpm(PM),
-      Drpm(PM), Rpm(Params.MaxRpm), PendingRpm(Params.MaxRpm), Trace(Trace),
-      TracePid(TracePid), Attribution(Attribution), TL(Timeline) {}
-
-IdleOutcome Disk::evaluateGap(double GapMs, bool RequestArrives) const {
-  // Gap segments feed only the timeline recorder; the default path stays
-  // allocation-free.
-  bool WantSegments = TL != nullptr;
-  switch (Policy) {
-  case PowerPolicyKind::None: {
-    IdleOutcome O;
-    O.GapEnergyJ = Params.IdlePowerW * GapMs / 1000.0;
-    O.IdleByRpmJ[Rpm] = O.GapEnergyJ;
-    O.EndRpm = Rpm;
-    if (WantSegments)
-      O.Segments.push_back({GapPhase::Idle, Rpm, GapMs, O.GapEnergyJ});
-    return O;
-  }
-  case PowerPolicyKind::Tpm:
-    return Tpm.evaluateIdle(GapMs, RequestArrives, WantSegments);
-  case PowerPolicyKind::Drpm:
-    return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
-                             Params.DrpmProactiveHints && RequestArrives,
-                             WantSegments);
-  }
-  assert(false && "unknown policy kind");
-  return IdleOutcome();
-}
+    : Id(Id), Model(Params, Policy, /*WantSegments=*/Timeline != nullptr),
+      Trace(Trace), TracePid(TracePid), Attribution(Attribution),
+      TL(Timeline) {}
 
 void Disk::flushGapAccum(GapAccum &GA) {
   // Halving is exact in IEEE-754 (scaling by a power of two), so the two
@@ -75,8 +48,9 @@ void Disk::flushGapAccum(GapAccum &GA) {
   GA.SpinDownJ = GA.StandbyJ = GA.RpmStepJ = 0.0;
 }
 
-void Disk::accountGap(const IdleOutcome &O, double GapMs, AttribEntry *NextE,
-                      uint32_t NextMix) {
+void Disk::chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
+                     AttribEntry *NextE, uint32_t NextMix) {
+  const DiskParams &Params = params();
   S.EnergyJ += O.GapEnergyJ + O.ReadyEnergyJ;
   S.IdleMsTotal += GapMs;
   S.IdleHist.addSample(GapMs / 1000.0);
@@ -110,8 +84,8 @@ void Disk::accountGap(const IdleOutcome &O, double GapMs, AttribEntry *NextE,
     // between the bounding requests (a missing previous bound falls to
     // the unattributed key); the pending sums live in the pair's
     // direct-mapped accumulator and reach the entries only on eviction.
-    // Ready energy belongs wholly to the arriving request, mirroring
-    // the ledger's stalled/hidden branch.
+    // Ready energy belongs wholly to the arriving request, split
+    // stalled/hidden as in the ledger branch above.
     AttribEntry *PrevE = LastE;
     uint32_t PrevMix = LastMix;
     if (!PrevE) {
@@ -179,6 +153,11 @@ void Disk::accountGap(const IdleOutcome &O, double GapMs, AttribEntry *NextE,
     ++S.GapsAtLeastBreakEven;
     S.IdleMsAtLeastBreakEven += GapMs;
   }
+
+  if (Trace)
+    traceGap(GapStartMs, GapMs, O);
+  if (TL)
+    TL->recordGap(Id, GapStartMs, GapMs, O, Params.MaxRpm, BreakEvenMs);
 }
 
 void Disk::traceGap(double GapStartMs, double GapMs,
@@ -193,7 +172,7 @@ void Disk::traceGap(double GapStartMs, double GapMs,
   // DRPM steps (OBSERVABILITY.md); the *counts* match DiskStats exactly.
   for (unsigned I = 0; I != O.SpinDowns; ++I) {
     double AtMs =
-        GapStartMs + std::min(Params.TpmBreakEvenS * 1000.0, GapMs);
+        GapStartMs + std::min(params().TpmBreakEvenS * 1000.0, GapMs);
     Trace->instantEvent(TracePid, Tid, "spin-down", "disk", simUs(AtMs));
   }
   for (unsigned I = 0; I != O.SpinUps; ++I)
@@ -209,13 +188,9 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
                     bool IsWrite, Provenance Prov) {
   // Reads and writes share the timing and power model; IsWrite selects
   // the ledger's active-energy category and names the traced span.
-  assert(!Finalized && "submit after finalize");
-  assert(ArrivalMs + 1e-9 >= LastArrivalMs &&
-         "requests must arrive in non-decreasing time order");
-  LastArrivalMs = ArrivalMs;
   // Resolve the request's attribution entry once; both the gap it ends
   // (as the "next" bound) and its own service charges go through it. The
-  // slot's fields are copied out because accountGap's warm-up path may
+  // slot's fields are copied out because chargeGap's warm-up path may
   // refill the same slot for the unattributed key.
   AttribEntry *E = nullptr;
   uint32_t EMix = 0;
@@ -225,38 +200,26 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
     EMix = KS.Mix;
   }
 
-  double ServiceStart = std::max(ArrivalMs, BusyUntilMs);
-  double GapMs = ServiceStart - BusyUntilMs;
   double ReadyDelayMs = 0.0;
-  if (GapMs > 0) {
-    double GapStartMs = BusyUntilMs;
-    IdleOutcome O = evaluateGap(GapMs, /*RequestArrives=*/true);
-    accountGap(O, GapMs, E, EMix);
-    ReadyDelayMs = O.ReadyDelayMs;
-    if (Trace) {
-      traceGap(GapStartMs, GapMs, O);
-      if (O.ReadyDelayMs > 0)
-        Trace->completeEvent(TracePid, Id + 1, "wake", "disk",
-                             simUs(ServiceStart), simUs(O.ReadyDelayMs));
-    }
-    if (TL)
-      TL->recordGap(Id, GapStartMs, GapMs, O, Params.MaxRpm,
-                    Params.TpmBreakEvenS * 1000.0);
-    Rpm = O.EndRpm;
-    PendingRpm = Rpm; // Any deferred step-down has now been honored.
-    ServiceStart += O.ReadyDelayMs;
-  }
+  FragmentTiming T = Model.submit(
+      ArrivalMs, Offset, Bytes,
+      [&](const IdleOutcome &O, double GapStartMs, double GapMs) {
+        chargeGap(O, GapStartMs, GapMs, E, EMix);
+        ReadyDelayMs = O.ReadyDelayMs;
+        if (Trace && O.ReadyDelayMs > 0)
+          Trace->completeEvent(TracePid, Id + 1, "wake", "disk",
+                               simUs(ArrivalMs), simUs(O.ReadyDelayMs));
+      });
 
-  bool Sequential = HasLastOffset && Offset >= LastEndOffset &&
-                    Offset - LastEndOffset <= SeqWindowBytes;
-  double Svc = PM.serviceMs(Bytes, Rpm, Sequential);
-  double SvcJ = PM.activePowerW(Rpm) * Svc / 1000.0;
+  const PowerModel &PM = Model.powerModel();
+  double Svc = T.ServiceMs;
+  double SvcJ = PM.activePowerW(T.ServiceRpm) * Svc / 1000.0;
   S.EnergyJ += SvcJ;
   S.BusyMs += Svc;
   ++S.NumRequests;
   if (TL) {
-    TL->recordQueueWait(Id, ArrivalMs, ServiceStart);
-    TL->recordService(Id, ServiceStart, Svc, SvcJ, IsWrite, Bytes);
+    TL->recordQueueWait(Id, ArrivalMs, T.ServiceStartMs);
+    TL->recordService(Id, T.ServiceStartMs, Svc, SvcJ, IsWrite, Bytes);
   }
 
   if (!Attribution) {
@@ -274,8 +237,9 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
 
   if (Trace) {
     std::vector<TraceArg> Args = {
-        TraceArg::num("bytes", Bytes), TraceArg::num("rpm", uint64_t(Rpm)),
-        TraceArg::num("queue_ms", ServiceStart - ArrivalMs)};
+        TraceArg::num("bytes", Bytes),
+        TraceArg::num("rpm", uint64_t(T.ServiceRpm)),
+        TraceArg::num("queue_ms", T.ServiceStartMs - ArrivalMs)};
     if (Prov.valid()) {
       // Attribution args (docs/FORMATS.md dra-trace-chrome-v2): which
       // compiler construct this service span belongs to.
@@ -284,55 +248,39 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
       Args.push_back(TraceArg::num("round", uint64_t(Prov.Round)));
     }
     Trace->completeEvent(TracePid, Id + 1, IsWrite ? "write" : "read", "disk",
-                         simUs(ServiceStart), simUs(Svc), std::move(Args));
+                         simUs(T.ServiceStartMs), simUs(Svc),
+                         std::move(Args));
   }
 
-  BusyUntilMs = ServiceStart + Svc;
-  double Completion = BusyUntilMs;
-  S.ResponseSumMs += Completion - ArrivalMs;
-  LastEndOffset = Offset + Bytes;
-  HasLastOffset = true;
+  S.ResponseSumMs += T.CompletionMs - ArrivalMs;
 
-  if (Policy == PowerPolicyKind::Drpm) {
-    unsigned Cmd = Drpm.onRequestServiced(Completion - ArrivalMs, Bytes, Rpm);
-    if (Cmd > Rpm) {
-      // Emergency ramp-up: the speed change occupies the disk; later
-      // arrivals queue behind it.
-      unsigned Levels = (Cmd - Rpm) / Params.RpmStep;
-      double RampJ = PM.rpmTransitionJ(Rpm, Cmd);
-      S.EnergyJ += RampJ;
-      if (E)
-        E->Energy.RpmStepJ += RampJ; // Ramp caused by the serviced request.
-      else
-        S.Ledger.RpmStepJ += RampJ;
-      if (Trace)
-        for (unsigned L = 0; L != Levels; ++L)
-          Trace->instantEvent(
-              TracePid, Id + 1, "rpm-step", "disk",
-              simUs(BusyUntilMs + Params.RpmStepTransitionS * 1000.0 * (L + 1)));
-      if (TL)
-        TL->recordRamp(Id, BusyUntilMs, PM.rpmTransitionMs(Levels), RampJ);
-      BusyUntilMs += PM.rpmTransitionMs(Levels);
-      S.RpmSteps += Levels;
-      Rpm = Cmd;
-      PendingRpm = Rpm;
-    } else if (Cmd < Rpm) {
-      // Step-down: deferred until the disk is next idle.
-      PendingRpm = Cmd;
-    }
+  if (T.RampLevels != 0) {
+    // The DRPM emergency ramp the serviced request caused; the model has
+    // already queued later arrivals behind it.
+    double RampJ = PM.rpmTransitionJ(T.ServiceRpm, T.RampToRpm);
+    S.EnergyJ += RampJ;
+    if (E)
+      E->Energy.RpmStepJ += RampJ; // Ramp caused by the serviced request.
+    else
+      S.Ledger.RpmStepJ += RampJ;
+    if (Trace)
+      for (unsigned L = 0; L != T.RampLevels; ++L)
+        Trace->instantEvent(TracePid, Id + 1, "rpm-step", "disk",
+                            simUs(T.CompletionMs + params().RpmStepTransitionS *
+                                                       1000.0 * (L + 1)));
+    if (TL)
+      TL->recordRamp(Id, T.CompletionMs, PM.rpmTransitionMs(T.RampLevels),
+                     RampJ);
+    S.RpmSteps += T.RampLevels;
   }
-  return Completion;
+  return T.CompletionMs;
 }
 
 void Disk::finalize(double EndMs) {
-  assert(!Finalized && "finalize called twice");
-  Finalized = true;
-  if (EndMs > BusyUntilMs) {
-    double GapMs = EndMs - BusyUntilMs;
-    double GapStartMs = BusyUntilMs;
-    // The tail gap has no ending request: its successor half is charged
-    // to the unattributed key.
-    IdleOutcome O = evaluateGap(GapMs, /*RequestArrives=*/false);
+  // The tail gap has no ending request: its successor half is charged to
+  // the unattributed key.
+  Model.finalize(EndMs, [&](const IdleOutcome &O, double GapStartMs,
+                            double GapMs) {
     AttribEntry *TailE = nullptr;
     uint32_t TailMix = 0;
     if (Attribution) {
@@ -340,16 +288,8 @@ void Disk::finalize(double EndMs) {
       TailE = KS.Entry;
       TailMix = KS.Mix;
     }
-    accountGap(O, GapMs, TailE, TailMix);
-    if (Trace)
-      traceGap(GapStartMs, GapMs, O);
-    if (TL)
-      TL->recordGap(Id, GapStartMs, GapMs, O, Params.MaxRpm,
-                    Params.TpmBreakEvenS * 1000.0);
-    Rpm = O.EndRpm;
-    PendingRpm = Rpm;
-    BusyUntilMs = EndMs;
-  }
+    chargeGap(O, GapStartMs, GapMs, TailE, TailMix);
+  });
   // With attribution on, every category charge went to the attribution
   // entries; the ledger is their per-category sum, which makes the
   // auditor's closure invariant exact by construction. Categories can

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One disk (I/O node) with FCFS service, a seek/rotation/transfer timing
-/// model, piecewise energy integration, and one of the three power policies
-/// (none / TPM / DRPM). Idle gaps are evaluated lazily when the next
-/// request arrives, which is exact because both policies are deterministic
-/// functions of the gap length (see sim/IdleOutcome.h).
+/// One disk (I/O node): the DiskTimingModel (sim/DiskTimingModel.h) decides
+/// every service time, idle-gap outcome and power-state change, and the
+/// disk charges what the model reports to its accounting sinks — DiskStats,
+/// the energy ledger or attribution map, the event tracer and the timeline
+/// recorder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +19,8 @@
 #include "obs/Timeline.h"
 #include "obs/Tracer.h"
 #include "sim/Attribution.h"
-#include "sim/DrpmPolicy.h"
+#include "sim/DiskTimingModel.h"
 #include "sim/EnergyLedger.h"
-#include "sim/PowerModel.h"
-#include "sim/TpmPolicy.h"
 #include "support/Statistics.h"
 
 #include <cstdint>
@@ -110,9 +108,8 @@ public:
        bool Attribution = false, TimelineRecorder *Timeline = nullptr);
 
   unsigned id() const { return Id; }
-  PowerPolicyKind policy() const { return Policy; }
-  unsigned currentRpm() const { return Rpm; }
-  double busyUntilMs() const { return BusyUntilMs; }
+  unsigned currentRpm() const { return Model.currentRpm(); }
+  double busyUntilMs() const { return Model.busyUntilMs(); }
   const DiskStats &stats() const { return S; }
 
   /// Services a request arriving at \p ArrivalMs for \p Bytes at disk
@@ -128,20 +125,7 @@ public:
 
 private:
   unsigned Id;
-  DiskParams Params;
-  PowerModel PM;
-  PowerPolicyKind Policy;
-  TpmPolicy Tpm;
-  DrpmPolicy Drpm;
-
-  double BusyUntilMs = 0.0;
-  unsigned Rpm;
-  /// Deferred DRPM step-down target (== Rpm when none pending).
-  unsigned PendingRpm;
-  uint64_t LastEndOffset = 0;
-  bool HasLastOffset = false;
-  double LastArrivalMs = 0.0;
-  bool Finalized = false;
+  DiskTimingModel Model;
   DiskStats S;
   EventTracer *Trace;
   uint64_t TracePid;
@@ -233,13 +217,15 @@ private:
   /// Charges half of \p GA's sums to each bounding entry and empties it.
   void flushGapAccum(GapAccum &GA);
 
-  /// Evaluates the idle gap [BusyUntilMs, GapEnd) under the active policy.
-  IdleOutcome evaluateGap(double GapMs, bool RequestArrives) const;
+  const DiskParams &params() const { return Model.params(); }
+
+  /// Charges the idle gap [GapStartMs, GapStartMs + GapMs), evaluated by
+  /// the model as \p O, to every sink.
   /// \param NextE attribution entry of the request ending the gap (the
   ///        unattributed entry for the finalize tail; null when
   ///        attribution is off); \p NextMix is its keyMix.
-  void accountGap(const IdleOutcome &O, double GapMs, AttribEntry *NextE,
-                  uint32_t NextMix);
+  void chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
+                 AttribEntry *NextE, uint32_t NextMix);
 
   /// Emits the idle span plus spin/RPM instant events for one gap
   /// [GapStartMs, GapStartMs + GapMs) (tracer known non-null).

@@ -17,6 +17,7 @@
 #define DRA_SIM_DISKPARAMS_H
 
 #include <cassert>
+#include <limits>
 #include <string>
 
 namespace dra {
@@ -118,6 +119,22 @@ struct DiskParams {
            (IdlePowerW - StandbyPowerW);
   }
 };
+
+/// The shortest idle time after which \p Policy makes a power-state
+/// decision: TPM's break-even spin-down, DRPM's idle step-down; never
+/// (infinity) for Base. PA-LRU calls a disk cold once it has idled this
+/// long, and the sharded engine's window may not exceed it.
+inline double powerDecisionMs(const DiskParams &P, PowerPolicyKind Policy) {
+  switch (Policy) {
+  case PowerPolicyKind::None:
+    break;
+  case PowerPolicyKind::Tpm:
+    return P.TpmBreakEvenS * 1000.0;
+  case PowerPolicyKind::Drpm:
+    return P.DrpmIdleStepDownS * 1000.0;
+  }
+  return std::numeric_limits<double>::infinity();
+}
 
 } // namespace dra
 

@@ -1,0 +1,173 @@
+//===- sim/DiskTimingModel.h - The one disk timing model --------*- C++ -*-===//
+//
+// Part of the DRA project (CGO 2006 disk-access-locality reproduction).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The only code that computes disk timing: FCFS service, seek/rotation/
+/// transfer times, lazy idle-gap evaluation under the power policy (none /
+/// TPM / DRPM) and the DRPM controller. It charges nothing. Disk owns one
+/// and derives every accounting view (stats, ledger or attribution, tracer,
+/// timeline) from what the model reports; the sharded engine's coordinator
+/// runs bare models to learn each fragment's completion ahead of the shard
+/// that replays the owning Disk.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef DRA_SIM_DISKTIMINGMODEL_H
+#define DRA_SIM_DISKTIMINGMODEL_H
+
+#include "sim/DrpmPolicy.h"
+#include "sim/PowerModel.h"
+#include "sim/TpmPolicy.h"
+
+#include <algorithm>
+#include <cassert>
+
+namespace dra {
+
+/// Head movements within this many bytes of the previous request's end are
+/// charged the near-sequential seek time instead of the average seek.
+inline constexpr uint64_t SeqWindowBytes = 1024 * 1024;
+
+/// How the model serviced one fragment.
+struct FragmentTiming {
+  double ServiceStartMs = 0.0; ///< After queueing and any ready delay.
+  double ServiceMs = 0.0;
+  unsigned ServiceRpm = 0;
+  double CompletionMs = 0.0; ///< ServiceStartMs + ServiceMs.
+  /// DRPM emergency ramp-up from ServiceRpm commanded by this fragment
+  /// (RampLevels == 0: none). The ramp occupies the disk from CompletionMs.
+  unsigned RampToRpm = 0;
+  unsigned RampLevels = 0;
+};
+
+/// One disk's timing state. Not movable once constructed (the policies
+/// reference the owned PowerModel); hold it in place or in a reserved
+/// vector.
+class DiskTimingModel {
+public:
+  /// \param WantSegments ask the policies for IdleOutcome::Segments (the
+  ///        timeline recorder's input); timing is identical either way.
+  DiskTimingModel(const DiskParams &Params, PowerPolicyKind Policy,
+                  bool WantSegments = false)
+      : PM(Params), Policy(Policy), WantSegments(WantSegments), Tpm(PM),
+        Drpm(PM), Rpm(Params.MaxRpm), PendingRpm(Params.MaxRpm) {}
+
+  const DiskParams &params() const { return PM.params(); }
+  const PowerModel &powerModel() const { return PM; }
+  double busyUntilMs() const { return BusyUntilMs; }
+  unsigned currentRpm() const { return Rpm; }
+
+  /// Services a fragment arriving at \p ArrivalMs. Requests must arrive in
+  /// non-decreasing time order (FCFS). When the disk was idle before the
+  /// arrival, \p OnGap(const IdleOutcome &, double GapStartMs, double
+  /// GapMs) sees the gap's evaluation before the disk leaves it.
+  template <typename OnGapFn>
+  FragmentTiming submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
+                        OnGapFn &&OnGap) {
+    assert(!Finalized && "submit after finalize");
+    assert(ArrivalMs + 1e-9 >= LastArrivalMs &&
+           "requests must arrive in non-decreasing time order");
+    LastArrivalMs = ArrivalMs;
+
+    FragmentTiming T;
+    T.ServiceStartMs = std::max(ArrivalMs, BusyUntilMs);
+    if (double GapMs = T.ServiceStartMs - BusyUntilMs; GapMs > 0)
+      T.ServiceStartMs += leaveGap(GapMs, /*RequestArrives=*/true, OnGap);
+
+    bool Sequential = HasLastOffset && Offset >= LastEndOffset &&
+                      Offset - LastEndOffset <= SeqWindowBytes;
+    T.ServiceRpm = Rpm;
+    T.ServiceMs = PM.serviceMs(Bytes, Rpm, Sequential);
+    T.CompletionMs = T.ServiceStartMs + T.ServiceMs;
+    BusyUntilMs = T.CompletionMs;
+    LastEndOffset = Offset + Bytes;
+    HasLastOffset = true;
+
+    if (Policy == PowerPolicyKind::Drpm) {
+      unsigned Cmd =
+          Drpm.onRequestServiced(T.CompletionMs - ArrivalMs, Bytes, Rpm);
+      if (Cmd > Rpm) {
+        // Emergency ramp-up: the speed change occupies the disk; later
+        // arrivals queue behind it.
+        T.RampToRpm = Cmd;
+        T.RampLevels = (Cmd - Rpm) / params().RpmStep;
+        BusyUntilMs += PM.rpmTransitionMs(T.RampLevels);
+        Rpm = Cmd;
+        PendingRpm = Rpm;
+      } else if (Cmd < Rpm) {
+        PendingRpm = Cmd; // Step-down: deferred until the disk is next idle.
+      }
+    }
+    return T;
+  }
+
+  /// Evaluates the trailing idle period up to \p EndMs (if the disk is
+  /// still busy then, nothing happens), handing it to \p OnGap like
+  /// submit(). Must be called at most once, after the last submit.
+  template <typename OnGapFn> void finalize(double EndMs, OnGapFn &&OnGap) {
+    assert(!Finalized && "finalize called twice");
+    Finalized = true;
+    if (EndMs <= BusyUntilMs)
+      return;
+    leaveGap(EndMs - BusyUntilMs, /*RequestArrives=*/false, OnGap);
+    BusyUntilMs = EndMs;
+  }
+
+private:
+  PowerModel PM;
+  PowerPolicyKind Policy;
+  bool WantSegments;
+  TpmPolicy Tpm;
+  DrpmPolicy Drpm;
+
+  double BusyUntilMs = 0.0;
+  unsigned Rpm;
+  /// Deferred DRPM step-down target (== Rpm when none pending).
+  unsigned PendingRpm;
+  uint64_t LastEndOffset = 0;
+  bool HasLastOffset = false;
+  double LastArrivalMs = 0.0;
+  bool Finalized = false;
+
+  /// Evaluates the idle gap of \p GapMs starting at BusyUntilMs, hands it
+  /// to \p OnGap and takes the disk to the gap's end speed. Returns the
+  /// ready delay before service can start.
+  template <typename OnGapFn>
+  double leaveGap(double GapMs, bool RequestArrives, OnGapFn &OnGap) {
+    IdleOutcome O = evaluateGap(GapMs, RequestArrives);
+    OnGap(O, BusyUntilMs, GapMs);
+    Rpm = O.EndRpm;
+    PendingRpm = Rpm; // Any deferred step-down has now been honored.
+    return O.ReadyDelayMs;
+  }
+
+  /// Evaluates an idle gap of \p GapMs starting now under the policy.
+  IdleOutcome evaluateGap(double GapMs, bool RequestArrives) const {
+    switch (Policy) {
+    case PowerPolicyKind::None: {
+      IdleOutcome O;
+      O.GapEnergyJ = params().IdlePowerW * GapMs / 1000.0;
+      O.IdleByRpmJ[Rpm] = O.GapEnergyJ;
+      O.EndRpm = Rpm;
+      if (WantSegments)
+        O.Segments.push_back({GapPhase::Idle, Rpm, GapMs, O.GapEnergyJ});
+      return O;
+    }
+    case PowerPolicyKind::Tpm:
+      return Tpm.evaluateIdle(GapMs, RequestArrives, WantSegments);
+    case PowerPolicyKind::Drpm:
+      return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
+                               params().DrpmProactiveHints && RequestArrives,
+                               WantSegments);
+    }
+    assert(false && "unknown policy kind");
+    return IdleOutcome();
+  }
+};
+
+} // namespace dra
+
+#endif // DRA_SIM_DISKTIMINGMODEL_H

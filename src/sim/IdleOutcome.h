@@ -52,7 +52,7 @@ struct IdleOutcome {
   double GapEnergyJ = 0.0;
   /// Attribution of GapEnergyJ (sim/EnergyLedger.h categories): idle dwell
   /// joules per spindle RPM plus the three transition/residency shares
-  /// below. Invariant, asserted in Disk::accountGap:
+  /// below. Invariant, asserted in Disk::chargeGap:
   ///   gapBreakdownJ() == GapEnergyJ.
   /// ReadyEnergyJ is deliberately not broken down here — the ledger
   /// attributes it wholesale (stalled -> ready penalty, hidden -> spin-up).

@@ -12,14 +12,13 @@
 ///    synchronous I/O, per-tenant barrier phases) as a template over the
 ///    storage submit function, so both engines run the *same* issue-order
 ///    selection code and differ only in what servicing a request means.
-///  * DiskTimingModel — the timing half of Disk::submit: completion times,
-///    power-state transitions and the DRPM controller, without any energy
-///    accounting, attribution, histograms or telemetry. The sharded
-///    engine's coordinator advances one model per disk to learn every
-///    fragment's completion ahead of the owning shard's full replay; the
-///    shard cross-checks each replayed completion against the model's
-///    (ShardedSimEngine), so any divergence between the two paths is an
-///    immediate hard error rather than a silent drift.
+///  * replayAndAssemble — replayClosedLoop plus the SimResults assembly
+///    both engines report, in one fixed order so every FP sum
+///    reassociates identically.
+///
+/// Both engines service fragments through the same StorageFrontEnd
+/// (sim/StorageSystem.h) and time them with the same DiskTimingModel
+/// (sim/DiskTimingModel.h).
 ///
 /// The selection loop issues requests in globally non-decreasing time
 /// (equal-time ties in increasing processor order): a processor's next
@@ -32,9 +31,7 @@
 #ifndef DRA_SIM_REPLAYCORE_H
 #define DRA_SIM_REPLAYCORE_H
 
-#include "sim/DrpmPolicy.h"
-#include "sim/PowerModel.h"
-#include "sim/TpmPolicy.h"
+#include "sim/SimEngine.h"
 #include "trace/Trace.h"
 
 #include <algorithm>
@@ -42,11 +39,6 @@
 #include <vector>
 
 namespace dra {
-
-/// Head movements within this many bytes of the previous request's end are
-/// charged the near-sequential seek time instead of the average seek
-/// (shared by Disk and DiskTimingModel so both classify identically).
-inline constexpr uint64_t SeqWindowBytes = 1024 * 1024;
 
 /// Runs the closed-loop replay of \p T: each processor alternates think
 /// time and synchronous I/O; barrier phases are scoped per tenant (a
@@ -126,92 +118,51 @@ double replayClosedLoop(const Trace &T, SubmitFn &&Submit,
   return MaxCompletion;
 }
 
-/// The timing half of one Disk: given the same FCFS fragment sequence it
-/// returns bit-identical completion times (the expressions mirror
-/// Disk::submit operation for operation, and the policies' timing outputs
-/// are independent of WantSegments), while skipping every energy,
-/// attribution, histogram and telemetry charge. Not movable once
-/// constructed (PowerModel and the policies reference the owned Params) —
-/// hold it in a reserved vector like StorageSystem holds Disks.
-class DiskTimingModel {
-public:
-  DiskTimingModel(const DiskParams &Params, PowerPolicyKind Policy)
-      : Params(Params), PM(this->Params), Policy(Policy), Tpm(PM), Drpm(PM),
-        Rpm(this->Params.MaxRpm), PendingRpm(this->Params.MaxRpm) {}
+/// Runs replayClosedLoop over \p Submit and assembles the SimResults both
+/// engines report: request count, response sum and per-phase latency
+/// (into \p Timeline) in issue order; then \p Finish(WallMs), which must
+/// finalize every disk; then the \p NumDisks per-disk stats
+/// (\p StatsOf(D)) in disk order; and last the engine's "replay" span on
+/// thread 0 of \p TracePid when \p Tracer is set. The caller fills in
+/// Cache and AttributionEnabled.
+template <typename SubmitFn, typename FinishFn, typename StatsFn>
+SimResults replayAndAssemble(const Trace &T, SubmitFn &&Submit,
+                             FinishFn &&Finish, unsigned NumDisks,
+                             StatsFn &&StatsOf, TimelineRecorder *Timeline,
+                             EventTracer *Tracer, uint64_t TracePid) {
+  SimResults Res;
+  double WallMs = replayClosedLoop(
+      T, Submit, [&](const Request &R, double IssueMs, double Completion) {
+        ++Res.NumRequests;
+        Res.ResponseSumMs += Completion - IssueMs;
+        if (Timeline)
+          Timeline->recordRequestLatency(R.Phase, IssueMs, Completion);
+      });
 
-  double busyUntilMs() const { return BusyUntilMs; }
-  unsigned currentRpm() const { return Rpm; }
-
-  /// Timing-only mirror of Disk::submit: returns the completion time a
-  /// Disk would report for this fragment. Requests must arrive in
-  /// non-decreasing time order (FCFS), like Disk.
-  double submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes) {
-    double ServiceStart = std::max(ArrivalMs, BusyUntilMs);
-    double GapMs = ServiceStart - BusyUntilMs;
-    if (GapMs > 0) {
-      IdleOutcome O = evaluateGap(GapMs, /*RequestArrives=*/true);
-      Rpm = O.EndRpm;
-      PendingRpm = Rpm;
-      ServiceStart += O.ReadyDelayMs;
-    }
-
-    bool Sequential = HasLastOffset && Offset >= LastEndOffset &&
-                      Offset - LastEndOffset <= SeqWindowBytes;
-    double Svc = PM.serviceMs(Bytes, Rpm, Sequential);
-    BusyUntilMs = ServiceStart + Svc;
-    double Completion = BusyUntilMs;
-    LastEndOffset = Offset + Bytes;
-    HasLastOffset = true;
-
-    if (Policy == PowerPolicyKind::Drpm) {
-      unsigned Cmd = Drpm.onRequestServiced(Completion - ArrivalMs, Bytes, Rpm);
-      if (Cmd > Rpm) {
-        // Emergency ramp-up occupies the disk after the completion.
-        unsigned Levels = (Cmd - Rpm) / Params.RpmStep;
-        BusyUntilMs += PM.rpmTransitionMs(Levels);
-        Rpm = Cmd;
-        PendingRpm = Rpm;
-      } else if (Cmd < Rpm) {
-        PendingRpm = Cmd; // Deferred until the disk is next idle.
-      }
-    }
-    return Completion;
+  Finish(WallMs);
+  if (Timeline)
+    Timeline->endRun(WallMs);
+  Res.WallTimeMs = WallMs;
+  for (unsigned D = 0; D != NumDisks; ++D) {
+    const DiskStats &S = StatsOf(D);
+    Res.IoTimeMs += S.BusyMs;
+    Res.EnergyJ += S.EnergyJ;
+    Res.NumFragments += S.NumRequests;
+    Res.SpinDowns += S.SpinDowns;
+    Res.SpinUps += S.SpinUps;
+    Res.RpmSteps += S.RpmSteps;
+    Res.PerDisk.push_back(S);
   }
-
-private:
-  DiskParams Params;
-  PowerModel PM;
-  PowerPolicyKind Policy;
-  TpmPolicy Tpm;
-  DrpmPolicy Drpm;
-
-  double BusyUntilMs = 0.0;
-  unsigned Rpm;
-  unsigned PendingRpm;
-  uint64_t LastEndOffset = 0;
-  bool HasLastOffset = false;
-
-  /// Mirror of Disk::evaluateGap with segments off (the timing outputs are
-  /// computed identically either way — see TpmPolicy/DrpmPolicy).
-  IdleOutcome evaluateGap(double GapMs, bool RequestArrives) const {
-    switch (Policy) {
-    case PowerPolicyKind::None: {
-      IdleOutcome O;
-      O.GapEnergyJ = Params.IdlePowerW * GapMs / 1000.0;
-      O.IdleByRpmJ[Rpm] = O.GapEnergyJ;
-      O.EndRpm = Rpm;
-      return O;
-    }
-    case PowerPolicyKind::Tpm:
-      return Tpm.evaluateIdle(GapMs, RequestArrives);
-    case PowerPolicyKind::Drpm:
-      return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
-                               Params.DrpmProactiveHints && RequestArrives);
-    }
-    assert(false && "unknown policy kind");
-    return IdleOutcome();
+  if (Tracer) {
+    Tracer->nameThread(TracePid, 0, "engine");
+    Tracer->completeEvent(
+        TracePid, 0, "replay", "sim", 0.0, Res.WallTimeMs * 1000.0,
+        {TraceArg::num("num_requests", Res.NumRequests),
+         TraceArg::num("io_time_ms", Res.IoTimeMs),
+         TraceArg::num("energy_j", Res.EnergyJ)});
   }
-};
+  return Res;
+}
 
 } // namespace dra
 

@@ -43,29 +43,14 @@ struct ShardRouter {
   unsigned shardOf(unsigned Disk) const { return Disk % NumShards; }
 };
 
-/// The longest conservative window the active policy admits: the shortest
-/// idle time after which the policy makes a power-state decision. Base
-/// (None) never transitions, so any window is legal.
-inline double maxLegalSimWindowMs(const DiskParams &P, PowerPolicyKind Policy) {
-  switch (Policy) {
-  case PowerPolicyKind::None:
-    return std::numeric_limits<double>::infinity();
-  case PowerPolicyKind::Tpm:
-    return P.TpmBreakEvenS * 1000.0;
-  case PowerPolicyKind::Drpm:
-    return P.DrpmIdleStepDownS * 1000.0;
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
 /// Resolves the configured window width \p RequestedMs (0 = auto: the
-/// policy's maximum legal window, or 1000 ms when unconstrained). Throws
-/// std::invalid_argument when the request is non-positive or exceeds the
-/// policy's legal maximum — checked at configuration time, before any
-/// simulation runs.
+/// policy's maximum legal window, powerDecisionMs, or 1000 ms when
+/// unconstrained). Throws std::invalid_argument when the request is
+/// non-positive or exceeds the policy's legal maximum — checked at
+/// configuration time, before any simulation runs.
 inline double resolveSimWindowMs(double RequestedMs, const DiskParams &P,
                                  PowerPolicyKind Policy) {
-  double MaxMs = maxLegalSimWindowMs(P, Policy);
+  double MaxMs = powerDecisionMs(P, Policy);
   if (RequestedMs == 0.0)
     return MaxMs == std::numeric_limits<double>::infinity() ? 1000.0 : MaxMs;
   if (RequestedMs < 0.0)

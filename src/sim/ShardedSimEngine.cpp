@@ -140,37 +140,21 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
   for (const std::unique_ptr<ShardState> &SP : ShardVec)
     Workers.emplace_back(Worker, std::ref(*SP));
 
-  // --- Coordinator: the shared closed loop over lightweight timing models
-  // (bit-identical timing arithmetic to Disk::submit) plus the storage
-  // cache; fragments accumulate into per-shard batches flushed at window
-  // edges in deterministic (time, proc, seq) order.
+  // --- Coordinator: the shared closed loop over the same storage front
+  // end and disk timing models Disk uses, charging nothing; fragments
+  // accumulate into per-shard batches flushed at window edges in
+  // deterministic (time, proc, seq) order.
   std::vector<DiskTimingModel> Models;
   Models.reserve(NumDisks);
   for (unsigned D = 0; D != NumDisks; ++D)
     Models.emplace_back(NodeParams, Policy);
-
-  double NowMs = 0.0;
-  StorageCache CacheObj(Cache, [&](unsigned D) {
-    // Mirrors StorageSystem::isDiskCold against the timing models.
-    double IdleMs = NowMs - Models[D].busyUntilMs();
-    if (IdleMs <= 0)
-      return false;
-    switch (Policy) {
-    case PowerPolicyKind::None:
-      return false;
-    case PowerPolicyKind::Tpm:
-      return IdleMs >= NodeParams.TpmBreakEvenS * 1000.0;
-    case PowerPolicyKind::Drpm:
-      return IdleMs >= NodeParams.DrpmIdleStepDownS * 1000.0;
-    }
-    return false;
+  StorageFrontEnd Front(Layout, Cache, NodeParams, Policy, [&](unsigned D) {
+    return Models[D].busyUntilMs();
   });
 
   std::vector<CompletionBatch> Pending(Shards);
-  std::vector<SubRequest> Split;
   uint64_t Seq = 0;
   double WindowEndMs = WindowMs;
-  const uint64_t Unit = Layout.config().StripeUnitBytes;
 
   auto Flush = [&](double EdgeMs) {
     for (unsigned S = 0; S != Shards; ++S) {
@@ -188,101 +172,59 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
     }
   };
 
-  SimResults Res;
-  double MaxCompletion = replayClosedLoop(
-      T,
-      [&](double IssueMs, const Request &R) {
-        if (IssueMs >= WindowEndMs) {
-          // Single step to the window containing IssueMs (issue times are
-          // nondecreasing, so whole empty windows are skipped at once).
-          double Edge = std::floor(IssueMs / WindowMs) * WindowMs;
-          Flush(Edge);
-          WindowEndMs = Edge + WindowMs;
-        }
-        NowMs = IssueMs;
-        double Completion = IssueMs;
-        Layout.splitRequestInto(T.byteOffset(R), R.SizeBytes, Split);
-        for (const SubRequest &Sub : Split) {
-          // Cache pass at stripe-unit granularity, identical to
-          // StorageSystem::submit.
-          bool AllHit = CacheObj.enabled();
-          for (uint64_t B = Sub.DiskByteOffset / Unit;
-               B <= (Sub.DiskByteOffset + Sub.Bytes - 1) / Unit; ++B) {
-            if (R.IsWrite) {
-              CacheObj.write(Sub.Disk, B);
-              AllHit = false; // Write-through: the disk is always updated.
-            } else if (!CacheObj.read(Sub.Disk, B)) {
-              AllHit = false;
-            }
-          }
-          double C;
-          if (AllHit) {
-            C = IssueMs + CacheObj.config().HitServiceMs;
-          } else {
-            C = Models[Sub.Disk].submit(IssueMs, Sub.DiskByteOffset, Sub.Bytes);
-            Pending[Router.shardOf(Sub.Disk)].Events.push_back(
-                FragmentEvent{IssueMs, C, Sub.DiskByteOffset, Sub.Bytes, Seq,
-                              Sub.Disk, R.Proc, R.IsWrite, R.Prov});
-          }
-          ++Seq;
-          Completion = std::max(Completion, C);
-        }
-        return Completion;
-      },
-      [&](const Request &R, double IssueMs, double Completion) {
-        ++Res.NumRequests;
-        Res.ResponseSumMs += Completion - IssueMs;
-        if (Timeline)
-          Timeline->recordRequestLatency(R.Phase, IssueMs, Completion);
-      });
-
-  // --- Shutdown: final partial window, then release the workers.
-  Flush(WindowEndMs);
-  for (const std::unique_ptr<ShardState> &SP : ShardVec) {
-    ShardState &SS = *SP;
-    {
-      std::lock_guard<std::mutex> L(SS.Mu);
-      SS.FinalizeEndMs = MaxCompletion;
-      SS.Done = true;
+  auto Submit = [&](double IssueMs, const Request &R) {
+    if (IssueMs >= WindowEndMs) {
+      // Single step to the window containing IssueMs (issue times are
+      // nondecreasing, so whole empty windows are skipped at once).
+      double Edge = std::floor(IssueMs / WindowMs) * WindowMs;
+      Flush(Edge);
+      WindowEndMs = Edge + WindowMs;
     }
-    SS.Cv.notify_one();
-  }
-  for (std::jthread &W : Workers)
-    W.join();
-  for (const std::unique_ptr<ShardState> &SP : ShardVec)
-    if (SP->Error)
-      std::rethrow_exception(SP->Error);
+    return Front.submit(
+        IssueMs, T.byteOffset(R), R.SizeBytes, R.IsWrite,
+        [&](const SubRequest &Sub) {
+          double C = Models[Sub.Disk]
+                         .submit(IssueMs, Sub.DiskByteOffset, Sub.Bytes,
+                                 [](const IdleOutcome &, double, double) {})
+                         .CompletionMs;
+          Pending[Router.shardOf(Sub.Disk)].Events.push_back(
+              FragmentEvent{IssueMs, C, Sub.DiskByteOffset, Sub.Bytes, Seq++,
+                            Sub.Disk, R.Proc, R.IsWrite, R.Prov});
+          return C;
+        });
+  };
 
-  // --- Assembly, in the exact order the serial engine uses so every FP
-  // sum reassociates identically: request latency already accumulated in
-  // issue order above; per-disk scalars accumulate in disk order here.
-  if (Timeline)
-    Timeline->endRun(MaxCompletion);
-  Res.WallTimeMs = MaxCompletion;
-  Res.AttributionEnabled = Attribution;
-  Res.Cache = CacheObj.stats();
-  for (unsigned D = 0; D != NumDisks; ++D) {
-    const ShardState &SS = *ShardVec[Router.shardOf(D)];
-    const DiskStats &S = SS.Disks[LocalIndex[D]].stats();
-    Res.IoTimeMs += S.BusyMs;
-    Res.EnergyJ += S.EnergyJ;
-    Res.NumFragments += S.NumRequests;
-    Res.SpinDowns += S.SpinDowns;
-    Res.SpinUps += S.SpinUps;
-    Res.RpmSteps += S.RpmSteps;
-    Res.PerDisk.push_back(S);
-  }
-  if (MainRun)
+  // Shutdown: final partial window, then release the workers and merge
+  // their disjoint per-disk timelines into the main run.
+  auto Finish = [&](double WallMs) {
+    Flush(WindowEndMs);
+    for (const std::unique_ptr<ShardState> &SP : ShardVec) {
+      ShardState &SS = *SP;
+      {
+        std::lock_guard<std::mutex> L(SS.Mu);
+        SS.FinalizeEndMs = WallMs;
+        SS.Done = true;
+      }
+      SS.Cv.notify_one();
+    }
+    for (std::jthread &W : Workers)
+      W.join();
     for (const std::unique_ptr<ShardState> &SP : ShardVec)
-      if (SP->ShardRun)
-        MainRun->merge(std::move(*SP->ShardRun));
-  if (Tracer) {
-    Tracer->nameThread(TracePid, 0, "engine");
-    Tracer->completeEvent(
-        TracePid, 0, "replay", "sim", 0.0, Res.WallTimeMs * 1000.0,
-        {TraceArg::num("num_requests", Res.NumRequests),
-         TraceArg::num("io_time_ms", Res.IoTimeMs),
-         TraceArg::num("energy_j", Res.EnergyJ)});
-  }
+      if (SP->Error)
+        std::rethrow_exception(SP->Error);
+    if (MainRun)
+      for (const std::unique_ptr<ShardState> &SP : ShardVec)
+        if (SP->ShardRun)
+          MainRun->merge(std::move(*SP->ShardRun));
+  };
+
+  SimResults Res = replayAndAssemble(
+      T, Submit, Finish, NumDisks,
+      [&](unsigned D) -> const DiskStats & {
+        return ShardVec[Router.shardOf(D)]->Disks[LocalIndex[D]].stats();
+      },
+      Timeline, Tracer, TracePid);
+  Res.AttributionEnabled = Attribution;
+  Res.Cache = Front.cacheStats();
   return Res;
 }

@@ -11,16 +11,17 @@
 /// private TimelineRecorder — while processor think/compute state lives on
 /// a coordinator that advances simulated time in conservative windows.
 ///
-/// The coordinator runs the shared closed loop (sim/ReplayCore.h) against
-/// lightweight per-disk timing models plus the storage cache, computing
-/// every fragment's completion authoritatively; the full per-disk
-/// accounting (the expensive half: ledger categories, attribution map
-/// walks, gap analytics, timeline windows) is replayed concurrently by a
-/// bounded std::jthread pool, one worker per shard, fed per-destination
-/// CompletionBatches delivered at window edges in deterministic
-/// (time, proc, seq) order. Each shard cross-checks every replayed
-/// completion against the coordinator's expected value bit-for-bit, so the
-/// two replay paths cannot silently diverge.
+/// The coordinator runs the shared closed loop (sim/ReplayCore.h) through
+/// the shared StorageFrontEnd against bare per-disk DiskTimingModels — the
+/// same model every Disk owns, with nothing charged — computing every
+/// fragment's completion ahead of the shards; the per-disk accounting
+/// (ledger categories, attribution map walks, gap analytics, timeline
+/// windows) is replayed concurrently by a bounded std::jthread pool, one
+/// worker per shard, fed per-destination CompletionBatches delivered at
+/// window edges in deterministic (time, proc, seq) order. Each shard
+/// cross-checks every replayed completion against the coordinator's
+/// expected value bit-for-bit, which catches a batch delivered to the
+/// wrong disk or out of order.
 ///
 /// Results are byte-identical to the serial SimEngine for any shard count
 /// and any legal window (tests/sharded_sim_test.cpp, bench/sharded_sim):
@@ -50,7 +51,7 @@ public:
   /// \param WindowMs conservative window width in simulated ms; 0 picks
   ///        the policy's maximum legal window. Must not exceed the
   ///        policy's break-even gap (checked here, at config time).
-  /// Remaining parameters mirror SimEngine.
+  /// Remaining parameters are as for SimEngine.
   ShardedSimEngine(const DiskLayout &Layout, const DiskParams &Params,
                    PowerPolicyKind Policy, unsigned NumShards,
                    double WindowMs = 0.0, CacheConfig Cache = CacheConfig(),

@@ -9,7 +9,6 @@
 #include "sim/ReplayCore.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace dra;
 
@@ -22,47 +21,21 @@ SimResults SimEngine::run(const Trace &T) const {
   StorageSystem Storage(Layout, Params, Policy, Cache, Tracer, TracePid,
                         Attribution, Timeline);
 
-  // The closed-loop processor model lives in sim/ReplayCore.h, shared with
-  // the sharded engine; the serial oracle's submit is the full storage
-  // system (disks with energy accounting, attribution, telemetry).
-  SimResults Res;
-  double MaxCompletion = replayClosedLoop(
+  // The closed-loop processor model and the result assembly live in
+  // sim/ReplayCore.h, shared with the sharded engine; the serial oracle's
+  // submit is the full storage system (disks with energy accounting,
+  // attribution, telemetry).
+  SimResults Res = replayAndAssemble(
       T,
       [&](double IssueMs, const Request &R) {
         return Storage.submit(IssueMs, T.byteOffset(R), R.SizeBytes, R.IsWrite,
                               R.Prov);
       },
-      [&](const Request &R, double IssueMs, double Completion) {
-        ++Res.NumRequests;
-        Res.ResponseSumMs += Completion - IssueMs;
-        if (Timeline)
-          Timeline->recordRequestLatency(R.Phase, IssueMs, Completion);
-      });
-
-  Storage.finalize(MaxCompletion);
-  if (Timeline)
-    Timeline->endRun(MaxCompletion);
-  Res.WallTimeMs = MaxCompletion;
+      [&](double WallMs) { Storage.finalize(WallMs); }, Storage.numDisks(),
+      [&](unsigned D) -> const DiskStats & { return Storage.disk(D).stats(); },
+      Timeline, Tracer, TracePid);
   Res.AttributionEnabled = Attribution;
   Res.Cache = Storage.cacheStats();
-  for (unsigned D = 0; D != Storage.numDisks(); ++D) {
-    const DiskStats &S = Storage.disk(D).stats();
-    Res.IoTimeMs += S.BusyMs;
-    Res.EnergyJ += S.EnergyJ;
-    Res.NumFragments += S.NumRequests;
-    Res.SpinDowns += S.SpinDowns;
-    Res.SpinUps += S.SpinUps;
-    Res.RpmSteps += S.RpmSteps;
-    Res.PerDisk.push_back(S);
-  }
-  if (Tracer) {
-    Tracer->nameThread(TracePid, 0, "engine");
-    Tracer->completeEvent(
-        TracePid, 0, "replay", "sim", 0.0, Res.WallTimeMs * 1000.0,
-        {TraceArg::num("num_requests", Res.NumRequests),
-         TraceArg::num("io_time_ms", Res.IoTimeMs),
-         TraceArg::num("energy_j", Res.EnergyJ)});
-  }
   return Res;
 }
 

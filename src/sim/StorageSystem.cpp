@@ -27,13 +27,24 @@ DiskParams StorageSystem::scaleForNode(DiskParams P, unsigned DisksPerNode) {
   return P;
 }
 
+StorageFrontEnd::StorageFrontEnd(const DiskLayout &Layout, CacheConfig Cache,
+                                 const DiskParams &Params,
+                                 PowerPolicyKind Policy,
+                                 std::function<double(unsigned)> BusyUntilMs)
+    : Layout(Layout),
+      Cache(Cache, [this, ColdMs = powerDecisionMs(Params, Policy),
+                    BusyUntilMs = std::move(BusyUntilMs)](unsigned D) {
+        double IdleMs = NowMs - BusyUntilMs(D);
+        return IdleMs > 0 && IdleMs >= ColdMs;
+      }) {}
+
 StorageSystem::StorageSystem(const DiskLayout &Layout, const DiskParams &Params,
-                             PowerPolicyKind Policy, CacheConfig CacheCfg,
+                             PowerPolicyKind Policy, CacheConfig Cache,
                              EventTracer *Trace, uint64_t TracePid,
                              bool Attribution, TimelineRecorder *Timeline)
-    : Layout(Layout), Policy(Policy),
-      NodeParams(scaleForNode(Params, Layout.config().DisksPerNode)),
-      Cache(CacheCfg, [this](unsigned D) { return isDiskCold(D); }) {
+    : Front(Layout, Cache, Params, Policy,
+            [this](unsigned D) { return Disks[D].busyUntilMs(); }) {
+  DiskParams NodeParams = scaleForNode(Params, Layout.config().DisksPerNode);
   Disks.reserve(Layout.numDisks());
   for (unsigned D = 0; D != Layout.numDisks(); ++D) {
     Disks.emplace_back(D, NodeParams, Policy, Trace, TracePid, Attribution,
@@ -43,47 +54,14 @@ StorageSystem::StorageSystem(const DiskLayout &Layout, const DiskParams &Params,
   }
 }
 
-bool StorageSystem::isDiskCold(unsigned D) const {
-  double IdleMs = NowMs - Disks[D].busyUntilMs();
-  if (IdleMs <= 0)
-    return false;
-  switch (Policy) {
-  case PowerPolicyKind::None:
-    return false;
-  case PowerPolicyKind::Tpm:
-    return IdleMs >= NodeParams.TpmBreakEvenS * 1000.0;
-  case PowerPolicyKind::Drpm:
-    return IdleMs >= NodeParams.DrpmIdleStepDownS * 1000.0;
-  }
-  return false;
-}
-
 double StorageSystem::submit(double ArrivalMs, uint64_t GlobalOffset,
                              uint64_t Bytes, bool IsWrite, Provenance Prov) {
-  NowMs = ArrivalMs;
-  double Completion = ArrivalMs;
-  uint64_t Unit = Layout.config().StripeUnitBytes;
-  Layout.splitRequestInto(GlobalOffset, Bytes, SplitScratch);
-  for (const SubRequest &Sub : SplitScratch) {
-    // The cache works at stripe-unit granularity; a fragment goes to disk
-    // unless every block it covers hits.
-    bool AllHit = Cache.enabled();
-    for (uint64_t B = Sub.DiskByteOffset / Unit;
-         B <= (Sub.DiskByteOffset + Sub.Bytes - 1) / Unit; ++B) {
-      if (IsWrite) {
-        Cache.write(Sub.Disk, B);
-        AllHit = false; // Write-through: the disk is always updated.
-      } else if (!Cache.read(Sub.Disk, B)) {
-        AllHit = false;
-      }
-    }
-    double C = AllHit
-                   ? ArrivalMs + Cache.config().HitServiceMs
-                   : Disks[Sub.Disk].submit(ArrivalMs, Sub.DiskByteOffset,
-                                            Sub.Bytes, IsWrite, Prov);
-    Completion = std::max(Completion, C);
-  }
-  return Completion;
+  return Front.submit(ArrivalMs, GlobalOffset, Bytes, IsWrite,
+                      [&](const SubRequest &Sub) {
+                        return Disks[Sub.Disk].submit(
+                            ArrivalMs, Sub.DiskByteOffset, Sub.Bytes, IsWrite,
+                            Prov);
+                      });
 }
 
 void StorageSystem::finalize(double EndMs) {

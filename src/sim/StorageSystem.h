@@ -22,12 +22,67 @@
 #include "sim/Disk.h"
 #include "sim/StorageCache.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace dra {
 
-/// All I/O nodes of the machine plus the request splitting logic and the
-/// optional storage cache in front of the disks.
+/// The storage front end of both simulator engines (StorageSystem and the
+/// sharded coordinator): splits a logical request into per-disk fragments
+/// and passes each through the optional storage cache at stripe-unit
+/// granularity. A fragment goes to disk unless every block it covers hits.
+class StorageFrontEnd {
+public:
+  /// \param BusyUntilMs the engine's busy-until time of a disk. PA-LRU
+  ///        calls a disk cold once it has idled for powerDecisionMs of
+  ///        \p Params under \p Policy.
+  StorageFrontEnd(const DiskLayout &Layout, CacheConfig Cache,
+                  const DiskParams &Params, PowerPolicyKind Policy,
+                  std::function<double(unsigned)> BusyUntilMs);
+  StorageFrontEnd(const StorageFrontEnd &) = delete;
+  StorageFrontEnd &operator=(const StorageFrontEnd &) = delete;
+
+  /// Submits a logical request arriving at \p ArrivalMs. \p OnMiss(const
+  /// SubRequest &) services each fragment the cache cannot and returns its
+  /// completion. Returns the completion time of the last fragment.
+  template <typename MissFn>
+  double submit(double ArrivalMs, uint64_t GlobalOffset, uint64_t Bytes,
+                bool IsWrite, MissFn &&OnMiss) {
+    NowMs = ArrivalMs;
+    double Completion = ArrivalMs;
+    uint64_t Unit = Layout.config().StripeUnitBytes;
+    Layout.splitRequestInto(GlobalOffset, Bytes, Split);
+    for (const SubRequest &Sub : Split) {
+      bool AllHit = Cache.enabled();
+      for (uint64_t B = Sub.DiskByteOffset / Unit;
+           B <= (Sub.DiskByteOffset + Sub.Bytes - 1) / Unit; ++B) {
+        if (IsWrite) {
+          Cache.write(Sub.Disk, B);
+          AllHit = false; // Write-through: the disk is always updated.
+        } else if (!Cache.read(Sub.Disk, B)) {
+          AllHit = false;
+        }
+      }
+      double C = AllHit ? ArrivalMs + Cache.config().HitServiceMs
+                        : OnMiss(Sub);
+      Completion = std::max(Completion, C);
+    }
+    return Completion;
+  }
+
+  const CacheStats &cacheStats() const { return Cache.stats(); }
+
+private:
+  const DiskLayout &Layout;
+  StorageCache Cache;
+  double NowMs = 0.0; ///< Arrival time of the in-flight submit (for PA-LRU).
+  /// Reused fragment buffer for splitRequestInto: replay submits millions
+  /// of requests, so the per-request split must not allocate.
+  std::vector<SubRequest> Split;
+};
+
+/// All I/O nodes of the machine behind the storage front end (request
+/// splitting and the optional storage cache).
 class StorageSystem {
 public:
   /// \param Trace optional event tracer: every disk gets a named thread
@@ -52,26 +107,14 @@ public:
 
   unsigned numDisks() const { return unsigned(Disks.size()); }
   const Disk &disk(unsigned D) const { return Disks[D]; }
-  const DiskLayout &layout() const { return Layout; }
-  const CacheStats &cacheStats() const { return Cache.stats(); }
+  const CacheStats &cacheStats() const { return Front.cacheStats(); }
 
   /// Scales per-disk parameters to model a DisksPerNode-way RAID-0 node.
   static DiskParams scaleForNode(DiskParams P, unsigned DisksPerNode);
 
 private:
-  const DiskLayout &Layout;
-  PowerPolicyKind Policy;
-  DiskParams NodeParams;
   std::vector<Disk> Disks;
-  StorageCache Cache;
-  double NowMs = 0.0; ///< Arrival time of the in-flight submit (for PA-LRU).
-  /// Reused fragment buffer for splitRequestInto: replay submits millions
-  /// of requests, so the per-request split must not allocate.
-  std::vector<SubRequest> SplitScratch;
-
-  /// PA-LRU's notion of a "cold" disk: it has been idle long enough that
-  /// the active power policy has taken it to a low-power state.
-  bool isDiskCold(unsigned D) const;
+  StorageFrontEnd Front;
 };
 
 } // namespace dra

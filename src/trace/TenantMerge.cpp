@@ -61,10 +61,14 @@ MergedWorkload dra::mergeTenants(const std::vector<TenantInput> &Tenants) {
     TotalProcs += TI.Replay->numProcs();
     W.NestBase.push_back(uint32_t(W.Names.Nests.size()));
     for (size_t N = 0; N != TI.Prog->nests().size(); ++N) {
-      std::string Local = N < TI.Names.Nests.size()
-                              ? TI.Names.Nests[N]
-                              : "n" + std::to_string(N);
-      W.Names.Nests.push_back(TI.Label + "/" + Local);
+      std::string Name = TI.Label + "/";
+      if (N < TI.Names.Nests.size()) {
+        Name += TI.Names.Nests[N];
+      } else {
+        Name += 'n';
+        Name += std::to_string(N);
+      }
+      W.Names.Nests.push_back(std::move(Name));
       W.Names.Refs.push_back(N < TI.Names.Refs.size()
                                  ? TI.Names.Refs[N]
                                  : std::vector<std::string>());

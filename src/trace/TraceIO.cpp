@@ -7,8 +7,10 @@
 #include "trace/TraceIO.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <unordered_map>
 
 using namespace dra;
 
@@ -68,6 +70,9 @@ std::optional<Trace> dra::readTraceFile(const std::string &Path) {
     return std::nullopt;
 
   Trace T(Procs, BlockBytes);
+  // Last phase seen per processor: replay needs each processor's phases
+  // nondecreasing in file order, or its barrier can never open.
+  std::unordered_map<unsigned, uint32_t> LastPhase;
   for (size_t I = 0; I != NReq; ++I) {
     Request R;
     char Kind = 0;
@@ -89,6 +94,14 @@ std::optional<Trace> dra::readTraceFile(const std::string &Path) {
       return std::nullopt;
     if (R.Proc >= Procs)
       return std::nullopt;
+    // %lf accepts "nan" and "inf"; replay needs finite, non-negative times.
+    if (!std::isfinite(R.ArrivalMs) || R.ArrivalMs < 0 ||
+        !std::isfinite(R.ThinkMs) || R.ThinkMs < 0)
+      return std::nullopt;
+    auto [It, First] = LastPhase.try_emplace(R.Proc, R.Phase);
+    if (!First && R.Phase < It->second)
+      return std::nullopt;
+    It->second = R.Phase;
     R.IsWrite = Kind == 'W';
     T.addRequest(R);
   }

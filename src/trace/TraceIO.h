@@ -37,7 +37,9 @@ namespace dra {
 bool writeTraceFile(const Trace &T, const std::string &Path);
 
 /// Parses a trace from \p Path. Returns std::nullopt on I/O or parse
-/// failure (malformed header, short file, bad request line).
+/// failure (malformed header, short file, bad request line) and on a
+/// trace replay cannot run: a non-finite or negative arrival or think
+/// time, or a processor whose phase decreases in file order.
 std::optional<Trace> readTraceFile(const std::string &Path);
 
 } // namespace dra

@@ -19,7 +19,7 @@ Program simpleProgram(int64_t N, unsigned Nests) {
   ProgramBuilder B("p");
   ArrayId U = B.addArray("U", {N, N});
   for (unsigned K = 0; K != Nests; ++K)
-    B.beginNest("n" + std::to_string(K), 1.0)
+    B.beginNest(std::string("n").append(std::to_string(K)), 1.0)
         .loop(0, N)
         .loop(0, N)
         .read(U, {iv(0), iv(1)})

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+
 using namespace dra;
 
 namespace {
@@ -191,4 +195,106 @@ TEST(DiskTest, EnergyConservationAgainstManualTimeline) {
                     + 135.0                               // spin up
                     + ActiveW * Svc / 1000.0;             // req 3 (random)
   EXPECT_NEAR(D.stats().EnergyJ, Expected, 1e-6);
+}
+
+//===----------------------------------------------------------------------===//
+// DiskTimingModel: the one timing model Disk owns and the sharded
+// coordinator runs bare.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct ModelCase {
+  const char *Name;
+  PowerPolicyKind Policy;
+  bool TpmHints;
+  bool DrpmHints;
+};
+
+/// A random gap before the next arrival, measured from the disk's busy
+/// time: negative queues behind the disk; the rest land on both sides of
+/// the DRPM idle step-down and of the TPM break-even, or far beyond both.
+double randomGapMs(std::mt19937 &Rng, const DiskParams &P) {
+  std::uniform_real_distribution<double> U(0.0, 1.0);
+  double StepDownMs = P.DrpmIdleStepDownS * 1000.0;
+  double BreakEvenMs = P.TpmBreakEvenS * 1000.0;
+  switch (std::uniform_int_distribution<int>(0, 5)(Rng)) {
+  case 0:
+  case 1:
+    return -5.0 * U(Rng);
+  case 2:
+    return 50.0 * U(Rng);
+  case 3:
+    return StepDownMs * (0.8 + 0.4 * U(Rng));
+  case 4:
+    return BreakEvenMs * (0.9 + 0.2 * U(Rng));
+  default:
+    return BreakEvenMs * (2.0 + 4.0 * U(Rng));
+  }
+}
+
+} // namespace
+
+TEST(DiskTimingModelTest, MatchesDiskAfterEveryFragment) {
+  const ModelCase Cases[] = {
+      {"None", PowerPolicyKind::None, false, false},
+      {"TPM", PowerPolicyKind::Tpm, false, false},
+      {"TPM+hints", PowerPolicyKind::Tpm, true, false},
+      {"DRPM", PowerPolicyKind::Drpm, false, false},
+      {"DRPM+hints", PowerPolicyKind::Drpm, false, true},
+  };
+  for (const ModelCase &C : Cases) {
+    for (bool WithTimeline : {false, true}) {
+      for (unsigned Seed = 1; Seed != 5; ++Seed) {
+        SCOPED_TRACE(std::string(C.Name) + (WithTimeline ? " timeline" : "") +
+                     " seed " + std::to_string(Seed));
+        DiskParams P;
+        P.TpmProactiveHints = C.TpmHints;
+        P.DrpmProactiveHints = C.DrpmHints;
+        TimelineRecorder TL(500.0);
+        TL.beginRun("model", 1);
+        Disk D(0, P, C.Policy, nullptr, 0, /*Attribution=*/Seed % 2 == 0,
+               WithTimeline ? &TL : nullptr);
+        DiskTimingModel M(P, C.Policy);
+        std::mt19937 Rng(Seed);
+        uint64_t Gaps = 0;
+        auto CountGap = [&Gaps](const IdleOutcome &, double, double) {
+          ++Gaps;
+        };
+
+        double ArrivalMs = 0.0;
+        uint64_t Offset = 0;
+        unsigned Ramps = 0;
+        for (unsigned I = 0; I != 400; ++I) {
+          ArrivalMs =
+              std::max(ArrivalMs, M.busyUntilMs() + randomGapMs(Rng, P));
+          uint64_t Bytes = (1 + Rng() % 8) * KiB32;
+          if (Rng() % 2)
+            Offset = (Rng() % (1u << 15)) * KiB32; // else sequential
+          bool IsWrite = Rng() % 4 == 0;
+          FragmentTiming T = M.submit(ArrivalMs, Offset, Bytes, CountGap);
+          double Completion = D.submit(ArrivalMs, Offset, Bytes, IsWrite);
+          ASSERT_EQ(T.CompletionMs, Completion) << "fragment " << I;
+          EXPECT_EQ(T.CompletionMs, T.ServiceStartMs + T.ServiceMs);
+          EXPECT_EQ(M.busyUntilMs(), D.busyUntilMs()) << "fragment " << I;
+          EXPECT_EQ(M.currentRpm(), D.currentRpm()) << "fragment " << I;
+          Ramps += T.RampLevels != 0;
+          Offset += Bytes;
+        }
+        double EndMs = M.busyUntilMs() + P.TpmBreakEvenS * 2000.0;
+        M.finalize(EndMs, CountGap);
+        D.finalize(EndMs);
+        EXPECT_EQ(M.busyUntilMs(), D.busyUntilMs());
+        EXPECT_EQ(M.currentRpm(), D.currentRpm());
+        // One OnGap call per gap the Disk accounted, tail included.
+        EXPECT_EQ(Gaps, D.stats().GapsBelowBreakEven +
+                            D.stats().GapsAtLeastBreakEven);
+        // Hints ramp every gap's tail back to full speed, so only reactive
+        // DRPM services slowly enough to trip the emergency ramp.
+        if (C.Policy == PowerPolicyKind::Drpm && !C.DrpmHints) {
+          EXPECT_GT(Ramps, 0u) << "stream never hit a DRPM emergency ramp";
+        }
+      }
+    }
+  }
 }

@@ -463,11 +463,12 @@ Program randomProgram(std::mt19937 &Rng) {
   for (unsigned A = 0; A != NumArrays; ++A) {
     if (Dims[A].empty())
       Dims[A] = {1}; // declared but never referenced
-    Ids.push_back(B.addArray("A" + std::to_string(A), Dims[A]));
+    Ids.push_back(
+        B.addArray(std::string("A").append(std::to_string(A)), Dims[A]));
   }
   for (unsigned N = 0; N != NumNests; ++N) {
     const PendingNest &NS = NestSpecs[N];
-    B.beginNest("n" + std::to_string(N));
+    B.beginNest(std::string("n").append(std::to_string(N)));
     for (unsigned K = 0; K != NS.ConstLo.size(); ++K) {
       if (NS.TriOuter[K] < 0)
         B.loop(NS.ConstLo[K], NS.ConstHi[K]);

@@ -334,7 +334,7 @@ TEST(FormatterDifferentialTest, StringViewsEscapeEveryByte) {
     AllEscaped += Escaped((unsigned char)C);
     const char Byte = char(C);
     EXPECT_EQ(jsonQuote(std::string_view(&Byte, 1)),
-              "\"" + Escaped((unsigned char)C) + "\"")
+              std::string("\"").append(Escaped((unsigned char)C)).append("\""))
         << "byte " << C;
   }
   ASSERT_EQ(All.size(), 256u);

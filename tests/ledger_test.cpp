@@ -53,7 +53,8 @@ Program randomProgram(unsigned Seed) {
   int NumArrays = Pick(1, 2);
   std::vector<ArrayId> Arrays;
   for (int A = 0; A != NumArrays; ++A)
-    Arrays.push_back(B.addArray("U" + std::to_string(A), {N, N}));
+    Arrays.push_back(
+        B.addArray(std::string("U").append(std::to_string(A)), {N, N}));
   for (int K = 0; K != 2; ++K) {
     B.beginNest("n" + std::to_string(K), 0.5 + 0.1 * Pick(0, 10));
     B.loop(0, N).loop(0, N);

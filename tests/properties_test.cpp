@@ -44,11 +44,13 @@ Program randomProgram(unsigned Seed) {
   int NumArrays = Pick(1, 3);
   std::vector<ArrayId> Arrays;
   for (int A = 0; A != NumArrays; ++A)
-    Arrays.push_back(B.addArray("U" + std::to_string(A), {N, N}));
+    Arrays.push_back(
+        B.addArray(std::string("U").append(std::to_string(A)), {N, N}));
 
   int NumNests = Pick(2, 3);
   for (int K = 0; K != NumNests; ++K) {
-    B.beginNest("n" + std::to_string(K), 0.5 + 0.1 * Pick(0, 10));
+    B.beginNest(std::string("n").append(std::to_string(K)),
+                0.5 + 0.1 * Pick(0, 10));
     B.loop(Margin, N - Margin).loop(Margin, N - Margin);
     int NumAcc = Pick(1, 3);
     for (int A = 0; A != NumAcc; ++A) {

@@ -139,7 +139,7 @@ TEST(SchedulerTest, DependentProgramStillValidAndClustered) {
   for (int Step = 0; Step != 3; ++Step) {
     ArrayId Src = Step % 2 == 0 ? A : C2;
     ArrayId Dst = Step % 2 == 0 ? C2 : A;
-    B.beginNest("s" + std::to_string(Step), 1.0)
+    B.beginNest(std::string("s").append(std::to_string(Step)), 1.0)
         .loop(0, N)
         .loop(0, N)
         .read(Src, {iv(0), iv(1)})

@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
 
 using namespace dra;
 
@@ -201,6 +204,53 @@ TEST(TraceIOTest, OutOfRangeProcFails) {
   std::fclose(F);
   EXPECT_FALSE(readTraceFile(Path).has_value());
   std::remove(Path.c_str());
+}
+
+namespace {
+
+/// Parses a trace file with \p Procs processors and the given request
+/// lines (header written here).
+std::optional<Trace> readRequests(const char *Name, unsigned Procs,
+                                  const std::vector<std::string> &Lines) {
+  std::string Path = ::testing::TempDir() + "/" + Name;
+  FILE *F = std::fopen(Path.c_str(), "w");
+  EXPECT_NE(F, nullptr);
+  if (!F)
+    return std::nullopt;
+  std::fprintf(F, "# dra-trace v1\nprocs %u\nblockbytes 4096\nnreq %zu\n",
+               Procs, Lines.size());
+  for (const std::string &L : Lines)
+    std::fprintf(F, "%s\n", L.c_str());
+  std::fclose(F);
+  std::optional<Trace> T = readTraceFile(Path);
+  std::remove(Path.c_str());
+  return T;
+}
+
+} // namespace
+
+TEST(TraceIOTest, NonFiniteOrNegativeTimeFails) {
+  // %lf reads all of these; replay would assert on (or loop over) them.
+  for (const char *Line :
+       {"nan 0 4096 R 0 0.0 0", "-1.0 0 4096 R 0 0.0 0", "inf 0 4096 R 0 0.0 0",
+        "0.0 0 4096 R 0 nan 0", "0.0 0 4096 R 0 -0.5 0",
+        "0.0 0 4096 R 0 inf 0"})
+    EXPECT_FALSE(readRequests("dra_time.trace", 1, {Line}).has_value())
+        << Line;
+  EXPECT_TRUE(readRequests("dra_time.trace", 1, {"0.0 0 4096 R 0 0.0 0"})
+                  .has_value());
+}
+
+TEST(TraceIOTest, DecreasingPhaseOfOneProcFails) {
+  // Phases may fall across processors in file order, never within one.
+  EXPECT_TRUE(readRequests("dra_phase.trace", 2,
+                           {"0.0 0 4096 R 0 0.0 2", "0.0 8 4096 R 1 0.0 0",
+                            "1.0 16 4096 R 1 0.0 1", "1.0 24 4096 R 0 0.0 2"})
+                  .has_value());
+  EXPECT_FALSE(readRequests("dra_phase.trace", 2,
+                            {"0.0 0 4096 R 0 0.0 2", "0.0 8 4096 R 1 0.0 0",
+                             "1.0 16 4096 R 0 0.0 1"})
+                   .has_value());
 }
 
 TEST(TraceTest, RequestsOfProcFiltersInOrder) {

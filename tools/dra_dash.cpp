@@ -148,9 +148,13 @@ std::string lineChart(const std::vector<double> &Xs,
          fmtDouble(YMax * Frac, YMax >= 10 ? 0 : 2) + "</text>";
   }
   std::string Points;
-  for (size_t I = 0; I != Xs.size(); ++I)
-    Points += (I ? " " : "") + fmtDouble(PX(Xs[I]), 1) + "," +
-              fmtDouble(PY(Ys[I]), 1);
+  for (size_t I = 0; I != Xs.size(); ++I) {
+    if (I)
+      Points += ' ';
+    Points += fmtDouble(PX(Xs[I]), 1);
+    Points += ',';
+    Points += fmtDouble(PY(Ys[I]), 1);
+  }
   S += "<polyline class=\"series\" style=\"stroke:var(" + Color +
        ")\" points=\"" + Points + "\"/>";
   for (size_t I = 0; I != Xs.size(); ++I)
