@@ -17,16 +17,16 @@
 //      within 10% of OFF (min-of-3 per run, measurement floor, skipped
 //      under sanitizers where relative path costs are meaningless).
 //
-// On the overhead budget: the steady-state attribution cost measures
-// 3-6 ns/request on a ~105 ns/request simulator (+3-6%), and ~3 ns of
-// that is irreducible — each request must add service time/energy/count
-// to its key and each gap must charge its two bounding keys, which is
-// three accumulations plus a pair check even with every lookup cached
-// (the key-slot and gap-pair caches in sim/Disk.h hit >98%). A 3% gate
-// would therefore sit at the theoretical floor and flake on shared-core
-// CI, where neighbour load swings either leg by +-5%. The 10% gate is
-// the regression tripwire that matters: reintroducing a per-charge map
-// walk measures +17-25%, well outside it.
+// On the overhead budget: each request adds service time/energy/count to
+// its key's entry (a short walk in the disk's sorted entry vector) and
+// each gap charges half of every in-gap category to both bounding
+// entries. A 3% gate would sit at that floor and flake on shared-core CI,
+// where neighbour load swings either leg by +-5%. The 10% gate is the
+// tripwire for a per-charge map walk or allocation. At full scale the
+// ratio is close to it: on a 4-thread container the attributed replay
+// costs 7-25 ns/request more than the bare one (the spread is the host's
+// speed), and the bare replay runs 70-130 ns/request since its per-gap
+// allocations went (docs/PERFORMANCE.md "Simulator hot path").
 //
 // Any violation exits nonzero.
 //

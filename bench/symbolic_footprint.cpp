@@ -80,6 +80,8 @@ constexpr bool TimeGateMeaningful = true;
 /// whose cost must not scale with the iteration count.
 struct SymbolicLeg {
   double WallMs = 0.0;
+  /// The footprint refers to the layout, so the leg owns both.
+  std::unique_ptr<DiskLayout> Layout;
   std::unique_ptr<SymbolicFootprint> FP;
   EnergyEstimate Bound;
 };
@@ -88,10 +90,10 @@ SymbolicLeg runSymbolic(const Program &P, const StripingConfig &SC,
                         const DiskParams &Disk) {
   SymbolicLeg R;
   double T0 = nowMs();
-  DiskLayout Layout(P, SC);
-  R.FP = std::make_unique<SymbolicFootprint>(P, Layout,
+  R.Layout = std::make_unique<DiskLayout>(P, SC);
+  R.FP = std::make_unique<SymbolicFootprint>(P, *R.Layout,
                                              FootprintMode::Symbolic);
-  R.Bound = EnergyEstimator::footprintBound(P, Layout, Disk, *R.FP);
+  R.Bound = EnergyEstimator::footprintBound(P, *R.Layout, Disk, *R.FP);
   R.WallMs = nowMs() - T0;
   return R;
 }
@@ -102,13 +104,13 @@ SymbolicLeg runEnumerated(const Program &P, const StripingConfig &SC,
                           const DiskParams &Disk) {
   SymbolicLeg R;
   double T0 = nowMs();
-  DiskLayout Layout(P, SC);
+  R.Layout = std::make_unique<DiskLayout>(P, SC);
   IterationSpace Space(P);
   TileAccessTable Table(P, Space);
-  R.FP = std::make_unique<SymbolicFootprint>(P, Layout,
+  R.FP = std::make_unique<SymbolicFootprint>(P, *R.Layout,
                                              FootprintMode::Enumerated,
                                              &Table);
-  R.Bound = EnergyEstimator::footprintBound(P, Layout, Disk, *R.FP);
+  R.Bound = EnergyEstimator::footprintBound(P, *R.Layout, Disk, *R.FP);
   R.WallMs = nowMs() - T0;
   return R;
 }

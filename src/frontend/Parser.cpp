@@ -70,6 +70,9 @@ private:
     if (!peek().is(TokKind::Number))
       return fail("expected an integer");
     double D = peek().NumValue;
+    // Converting a double outside int64_t's range is undefined behaviour.
+    if (!(D >= -0x1p63 && D < 0x1p63))
+      return fail("integer literal out of range");
     V = int64_t(D);
     if (double(V) != D)
       return fail("expected an integer, found a decimal number");

@@ -38,9 +38,11 @@
 #include "sim/EnergyLedger.h"
 #include "trace/Provenance.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,16 +96,74 @@ struct AttribEntry {
   }
 };
 
-/// One disk's attribution ledger. std::map keeps deterministic order for
-/// rendering; the key space is small (nests x refs x rounds actually seen).
-using AttributionMap = std::map<AttribKey, AttribEntry>;
+/// One disk's attribution ledger: its entries in a flat vector sorted by
+/// key, iterated in ascending (Nest, Ref, Round) order like the std::map it
+/// replaces. The key space is small (a disk sees the nests x refs x rounds
+/// that touch it; at most 18 on any paper job), so a short walk over
+/// contiguous entries beats a node-based map, and copying or moving the
+/// map is one allocation or none.
+class AttributionMap {
+public:
+  using value_type = std::pair<AttribKey, AttribEntry>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
 
-/// Associative merge: key-wise entry sum. Ordered-map iteration makes the
+  /// Position of \p Key's entry, inserting a zeroed entry when absent (an
+  /// insertion moves every later entry up one position). The search walks
+  /// from position \p Hint, so a hint at or next to the key's position —
+  /// the previous request's entry when references interleave, the
+  /// previous key when merging a sorted map — finds it in a step or two.
+  size_t indexOf(const AttribKey &Key, size_t Hint = 0) {
+    size_t I = std::min(Hint, Items.size());
+    while (I != 0 && !(Items[I - 1].first < Key))
+      --I;
+    while (I != Items.size() && Items[I].first < Key)
+      ++I;
+    if (I == Items.size() || !(Items[I].first == Key))
+      Items.insert(Items.begin() + ptrdiff_t(I),
+                   value_type(Key, AttribEntry()));
+    return I;
+  }
+
+  /// The entry at position \p I (see indexOf).
+  AttribEntry &entry(size_t I) { return Items[I].second; }
+
+  AttribEntry &operator[](const AttribKey &Key) {
+    return Items[indexOf(Key)].second;
+  }
+
+  const_iterator find(const AttribKey &Key) const {
+    return std::find_if(begin(), end(),
+                        [&](const value_type &E) { return E.first == Key; });
+  }
+  size_t count(const AttribKey &Key) const { return find(Key) != end(); }
+  const AttribEntry &at(const AttribKey &Key) const {
+    auto It = find(Key);
+    if (It == end())
+      throw std::out_of_range("no attribution entry for key");
+    return It->second;
+  }
+
+  size_t size() const { return Items.size(); }
+  bool empty() const { return Items.empty(); }
+  iterator begin() { return Items.begin(); }
+  iterator end() { return Items.end(); }
+  const_iterator begin() const { return Items.begin(); }
+  const_iterator end() const { return Items.end(); }
+
+private:
+  std::vector<value_type> Items; ///< Sorted by key, keys unique.
+};
+
+/// Associative merge: key-wise entry sum. Ordered iteration makes the
 /// result (and its FP summation order) deterministic, so merging the same
 /// operands always reproduces the same bytes.
 inline void mergeAttribution(AttributionMap &Dst, const AttributionMap &Src) {
-  for (const auto &[Key, E] : Src)
-    Dst[Key] += E;
+  size_t Hint = 0;
+  for (const auto &[Key, E] : Src) {
+    Hint = Dst.indexOf(Key, Hint);
+    Dst.entry(Hint) += E;
+  }
 }
 
 /// The run-level aggregation of the dra-attrib-v1 section writer

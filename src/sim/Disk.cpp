@@ -24,32 +24,18 @@ Disk::Disk(unsigned Id, const DiskParams &Params, PowerPolicyKind Policy,
       Trace(Trace), TracePid(TracePid), Attribution(Attribution),
       TL(Timeline) {}
 
-void Disk::flushGapAccum(GapAccum &GA) {
-  // Halving is exact in IEEE-754 (scaling by a power of two), so the two
-  // half charges reproduce each category's accumulated sum bit-for-bit —
-  // including when A == B and the same entry receives both halves. The
-  // zero guards skip categories the active policy never produced (e.g.
-  // everything but idle dwell under PowerPolicyKind::None).
-  if (!GA.A)
-    return;
-  for (AttribEntry *Side : {GA.A, GA.B}) {
-    EnergyLedger &L = Side->Energy;
-    for (unsigned I = 0; I != GA.NumIdle; ++I)
-      L.IdleByRpmJ[GA.IdleRpm[I]] += GA.IdleJ[I] * 0.5;
-    if (GA.SpinDownJ != 0.0)
-      L.SpinDownJ += GA.SpinDownJ * 0.5;
-    if (GA.StandbyJ != 0.0)
-      L.StandbyJ += GA.StandbyJ * 0.5;
-    if (GA.RpmStepJ != 0.0)
-      L.RpmStepJ += GA.RpmStepJ * 0.5;
-  }
-  GA.A = GA.B = nullptr;
-  GA.NumIdle = 0;
-  GA.SpinDownJ = GA.StandbyJ = GA.RpmStepJ = 0.0;
+size_t Disk::entryIndex(const AttribKey &Key) {
+  if (LastIdx == NoEntry)
+    return S.Attrib.indexOf(Key);
+  size_t Before = S.Attrib.size();
+  size_t I = S.Attrib.indexOf(Key, LastIdx);
+  if (S.Attrib.size() != Before && LastIdx >= I)
+    ++LastIdx; // The insertion moved the previous request's entry up.
+  return I;
 }
 
 void Disk::chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
-                     AttribEntry *NextE, uint32_t NextMix) {
+                     size_t NextIdx) {
   const DiskParams &Params = params();
   S.EnergyJ += O.GapEnergyJ + O.ReadyEnergyJ;
   S.IdleMsTotal += GapMs;
@@ -81,61 +67,38 @@ void Disk::chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
     // gap charge; finalize() folds them back into the ledger, so the
     // closure invariant is exact by construction and the hot path does
     // one set of charges instead of two. In-gap energy splits half/half
-    // between the bounding requests (a missing previous bound falls to
-    // the unattributed key); the pending sums live in the pair's
-    // direct-mapped accumulator and reach the entries only on eviction.
-    // Ready energy belongs wholly to the arriving request, split
-    // stalled/hidden as in the ledger branch above.
-    AttribEntry *PrevE = LastE;
-    uint32_t PrevMix = LastMix;
-    if (!PrevE) {
-      const KeySlot &KS = slotFor(AttribKey());
-      PrevE = KS.Entry;
-      PrevMix = KS.Mix;
+    // between the bounding requests' entries (halving is exact in
+    // IEEE-754); a warm-up gap has no previous bound, so that half falls
+    // to the unattributed key, which sorts after every provenance key and
+    // so never moves the next bound's entry. Ready energy belongs wholly
+    // to the arriving request, split stalled/hidden as in the ledger
+    // branch above.
+    size_t PrevIdx = LastIdx;
+    if (PrevIdx == NoEntry) {
+      PrevIdx = entryIndex(AttribKey());
+      assert(PrevIdx >= NextIdx && "warm-up insertion moved the next bound");
     }
-    // Normalized (min, max) order makes the unordered pair a single
-    // compare and keeps (A,B)/(B,A) gaps in one accumulator. The order
-    // only canonicalizes identity checks within this run; the slot index
-    // comes from the key mixes, so flush timing is address-independent.
-    AttribEntry *Lo = PrevE < NextE ? PrevE : NextE;
-    AttribEntry *Hi = PrevE < NextE ? NextE : PrevE;
-    GapAccum &GA = Pairs[pairIndex(PrevMix, NextMix)];
-    if (GA.A != Lo || GA.B != Hi) {
-      flushGapAccum(GA);
-      GA.A = Lo;
-      GA.B = Hi;
-    }
+    EnergyLedger &Prev = S.Attrib.entry(PrevIdx).Energy;
+    EnergyLedger &Next = S.Attrib.entry(NextIdx).Energy;
     for (const auto &[IdleRpm, Joules] : O.IdleByRpmJ) {
-      unsigned I = 0;
-      while (I != GA.NumIdle && GA.IdleRpm[I] != IdleRpm)
-        ++I;
-      if (I == GA.NumIdle) {
-        if (GA.NumIdle == GapAccum::MaxIdle) {
-          flushGapAccum(GA); // Overflow: drain, then restart the same pair.
-          GA.A = Lo;
-          GA.B = Hi;
-          I = 0;
-        }
-        GA.IdleRpm[I] = IdleRpm;
-        GA.IdleJ[I] = 0.0;
-        ++GA.NumIdle;
-      }
-      GA.IdleJ[I] += Joules;
+      Prev.IdleByRpmJ[IdleRpm] += Joules * 0.5;
+      Next.IdleByRpmJ[IdleRpm] += Joules * 0.5;
     }
     // Most gaps carry idle dwell only; one combined test keeps the three
-    // spin/step accumulations off the common path.
+    // spin/step charges off the common path.
     if (O.SpinDownEnergyJ != 0.0 || O.StandbyEnergyJ != 0.0 ||
         O.RpmStepEnergyJ != 0.0) {
-      GA.SpinDownJ += O.SpinDownEnergyJ;
-      GA.StandbyJ += O.StandbyEnergyJ;
-      GA.RpmStepJ += O.RpmStepEnergyJ;
+      for (EnergyLedger *Side : {&Prev, &Next}) {
+        Side->SpinDownJ += O.SpinDownEnergyJ * 0.5;
+        Side->StandbyJ += O.StandbyEnergyJ * 0.5;
+        Side->RpmStepJ += O.RpmStepEnergyJ * 0.5;
+      }
     }
     if (O.ReadyEnergyJ != 0.0) {
-      EnergyLedger &L = NextE->Energy;
       if (O.ReadyDelayMs > 0)
-        L.ReadyPenaltyJ += O.ReadyEnergyJ;
+        Next.ReadyPenaltyJ += O.ReadyEnergyJ;
       else
-        L.SpinUpJ += O.ReadyEnergyJ;
+        Next.SpinUpJ += O.ReadyEnergyJ;
     }
   }
 
@@ -189,22 +152,14 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
   // Reads and writes share the timing and power model; IsWrite selects
   // the ledger's active-energy category and names the traced span.
   // Resolve the request's attribution entry once; both the gap it ends
-  // (as the "next" bound) and its own service charges go through it. The
-  // slot's fields are copied out because chargeGap's warm-up path may
-  // refill the same slot for the unattributed key.
-  AttribEntry *E = nullptr;
-  uint32_t EMix = 0;
-  if (Attribution) {
-    const KeySlot &KS = slotFor(AttribKey::of(Prov));
-    E = KS.Entry;
-    EMix = KS.Mix;
-  }
+  // (as the "next" bound) and its own service charges go through it.
+  size_t EIdx = Attribution ? entryIndex(AttribKey::of(Prov)) : NoEntry;
 
   double ReadyDelayMs = 0.0;
   FragmentTiming T = Model.submit(
       ArrivalMs, Offset, Bytes,
       [&](const IdleOutcome &O, double GapStartMs, double GapMs) {
-        chargeGap(O, GapStartMs, GapMs, E, EMix);
+        chargeGap(O, GapStartMs, GapMs, EIdx);
         ReadyDelayMs = O.ReadyDelayMs;
         if (Trace && O.ReadyDelayMs > 0)
           Trace->completeEvent(TracePid, Id + 1, "wake", "disk",
@@ -222,17 +177,18 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
     TL->recordService(Id, T.ServiceStartMs, Svc, SvcJ, IsWrite, Bytes);
   }
 
+  AttribEntry *E = nullptr;
   if (!Attribution) {
     (IsWrite ? S.Ledger.ActiveWriteJ : S.Ledger.ActiveReadJ) += SvcJ;
   } else {
     // Service charges go to the entry; finalize() folds it into S.Ledger.
+    E = &S.Attrib.entry(EIdx);
     (IsWrite ? E->Energy.ActiveWriteJ : E->Energy.ActiveReadJ) += SvcJ;
     E->BusyMs += Svc;
     if (ReadyDelayMs != 0.0)
       E->ReadyDelayMs += ReadyDelayMs;
     ++E->NumRequests;
-    LastE = E;
-    LastMix = EMix;
+    LastIdx = EIdx;
   }
 
   if (Trace) {
@@ -281,24 +237,15 @@ void Disk::finalize(double EndMs) {
   // the unattributed key.
   Model.finalize(EndMs, [&](const IdleOutcome &O, double GapStartMs,
                             double GapMs) {
-    AttribEntry *TailE = nullptr;
-    uint32_t TailMix = 0;
-    if (Attribution) {
-      const KeySlot &KS = slotFor(AttribKey());
-      TailE = KS.Entry;
-      TailMix = KS.Mix;
-    }
-    chargeGap(O, GapStartMs, GapMs, TailE, TailMix);
+    chargeGap(O, GapStartMs, GapMs,
+              Attribution ? entryIndex(AttribKey()) : NoEntry);
   });
   // With attribution on, every category charge went to the attribution
   // entries; the ledger is their per-category sum, which makes the
   // auditor's closure invariant exact by construction. Categories can
   // differ from an attribution-off run only by FP reassociation (the
   // charges are identical, summed in a different order).
-  if (Attribution) {
-    for (GapAccum &GA : Pairs)
-      flushGapAccum(GA);
+  if (Attribution)
     for (const auto &KV : S.Attrib)
       S.Ledger += KV.second.Energy;
-  }
 }

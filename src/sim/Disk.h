@@ -23,7 +23,9 @@
 #include "sim/EnergyLedger.h"
 #include "support/Statistics.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace dra {
 
@@ -111,6 +113,8 @@ public:
   unsigned currentRpm() const { return Model.currentRpm(); }
   double busyUntilMs() const { return Model.busyUntilMs(); }
   const DiskStats &stats() const { return S; }
+  /// Moves the stats out once the disk is finalized and no longer used.
+  DiskStats takeStats() { return std::move(S); }
 
   /// Services a request arriving at \p ArrivalMs for \p Bytes at disk
   /// offset \p Offset. Returns the completion time. Requests must be
@@ -131,101 +135,23 @@ private:
   uint64_t TracePid;
   bool Attribution;
   TimelineRecorder *TL;
-  /// Attribution entry of the most recent serviced request — the
-  /// "previous bound" of the next idle gap. Null until the first submit;
-  /// map nodes are pointer-stable, so the pointer stays valid for the
-  /// disk's lifetime. LastMix is the entry's key hash (keyMix), kept
-  /// alongside so gap accounting never recomputes it.
-  AttribEntry *LastE = nullptr;
-  uint32_t LastMix = 0;
+  /// Position in S.Attrib of the most recent serviced request's entry —
+  /// the "previous bound" of the next idle gap; NoEntry until the first
+  /// submit. entryIndex() keeps it on its entry across insertions.
+  static constexpr size_t NoEntry = ~size_t(0);
+  size_t LastIdx = NoEntry;
 
-  /// Direct-mapped cache over S.Attrib: traces interleave a handful of
-  /// references per iteration, so consecutive requests cycle through a
-  /// few keys rather than arriving in long single-key runs. Hashing the
-  /// key to a fixed slot keeps the hit path at one predictable compare
-  /// (no scan whose match position varies) and the steady state free of
-  /// map walks; a colliding pair of hot keys degrades to per-request
-  /// walks but stays correct.
-  struct KeySlot {
-    AttribKey Key;
-    AttribEntry *Entry = nullptr; ///< null marks the slot empty.
-    uint32_t Mix = 0;             ///< keyMix(Key), cached on refill.
-  };
-  static constexpr unsigned NumKeySlots = 16;
-  KeySlot Slots[NumKeySlots];
-
-  /// Cheap per-request mix: the keys alive at once on a disk share a nest
-  /// and neighbouring rounds with small ref ids, so low-bit arithmetic
-  /// separates them; a collision only costs the map-walk fallback.
-  static unsigned slotIndex(const AttribKey &K) {
-    return (K.Nest * 3 + K.Ref + K.Round * 5) % NumKeySlots;
-  }
-
-  /// Hash of one key for the gap-pair table. Deterministic functions of
-  /// the key only — never of heap addresses — so accumulator flush
-  /// timing, and with it the FP summation order of attributed charges,
-  /// is identical across runs (the sweep runner's byte-identity
-  /// contract, docs/SWEEPS.md).
-  static uint32_t keyMix(const AttribKey &K) {
-    return K.Nest * 0x9E3779B1u + K.Ref * 0x85EBCA77u + K.Round * 0xC2B2AE3Du;
-  }
-
-  /// The cache slot of \p Key, refilled from the map on a miss.
-  KeySlot &slotFor(const AttribKey &Key) {
-    KeySlot &KS = Slots[slotIndex(Key)];
-    if (!KS.Entry || !(KS.Key == Key)) {
-      KS.Key = Key;
-      KS.Entry = &S.Attrib[Key];
-      KS.Mix = keyMix(Key);
-    }
-    return KS;
-  }
-
-  /// Pending in-gap charges for one unordered pair of bounding entries.
-  /// The half/half split is symmetric in the bounds, so sums accumulate
-  /// per unordered pair; a gap whose bounds cycle through a few entries
-  /// (interleaved references produce {A,B}, {B,C}, {C,A}, ...) keeps each
-  /// pair's accumulator hot in a direct-mapped slot, and flushGapAccum()
-  /// charges each side half of the sums only on eviction, overflow or
-  /// finalize. Halving is exact in IEEE-754, so a pair (E, E) receiving
-  /// both halves gets the full charge bit-for-bit.
-  struct GapAccum {
-    static constexpr unsigned MaxIdle = 8;
-    AttribEntry *A = nullptr; ///< null marks the accumulator empty.
-    AttribEntry *B = nullptr;
-    unsigned NumIdle = 0;
-    unsigned IdleRpm[MaxIdle];
-    double IdleJ[MaxIdle];
-    double SpinDownJ = 0.0;
-    double StandbyJ = 0.0;
-    double RpmStepJ = 0.0;
-  };
-  static constexpr unsigned NumPairSlots = 64;
-  GapAccum Pairs[NumPairSlots];
-
-  /// Slot of the unordered pair with key hashes \p MixA, \p MixB:
-  /// addition keeps the hash symmetric without collapsing (E, E) pairs
-  /// to one slot the way xor would; the Fibonacci multiply spreads the
-  /// already-mixed sums across the top bits.
-  static unsigned pairIndex(uint32_t MixA, uint32_t MixB) {
-    static_assert((NumPairSlots & (NumPairSlots - 1)) == 0,
-                  "top-bits hash needs a power-of-two table");
-    uint64_t Sum = uint64_t(MixA) + uint64_t(MixB);
-    return unsigned((Sum * 0x9E3779B97F4A7C15ull) >> 58) % NumPairSlots;
-  }
-
-  /// Charges half of \p GA's sums to each bounding entry and empties it.
-  void flushGapAccum(GapAccum &GA);
+  /// Position in S.Attrib of \p Key's entry, inserted when new.
+  size_t entryIndex(const AttribKey &Key);
 
   const DiskParams &params() const { return Model.params(); }
 
   /// Charges the idle gap [GapStartMs, GapStartMs + GapMs), evaluated by
-  /// the model as \p O, to every sink.
-  /// \param NextE attribution entry of the request ending the gap (the
-  ///        unattributed entry for the finalize tail; null when
-  ///        attribution is off); \p NextMix is its keyMix.
+  /// the model as \p O, to every sink. \p NextIdx is the S.Attrib position
+  /// of the request ending the gap (the unattributed entry for the
+  /// finalize tail); unused when attribution is off.
   void chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
-                 AttribEntry *NextE, uint32_t NextMix);
+                 size_t NextIdx);
 
   /// Emits the idle span plus spin/RPM instant events for one gap
   /// [GapStartMs, GapStartMs + GapMs) (tracer known non-null).

@@ -24,6 +24,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace dra {
 
@@ -50,10 +52,20 @@ class DiskTimingModel {
 public:
   /// \param WantSegments ask the policies for IdleOutcome::Segments (the
   ///        timeline recorder's input); timing is identical either way.
+  /// \throws std::invalid_argument when \p Params has more RPM levels than
+  ///         an IdleOutcome can record (RpmJoules::Capacity).
   DiskTimingModel(const DiskParams &Params, PowerPolicyKind Policy,
                   bool WantSegments = false)
       : PM(Params), Policy(Policy), WantSegments(WantSegments), Tpm(PM),
-        Drpm(PM), Rpm(Params.MaxRpm), PendingRpm(Params.MaxRpm) {}
+        Drpm(PM), Rpm(Params.MaxRpm), PendingRpm(Params.MaxRpm) {
+    if (Params.numRpmLevels() > RpmJoules::Capacity) {
+      std::string Msg = "disk has ";
+      Msg += std::to_string(Params.numRpmLevels());
+      Msg += " RPM levels; the simulator supports at most ";
+      Msg += std::to_string(RpmJoules::Capacity);
+      throw std::invalid_argument(Msg);
+    }
+  }
 
   const DiskParams &params() const { return PM.params(); }
   const PowerModel &powerModel() const { return PM; }

@@ -19,9 +19,67 @@
 #ifndef DRA_SIM_ENERGYLEDGER_H
 #define DRA_SIM_ENERGYLEDGER_H
 
-#include <map>
+#include <cstddef>
+#include <stdexcept>
+#include <utility>
 
 namespace dra {
+
+/// Joules keyed by spindle RPM, in ascending RPM order: the idle-dwell
+/// category of EnergyLedger and IdleOutcome. A disk only ever runs at its
+/// numRpmLevels() speeds, so the entries live inline and charging a gap
+/// never allocates; DiskTimingModel rejects parameters with more levels
+/// than Capacity. The interface is the part of std::map<unsigned, double>
+/// its users need, with the same key presence (operator[] inserts a zero
+/// entry) and ascending [Rpm, Joules] iteration.
+class RpmJoules {
+public:
+  static constexpr unsigned Capacity = 8;
+  using value_type = std::pair<unsigned, double>;
+  using iterator = value_type *;
+  using const_iterator = const value_type *;
+
+  /// The joules at \p Rpm, inserting a zero entry when absent.
+  double &operator[](unsigned Rpm) {
+    unsigned I = 0;
+    while (I != N && Items[I].first < Rpm)
+      ++I;
+    if (I != N && Items[I].first == Rpm)
+      return Items[I].second;
+    if (N == Capacity)
+      throw std::length_error("more RPM levels than RpmJoules::Capacity");
+    for (unsigned J = N; J != I; --J)
+      Items[J] = Items[J - 1];
+    ++N;
+    Items[I] = {Rpm, 0.0};
+    return Items[I].second;
+  }
+
+  const_iterator find(unsigned Rpm) const {
+    for (const_iterator It = begin(); It != end(); ++It)
+      if (It->first == Rpm)
+        return It;
+    return end();
+  }
+  size_t count(unsigned Rpm) const { return find(Rpm) != end(); }
+  const double &at(unsigned Rpm) const {
+    const_iterator It = find(Rpm);
+    if (It == end())
+      throw std::out_of_range("no joules recorded at this RPM");
+    return It->second;
+  }
+
+  size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  iterator begin() { return Items; }
+  iterator end() { return Items + N; }
+  const_iterator begin() const { return Items; }
+  const_iterator end() const { return Items + N; }
+
+private:
+  unsigned N = 0;
+  value_type Items[Capacity];
+};
 
 /// Disjoint attribution of one disk's integrated energy. Every joule of
 /// DiskStats::EnergyJ lands in exactly one category:
@@ -43,7 +101,7 @@ struct EnergyLedger {
   double ActiveWriteJ = 0.0;
   /// Idle dwell joules keyed by actual spindle RPM, so renderers need no
   /// DiskParams to name the levels.
-  std::map<unsigned, double> IdleByRpmJ;
+  RpmJoules IdleByRpmJ;
   double SpinDownJ = 0.0;
   double SpinUpJ = 0.0;
   double StandbyJ = 0.0;

@@ -15,7 +15,8 @@
 #ifndef DRA_SIM_IDLEOUTCOME_H
 #define DRA_SIM_IDLEOUTCOME_H
 
-#include <map>
+#include "sim/EnergyLedger.h"
+
 #include <vector>
 
 namespace dra {
@@ -56,7 +57,7 @@ struct IdleOutcome {
   ///   gapBreakdownJ() == GapEnergyJ.
   /// ReadyEnergyJ is deliberately not broken down here — the ledger
   /// attributes it wholesale (stalled -> ready penalty, hidden -> spin-up).
-  std::map<unsigned, double> IdleByRpmJ;
+  RpmJoules IdleByRpmJ;
   double SpinDownEnergyJ = 0.0; ///< Spin-down share of GapEnergyJ (TPM).
   double StandbyEnergyJ = 0.0;  ///< Standby share of GapEnergyJ (TPM).
   double RpmStepEnergyJ = 0.0;  ///< RPM-transition share (DRPM steps/ramps).

@@ -22,9 +22,10 @@
 ///
 /// The selection loop issues requests in globally non-decreasing time
 /// (equal-time ties in increasing processor order): a processor's next
-/// candidate can only move later as ProcReady/PhaseEnd grow, and a newly
-/// barrier-unlocked candidate starts at or after the completion that
-/// unlocked it. The sharded engine's batch ordering relies on this.
+/// candidate can only move later as its ready time and its tenant's
+/// barrier grow, and a newly barrier-unlocked candidate starts at or after
+/// the completion that unlocked it. The sharded engine's batch ordering
+/// relies on this.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +37,35 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 #include <vector>
 
 namespace dra {
+
+namespace replay_detail {
+
+inline constexpr uint32_t NoProc = ~uint32_t(0);
+
+/// One tenant's barrier gate. Every phase below Open is fully issued, so
+/// exactly the requests of phase Open are eligible; Barrier is the latest
+/// completion of the phases below it, OpenEnd that of phase Open so far.
+/// Processors whose next request waits on a later phase are parked on the
+/// tenant's list (Parked, linked through the replay's ParkNext) until Open
+/// reaches it.
+struct Gate {
+  size_t Open = 0;
+  double Barrier = 0.0;
+  double OpenEnd = 0.0;
+  uint32_t Parked = NoProc;
+};
+
+/// An eligible processor and the time its next request would issue.
+struct Candidate {
+  double IssueMs;
+  uint32_t Proc;
+};
+
+} // namespace replay_detail
 
 /// Runs the closed-loop replay of \p T: each processor alternates think
 /// time and synchronous I/O; barrier phases are scoped per tenant (a
@@ -53,83 +80,119 @@ namespace dra {
 template <typename SubmitFn, typename ObserveFn>
 double replayClosedLoop(const Trace &T, SubmitFn &&Submit,
                         ObserveFn &&Observe) {
-  // Per-processor request streams in issue order (one flat allocation).
-  TraceProcIndex Stream(T);
+  // Everything below is sized by processors, tenants and phases, all of
+  // which the trace recorded as it was built: replay starts without a
+  // pass over the requests.
+  const std::vector<Request> &Reqs = T.requests();
+  const TraceProcIndex Stream(T);
+  const unsigned NumProcs = T.numProcs();
+  const size_t NumPhases = size_t(T.maxPhase()) + 1;
+  const size_t NumTenants = size_t(T.maxTenant()) + 1;
 
-  // Per-(tenant, phase) barrier bookkeeping, row-major by tenant.
-  uint32_t NumPhases = T.maxPhase() + 1;
-  uint32_t NumTenants = T.maxTenant() + 1;
-  std::vector<uint64_t> Unissued(size_t(NumTenants) * NumPhases, 0);
-  std::vector<double> PhaseEnd(size_t(NumTenants) * NumPhases, 0.0);
-  for (const Request &R : T.requests())
-    ++Unissued[size_t(R.Tenant) * NumPhases + R.Phase];
+  // Per-(tenant, phase) requests not yet issued, row-major by tenant.
+  std::vector<uint64_t> Unissued(NumTenants * NumPhases);
+  for (size_t Tn = 0; Tn != NumTenants; ++Tn)
+    for (size_t Ph = 0; Ph != NumPhases; ++Ph)
+      Unissued[Tn * NumPhases + Ph] = T.phaseCount(uint32_t(Tn), uint32_t(Ph));
 
-  auto BarrierFor = [&](uint32_t Tenant, uint32_t Phase) {
-    double B = 0.0;
-    for (uint32_t Q = 0; Q != Phase; ++Q)
-      B = std::max(B, PhaseEnd[size_t(Tenant) * NumPhases + Q]);
-    return B;
+  using replay_detail::Gate;
+  using replay_detail::NoProc;
+  std::vector<Gate> Gates(NumTenants);
+  auto SkipIssued = [&](size_t Tn) {
+    Gate &G = Gates[Tn];
+    while (G.Open != NumPhases && Unissued[Tn * NumPhases + G.Open] == 0)
+      ++G.Open;
   };
-  auto PhaseReady = [&](uint32_t Tenant, uint32_t Phase) {
-    for (uint32_t Q = 0; Q != Phase; ++Q)
-      if (Unissued[size_t(Tenant) * NumPhases + Q] != 0)
-        return false;
-    return true;
-  };
+  for (size_t Tn = 0; Tn != NumTenants; ++Tn)
+    SkipIssued(Tn);
 
-  std::vector<size_t> Next(T.numProcs(), 0);
-  std::vector<double> ProcReady(T.numProcs(), 0.0);
+  // Eligible processors in a min-heap on (issue time, processor): the
+  // earliest issue goes next, equal times in increasing processor order.
+  // An entry's issue time cannot go stale: its processor's ready time
+  // moves only when it issues, and its tenant's barrier only when the
+  // open phase closes, at which point no processor of the tenant is
+  // eligible.
+  using replay_detail::Candidate;
+  auto Later = [](const Candidate &A, const Candidate &B) {
+    return A.IssueMs != B.IssueMs ? A.IssueMs > B.IssueMs : A.Proc > B.Proc;
+  };
+  std::vector<Candidate> Heap;
+  Heap.reserve(NumProcs);
+  std::vector<uint32_t> Head(NumProcs), ParkNext(NumProcs, NoProc);
+  std::vector<double> ProcReady(NumProcs, 0.0);
+
+  // Queues processor P's next request as a candidate, or parks P behind
+  // its tenant's barrier.
+  auto Place = [&](uint32_t P) {
+    if (Head[P] == Trace::NoRequest)
+      return;
+    const Request &R = Reqs[Head[P]];
+    Gate &G = Gates[R.Tenant];
+    if (R.Phase != G.Open) {
+      assert(R.Phase > G.Open && "a closed phase has unissued requests");
+      ParkNext[P] = G.Parked;
+      G.Parked = P;
+      return;
+    }
+    Heap.push_back({std::max(ProcReady[P], G.Barrier) + R.ThinkMs, P});
+    std::push_heap(Heap.begin(), Heap.end(), Later);
+  };
+  for (uint32_t P = 0; P != NumProcs; ++P) {
+    Head[P] = Stream.first(P);
+    Place(P);
+  }
 
   double MaxCompletion = 0.0;
-  uint64_t Remaining = T.size();
+  uint64_t Issued = 0;
+  while (!Heap.empty()) {
+    std::pop_heap(Heap.begin(), Heap.end(), Later);
+    const auto [IssueMs, P] = Heap.back();
+    Heap.pop_back();
+    const Request &R = Reqs[Head[P]];
+    Head[P] = Stream.next(Head[P]);
+    ++Issued;
 
-  while (Remaining != 0) {
-    // Pick the eligible processor with the earliest issue time.
-    int Best = -1;
-    double BestIssue = 0.0;
-    for (unsigned P = 0; P != T.numProcs(); ++P) {
-      if (Next[P] == Stream.ofProc(P).size())
-        continue;
-      const Request &R = *Stream.ofProc(P)[Next[P]];
-      if (!PhaseReady(R.Tenant, R.Phase))
-        continue;
-      double Issue =
-          std::max(ProcReady[P], BarrierFor(R.Tenant, R.Phase)) + R.ThinkMs;
-      if (Best < 0 || Issue < BestIssue) {
-        Best = int(P);
-        BestIssue = Issue;
+    double Completion = Submit(IssueMs, R);
+    ProcReady[P] = Completion;
+    Gate &G = Gates[R.Tenant];
+    G.OpenEnd = std::max(G.OpenEnd, Completion);
+    if (--Unissued[R.Tenant * NumPhases + R.Phase] == 0) {
+      // Phase closed: fold it into the barrier and release the processors
+      // parked on the next phase with requests.
+      G.Barrier = std::max(G.Barrier, G.OpenEnd);
+      G.OpenEnd = 0.0;
+      SkipIssued(R.Tenant);
+      uint32_t Q = G.Parked;
+      G.Parked = NoProc;
+      while (Q != NoProc) {
+        uint32_t NextQ = ParkNext[Q];
+        Place(Q);
+        Q = NextQ;
       }
     }
-    assert(Best >= 0 && "barrier deadlock: no eligible processor");
-
-    const Request &R = *Stream.ofProc(uint32_t(Best))[Next[Best]];
-    ++Next[Best];
-    --Remaining;
-
-    double Completion = Submit(BestIssue, R);
-    ProcReady[Best] = Completion;
-    --Unissued[size_t(R.Tenant) * NumPhases + R.Phase];
-    double &PE = PhaseEnd[size_t(R.Tenant) * NumPhases + R.Phase];
-    PE = std::max(PE, Completion);
     MaxCompletion = std::max(MaxCompletion, Completion);
 
-    Observe(R, BestIssue, Completion);
+    Observe(R, IssueMs, Completion);
+    Place(P);
   }
+  assert(Issued == T.size() && "barrier deadlock: no eligible processor");
+  (void)Issued;
   return MaxCompletion;
 }
 
 /// Runs replayClosedLoop over \p Submit and assembles the SimResults both
 /// engines report: request count, response sum and per-phase latency
 /// (into \p Timeline) in issue order; then \p Finish(WallMs), which must
-/// finalize every disk; then the \p NumDisks per-disk stats
-/// (\p StatsOf(D)) in disk order; and last the engine's "replay" span on
-/// thread 0 of \p TracePid when \p Tracer is set. The caller fills in
-/// Cache and AttributionEnabled.
-template <typename SubmitFn, typename FinishFn, typename StatsFn>
+/// finalize every disk; then the \p NumDisks per-disk stats, moved out of
+/// the finalized disks by \p TakeStats(D) in disk order; and last the
+/// engine's "replay" span on thread 0 of \p TracePid when \p Tracer is
+/// set. The caller fills in Cache and AttributionEnabled.
+template <typename SubmitFn, typename FinishFn, typename TakeStatsFn>
 SimResults replayAndAssemble(const Trace &T, SubmitFn &&Submit,
                              FinishFn &&Finish, unsigned NumDisks,
-                             StatsFn &&StatsOf, TimelineRecorder *Timeline,
-                             EventTracer *Tracer, uint64_t TracePid) {
+                             TakeStatsFn &&TakeStats,
+                             TimelineRecorder *Timeline, EventTracer *Tracer,
+                             uint64_t TracePid) {
   SimResults Res;
   double WallMs = replayClosedLoop(
       T, Submit, [&](const Request &R, double IssueMs, double Completion) {
@@ -143,15 +206,16 @@ SimResults replayAndAssemble(const Trace &T, SubmitFn &&Submit,
   if (Timeline)
     Timeline->endRun(WallMs);
   Res.WallTimeMs = WallMs;
+  Res.PerDisk.reserve(NumDisks);
   for (unsigned D = 0; D != NumDisks; ++D) {
-    const DiskStats &S = StatsOf(D);
+    DiskStats S = TakeStats(D);
     Res.IoTimeMs += S.BusyMs;
     Res.EnergyJ += S.EnergyJ;
     Res.NumFragments += S.NumRequests;
     Res.SpinDowns += S.SpinDowns;
     Res.SpinUps += S.SpinUps;
     Res.RpmSteps += S.RpmSteps;
-    Res.PerDisk.push_back(S);
+    Res.PerDisk.push_back(std::move(S));
   }
   if (Tracer) {
     Tracer->nameThread(TracePid, 0, "engine");

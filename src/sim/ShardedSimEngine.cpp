@@ -220,8 +220,8 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
 
   SimResults Res = replayAndAssemble(
       T, Submit, Finish, NumDisks,
-      [&](unsigned D) -> const DiskStats & {
-        return ShardVec[Router.shardOf(D)]->Disks[LocalIndex[D]].stats();
+      [&](unsigned D) {
+        return ShardVec[Router.shardOf(D)]->Disks[LocalIndex[D]].takeStats();
       },
       Timeline, Tracer, TracePid);
   Res.AttributionEnabled = Attribution;

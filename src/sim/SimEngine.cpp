@@ -32,7 +32,7 @@ SimResults SimEngine::run(const Trace &T) const {
                               R.Prov);
       },
       [&](double WallMs) { Storage.finalize(WallMs); }, Storage.numDisks(),
-      [&](unsigned D) -> const DiskStats & { return Storage.disk(D).stats(); },
+      [&](unsigned D) { return Storage.takeStats(D); },
       Timeline, Tracer, TracePid);
   Res.AttributionEnabled = Attribution;
   Res.Cache = Storage.cacheStats();

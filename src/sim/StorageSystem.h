@@ -53,7 +53,11 @@ public:
     uint64_t Unit = Layout.config().StripeUnitBytes;
     Layout.splitRequestInto(GlobalOffset, Bytes, Split);
     for (const SubRequest &Sub : Split) {
-      bool AllHit = Cache.enabled();
+      if (!Cache.enabled()) {
+        Completion = std::max(Completion, OnMiss(Sub));
+        continue;
+      }
+      bool AllHit = true;
       for (uint64_t B = Sub.DiskByteOffset / Unit;
            B <= (Sub.DiskByteOffset + Sub.Bytes - 1) / Unit; ++B) {
         if (IsWrite) {
@@ -107,6 +111,8 @@ public:
 
   unsigned numDisks() const { return unsigned(Disks.size()); }
   const Disk &disk(unsigned D) const { return Disks[D]; }
+  /// Moves disk \p D's stats out (Disk::takeStats) after finalize().
+  DiskStats takeStats(unsigned D) { return Disks[D].takeStats(); }
   const CacheStats &cacheStats() const { return Front.cacheStats(); }
 
   /// Scales per-disk parameters to model a DisksPerNode-way RAID-0 node.

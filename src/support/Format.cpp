@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 using namespace dra;
@@ -66,6 +67,9 @@ std::string dra::fmtExact(double Value) {
 }
 
 std::string dra::fmtPercent(double Fraction) {
+  // A ratio over an empty run (0/0) has no percentage to show.
+  if (!std::isfinite(Fraction))
+    return "n/a";
   return fmtDouble(Fraction * 100.0, 2) + "%";
 }
 

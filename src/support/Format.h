@@ -41,7 +41,8 @@ std::string fmtDouble(double Value, int Decimals = 2);
 /// fmtDouble.
 std::string fmtExact(double Value);
 
-/// Formats \p Value as a percentage with two fractional digits ("18.17%").
+/// Formats \p Value as a percentage with two fractional digits ("18.17%");
+/// "n/a" when \p Value is not finite (e.g. a 0/0 ratio over an empty run).
 std::string fmtPercent(double Fraction);
 
 /// Formats an integer with thousands separators ("148,526").

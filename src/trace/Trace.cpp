@@ -6,7 +6,8 @@
 
 #include "trace/Trace.h"
 
-#include <cassert>
+#include <algorithm>
+#include <stdexcept>
 
 using namespace dra;
 
@@ -17,40 +18,30 @@ uint64_t Trace::totalBytes() const {
   return N;
 }
 
+void Trace::prepareFor(const Request &R) {
+  if (R.Proc >= NumProcs)
+    throw std::out_of_range("request from unknown processor");
+  if (Requests.size() >= NoRequest)
+    throw std::length_error("trace exceeds 2^32 - 1 requests");
+  // Widen the rows when a phase outgrows them, doubling so re-layouts
+  // stay amortized O(1) per request; new tenants append rows.
+  if (R.Phase >= PhaseStride) {
+    size_t Stride = std::max(size_t(R.Phase) + 1, 2 * PhaseStride);
+    std::vector<uint64_t> Wider((size_t(MaxTenant) + 1) * Stride, 0);
+    for (size_t T = 0; PhaseStride != 0 && T <= MaxTenant; ++T)
+      std::copy_n(PhaseCounts.begin() + T * PhaseStride, PhaseStride,
+                  Wider.begin() + T * Stride);
+    PhaseCounts = std::move(Wider);
+    PhaseStride = Stride;
+  }
+  MaxTenant = std::max(MaxTenant, R.Tenant);
+  PhaseCounts.resize((size_t(MaxTenant) + 1) * PhaseStride, 0);
+}
+
 std::vector<const Request *> Trace::requestsOfProc(uint32_t P) const {
   std::vector<const Request *> Out;
-  for (const Request &R : Requests)
-    if (R.Proc == P)
-      Out.push_back(&R);
+  TraceProcIndex Index(*this);
+  for (uint32_t I = Index.first(P); I != NoRequest; I = Index.next(I))
+    Out.push_back(&Requests[I]);
   return Out;
-}
-
-uint32_t Trace::maxPhase() const {
-  uint32_t M = 0;
-  for (const Request &R : Requests)
-    M = std::max(M, R.Phase);
-  return M;
-}
-
-uint32_t Trace::maxTenant() const {
-  uint32_t M = 0;
-  for (const Request &R : Requests)
-    M = std::max(M, R.Tenant);
-  return M;
-}
-
-TraceProcIndex::TraceProcIndex(const Trace &T) {
-  // Counting sort by processor: exact per-proc counts, prefix sums, then a
-  // stable fill — one allocation, issue order preserved within each proc.
-  Begin.assign(T.numProcs() + 1, 0);
-  for (const Request &R : T.requests()) {
-    assert(R.Proc < T.numProcs() && "request from unknown processor");
-    ++Begin[R.Proc + 1];
-  }
-  for (size_t P = 1; P != Begin.size(); ++P)
-    Begin[P] += Begin[P - 1];
-  Flat.resize(T.size());
-  std::vector<size_t> Next(Begin.begin(), Begin.end() - 1);
-  for (const Request &R : T.requests())
-    Flat[Next[R.Proc]++] = &R;
 }

@@ -572,6 +572,34 @@ AttributionMap randomAttributionMap(std::mt19937_64 &Rng, unsigned Shape) {
 
 } // namespace
 
+TEST(AttributionMapTest, HintedLookupKeepsKeysSortedAndUnique) {
+  // Any hint, in range or past the end, finds the key's entry or inserts it
+  // at its sorted position; the map must match an ordered-map oracle.
+  std::mt19937_64 Rng(7);
+  AttributionMap M;
+  std::map<AttribKey, uint64_t> Oracle;
+  size_t Hint = 0;
+  for (unsigned I = 0; I != 4000; ++I) {
+    AttribKey K{uint32_t(Rng() % 4), uint32_t(Rng() % 3),
+                uint32_t(Rng() % 3)};
+    if (Rng() % 8 == 0)
+      K = AttribKey();
+    if (Rng() % 4 == 0)
+      Hint = size_t(Rng() % 48);
+    Hint = M.indexOf(K, Hint);
+    ASSERT_TRUE((M.begin() + ptrdiff_t(Hint))->first == K);
+    ++M.entry(Hint).NumRequests;
+    ++Oracle[K];
+  }
+  ASSERT_EQ(M.size(), Oracle.size());
+  auto It = M.begin();
+  for (const auto &[K, N] : Oracle) {
+    EXPECT_TRUE(It->first == K);
+    EXPECT_EQ(It->second.NumRequests, N);
+    ++It;
+  }
+}
+
 TEST(AttribFoldOracleTest, PerDiskViewsMatchRollupRendering) {
   AttributionNames Names;
   Names.Nests = {"s0", "s1"};

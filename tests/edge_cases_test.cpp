@@ -7,6 +7,7 @@
 #include "apps/Apps.h"
 #include "core/Pipeline.h"
 #include "core/Report.h"
+#include "frontend/Parser.h"
 #include "ir/ProgramBuilder.h"
 
 #include <gtest/gtest.h>
@@ -169,4 +170,24 @@ TEST(ReportEdge, EnergyBarsContainEveryAppAndScheme) {
   EXPECT_NE(Bars.find("Base"), std::string::npos);
   EXPECT_NE(Bars.find("TPM"), std::string::npos);
   EXPECT_NE(Bars.find('#'), std::string::npos);
+}
+
+TEST(PipelineEdge, EmptyRangeRendersNoNanPercentages) {
+  // A nest whose range is empty issues no requests, so every run is empty
+  // and every "vs Base" ratio is 0/0.
+  std::string Error;
+  std::optional<Program> P = Parser::parse(R"(
+program empty
+array A[4]
+nest n { for i0 = 10 .. 0 read A[i0] }
+)",
+                                           Error);
+  ASSERT_TRUE(P) << Error;
+  Report Rep(paperConfig(1), singleProcSchemes());
+  AppResults App = Rep.evaluate({"empty", [&] { return *P; }});
+  for (const SchemeRun &R : App.Runs)
+    EXPECT_EQ(R.Sim.NumRequests, 0u);
+  std::string Perf = Rep.renderPerfTable({App});
+  EXPECT_EQ(Perf.find("nan"), std::string::npos) << Perf;
+  EXPECT_NE(Perf.find("n/a"), std::string::npos) << Perf;
 }

@@ -237,6 +237,15 @@ nest n { for i0 = 0 .. 3 read A[i0] }
   EXPECT_NE(E.find("integer"), std::string::npos);
 }
 
+TEST(ParserTest, ErrorIntegerLiteralOutOfRange) {
+  std::string E = parseFail(R"(
+program p
+array A[4]
+nest n { for i0 = 0 .. 99999999999999999999 read A[i0] }
+)");
+  EXPECT_NE(E.find("integer literal out of range"), std::string::npos) << E;
+}
+
 TEST(ParserTest, ErrorOutOfBoundsAccess) {
   std::string E = parseFail(R"(
 program p

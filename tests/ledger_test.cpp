@@ -75,6 +75,32 @@ Program randomProgram(unsigned Seed) {
 // 10.9 s, break-even 15.2 s).
 //===----------------------------------------------------------------------===//
 
+TEST(LedgerTest, RpmJoulesKeepsMapOrderAndKeyPresence) {
+  RpmJoules J;
+  J[9000] += 1.0;
+  J[3000] += 2.0;
+  J[15000] += 0.0; // A zero charge still makes the key present.
+  J[3000] += 0.5;
+  std::vector<std::pair<unsigned, double>> Seen(J.begin(), J.end());
+  EXPECT_EQ(Seen, (std::vector<std::pair<unsigned, double>>{
+                      {3000, 2.5}, {9000, 1.0}, {15000, 0.0}}));
+  EXPECT_EQ(J.count(15000), 1u);
+  EXPECT_EQ(J.count(6000), 0u);
+  EXPECT_THROW(J.at(6000), std::out_of_range);
+  for (unsigned Rpm = 1; J.size() != RpmJoules::Capacity; ++Rpm)
+    J[Rpm] = 0.0;
+  EXPECT_THROW(J[100000], std::length_error);
+}
+
+TEST(LedgerTest, DiskRejectsMoreRpmLevelsThanTheLedgerHolds) {
+  DiskParams P;
+  P.RpmStep = 1000; // 13 levels between 3000 and 15000.
+  ASSERT_GT(P.numRpmLevels(), RpmJoules::Capacity);
+  EXPECT_THROW(Disk(0, P, PowerPolicyKind::Drpm), std::invalid_argument);
+  P.RpmStep = 2000; // 7 levels fit.
+  EXPECT_NO_THROW(Disk(0, P, PowerPolicyKind::Drpm));
+}
+
 TEST(LedgerTest, HandComputedTpmSpinDownScenario) {
   DiskParams P;
   PowerModel PM(P);

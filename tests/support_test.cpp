@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 using namespace dra;
 
@@ -55,6 +56,13 @@ TEST(FormatTest, FmtPercent) {
   EXPECT_EQ(fmtPercent(0.1817), "18.17%");
   EXPECT_EQ(fmtPercent(0.0), "0.00%");
   EXPECT_EQ(fmtPercent(-0.05), "-5.00%");
+}
+
+TEST(FormatTest, FmtPercentOfNonFiniteIsNotApplicable) {
+  EXPECT_EQ(fmtPercent(std::nan("")), "n/a");
+  EXPECT_EQ(fmtPercent(-std::nan("")), "n/a");
+  EXPECT_EQ(fmtPercent(std::numeric_limits<double>::infinity()), "n/a");
+  EXPECT_EQ(fmtPercent(-std::numeric_limits<double>::infinity()), "n/a");
 }
 
 TEST(FormatTest, FmtGrouped) {

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -265,6 +266,42 @@ TEST(TraceTest, RequestsOfProcFiltersInOrder) {
   ASSERT_EQ(P1.size(), 3u);
   EXPECT_EQ(P1[0]->StartBlock, 1u);
   EXPECT_EQ(P1[2]->StartBlock, 5u);
+}
+
+TEST(TraceTest, RecordsPhaseCountsAndRejectsUnknownProcs) {
+  // Tenants and phases arrive out of order, and phase 9 widens the count
+  // rows after tenant 1's row exists.
+  Trace T(2);
+  auto Add = [&](uint32_t Proc, uint32_t Tenant, uint32_t Phase) {
+    Request R;
+    R.Proc = Proc;
+    R.Tenant = Tenant;
+    R.Phase = Phase;
+    T.addRequest(R);
+  };
+  Add(0, 0, 1);
+  Add(1, 1, 0);
+  Add(0, 0, 1);
+  Add(1, 1, 9);
+  Add(0, 0, 2);
+  Add(1, 2, 3);
+  EXPECT_EQ(T.maxPhase(), 9u);
+  EXPECT_EQ(T.maxTenant(), 2u);
+  EXPECT_EQ(T.phaseCount(0, 1), 2u);
+  EXPECT_EQ(T.phaseCount(0, 2), 1u);
+  EXPECT_EQ(T.phaseCount(1, 0), 1u);
+  EXPECT_EQ(T.phaseCount(1, 9), 1u);
+  EXPECT_EQ(T.phaseCount(2, 3), 1u);
+  EXPECT_EQ(T.phaseCount(0, 0), 0u);
+  EXPECT_EQ(T.phaseCount(3, 0), 0u);
+  EXPECT_EQ(T.phaseCount(0, 10), 0u);
+  EXPECT_EQ(T.requestsOfProc(0).size(), 3u);
+  EXPECT_EQ(T.requestsOfProc(1).size(), 3u);
+
+  Request Bad;
+  Bad.Proc = 2;
+  EXPECT_THROW(T.addRequest(Bad), std::out_of_range);
+  EXPECT_EQ(T.size(), 6u);
 }
 
 TEST(TraceTest, MaxPhase) {
