@@ -7,26 +7,23 @@
 //
 //   1. identity: attribution is purely observational — the rendered sim
 //      results (timings, counters, total energy) of a run with attribution
-//      ON are byte-identical to the same run with attribution OFF, and the
-//      per-disk ledger categories match within FP-reassociation slack
-//      (with attribution on the ledger is derived as the per-entry sum,
-//      so its categories accumulate in a different order; sim/Disk.cpp);
+//      ON are byte-identical to the same run with attribution OFF, and so
+//      is every per-disk ledger category (both runs derive the ledger as
+//      the per-entry sum; OFF only drops the entries afterwards,
+//      sim/Disk.cpp and sim/ReplayCore.h);
 //   2. closure: every attribution-ON run passes the EnergyAuditor's
 //      per-category attribution closure;
 //   3. overhead: total simulator wall time with attribution ON stays
 //      within 10% of OFF (min-of-3 per run, measurement floor, skipped
 //      under sanitizers where relative path costs are meaningless).
 //
-// On the overhead budget: each request adds service time/energy/count to
-// its key's entry (a short walk in the disk's sorted entry vector) and
-// each gap charges half of every in-gap category to both bounding
-// entries. A 3% gate would sit at that floor and flake on shared-core CI,
-// where neighbour load swings either leg by +-5%. The 10% gate is the
-// tripwire for a per-charge map walk or allocation. At full scale the
-// ratio is close to it: on a 4-thread container the attributed replay
-// costs 7-25 ns/request more than the bare one (the spread is the host's
-// speed), and the bare replay runs 70-130 ns/request since its per-gap
-// allocations went (docs/PERFORMANCE.md "Simulator hot path").
+// On the overhead budget: the entries are the only ledger path, so both
+// legs charge every request and gap to them; ON differs only in keeping
+// the entries in its results (OFF drops them after the ledger fold). The
+// 10% gate is the tripwire for ON-only bookkeeping creeping back in —
+// a per-charge map walk or allocation on the attributed leg. A tighter
+// gate would flake on shared-core CI, where neighbour load swings either
+// leg by +-5% (docs/PERFORMANCE.md "Simulator hot path").
 //
 // Any violation exits nonzero.
 //
@@ -36,8 +33,8 @@
 #include "obs/RunReport.h"
 #include "verify/EnergyAuditor.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 
 using namespace dra;
 
@@ -90,40 +87,26 @@ std::string renderObservables(const SimResults &R) {
   return W.take();
 }
 
-/// True when every category of \p A matches \p B within 1e-12 relative —
-/// the reassociation slack from deriving the attribution-on ledger as the
-/// per-entry sum (the charges are identical, summed in a different order).
-bool ledgersClose(const EnergyLedger &A, const EnergyLedger &B) {
-  auto Close = [](double X, double Y) {
-    return std::fabs(X - Y) <=
-           1e-12 * std::max({1.0, std::fabs(X), std::fabs(Y)});
-  };
-  if (!Close(A.ActiveReadJ, B.ActiveReadJ) ||
-      !Close(A.ActiveWriteJ, B.ActiveWriteJ) ||
-      !Close(A.SpinDownJ, B.SpinDownJ) || !Close(A.SpinUpJ, B.SpinUpJ) ||
-      !Close(A.StandbyJ, B.StandbyJ) || !Close(A.RpmStepJ, B.RpmStepJ) ||
-      !Close(A.ReadyPenaltyJ, B.ReadyPenaltyJ))
-    return false;
-  for (const auto &[Rpm, J] : A.IdleByRpmJ) {
-    auto It = B.IdleByRpmJ.find(Rpm);
-    if (!Close(J, It == B.IdleByRpmJ.end() ? 0.0 : It->second))
-      return false;
-  }
-  for (const auto &[Rpm, J] : B.IdleByRpmJ)
-    if (!A.IdleByRpmJ.count(Rpm) && !Close(0.0, J))
-      return false;
-  return true;
+/// True when every category of \p A equals \p B's exactly, including the
+/// set of RPMs with idle dwell.
+bool ledgersEqual(const EnergyLedger &A, const EnergyLedger &B) {
+  return A.ActiveReadJ == B.ActiveReadJ && A.ActiveWriteJ == B.ActiveWriteJ &&
+         A.SpinDownJ == B.SpinDownJ && A.SpinUpJ == B.SpinUpJ &&
+         A.StandbyJ == B.StandbyJ && A.RpmStepJ == B.RpmStepJ &&
+         A.ReadyPenaltyJ == B.ReadyPenaltyJ &&
+         std::equal(A.IdleByRpmJ.begin(), A.IdleByRpmJ.end(),
+                    B.IdleByRpmJ.begin(), B.IdleByRpmJ.end());
 }
 
-/// Identity gate: \p On must reproduce \p Off's sim results exactly and
-/// its ledgers within reassociation slack.
+/// Identity gate: \p On must reproduce \p Off's sim results and ledgers
+/// exactly.
 bool sameObservables(const SimResults &Off, const SimResults &On) {
   if (renderObservables(Off) != renderObservables(On))
     return false;
   if (Off.PerDisk.size() != On.PerDisk.size())
     return false;
   for (size_t I = 0; I != Off.PerDisk.size(); ++I)
-    if (!ledgersClose(Off.PerDisk[I].Ledger, On.PerDisk[I].Ledger))
+    if (!ledgersEqual(Off.PerDisk[I].Ledger, On.PerDisk[I].Ledger))
       return false;
   return true;
 }

@@ -6,8 +6,7 @@
 
 #include "core/EnergyEstimator.h"
 #include "analysis/SymbolicFootprint.h"
-#include "sim/DrpmPolicy.h"
-#include "sim/TpmPolicy.h"
+#include "sim/DiskTimingModel.h"
 
 #include <cassert>
 
@@ -36,21 +35,11 @@ EnergyEstimate EnergyEstimator::estimate(const Schedule &S) const {
   std::vector<unsigned> Rpm(D, Params.MaxRpm);
   double Clock = 0.0;
 
+  // The simulator's own gap dispatch; with no DRPM controller modeled, no
+  // step-down is ever pending.
   auto AccountGap = [&](unsigned Disk, double GapMs, bool RequestArrives) {
-    IdleOutcome O;
-    switch (Policy) {
-    case PowerPolicyKind::None:
-      O.GapEnergyJ = Params.IdlePowerW * GapMs / 1000.0;
-      O.EndRpm = Rpm[Disk];
-      break;
-    case PowerPolicyKind::Tpm:
-      O = Tpm.evaluateIdle(GapMs, RequestArrives);
-      break;
-    case PowerPolicyKind::Drpm:
-      O = Drpm.evaluateIdle(GapMs, Rpm[Disk], Rpm[Disk],
-                            Params.DrpmProactiveHints && RequestArrives);
-      break;
-    }
+    IdleOutcome O = evaluateIdleGap(Policy, Tpm, Drpm, GapMs, Rpm[Disk],
+                                    Rpm[Disk], RequestArrives);
     E.PerDiskEnergyJ[Disk] += O.GapEnergyJ + O.ReadyEnergyJ;
     E.SpinDowns += O.SpinDowns;
     E.RpmSteps += O.RpmSteps;
@@ -106,8 +95,7 @@ EnergyEstimate EnergyEstimator::footprintBound(const Program &P,
 
   // One full-speed fetch per demanded tile, serialized by the single
   // issuing processor (the estimator's machine model).
-  double Svc = PM.serviceMs(Layout.tileBytes(), Params.MaxRpm,
-                            /*Sequential=*/false);
+  double Svc = PM.nominalServiceMs(Layout.tileBytes());
   std::vector<uint64_t> Demand = FP.totalPerDiskDemand();
   assert(Demand.size() == D && "footprint built for another layout");
   for (unsigned Disk = 0; Disk != D; ++Disk)

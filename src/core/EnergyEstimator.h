@@ -9,8 +9,8 @@
 /// consume — no event simulation, no queueing. The estimator walks a
 /// single-processor schedule once, maintaining a nominal clock (think times
 /// + full-speed service times) and per-disk last-busy marks, and evaluates
-/// every idle gap with the same pure policy formulas the simulator uses
-/// (TpmPolicy / DrpmPolicy idle evaluation).
+/// every idle gap through the simulator's own policy dispatch
+/// (evaluateIdleGap, sim/DiskTimingModel.h).
 ///
 /// This is the cost model a "unified optimizer" needs (the paper's future
 /// work, Sec. 8): fast enough to rank many candidate layouts, and within a

@@ -67,6 +67,14 @@ PowerPolicyKind dra::schemePolicy(Scheme S) {
   return PowerPolicyKind::None;
 }
 
+DiskParams dra::schemeDiskParams(Scheme S, DiskParams Disk) {
+  if (schemeRestructures(S) && schemePolicy(S) == PowerPolicyKind::Tpm)
+    Disk.TpmProactiveHints = true;
+  if (schemeRestructures(S) && schemePolicy(S) == PowerPolicyKind::Drpm)
+    Disk.DrpmProactiveHints = true;
+  return Disk;
+}
+
 bool dra::schemeRestructures(Scheme S) {
   return S == Scheme::TTpmS || S == Scheme::TDrpmS || S == Scheme::TTpmM ||
          S == Scheme::TDrpmM;
@@ -339,14 +347,7 @@ SchemeRun Pipeline::run(Scheme S) const {
   ScheduledWork Work = compile(S);
   Trace T = generateTrace(S, Work);
 
-  // The restructured versions also get the compiler's proactive power
-  // hints — spin-up calls for TPM (Son et al. [25]) and ramp-up calls for
-  // DRPM; the plain hardware policies stay reactive.
-  DiskParams Disk = Config.Disk;
-  if (schemeRestructures(S) && schemePolicy(S) == PowerPolicyKind::Tpm)
-    Disk.TpmProactiveHints = true;
-  if (schemeRestructures(S) && schemePolicy(S) == PowerPolicyKind::Drpm)
-    Disk.DrpmProactiveHints = true;
+  DiskParams Disk = schemeDiskParams(S, Config.Disk);
   SchemeRun Run;
   Run.S = S;
   if (Config.Attribution)

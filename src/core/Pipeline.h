@@ -54,6 +54,12 @@ std::vector<Scheme> singleProcSchemes();
 /// Power policy used by a scheme.
 PowerPolicyKind schemePolicy(Scheme S);
 
+/// The disk parameters scheme \p S simulates with: the restructured
+/// versions also get the compiler's proactive power hints — spin-up calls
+/// for TPM (Son et al. [25]) and ramp-up calls for DRPM; the plain
+/// hardware policies stay reactive.
+DiskParams schemeDiskParams(Scheme S, DiskParams Disk);
+
 /// Whether the scheme applies the Sec. 5 restructuring.
 bool schemeRestructures(Scheme S);
 
@@ -132,13 +138,11 @@ struct PipelineConfig {
   /// Independent verification level; errors throw VerificationError.
   VerifyLevel Verify = VerifyLevel::Off;
   /// Source-attributed energy profiling (sim/Attribution.h,
-  /// docs/OBSERVABILITY.md "Attribution"): when true the simulator charges
-  /// every joule to its originating (nest, reference, round) key and runs
-  /// expose the per-nest attribution ledger. Observational: timings,
-  /// counters and total energy are identical with and without; ledger
-  /// categories can differ only by FP reassociation (the same charges
-  /// summed in a different order). Disable to shave the bookkeeping off
-  /// hot sweeps.
+  /// docs/OBSERVABILITY.md "Attribution"): the simulator always charges
+  /// every joule to its originating (nest, reference, round) key and folds
+  /// those entries into the ledgers; this only chooses whether runs export
+  /// the per-key attribution. Every other result is bit-identical either
+  /// way.
   bool Attribution = true;
   /// Optional telemetry sinks (docs/OBSERVABILITY.md). When attached, the
   /// pipeline records per-pass spans/metrics and each simulation emits a

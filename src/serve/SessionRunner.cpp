@@ -283,14 +283,9 @@ SessionResult SessionRunner::run() {
   // Simulate exactly as Pipeline::run does: restructured schemes get the
   // compiler's proactive power hints, the tracer process is named after
   // the scheme.
-  DiskParams Disk = Cfg.Disk;
-  if (schemeRestructures(S) && schemePolicy(S) == PowerPolicyKind::Tpm)
-    Disk.TpmProactiveHints = true;
-  if (schemeRestructures(S) && schemePolicy(S) == PowerPolicyKind::Drpm)
-    Disk.DrpmProactiveHints = true;
-  SimEngine Engine(Layout, Disk, schemePolicy(S), Cfg.Cache, Cfg.Trace,
-                   std::string("sim ") + schemeName(S), Cfg.Attribution,
-                   Cfg.Timeline);
+  SimEngine Engine(Layout, schemeDiskParams(S, Cfg.Disk), schemePolicy(S),
+                   Cfg.Cache, Cfg.Trace, std::string("sim ") + schemeName(S),
+                   Cfg.Attribution, Cfg.Timeline);
 
   Result.Run.S = S;
   Result.Run.AttribNames = attributionNamesOf(*Prog);

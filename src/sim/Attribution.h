@@ -23,12 +23,11 @@
 ///     provenance goes to the unattributed key. Halving is exact in
 ///     IEEE-754, so the split never perturbs closure.
 ///
-/// With attribution on the entries are the primary record: every charge
-/// lands in an AttribEntry and Disk::finalize derives the disk's ledger as
-/// their per-category sum, making closure exact by construction (and the
-/// hot path one set of charges instead of two). Ledger categories of an
-/// attribution-on run can therefore differ from the same run without
-/// attribution only by FP reassociation.
+/// The entries are the only ledger path: every charge lands in an
+/// AttribEntry and Disk::finalize derives the disk's ledger as their
+/// per-category sum, making closure exact by construction. A run without
+/// attribution (the engines' flag) drops the entries after that fold, so
+/// its ledgers are bit-identical to the same run's with attribution.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 using namespace dra;
 
@@ -18,10 +17,8 @@ using namespace dra;
 static double simUs(double Ms) { return Ms * 1000.0; }
 
 Disk::Disk(unsigned Id, const DiskParams &Params, PowerPolicyKind Policy,
-           EventTracer *Trace, uint64_t TracePid, bool Attribution,
-           TimelineRecorder *Timeline)
-    : Id(Id), Model(Params, Policy, /*WantSegments=*/Timeline != nullptr),
-      Trace(Trace), TracePid(TracePid), Attribution(Attribution),
+           EventTracer *Trace, uint64_t TracePid, TimelineRecorder *Timeline)
+    : Id(Id), Model(Params, Policy), Trace(Trace), TracePid(TracePid),
       TL(Timeline) {}
 
 size_t Disk::entryIndex(const AttribKey &Key) {
@@ -44,62 +41,43 @@ void Disk::chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
   S.SpinUps += O.SpinUps;
   S.RpmSteps += O.RpmSteps;
 
-  // Ledger attribution. The in-gap energy arrives pre-split by the policy
-  // (IdleOutcome breakdown fields, which must sum to GapEnergyJ); ready
-  // energy charged during an actual stall is the ready-delay penalty,
-  // while stall-free ready energy is a compiler-hidden proactive spin-up
-  // (the only zero-delay case, see TpmPolicy.cpp).
-  assert(std::fabs(O.gapBreakdownJ() - O.GapEnergyJ) <=
-             1e-9 * std::max(1.0, std::fabs(O.GapEnergyJ)) &&
-         "policy gap-energy breakdown must sum to GapEnergyJ");
-  if (!Attribution) {
-    for (const auto &[IdleRpm, Joules] : O.IdleByRpmJ)
-      S.Ledger.addIdle(IdleRpm, Joules);
-    S.Ledger.SpinDownJ += O.SpinDownEnergyJ;
-    S.Ledger.StandbyJ += O.StandbyEnergyJ;
-    S.Ledger.RpmStepJ += O.RpmStepEnergyJ;
+  // The entries — not S.Ledger — receive every gap charge; finalize()
+  // folds them into the ledger, so the closure invariant is exact by
+  // construction. The in-gap energy arrives pre-split by category (the
+  // IdleOutcome fields, each the sum of its slices) and splits half/half
+  // between the bounding requests' entries (halving is exact in
+  // IEEE-754); a warm-up gap has no previous bound, so that half falls to
+  // the unattributed key, which sorts after every provenance key and so
+  // never moves the next bound's entry. Ready energy belongs wholly to the
+  // arriving request: charged during an actual stall it is the ready-delay
+  // penalty, while stall-free ready energy is a compiler-hidden proactive
+  // spin-up (the only zero-delay case, see TpmPolicy.cpp).
+  size_t PrevIdx = LastIdx;
+  if (PrevIdx == NoEntry) {
+    PrevIdx = entryIndex(AttribKey());
+    assert(PrevIdx >= NextIdx && "warm-up insertion moved the next bound");
+  }
+  EnergyLedger &Prev = S.Attrib.entry(PrevIdx).Energy;
+  EnergyLedger &Next = S.Attrib.entry(NextIdx).Energy;
+  for (const auto &[IdleRpm, Joules] : O.IdleByRpmJ) {
+    Prev.IdleByRpmJ[IdleRpm] += Joules * 0.5;
+    Next.IdleByRpmJ[IdleRpm] += Joules * 0.5;
+  }
+  // Most gaps carry idle dwell only; one combined test keeps the three
+  // spin/step charges off the common path.
+  if (O.SpinDownEnergyJ != 0.0 || O.StandbyEnergyJ != 0.0 ||
+      O.RpmStepEnergyJ != 0.0) {
+    for (EnergyLedger *Side : {&Prev, &Next}) {
+      Side->SpinDownJ += O.SpinDownEnergyJ * 0.5;
+      Side->StandbyJ += O.StandbyEnergyJ * 0.5;
+      Side->RpmStepJ += O.RpmStepEnergyJ * 0.5;
+    }
+  }
+  if (O.ReadyEnergyJ != 0.0) {
     if (O.ReadyDelayMs > 0)
-      S.Ledger.ReadyPenaltyJ += O.ReadyEnergyJ;
+      Next.ReadyPenaltyJ += O.ReadyEnergyJ;
     else
-      S.Ledger.SpinUpJ += O.ReadyEnergyJ;
-  } else {
-    // With attribution on, the entries — not S.Ledger — receive every
-    // gap charge; finalize() folds them back into the ledger, so the
-    // closure invariant is exact by construction and the hot path does
-    // one set of charges instead of two. In-gap energy splits half/half
-    // between the bounding requests' entries (halving is exact in
-    // IEEE-754); a warm-up gap has no previous bound, so that half falls
-    // to the unattributed key, which sorts after every provenance key and
-    // so never moves the next bound's entry. Ready energy belongs wholly
-    // to the arriving request, split stalled/hidden as in the ledger
-    // branch above.
-    size_t PrevIdx = LastIdx;
-    if (PrevIdx == NoEntry) {
-      PrevIdx = entryIndex(AttribKey());
-      assert(PrevIdx >= NextIdx && "warm-up insertion moved the next bound");
-    }
-    EnergyLedger &Prev = S.Attrib.entry(PrevIdx).Energy;
-    EnergyLedger &Next = S.Attrib.entry(NextIdx).Energy;
-    for (const auto &[IdleRpm, Joules] : O.IdleByRpmJ) {
-      Prev.IdleByRpmJ[IdleRpm] += Joules * 0.5;
-      Next.IdleByRpmJ[IdleRpm] += Joules * 0.5;
-    }
-    // Most gaps carry idle dwell only; one combined test keeps the three
-    // spin/step charges off the common path.
-    if (O.SpinDownEnergyJ != 0.0 || O.StandbyEnergyJ != 0.0 ||
-        O.RpmStepEnergyJ != 0.0) {
-      for (EnergyLedger *Side : {&Prev, &Next}) {
-        Side->SpinDownJ += O.SpinDownEnergyJ * 0.5;
-        Side->StandbyJ += O.StandbyEnergyJ * 0.5;
-        Side->RpmStepJ += O.RpmStepEnergyJ * 0.5;
-      }
-    }
-    if (O.ReadyEnergyJ != 0.0) {
-      if (O.ReadyDelayMs > 0)
-        Next.ReadyPenaltyJ += O.ReadyEnergyJ;
-      else
-        Next.SpinUpJ += O.ReadyEnergyJ;
-    }
+      Next.SpinUpJ += O.ReadyEnergyJ;
   }
 
   // Classify the gap against the TPM break-even time (Sec. 3). Full-speed
@@ -153,7 +131,7 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
   // the ledger's active-energy category and names the traced span.
   // Resolve the request's attribution entry once; both the gap it ends
   // (as the "next" bound) and its own service charges go through it.
-  size_t EIdx = Attribution ? entryIndex(AttribKey::of(Prov)) : NoEntry;
+  size_t EIdx = entryIndex(AttribKey::of(Prov));
 
   double ReadyDelayMs = 0.0;
   FragmentTiming T = Model.submit(
@@ -177,19 +155,14 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
     TL->recordService(Id, T.ServiceStartMs, Svc, SvcJ, IsWrite, Bytes);
   }
 
-  AttribEntry *E = nullptr;
-  if (!Attribution) {
-    (IsWrite ? S.Ledger.ActiveWriteJ : S.Ledger.ActiveReadJ) += SvcJ;
-  } else {
-    // Service charges go to the entry; finalize() folds it into S.Ledger.
-    E = &S.Attrib.entry(EIdx);
-    (IsWrite ? E->Energy.ActiveWriteJ : E->Energy.ActiveReadJ) += SvcJ;
-    E->BusyMs += Svc;
-    if (ReadyDelayMs != 0.0)
-      E->ReadyDelayMs += ReadyDelayMs;
-    ++E->NumRequests;
-    LastIdx = EIdx;
-  }
+  // Service charges go to the entry; finalize() folds it into S.Ledger.
+  AttribEntry &E = S.Attrib.entry(EIdx);
+  (IsWrite ? E.Energy.ActiveWriteJ : E.Energy.ActiveReadJ) += SvcJ;
+  E.BusyMs += Svc;
+  if (ReadyDelayMs != 0.0)
+    E.ReadyDelayMs += ReadyDelayMs;
+  ++E.NumRequests;
+  LastIdx = EIdx;
 
   if (Trace) {
     std::vector<TraceArg> Args = {
@@ -215,10 +188,7 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
     // already queued later arrivals behind it.
     double RampJ = PM.rpmTransitionJ(T.ServiceRpm, T.RampToRpm);
     S.EnergyJ += RampJ;
-    if (E)
-      E->Energy.RpmStepJ += RampJ; // Ramp caused by the serviced request.
-    else
-      S.Ledger.RpmStepJ += RampJ;
+    E.Energy.RpmStepJ += RampJ; // Ramp caused by the serviced request.
     if (Trace)
       for (unsigned L = 0; L != T.RampLevels; ++L)
         Trace->instantEvent(TracePid, Id + 1, "rpm-step", "disk",
@@ -237,15 +207,11 @@ void Disk::finalize(double EndMs) {
   // the unattributed key.
   Model.finalize(EndMs, [&](const IdleOutcome &O, double GapStartMs,
                             double GapMs) {
-    chargeGap(O, GapStartMs, GapMs,
-              Attribution ? entryIndex(AttribKey()) : NoEntry);
+    chargeGap(O, GapStartMs, GapMs, entryIndex(AttribKey()));
   });
-  // With attribution on, every category charge went to the attribution
-  // entries; the ledger is their per-category sum, which makes the
-  // auditor's closure invariant exact by construction. Categories can
-  // differ from an attribution-off run only by FP reassociation (the
-  // charges are identical, summed in a different order).
-  if (Attribution)
-    for (const auto &KV : S.Attrib)
-      S.Ledger += KV.second.Energy;
+  // Every category charge went to the attribution entries; the ledger is
+  // their per-category sum, which makes the auditor's closure invariant
+  // exact by construction.
+  for (const auto &KV : S.Attrib)
+    S.Ledger += KV.second.Energy;
 }

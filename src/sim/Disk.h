@@ -8,8 +8,8 @@
 /// One disk (I/O node): the DiskTimingModel (sim/DiskTimingModel.h) decides
 /// every service time, idle-gap outcome and power-state change, and the
 /// disk charges what the model reports to its accounting sinks — DiskStats,
-/// the energy ledger or attribution map, the event tracer and the timeline
-/// recorder.
+/// the attribution entries (folded into the energy ledger at finalize), the
+/// event tracer and the timeline recorder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,9 +59,9 @@ struct DiskStats {
   double MissedOpportunityJ = 0.0;
 
   /// Source attribution of the ledger (sim/Attribution.h): energy/time per
-  /// (nest, reference, round) key. Populated only when the disk was built
-  /// with attribution enabled; summing entries per category reproduces
-  /// Ledger exactly (verify/EnergyAuditor).
+  /// (nest, reference, round) key. Every disk records it, and Ledger is its
+  /// per-category sum; an engine run without attribution drops it from
+  /// the results (SimResults::AttributionEnabled).
   AttributionMap Attrib;
 
   /// Associative merge of two partial views of the same disk (or an
@@ -94,12 +94,6 @@ public:
   ///        timeline (service/idle spans, spin and RPM instants) as thread
   ///        \p Id + 1 of process \p TracePid, stamped in simulated time.
   ///        Purely observational: results are identical with and without.
-  /// \param Attribution when true the disk also charges every joule to its
-  ///        originating (nest, reference, round) key in DiskStats::Attrib,
-  ///        and finalize() derives the ledger as the per-category sum of
-  ///        the entries. Timings, counters and total energy are identical
-  ///        with and without; ledger categories can differ only by FP
-  ///        reassociation (the same charges, summed in a different order).
   /// \param Timeline optional windowed time-series recorder
   ///        (obs/Timeline.h); the disk buckets its power states, energy
   ///        categories and throughput into simulated-time windows of the
@@ -107,7 +101,7 @@ public:
   ///        identical with and without.
   Disk(unsigned Id, const DiskParams &Params, PowerPolicyKind Policy,
        EventTracer *Trace = nullptr, uint64_t TracePid = 0,
-       bool Attribution = false, TimelineRecorder *Timeline = nullptr);
+       TimelineRecorder *Timeline = nullptr);
 
   unsigned id() const { return Id; }
   unsigned currentRpm() const { return Model.currentRpm(); }
@@ -118,13 +112,15 @@ public:
 
   /// Services a request arriving at \p ArrivalMs for \p Bytes at disk
   /// offset \p Offset. Returns the completion time. Requests must be
-  /// submitted in non-decreasing arrival order (FCFS). \p Prov is the
-  /// request's compiler provenance, consumed only when attribution is on.
+  /// submitted in non-decreasing arrival order (FCFS). Every joule and
+  /// millisecond is charged to the attribution entry of the request's
+  /// compiler provenance \p Prov.
   double submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
                 bool IsWrite, Provenance Prov = Provenance());
 
-  /// Integrates the trailing idle period up to \p EndMs. Must be called
-  /// exactly once, after the last submit.
+  /// Integrates the trailing idle period up to \p EndMs and folds the
+  /// attribution entries into the ledger. Must be called exactly once,
+  /// after the last submit.
   void finalize(double EndMs);
 
 private:
@@ -133,7 +129,6 @@ private:
   DiskStats S;
   EventTracer *Trace;
   uint64_t TracePid;
-  bool Attribution;
   TimelineRecorder *TL;
   /// Position in S.Attrib of the most recent serviced request's entry —
   /// the "previous bound" of the next idle gap; NoEntry until the first
@@ -149,7 +144,7 @@ private:
   /// Charges the idle gap [GapStartMs, GapStartMs + GapMs), evaluated by
   /// the model as \p O, to every sink. \p NextIdx is the S.Attrib position
   /// of the request ending the gap (the unattributed entry for the
-  /// finalize tail); unused when attribution is off.
+  /// finalize tail).
   void chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
                  size_t NextIdx);
 

@@ -8,10 +8,10 @@
 /// The only code that computes disk timing: FCFS service, seek/rotation/
 /// transfer times, lazy idle-gap evaluation under the power policy (none /
 /// TPM / DRPM) and the DRPM controller. It charges nothing. Disk owns one
-/// and derives every accounting view (stats, ledger or attribution, tracer,
-/// timeline) from what the model reports; the sharded engine's coordinator
-/// runs bare models to learn each fragment's completion ahead of the shard
-/// that replays the owning Disk.
+/// and derives every accounting view (stats, attribution entries and the
+/// ledger folded from them, tracer, timeline) from what the model reports;
+/// the sharded engine's coordinator runs bare models to learn each
+/// fragment's completion ahead of the shard that replays the owning Disk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +33,35 @@ namespace dra {
 /// charged the near-sequential seek time instead of the average seek.
 inline constexpr uint64_t SeqWindowBytes = 1024 * 1024;
 
+/// Evaluates an idle gap of \p GapMs under \p Policy: the one policy
+/// dispatch, shared by DiskTimingModel and the compiler's EnergyEstimator.
+/// The disk enters the gap at \p Rpm with a deferred DRPM step-down target
+/// of \p PendingRpm (== \p Rpm when none); \p RequestArrives is false for
+/// the trailing gap at the end of a run. The proactive-hint flags of the
+/// policies' DiskParams (both policies share one PowerModel) apply.
+inline IdleOutcome evaluateIdleGap(PowerPolicyKind Policy,
+                                   const TpmPolicy &Tpm,
+                                   const DrpmPolicy &Drpm, double GapMs,
+                                   unsigned Rpm, unsigned PendingRpm,
+                                   bool RequestArrives) {
+  const DiskParams &P = Tpm.powerModel().params();
+  switch (Policy) {
+  case PowerPolicyKind::None: {
+    IdleOutcome O;
+    O.add(GapPhase::Idle, Rpm, GapMs, P.IdlePowerW * GapMs / 1000.0);
+    O.EndRpm = Rpm;
+    return O;
+  }
+  case PowerPolicyKind::Tpm:
+    return Tpm.evaluateIdle(GapMs, RequestArrives);
+  case PowerPolicyKind::Drpm:
+    return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
+                             P.DrpmProactiveHints && RequestArrives);
+  }
+  assert(false && "unknown policy kind");
+  return IdleOutcome();
+}
+
 /// How the model serviced one fragment.
 struct FragmentTiming {
   double ServiceStartMs = 0.0; ///< After queueing and any ready delay.
@@ -50,13 +79,10 @@ struct FragmentTiming {
 /// vector.
 class DiskTimingModel {
 public:
-  /// \param WantSegments ask the policies for IdleOutcome::Segments (the
-  ///        timeline recorder's input); timing is identical either way.
   /// \throws std::invalid_argument when \p Params has more RPM levels than
   ///         an IdleOutcome can record (RpmJoules::Capacity).
-  DiskTimingModel(const DiskParams &Params, PowerPolicyKind Policy,
-                  bool WantSegments = false)
-      : PM(Params), Policy(Policy), WantSegments(WantSegments), Tpm(PM),
+  DiskTimingModel(const DiskParams &Params, PowerPolicyKind Policy)
+      : PM(Params), Policy(Policy), Tpm(PM),
         Drpm(PM), Rpm(Params.MaxRpm), PendingRpm(Params.MaxRpm) {
     if (Params.numRpmLevels() > RpmJoules::Capacity) {
       std::string Msg = "disk has ";
@@ -131,7 +157,6 @@ public:
 private:
   PowerModel PM;
   PowerPolicyKind Policy;
-  bool WantSegments;
   TpmPolicy Tpm;
   DrpmPolicy Drpm;
 
@@ -149,34 +174,12 @@ private:
   /// ready delay before service can start.
   template <typename OnGapFn>
   double leaveGap(double GapMs, bool RequestArrives, OnGapFn &OnGap) {
-    IdleOutcome O = evaluateGap(GapMs, RequestArrives);
+    IdleOutcome O = evaluateIdleGap(Policy, Tpm, Drpm, GapMs, Rpm, PendingRpm,
+                                    RequestArrives);
     OnGap(O, BusyUntilMs, GapMs);
     Rpm = O.EndRpm;
     PendingRpm = Rpm; // Any deferred step-down has now been honored.
     return O.ReadyDelayMs;
-  }
-
-  /// Evaluates an idle gap of \p GapMs starting now under the policy.
-  IdleOutcome evaluateGap(double GapMs, bool RequestArrives) const {
-    switch (Policy) {
-    case PowerPolicyKind::None: {
-      IdleOutcome O;
-      O.GapEnergyJ = params().IdlePowerW * GapMs / 1000.0;
-      O.IdleByRpmJ[Rpm] = O.GapEnergyJ;
-      O.EndRpm = Rpm;
-      if (WantSegments)
-        O.Segments.push_back({GapPhase::Idle, Rpm, GapMs, O.GapEnergyJ});
-      return O;
-    }
-    case PowerPolicyKind::Tpm:
-      return Tpm.evaluateIdle(GapMs, RequestArrives, WantSegments);
-    case PowerPolicyKind::Drpm:
-      return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
-                               params().DrpmProactiveHints && RequestArrives,
-                               WantSegments);
-    }
-    assert(false && "unknown policy kind");
-    return IdleOutcome();
   }
 };
 

@@ -11,15 +11,15 @@
 
 using namespace dra;
 
-/// Sink-only evaluation: the idle dwell/step loop without any ramp-back.
-static IdleOutcome sinkDuringGap(const PowerModel &PM, double IdleMs,
-                                 unsigned StartRpm, unsigned PendingRpm,
-                                 bool WantSegments) {
+/// Sink-only evaluation into the fresh outcome \p O: the idle dwell/step
+/// loop without any ramp-back.
+static void sinkDuringGap(const PowerModel &PM, double IdleMs,
+                          unsigned StartRpm, unsigned PendingRpm,
+                          IdleOutcome &O) {
   const DiskParams &P = PM.params();
   const double StepWaitMs = P.DrpmIdleStepDownS * 1000.0;
   const double StepMs = PM.rpmTransitionMs(1);
 
-  IdleOutcome O;
   O.EndRpm = StartRpm;
   double Remaining = IdleMs;
   // Levels the deferred controller command still owes us: these execute
@@ -33,24 +33,18 @@ static IdleOutcome sinkDuringGap(const PowerModel &PM, double IdleMs,
       // bottom level the disk simply idles out the rest of the gap.
       double Dwell =
           O.EndRpm <= P.MinRpm ? Remaining : std::min(Remaining, StepWaitMs);
-      double DwellJ = PM.idlePowerW(O.EndRpm) * Dwell / 1000.0;
-      O.GapEnergyJ += DwellJ;
-      O.IdleByRpmJ[O.EndRpm] += DwellJ;
-      if (WantSegments)
-        O.Segments.push_back({GapPhase::Idle, O.EndRpm, Dwell, DwellJ});
+      O.add(GapPhase::Idle, O.EndRpm, Dwell,
+            PM.idlePowerW(O.EndRpm) * Dwell / 1000.0);
       Remaining -= Dwell;
       if (Remaining <= 0 || O.EndRpm <= P.MinRpm)
-        return O;
+        return;
     }
     // Step one level down. If the gap ends mid-transition, the ending
     // request waits for the transition to complete.
     unsigned NextRpm = O.EndRpm - P.RpmStep;
     double TransMs = std::min(Remaining, StepMs);
-    double TransJ = PM.idlePowerW(O.EndRpm) * TransMs / 1000.0;
-    O.GapEnergyJ += TransJ;
-    O.RpmStepEnergyJ += TransJ;
-    if (WantSegments)
-      O.Segments.push_back({GapPhase::RpmStep, O.EndRpm, TransMs, TransJ});
+    O.add(GapPhase::RpmStep, O.EndRpm, TransMs,
+          PM.idlePowerW(O.EndRpm) * TransMs / 1000.0);
     Remaining -= TransMs;
     ++O.RpmSteps;
     if (OwedSteps != 0)
@@ -59,22 +53,22 @@ static IdleOutcome sinkDuringGap(const PowerModel &PM, double IdleMs,
       O.ReadyDelayMs = StepMs - TransMs;
       O.ReadyEnergyJ = PM.idlePowerW(O.EndRpm) * O.ReadyDelayMs / 1000.0;
       O.EndRpm = NextRpm;
-      return O;
+      return;
     }
     O.EndRpm = NextRpm;
     if (Remaining <= 0)
-      return O;
+      return;
   }
 }
 
 IdleOutcome DrpmPolicy::evaluateIdle(double IdleMs, unsigned StartRpm,
-                                     unsigned PendingRpm, bool ProactiveRamp,
-                                     bool WantSegments) const {
+                                     unsigned PendingRpm,
+                                     bool ProactiveRamp) const {
   assert(IdleMs >= 0 && "negative idle gap");
   const DiskParams &P = PM.params();
 
-  IdleOutcome O =
-      sinkDuringGap(PM, IdleMs, StartRpm, PendingRpm, WantSegments);
+  IdleOutcome O;
+  sinkDuringGap(PM, IdleMs, StartRpm, PendingRpm, O);
   if (!ProactiveRamp || O.EndRpm == P.MaxRpm)
     return O;
 
@@ -84,39 +78,30 @@ IdleOutcome DrpmPolicy::evaluateIdle(double IdleMs, unsigned StartRpm,
   // sink can only end at the same or a higher level).
   unsigned LevelsUp = (P.MaxRpm - O.EndRpm) / P.RpmStep;
   double RampMs = PM.rpmTransitionMs(LevelsUp);
+  O = IdleOutcome();
   if (IdleMs <= RampMs) {
-    // Too short to hide the ramp: ramp from the gap's start.
-    IdleOutcome R;
-    R.EndRpm = P.MaxRpm;
-    R.GapEnergyJ = PM.idlePowerW(P.MaxRpm) * IdleMs / 1000.0;
-    R.RpmStepEnergyJ = R.GapEnergyJ; // The whole gap is ramp transition.
-    R.ReadyDelayMs = RampMs - IdleMs;
-    R.ReadyEnergyJ = PM.idlePowerW(P.MaxRpm) * R.ReadyDelayMs / 1000.0;
-    R.RpmSteps = LevelsUp;
-    if (WantSegments)
-      R.Segments.push_back({GapPhase::RpmStep, 0, IdleMs, R.GapEnergyJ});
-    return R;
+    // Too short to hide the ramp: ramp from the gap's start. The whole gap
+    // is ramp transition.
+    O.EndRpm = P.MaxRpm;
+    O.add(GapPhase::RpmStep, 0, IdleMs,
+          PM.idlePowerW(P.MaxRpm) * IdleMs / 1000.0);
+    O.ReadyDelayMs = RampMs - IdleMs;
+    O.ReadyEnergyJ = PM.idlePowerW(P.MaxRpm) * O.ReadyDelayMs / 1000.0;
+    O.RpmSteps = LevelsUp;
+    return O;
   }
-  O = sinkDuringGap(PM, IdleMs - RampMs, StartRpm, PendingRpm, WantSegments);
+  sinkDuringGap(PM, IdleMs - RampMs, StartRpm, PendingRpm, O);
   // The shorter sink may end mid-step; its remainder overlaps the reserved
-  // ramp window (which was sized for a deeper level, so slack exists).
+  // ramp window (which was sized for a deeper level, so slack exists), so
+  // its joules happen in the gap and fold into the one slice of the whole
+  // window, keeping the slice durations summing to the gap length.
   unsigned Up = (P.MaxRpm - O.EndRpm) / P.RpmStep;
-  double RemainderJ = O.ReadyEnergyJ;
-  O.GapEnergyJ += O.ReadyEnergyJ; // Mid-step remainder happens in the gap.
-  O.RpmStepEnergyJ += O.ReadyEnergyJ;
+  double RampJ = PM.idlePowerW(P.MaxRpm) * RampMs / 1000.0;
+  O.add(GapPhase::RpmStep, 0, RampMs, RampJ + O.ReadyEnergyJ);
   O.ReadyEnergyJ = 0.0;
   O.ReadyDelayMs = 0.0;
-  double RampJ = PM.idlePowerW(P.MaxRpm) * RampMs / 1000.0;
-  O.GapEnergyJ += RampJ;
-  O.RpmStepEnergyJ += RampJ;
   O.RpmSteps += Up;
   O.EndRpm = P.MaxRpm;
-  if (WantSegments) {
-    // One slice for the whole reserved ramp window; any mid-step remainder
-    // overlaps it, so its joules fold in here and durations still sum to
-    // the gap length.
-    O.Segments.push_back({GapPhase::RpmStep, 0, RampMs, RampJ + RemainderJ});
-  }
   return O;
 }
 

@@ -52,12 +52,9 @@ public:
   /// \param ProactiveRamp when true (compiler hint, request arrives at the
   ///        end of the gap), the tail of the gap is spent ramping back to
   ///        full speed so the request is serviced at MaxRpm with no delay.
-  /// \param WantSegments also fill IdleOutcome::Segments with the gap's
-  ///        time-ordered slices (timeline recording only; the default path
-  ///        stays allocation-free).
   IdleOutcome evaluateIdle(double IdleMs, unsigned StartRpm,
-                           unsigned PendingRpm, bool ProactiveRamp = false,
-                           bool WantSegments = false) const;
+                           unsigned PendingRpm,
+                           bool ProactiveRamp = false) const;
   IdleOutcome evaluateIdle(double IdleMs, unsigned StartRpm) const {
     return evaluateIdle(IdleMs, StartRpm, StartRpm);
   }

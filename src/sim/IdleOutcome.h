@@ -17,7 +17,8 @@
 
 #include "sim/EnergyLedger.h"
 
-#include <vector>
+#include <cstddef>
+#include <stdexcept>
 
 namespace dra {
 
@@ -31,19 +32,48 @@ enum class GapPhase : unsigned char {
   RpmStep,  ///< DRPM speed transition (step-down or ramp).
 };
 
-/// One time-ordered slice of an idle gap. Produced only on request
-/// (IdleOutcome::Segments stays empty on the default path, keeping gap
-/// evaluation allocation-free). Invariants when present:
+/// One time-ordered slice of an idle gap. Invariants over a gap's slices:
 ///   sum of Ms            == the evaluated gap length
 ///   sum of Joules over {Idle, SpinDown, Standby, RpmStep} == GapEnergyJ
 ///   sum of Joules over {Wake} == (ReadyDelayMs == 0 ? ReadyEnergyJ : 0)
 /// (a stalled wake burns its ReadyEnergyJ *after* the gap, so it is not a
-/// segment; a hidden wake happens inside the gap and is).
+/// slice; a hidden wake happens inside the gap and is).
 struct GapSegment {
   GapPhase Phase = GapPhase::Idle;
   unsigned Rpm = 0; ///< Speed during the slice (Idle dwell only).
   double Ms = 0.0;
   double Joules = 0.0;
+};
+
+/// The slices of one gap, in time order, held inline so evaluating a gap
+/// never allocates.
+class GapSegments {
+public:
+  /// DRPM bounds the count: each of at most RpmJoules::Capacity levels
+  /// contributes at most one idle dwell and one step down from it, and a
+  /// proactive ramp adds one slice for the reserved ramp window. TPM needs
+  /// at most four (idle, spin-down, standby, wake); no policy needs one.
+  static constexpr unsigned Capacity = 2 * RpmJoules::Capacity;
+  static_assert(Capacity >=
+                    RpmJoules::Capacity + (RpmJoules::Capacity - 1) + 1,
+                "a DRPM gap needs a dwell and a step per level plus a ramp");
+
+  /// \throws std::length_error when the list already holds Capacity slices.
+  void push_back(const GapSegment &S) {
+    if (N == Capacity)
+      throw std::length_error("more gap slices than GapSegments::Capacity");
+    Items[N++] = S;
+  }
+
+  size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  const GapSegment &operator[](size_t I) const { return Items[I]; }
+  const GapSegment *begin() const { return Items; }
+  const GapSegment *end() const { return Items + N; }
+
+private:
+  unsigned N = 0;
+  GapSegment Items[Capacity];
 };
 
 /// What happened during an idle gap and what it costs to service the
@@ -53,8 +83,8 @@ struct IdleOutcome {
   double GapEnergyJ = 0.0;
   /// Attribution of GapEnergyJ (sim/EnergyLedger.h categories): idle dwell
   /// joules per spindle RPM plus the three transition/residency shares
-  /// below. Invariant, asserted in Disk::chargeGap:
-  ///   gapBreakdownJ() == GapEnergyJ.
+  /// below. All four, and GapEnergyJ, are charged only by add(), so each
+  /// equals the in-order sum of its slices.
   /// ReadyEnergyJ is deliberately not broken down here — the ledger
   /// attributes it wholesale (stalled -> ready penalty, hidden -> spin-up).
   RpmJoules IdleByRpmJ;
@@ -74,18 +104,36 @@ struct IdleOutcome {
   unsigned SpinUps = 0;
   /// Number of one-step RPM transitions that occurred (DRPM).
   unsigned RpmSteps = 0;
-  /// Time-ordered gap slices for the timeline recorder; filled only when
-  /// the policy was asked for them (WantSegments), empty otherwise.
-  std::vector<GapSegment> Segments;
+  /// The gap's time-ordered slices: the one statement of where its energy
+  /// went. Always filled; the timeline recorder renders them.
+  GapSegments Segments;
 
-  /// Sum of the GapEnergyJ attribution fields (see IdleByRpmJ).
-  double gapBreakdownJ() const {
-    double J = SpinDownEnergyJ + StandbyEnergyJ + RpmStepEnergyJ;
-    for (const auto &[Rpm, Joules] : IdleByRpmJ) {
-      (void)Rpm;
-      J += Joules;
+  /// Appends the next slice of the gap and charges its joules to
+  /// GapEnergyJ and the phase's category. A Wake slice charges neither: a
+  /// hidden wake's joules are ReadyEnergyJ, which the ledger charges after
+  /// the gap.
+  void add(GapPhase Phase, unsigned Rpm, double Ms, double Joules) {
+    Segments.push_back({Phase, Rpm, Ms, Joules});
+    switch (Phase) {
+    case GapPhase::Idle:
+      GapEnergyJ += Joules;
+      IdleByRpmJ[Rpm] += Joules;
+      break;
+    case GapPhase::SpinDown:
+      GapEnergyJ += Joules;
+      SpinDownEnergyJ += Joules;
+      break;
+    case GapPhase::Standby:
+      GapEnergyJ += Joules;
+      StandbyEnergyJ += Joules;
+      break;
+    case GapPhase::RpmStep:
+      GapEnergyJ += Joules;
+      RpmStepEnergyJ += Joules;
+      break;
+    case GapPhase::Wake:
+      break;
     }
-    return J;
   }
 };
 

@@ -184,13 +184,15 @@ double replayClosedLoop(const Trace &T, SubmitFn &&Submit,
 /// engines report: request count, response sum and per-phase latency
 /// (into \p Timeline) in issue order; then \p Finish(WallMs), which must
 /// finalize every disk; then the \p NumDisks per-disk stats, moved out of
-/// the finalized disks by \p TakeStats(D) in disk order; and last the
-/// engine's "replay" span on thread 0 of \p TracePid when \p Tracer is
-/// set. The caller fills in Cache and AttributionEnabled.
+/// the finalized disks by \p TakeStats(D) in disk order, each keeping its
+/// attribution entries only when \p Attribution is set (the ledger is
+/// folded from them either way); and last the engine's "replay" span on
+/// thread 0 of \p TracePid when \p Tracer is set. The caller fills in
+/// Cache.
 template <typename SubmitFn, typename FinishFn, typename TakeStatsFn>
 SimResults replayAndAssemble(const Trace &T, SubmitFn &&Submit,
                              FinishFn &&Finish, unsigned NumDisks,
-                             TakeStatsFn &&TakeStats,
+                             TakeStatsFn &&TakeStats, bool Attribution,
                              TimelineRecorder *Timeline, EventTracer *Tracer,
                              uint64_t TracePid) {
   SimResults Res;
@@ -206,9 +208,12 @@ SimResults replayAndAssemble(const Trace &T, SubmitFn &&Submit,
   if (Timeline)
     Timeline->endRun(WallMs);
   Res.WallTimeMs = WallMs;
+  Res.AttributionEnabled = Attribution;
   Res.PerDisk.reserve(NumDisks);
   for (unsigned D = 0; D != NumDisks; ++D) {
     DiskStats S = TakeStats(D);
+    if (!Attribution)
+      S.Attrib = AttributionMap();
     Res.IoTimeMs += S.BusyMs;
     Res.EnergyJ += S.EnergyJ;
     Res.NumFragments += S.NumRequests;

@@ -93,8 +93,7 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
     for (unsigned D : SS.OwnedDisks)
       // No per-disk tracer under sharding (see the header): cross-shard
       // tracer interleaving has no deterministic order.
-      SS.Disks.emplace_back(D, NodeParams, Policy, nullptr, 0, Attribution,
-                            SS.TL.get());
+      SS.Disks.emplace_back(D, NodeParams, Policy, nullptr, 0, SS.TL.get());
   }
 
   // --- Shard workers: drain batches, replay the heavy accounting path,
@@ -223,8 +222,7 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
       [&](unsigned D) {
         return ShardVec[Router.shardOf(D)]->Disks[LocalIndex[D]].takeStats();
       },
-      Timeline, Tracer, TracePid);
-  Res.AttributionEnabled = Attribution;
+      Attribution, Timeline, Tracer, TracePid);
   Res.Cache = Front.cacheStats();
   return Res;
 }

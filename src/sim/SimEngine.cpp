@@ -19,7 +19,7 @@ SimResults SimEngine::run(const Trace &T) const {
   if (Timeline)
     Timeline->beginRun(TraceLabel, Layout.numDisks());
   StorageSystem Storage(Layout, Params, Policy, Cache, Tracer, TracePid,
-                        Attribution, Timeline);
+                        Timeline);
 
   // The closed-loop processor model and the result assembly live in
   // sim/ReplayCore.h, shared with the sharded engine; the serial oracle's
@@ -32,9 +32,8 @@ SimResults SimEngine::run(const Trace &T) const {
                               R.Prov);
       },
       [&](double WallMs) { Storage.finalize(WallMs); }, Storage.numDisks(),
-      [&](unsigned D) { return Storage.takeStats(D); },
+      [&](unsigned D) { return Storage.takeStats(D); }, Attribution,
       Timeline, Tracer, TracePid);
-  Res.AttributionEnabled = Attribution;
   Res.Cache = Storage.cacheStats();
   return Res;
 }

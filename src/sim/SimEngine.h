@@ -44,7 +44,7 @@ struct SimResults {
   unsigned RpmSteps = 0;
   CacheStats Cache;
   std::vector<DiskStats> PerDisk;
-  /// True when the run charged per-(nest, reference, round) attribution
+  /// True when the run kept per-(nest, reference, round) attribution
   /// (PerDisk[*].Attrib); lets the auditor distinguish "attribution off"
   /// from "attribution lost".
   bool AttributionEnabled = false;
@@ -74,9 +74,10 @@ public:
   ///        process named \p TraceLabel whose threads are the disks,
   ///        stamped in simulated time (one trace us per simulated us).
   ///        Purely observational: results are identical with and without.
-  /// \param Attribution when true the disks charge every joule to the
-  ///        requests' provenance keys (sim/Attribution.h); all other
-  ///        results are identical with and without.
+  /// \param Attribution when true the results keep every disk's
+  ///        per-(nest, reference, round) entries (sim/Attribution.h). The
+  ///        disks record them either way and fold them into the ledgers,
+  ///        so all other results are bit-identical with and without.
   /// \param Timeline optional windowed time-series recorder
   ///        (obs/Timeline.h); each run() begins a recorder run labelled
   ///        \p TraceLabel holding per-disk power-state/energy windows and

@@ -91,14 +91,11 @@ class StorageSystem {
 public:
   /// \param Trace optional event tracer: every disk gets a named thread
   ///        track under process \p TracePid (see Disk).
-  /// \param Attribution when true every disk also charges its energy to
-  ///        the submitting requests' provenance keys (sim/Attribution.h).
   /// \param Timeline optional windowed time-series recorder; every disk
   ///        records into the recorder's current run (obs/Timeline.h).
   StorageSystem(const DiskLayout &Layout, const DiskParams &Params,
                 PowerPolicyKind Policy, CacheConfig Cache = CacheConfig(),
                 EventTracer *Trace = nullptr, uint64_t TracePid = 0,
-                bool Attribution = false,
                 TimelineRecorder *Timeline = nullptr);
 
   /// Submits a logical request; returns the completion time of its last

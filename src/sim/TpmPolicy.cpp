@@ -11,8 +11,7 @@
 
 using namespace dra;
 
-IdleOutcome TpmPolicy::evaluateIdle(double IdleMs, bool RequestArrives,
-                                    bool WantSegments) const {
+IdleOutcome TpmPolicy::evaluateIdle(double IdleMs, bool RequestArrives) const {
   assert(IdleMs >= 0 && "negative idle gap");
   const DiskParams &P = PM.params();
   const double ThMs = P.TpmBreakEvenS * 1000.0;
@@ -32,33 +31,24 @@ IdleOutcome TpmPolicy::evaluateIdle(double IdleMs, bool RequestArrives,
 
   if (IdleMs < EffectiveThMs) {
     // Below threshold: the disk idles at full power the whole gap.
-    O.GapEnergyJ = P.IdlePowerW * IdleMs / 1000.0;
-    O.IdleByRpmJ[P.MaxRpm] = O.GapEnergyJ;
-    if (WantSegments)
-      O.Segments.push_back({GapPhase::Idle, P.MaxRpm, IdleMs, O.GapEnergyJ});
+    O.add(GapPhase::Idle, P.MaxRpm, IdleMs, P.IdlePowerW * IdleMs / 1000.0);
     return O;
   }
 
+  double IdleJ = P.IdlePowerW * ThMs / 1000.0;
   if (IdleMs < ThMs + DownMs) {
     // The spin-down is still in progress at the end of the gap. Charge the
     // elapsed fraction of the spin-down energy; on arrival the disk must
     // finish spinning down, then spin all the way up.
     double Elapsed = IdleMs - ThMs;
-    double IdleJ = P.IdlePowerW * ThMs / 1000.0;
-    double DownJ = P.SpinDownJ * (Elapsed / DownMs);
-    O.GapEnergyJ = IdleJ + DownJ;
-    O.IdleByRpmJ[P.MaxRpm] = IdleJ;
-    O.SpinDownEnergyJ = DownJ;
+    O.add(GapPhase::Idle, P.MaxRpm, ThMs, IdleJ);
+    O.add(GapPhase::SpinDown, 0, Elapsed, P.SpinDownJ * (Elapsed / DownMs));
     O.SpinDowns = 1;
     if (RequestArrives) {
       double Remaining = DownMs - Elapsed;
       O.ReadyDelayMs = Remaining + UpMs;
       O.ReadyEnergyJ = P.SpinDownJ * (Remaining / DownMs) + P.SpinUpJ;
       O.SpinUps = 1;
-    }
-    if (WantSegments) {
-      O.Segments.push_back({GapPhase::Idle, P.MaxRpm, ThMs, IdleJ});
-      O.Segments.push_back({GapPhase::SpinDown, 0, Elapsed, DownJ});
     }
     return O;
   }
@@ -72,30 +62,22 @@ IdleOutcome TpmPolicy::evaluateIdle(double IdleMs, bool RequestArrives,
   double HiddenUpMs = 0.0;
   if (RequestArrives && P.TpmProactiveHints)
     HiddenUpMs = std::min(StandbyMs, UpMs);
-  double IdleJ = P.IdlePowerW * ThMs / 1000.0;
-  double StandbyJ = P.StandbyPowerW * (StandbyMs - HiddenUpMs) / 1000.0;
-  O.GapEnergyJ = IdleJ + P.SpinDownJ + StandbyJ;
-  O.IdleByRpmJ[P.MaxRpm] = IdleJ;
-  O.SpinDownEnergyJ = P.SpinDownJ;
-  O.StandbyEnergyJ = StandbyJ;
+  O.add(GapPhase::Idle, P.MaxRpm, ThMs, IdleJ);
+  O.add(GapPhase::SpinDown, 0, DownMs, P.SpinDownJ);
+  O.add(GapPhase::Standby, 0, StandbyMs - HiddenUpMs,
+        P.StandbyPowerW * (StandbyMs - HiddenUpMs) / 1000.0);
   O.SpinDowns = 1;
   if (RequestArrives) {
     O.ReadyDelayMs = UpMs - HiddenUpMs;
     O.ReadyEnergyJ = P.SpinUpJ;
     O.SpinUps = 1;
   }
-  if (WantSegments) {
-    O.Segments.push_back({GapPhase::Idle, P.MaxRpm, ThMs, IdleJ});
-    O.Segments.push_back({GapPhase::SpinDown, 0, DownMs, P.SpinDownJ});
-    O.Segments.push_back(
-        {GapPhase::Standby, 0, StandbyMs - HiddenUpMs, StandbyJ});
-    // A fully hidden wake (ReadyDelayMs == 0) carries its spin-up energy
-    // in-gap; a partially hidden one occupies HiddenUpMs of the gap but
-    // burns all of ReadyEnergyJ in the post-gap stall (the ledger's
-    // ready-penalty branch) — its in-gap slice is then energy-free.
-    if (HiddenUpMs > 0)
-      O.Segments.push_back({GapPhase::Wake, 0, HiddenUpMs,
-                            O.ReadyDelayMs == 0 ? O.ReadyEnergyJ : 0.0});
-  }
+  // A fully hidden wake (ReadyDelayMs == 0) carries its spin-up energy
+  // in-gap; a partially hidden one occupies HiddenUpMs of the gap but
+  // burns all of ReadyEnergyJ in the post-gap stall (the ledger's
+  // ready-penalty branch) — its in-gap slice is then energy-free.
+  if (HiddenUpMs > 0)
+    O.add(GapPhase::Wake, 0, HiddenUpMs,
+          O.ReadyDelayMs == 0 ? O.ReadyEnergyJ : 0.0);
   return O;
 }

@@ -28,17 +28,15 @@ public:
   /// Evaluates an idle gap of \p IdleMs.
   /// \param RequestArrives true when a request ends the gap (charges the
   ///        spin-up); false at end of simulation.
-  /// \param WantSegments also fill IdleOutcome::Segments with the gap's
-  ///        time-ordered slices (timeline recording only; the default path
-  ///        stays allocation-free).
   ///
   /// Cases (Th = threshold, D = spin-down time, U = spin-up time):
   ///  * gap <  Th:      full-power idle throughout, no delay.
   ///  * Th <= gap < Th+D: the request lands mid-spin-down; the disk must
   ///      finish spinning down and then spin up.
   ///  * gap >= Th+D:    idle for Th, spin down, standby, spin up on demand.
-  IdleOutcome evaluateIdle(double IdleMs, bool RequestArrives,
-                           bool WantSegments = false) const;
+  IdleOutcome evaluateIdle(double IdleMs, bool RequestArrives) const;
+
+  const PowerModel &powerModel() const { return PM; }
 
 private:
   const PowerModel &PM;

@@ -46,17 +46,6 @@ constexpr uint64_t KiB32 = 32 * 1024;
          << A << " vs " << B << " (rel " << std::fabs(A - B) / Scale << ")";
 }
 
-/// |A - B| within 1e-12 relative: the reassociation slack between an
-/// attribution-on ledger (derived as the per-entry sum) and the same
-/// charges summed directly by an attribution-off run.
-::testing::AssertionResult Reassoc(double A, double B) {
-  double Scale = std::max({1.0, std::fabs(A), std::fabs(B)});
-  if (std::fabs(A - B) <= 1e-12 * Scale)
-    return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << A << " vs " << B << " (rel " << std::fabs(A - B) / Scale << ")";
-}
-
 /// Sums the energy of every attribution entry of \p S per category, in
 /// map order — the exact fold Disk::finalize performs.
 EnergyLedger sumEntries(const DiskStats &S) {
@@ -126,7 +115,7 @@ Program pingPongProgram() {
 TEST(AttributionTest, HandComputedTwoNestScenario) {
   DiskParams P;
   PowerModel PM(P);
-  Disk D(0, P, PowerPolicyKind::Tpm, nullptr, 0, /*Attribution=*/true);
+  Disk D(0, P, PowerPolicyKind::Tpm);
 
   // Nest 0 issues the first read; after a 60 s gap (15.2 s idle, 1.5 s
   // spin-down, 43.3 s standby, reactive spin-up stall) nest 1 issues the
@@ -180,7 +169,7 @@ TEST(AttributionTest, HandComputedTwoNestScenario) {
 
 TEST(AttributionTest, WarmUpAndTailGapsFallToUnattributed) {
   DiskParams P;
-  Disk D(0, P, PowerPolicyKind::None, nullptr, 0, /*Attribution=*/true);
+  Disk D(0, P, PowerPolicyKind::None);
 
   // A 10 s warm-up gap precedes the only request and a 10 s tail gap
   // follows it: each gap has one missing bound, so half of each gap's
@@ -202,7 +191,7 @@ TEST(AttributionTest, WarmUpAndTailGapsFallToUnattributed) {
 
 TEST(AttributionTest, RequestsWithoutProvenanceStayUnattributed) {
   DiskParams P;
-  Disk D(0, P, PowerPolicyKind::None, nullptr, 0, /*Attribution=*/true);
+  Disk D(0, P, PowerPolicyKind::None);
   double C1 = D.submit(0.0, 0, KiB32, false); // no provenance
   double C2 = D.submit(C1 + 1000.0, 0, KiB32, true);
   D.finalize(C2);
@@ -276,9 +265,9 @@ TEST_P(AttributionClosureProperty, ClosesAndPreservesResults) {
     DiagnosticEngine DE;
     EXPECT_TRUE(EnergyAuditor(ROn.Sim, DE).verify()) << schemeName(S);
 
-    // Identity: attribution perturbs no simulation result. Timings and
-    // counters are bit-identical; ledger categories may differ only by
-    // FP reassociation.
+    // Identity: attribution perturbs no simulation result. Timings,
+    // counters and ledgers are bit-identical (both runs fold the same
+    // entries; the off run drops them afterwards).
     EXPECT_DOUBLE_EQ(ROn.Sim.EnergyJ, ROff.Sim.EnergyJ) << schemeName(S);
     ASSERT_EQ(ROn.Sim.PerDisk.size(), ROff.Sim.PerDisk.size());
     for (size_t I = 0; I != ROn.Sim.PerDisk.size(); ++I) {
@@ -292,10 +281,19 @@ TEST_P(AttributionClosureProperty, ClosesAndPreservesResults) {
       EXPECT_EQ(A.SpinDowns, B.SpinDowns);
       EXPECT_EQ(A.SpinUps, B.SpinUps);
       EXPECT_EQ(A.RpmSteps, B.RpmSteps);
-      EXPECT_TRUE(Reassoc(A.Ledger.ActiveReadJ, B.Ledger.ActiveReadJ));
-      EXPECT_TRUE(Reassoc(A.Ledger.StandbyJ, B.Ledger.StandbyJ));
-      EXPECT_TRUE(Reassoc(A.Ledger.ReadyPenaltyJ, B.Ledger.ReadyPenaltyJ));
-      EXPECT_TRUE(Reassoc(A.Ledger.totalJ(), B.Ledger.totalJ()));
+      EXPECT_EQ(A.Ledger.ActiveReadJ, B.Ledger.ActiveReadJ);
+      EXPECT_EQ(A.Ledger.ActiveWriteJ, B.Ledger.ActiveWriteJ);
+      EXPECT_EQ(A.Ledger.SpinDownJ, B.Ledger.SpinDownJ);
+      EXPECT_EQ(A.Ledger.SpinUpJ, B.Ledger.SpinUpJ);
+      EXPECT_EQ(A.Ledger.StandbyJ, B.Ledger.StandbyJ);
+      EXPECT_EQ(A.Ledger.RpmStepJ, B.Ledger.RpmStepJ);
+      EXPECT_EQ(A.Ledger.ReadyPenaltyJ, B.Ledger.ReadyPenaltyJ);
+      std::vector<std::pair<unsigned, double>> IdleA(
+          A.Ledger.IdleByRpmJ.begin(), A.Ledger.IdleByRpmJ.end());
+      std::vector<std::pair<unsigned, double>> IdleB(
+          B.Ledger.IdleByRpmJ.begin(), B.Ledger.IdleByRpmJ.end());
+      EXPECT_EQ(IdleA, IdleB);
+      EXPECT_TRUE(B.Attrib.empty()) << "attribution-off run kept entries";
     }
   }
 }

@@ -253,8 +253,7 @@ TEST(DiskTimingModelTest, MatchesDiskAfterEveryFragment) {
         P.DrpmProactiveHints = C.DrpmHints;
         TimelineRecorder TL(500.0);
         TL.beginRun("model", 1);
-        Disk D(0, P, C.Policy, nullptr, 0, /*Attribution=*/Seed % 2 == 0,
-               WithTimeline ? &TL : nullptr);
+        Disk D(0, P, C.Policy, nullptr, 0, WithTimeline ? &TL : nullptr);
         DiskTimingModel M(P, C.Policy);
         std::mt19937 Rng(Seed);
         uint64_t Gaps = 0;

@@ -4,18 +4,21 @@
 //
 // Pins the simulator's per-run state as flat: a SimEngine::run allocates a
 // fixed number of times for a given set of disks, attribution keys,
-// processors and phases, however many requests it replays. The test binary
+// processors and phases, however many requests it replays, and evaluating
+// an idle gap never allocates at all. The test binary
 // replaces the global operator new with a counting one (alloc_counter.cpp),
 // which is why it is its own executable rather than part of dra_tests.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
+#include "sim/DiskTimingModel.h"
 #include "sim/SimEngine.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <string>
 
@@ -126,3 +129,45 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AllocCase> &Info) {
       return caseName(Info.param);
     });
+
+// Every gap's slices live inline in its IdleOutcome, so the timing model
+// evaluates gaps allocation-free under every policy, with and without the
+// compiler's proactive hints. The gap lengths cover sub-threshold idling,
+// TPM mid-spin-down and standby, DRPM multi-level sinks, mid-step
+// arrivals and proactive ramps.
+TEST(GapAllocTest, GapEvaluationDoesNotAllocate) {
+  const double GapsMs[] = {1.0,     500.0,   2030.0,  2090.0,  5000.0,
+                           15500.0, 16000.0, 28000.0, 60000.0, 120000.0};
+  for (PowerPolicyKind Policy :
+       {PowerPolicyKind::None, PowerPolicyKind::Tpm, PowerPolicyKind::Drpm}) {
+    for (bool Hints : {false, true}) {
+      DiskParams P;
+      P.TpmProactiveHints = Hints;
+      P.DrpmProactiveHints = Hints;
+      DiskTimingModel M(P, Policy);
+      uint64_t Gaps = 0, Slices = 0;
+      auto OnGap = [&](const IdleOutcome &O, double, double) {
+        ++Gaps;
+        Slices += O.Segments.size();
+      };
+
+      uint64_t Before = allocCount();
+      setAllocCounting(true);
+      for (unsigned I = 0; I != 2000; ++I)
+        M.submit(M.busyUntilMs() + GapsMs[I % std::size(GapsMs)],
+                 uint64_t(I % 7) * (64u << 20), 64 * 1024, OnGap);
+      M.finalize(M.busyUntilMs() + 60000.0, OnGap);
+      setAllocCounting(false);
+      uint64_t Allocs = allocCount() - Before;
+
+      SCOPED_TRACE(std::string(Policy == PowerPolicyKind::None  ? "None"
+                               : Policy == PowerPolicyKind::Tpm ? "Tpm"
+                                                                : "Drpm") +
+                   (Hints ? " with hints" : ""));
+      EXPECT_EQ(Gaps, 2001u);
+      EXPECT_GE(Slices, Gaps);
+      EXPECT_EQ(Allocs, 0u) << "gap evaluation allocates: " << Allocs
+                            << " allocations over " << Gaps << " gaps";
+    }
+  }
+}

@@ -16,8 +16,9 @@
 //     without a recorder attached, and per-job recorders make sweep
 //     timeline artifacts byte-identical across worker counts.
 //  3. Policy segment sums — the GapSegment decomposition both policies
-//     emit under WantSegments tiles the gap exactly in time and in
-//     joules (the recorder's input-side contract).
+//     always emit tiles the gap exactly in time and in joules (the
+//     recorder's input-side contract), and every category field of the
+//     gap is exactly the in-order sum of its phase's slices.
 //  4. Serving — dispatch-lag histograms follow the declared nearest-rank
 //     semantics, replaying a session reproduces the timeline and serving
 //     JSON byte-for-byte, and SLO specs parse/evaluate/report as
@@ -42,6 +43,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <stdexcept>
 
 using namespace dra;
 
@@ -255,6 +257,43 @@ void expectSegmentsTile(const IdleOutcome &O, double GapMs) {
   EXPECT_TRUE(close(J, WantJ)) << J << " vs energy " << WantJ;
 }
 
+/// The slices are the one statement of the gap's energy: GapEnergyJ and
+/// each category field equal the in-order sum of their phases' slices,
+/// bit for bit.
+void expectCategoriesAreSliceSums(const IdleOutcome &O) {
+  double Gap = 0.0, Down = 0.0, Standby = 0.0, Step = 0.0;
+  RpmJoules Idle;
+  for (const GapSegment &Seg : O.Segments) {
+    switch (Seg.Phase) {
+    case GapPhase::Idle:
+      Gap += Seg.Joules;
+      Idle[Seg.Rpm] += Seg.Joules;
+      break;
+    case GapPhase::SpinDown:
+      Gap += Seg.Joules;
+      Down += Seg.Joules;
+      break;
+    case GapPhase::Standby:
+      Gap += Seg.Joules;
+      Standby += Seg.Joules;
+      break;
+    case GapPhase::RpmStep:
+      Gap += Seg.Joules;
+      Step += Seg.Joules;
+      break;
+    case GapPhase::Wake:
+      break;
+    }
+  }
+  EXPECT_EQ(O.GapEnergyJ, Gap);
+  EXPECT_EQ(O.SpinDownEnergyJ, Down);
+  EXPECT_EQ(O.StandbyEnergyJ, Standby);
+  EXPECT_EQ(O.RpmStepEnergyJ, Step);
+  EXPECT_EQ(std::vector<RpmJoules::value_type>(O.IdleByRpmJ.begin(),
+                                               O.IdleByRpmJ.end()),
+            std::vector<RpmJoules::value_type>(Idle.begin(), Idle.end()));
+}
+
 } // namespace
 
 // Contract 3: TPM gap segments tile every regime — sub-threshold,
@@ -266,9 +305,9 @@ TEST(TimelineSegments, TpmSegmentsTileTheGap) {
                        60000.0, 123456.7}) {
     SCOPED_TRACE(GapMs);
     for (bool Arrives : {true, false}) {
-      IdleOutcome O = Policy.evaluateIdle(GapMs, Arrives,
-                                          /*WantSegments=*/true);
+      IdleOutcome O = Policy.evaluateIdle(GapMs, Arrives);
       expectSegmentsTile(O, GapMs);
+      expectCategoriesAreSliceSums(O);
     }
   }
 }
@@ -285,13 +324,64 @@ TEST(TimelineSegments, DrpmSegmentsTileTheGap) {
       SCOPED_TRACE(std::to_string(StartRpm) + " rpm, gap " +
                    std::to_string(GapMs));
       for (bool Proactive : {false, true}) {
-        IdleOutcome O = Policy.evaluateIdle(GapMs, StartRpm, StartRpm,
-                                            Proactive,
-                                            /*WantSegments=*/true);
+        IdleOutcome O =
+            Policy.evaluateIdle(GapMs, StartRpm, StartRpm, Proactive);
         expectSegmentsTile(O, GapMs);
+        expectCategoriesAreSliceSums(O);
       }
     }
   }
+}
+
+// Contract 3, DRPM proactive ramp whose shortened sink ends mid-step: a
+// 2090 ms gap from full speed sinks one level (2000 ms dwell, 60 ms step,
+// 30 ms dwell), so 60 ms of ramp are reserved; the 2030 ms sink then ends
+// 30 ms into its step. The step's remainder overlaps the ramp window and
+// folds into the one ramp slice.
+TEST(TimelineSegments, DrpmProactiveRampFoldsMidStepRemainder) {
+  DiskParams Params;
+  PowerModel PM(Params);
+  DrpmPolicy Policy(PM);
+  const double StepMs = PM.rpmTransitionMs(1);
+  IdleOutcome O =
+      Policy.evaluateIdle(2090.0, Params.MaxRpm, Params.MaxRpm, true);
+  ASSERT_EQ(O.Segments.size(), 3u);
+  EXPECT_EQ(O.Segments[0].Phase, GapPhase::Idle);
+  EXPECT_EQ(O.Segments[1].Phase, GapPhase::RpmStep);
+  EXPECT_LT(O.Segments[1].Ms, StepMs) << "sink must end mid-step";
+  EXPECT_EQ(O.Segments[2].Phase, GapPhase::RpmStep);
+  EXPECT_EQ(O.Segments[2].Ms, StepMs);
+  double RemainderJ =
+      PM.idlePowerW(Params.MaxRpm) * (StepMs - O.Segments[1].Ms) / 1000.0;
+  double RampJ = PM.idlePowerW(Params.MaxRpm) * StepMs / 1000.0;
+  EXPECT_EQ(O.Segments[2].Joules, RampJ + RemainderJ);
+  EXPECT_EQ(O.ReadyDelayMs, 0.0);
+  EXPECT_EQ(O.ReadyEnergyJ, 0.0);
+  EXPECT_EQ(O.EndRpm, Params.MaxRpm);
+  expectSegmentsTile(O, 2090.0);
+  expectCategoriesAreSliceSums(O);
+}
+
+// The slice list is inline with a fixed capacity: the deepest DRPM gap
+// (a dwell and a step per level, plus the ramp) fills it exactly, and one
+// slice more throws like RpmJoules does.
+TEST(TimelineSegments, SliceListCapacityAndOverflow) {
+  DiskParams Params;
+  Params.MinRpm = 1000; // Eight levels, 1000..15000 in 2000 steps.
+  Params.RpmStep = 2000;
+  ASSERT_EQ(Params.numRpmLevels(), RpmJoules::Capacity);
+  PowerModel PM(Params);
+  DrpmPolicy Policy(PM);
+  IdleOutcome O =
+      Policy.evaluateIdle(100000.0, Params.MaxRpm, Params.MaxRpm, true);
+  EXPECT_EQ(O.Segments.size(), size_t(GapSegments::Capacity));
+  expectSegmentsTile(O, 100000.0);
+  expectCategoriesAreSliceSums(O);
+
+  double GapJ = O.GapEnergyJ;
+  EXPECT_THROW(O.add(GapPhase::Idle, Params.MaxRpm, 1.0, 1.0),
+               std::length_error);
+  EXPECT_EQ(O.GapEnergyJ, GapJ) << "a rejected slice must charge nothing";
 }
 
 // Serving: nearest-rank percentiles on the integer lag histogram.

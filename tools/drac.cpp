@@ -31,8 +31,6 @@
 //     --flame F        write the source-attributed energy as collapsed
 //                      flame stacks (app;scheme;nest;ref;disk;category
 //                      joules; speedscope/flamegraph.pl) to F
-//     --no-attribution disable source attribution (drops the attribution
-//                      sections from --report-json)
 //     --footprint-mode NAME
 //                      derive per-reference tile demand symbolically
 //                      ("symbolic"), by enumeration ("enumerated"), or
@@ -134,7 +132,7 @@ static int usage(const char *Argv0) {
                "[--print-program] [--print-code] [--dump-trace FILE] "
                "[--verify] [--trace-json FILE] [--metrics-json FILE] "
                "[--report-json FILE] [--ledger-json FILE] "
-               "[--attrib-json FILE] [--flame FILE] [--no-attribution] "
+               "[--attrib-json FILE] [--flame FILE] "
                "[--footprint-mode NAME] [--footprint-json FILE] "
                "[--timeline-json FILE] [--timeline-window MS] "
                "[--sim-shards N] [--sim-window MS] [--timings]\n"
@@ -347,8 +345,7 @@ static int runOnline(const std::string &Path, const std::string &Record,
 /// system and simulate the merged workload once (serial or sharded).
 static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
                       unsigned Procs, bool ProcsSet, unsigned SimShards,
-                      double SimWindowMs, bool Attribution,
-                      const std::string &DumpTrace,
+                      double SimWindowMs, const std::string &DumpTrace,
                       const std::string &ReportJson,
                       const std::string &LedgerJson,
                       const std::string &AttribJson,
@@ -437,7 +434,6 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
     // merged layouts are compatible by construction.
     PipelineConfig Cfg;
     Cfg.NumProcs = Procs;
-    Cfg.Attribution = Attribution;
     std::vector<std::unique_ptr<Pipeline>> Pipes;
     std::vector<Program> Programs;
     std::vector<Trace> Traces;
@@ -462,19 +458,13 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
       TI.Prog = &Pipes[T]->program();
       TI.Replay = &Traces[T];
       TI.Layout = &Pipes[T]->layout();
-      if (Attribution)
-        TI.Names = attributionNamesOf(Pipes[T]->program());
+      TI.Names = attributionNamesOf(Pipes[T]->program());
       TI.StartMs = Specs[T].StartMs;
       Inputs.push_back(std::move(TI));
     }
     MergedWorkload W = mergeTenants(Inputs);
 
-    // Mirror Pipeline::run's proactive-hint wiring for the merged sim.
-    DiskParams Disk = Cfg.Disk;
-    if (schemeRestructures(S) && schemePolicy(S) == PowerPolicyKind::Tpm)
-      Disk.TpmProactiveHints = true;
-    if (schemeRestructures(S) && schemePolicy(S) == PowerPolicyKind::Drpm)
-      Disk.DrpmProactiveHints = true;
+    DiskParams Disk = schemeDiskParams(S, Cfg.Disk);
 
     TimelineRecorder Timeline{double(TimelineWindowMs)};
     TimelineRecorder *TL = TimelineJson.empty() ? nullptr : &Timeline;
@@ -484,11 +474,11 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
     if (SimShards > 0) {
       ShardedSimEngine Engine(W.Layout, Disk, schemePolicy(S), SimShards,
                               SimWindowMs, CacheConfig(), nullptr, Label,
-                              Attribution, TL);
+                              /*Attribution=*/true, TL);
       Run.Sim = Engine.run(W.Replay);
     } else {
       SimEngine Engine(W.Layout, Disk, schemePolicy(S), CacheConfig(),
-                       nullptr, Label, Attribution, TL);
+                       nullptr, Label, /*Attribution=*/true, TL);
       Run.Sim = Engine.run(W.Replay);
     }
     Run.AttribNames = W.Names;
@@ -570,7 +560,6 @@ int main(int argc, char **argv) {
   std::string DumpTrace, TraceJson, MetricsJson, ReportJson, LedgerJson;
   std::string AttribJson, FlameOut, FootprintJson, TimelineJson;
   unsigned TimelineWindowMs = 1000;
-  bool Attribution = true;
   FootprintMode Footprint = FootprintMode::Auto;
   std::string SweepSpecPath, SweepOut, SweepTelemetry;
   std::string BaselineScheme = "Base", CompareJson;
@@ -667,7 +656,9 @@ int main(int argc, char **argv) {
     } else if (Arg == "--flame" && I + 1 != argc) {
       FlameOut = argv[++I];
     } else if (Arg == "--no-attribution") {
-      Attribution = false;
+      std::fprintf(stderr, "error: --no-attribution was removed: attribution "
+                           "is always recorded\n");
+      return 2;
     } else if (Arg == "--footprint-json" && I + 1 != argc) {
       FootprintJson = argv[++I];
     } else if (Arg == "--timeline-json" && I + 1 != argc) {
@@ -702,16 +693,11 @@ int main(int argc, char **argv) {
     if (!Path.empty() || Compare || Online || !SweepSpecPath.empty() ||
         Schemes.size() > 1)
       return usage(argv[0]);
-    if (!Attribution && (!AttribJson.empty() || !FlameOut.empty())) {
-      std::fprintf(stderr, "error: --attrib-json/--flame need attribution; "
-                           "drop --no-attribution\n");
-      return 2;
-    }
     Scheme S = Schemes.empty() ? Scheme::Base : Schemes.front();
     return runTenants(TenantsSpecPath, S, !Schemes.empty(), Procs, ProcsGiven,
-                      SimShards, SimWindowMs, Attribution, DumpTrace,
-                      ReportJson, LedgerJson, AttribJson, FlameOut,
-                      TimelineJson, TimelineWindowMs);
+                      SimShards, SimWindowMs, DumpTrace, ReportJson,
+                      LedgerJson, AttribJson, FlameOut, TimelineJson,
+                      TimelineWindowMs);
   }
   if (Compare) {
     if (CompareFiles.empty() || !Path.empty() || !SweepSpecPath.empty())
@@ -758,14 +744,8 @@ int main(int argc, char **argv) {
   PipelineConfig Cfg;
   Cfg.NumProcs = Procs;
   Cfg.Footprint = Footprint;
-  Cfg.Attribution = Attribution;
   Cfg.SimShards = SimShards;
   Cfg.SimWindowMs = SimWindowMs;
-  if (!Attribution && (!AttribJson.empty() || !FlameOut.empty())) {
-    std::fprintf(stderr, "error: --attrib-json/--flame need attribution; "
-                         "drop --no-attribution\n");
-    return 2;
-  }
   if (Verify)
     Cfg.Verify = VerifyLevel::Full;
 
