@@ -23,12 +23,14 @@
 #include "core/Report.h"
 #include "driver/ExperimentRunner.h"
 #include "obs/RunReport.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -67,12 +69,12 @@ inline std::vector<AppResults> runAllApps(const Report &Rep) {
   return runAppMatrix(Rep.config(), Rep.schemes(), Apps, Jobs);
 }
 
-/// Opens <dir>/<name>.<ext> for writing, creating missing parent
-/// directories. A directory or file that cannot be created is a hard
-/// error: the bench prints a diagnostic and exits nonzero instead of
-/// silently succeeding with no artifact.
-inline FILE *openArtifact(const char *Dir, const char *Name,
-                          const char *Ext, std::string &PathOut) {
+/// Writes \p Data as <dir>/<name>.<ext>, creating missing parent
+/// directories, and returns the path. A directory or file that cannot be
+/// created or written is a hard error: the bench prints a diagnostic and
+/// exits nonzero instead of silently succeeding with no artifact.
+inline std::string writeArtifact(const char *Dir, const std::string &Name,
+                                 const char *Ext, std::string_view Data) {
   std::error_code EC;
   std::filesystem::create_directories(Dir, EC);
   if (EC) {
@@ -80,73 +82,43 @@ inline FILE *openArtifact(const char *Dir, const char *Name,
                  Dir, EC.message().c_str());
     std::exit(1);
   }
-  PathOut = std::string(Dir) + "/" + Name + "." + Ext;
-  FILE *F = std::fopen(PathOut.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "error: cannot open artifact '%s' for writing\n",
-                 PathOut.c_str());
+  std::string Path = std::string(Dir) + "/" + Name + "." + Ext;
+  WriteResult R = writeFile(Path, Data);
+  if (!R) {
+    std::fprintf(stderr,
+                 R.Opened ? "error: cannot write artifact '%s'\n"
+                          : "error: cannot open artifact '%s' for writing\n",
+                 Path.c_str());
     std::exit(1);
   }
-  return F;
+  return Path;
 }
 
-inline void writeArtifact(FILE *F, const std::string &Path,
-                          const std::string &Data) {
-  bool Ok = std::fwrite(Data.data(), 1, Data.size(), F) == Data.size();
-  if (std::fclose(F) != 0)
-    Ok = false;
-  if (!Ok) {
-    std::fprintf(stderr, "error: cannot write artifact '%s'\n", Path.c_str());
-    std::exit(1);
+/// Writes the artifacts of bench \p Name the environment asks for: with
+/// DRA_BENCH_CSV set to a directory, the raw numbers as <dir>/<name>.csv
+/// for external plotting; with DRA_BENCH_JSON set, the full run report as
+/// <dir>/<name>.json — the "dra-report-v1" schema (docs/FORMATS.md) that
+/// `drac --report-json` emits, so the CI regression gate can diff it
+/// against bench/baselines — and, when \p Ledger, the standalone
+/// "dra-ledger-v1" <dir>/<name>.ledger.json that `dra-compare` takes.
+inline void writeBenchArtifacts(const Report &Rep,
+                                const std::vector<AppResults> &All,
+                                const char *Name, bool Ledger) {
+  if (const char *Dir = std::getenv("DRA_BENCH_CSV")) {
+    std::string Path = writeArtifact(Dir, Name, "csv", Rep.renderCsv(All));
+    std::printf("(raw numbers written to %s)\n", Path.c_str());
   }
-}
-
-/// When DRA_BENCH_CSV is set to a directory, dumps the run's raw numbers
-/// as <dir>/<name>.csv for external plotting.
-inline void maybeWriteCsv(const Report &Rep,
-                          const std::vector<AppResults> &All,
-                          const char *Name) {
-  const char *Dir = std::getenv("DRA_BENCH_CSV");
-  if (!Dir)
-    return;
-  std::string Path;
-  FILE *F = openArtifact(Dir, Name, "csv", Path);
-  writeArtifact(F, Path, Rep.renderCsv(All));
-  std::printf("(raw numbers written to %s)\n", Path.c_str());
-}
-
-/// When DRA_BENCH_JSON is set to a directory, dumps the full run report
-/// as <dir>/<name>.json — the same "dra-report-v1" schema (docs/FORMATS.md)
-/// that `drac --report-json` emits, so bench and tool artifacts compare
-/// directly across runs (and the CI regression gate can diff them against
-/// bench/baselines).
-inline void maybeWriteJson(const Report &Rep,
-                           const std::vector<AppResults> &All,
-                           const char *Name) {
   const char *Dir = std::getenv("DRA_BENCH_JSON");
   if (!Dir)
     return;
-  std::string Path;
-  FILE *F = openArtifact(Dir, Name, "json", Path);
-  writeArtifact(F, Path, renderRunReportJson(Rep.config(), All, Name));
+  std::string Path = writeArtifact(
+      Dir, Name, "json", renderRunReportJson(Rep.config(), All, Name));
   std::printf("(run report written to %s)\n", Path.c_str());
-}
-
-/// When DRA_BENCH_JSON is set, also dumps the standalone energy-attribution
-/// document as <dir>/<name>.ledger.json ("dra-ledger-v1", docs/FORMATS.md)
-/// — the compact input `dra-compare` takes when the full report payload is
-/// not wanted.
-inline void maybeWriteLedgerJson(const Report &Rep,
-                                 const std::vector<AppResults> &All,
-                                 const char *Name) {
-  const char *Dir = std::getenv("DRA_BENCH_JSON");
-  if (!Dir)
-    return;
-  std::string Path;
-  FILE *F = openArtifact(Dir, (std::string(Name) + ".ledger").c_str(),
-                         "json", Path);
-  writeArtifact(F, Path, renderLedgerReportJson(Rep.config(), All, Name));
-  std::printf("(energy ledger written to %s)\n", Path.c_str());
+  if (Ledger) {
+    Path = writeArtifact(Dir, std::string(Name) + ".ledger", "json",
+                         renderLedgerReportJson(Rep.config(), All, Name));
+    std::printf("(energy ledger written to %s)\n", Path.c_str());
+  }
 }
 
 /// Average per-app missed-opportunity energy (sub-break-even idle joules

@@ -169,7 +169,6 @@ int main() {
   auto All = runAllApps(Rep);
   std::printf("== Gate matrix (Base, T-TPM-s, T-DRPM-m; 4 processors) ==\n\n");
   std::printf("%s\n", Rep.renderEnergyTable(All).c_str());
-  maybeWriteCsv(Rep, All, "compiler_hotpath");
-  maybeWriteJson(Rep, All, "compiler_hotpath");
+  writeBenchArtifacts(Rep, All, "compiler_hotpath", /*Ledger=*/false);
   return 0;
 }

@@ -1,10 +1,12 @@
-//===- bench/fig9a_energy_single.cpp - Fig. 9(a): energy, 1 CPU -------------===//
+//===- bench/fig9a_energy_single.cpp - Figs. 9(a)/10(a): 1 CPU --------------===//
 //
 // Part of the DRA project (CGO 2006 disk-access-locality reproduction).
 //
 // Regenerates Figure 9(a): normalized disk energy consumption of the six
 // applications under Base, TPM, DRPM, T-TPM-s and T-DRPM-s on a single
-// processor. Values are normalized to Base per application, exactly as in
+// processor, and from the same runs Figure 10(a): the performance
+// degradation (increase in disk I/O time over Base) of the power-managed
+// versions. Values are normalized to Base per application, exactly as in
 // the paper. The 6x5 app-scheme matrix executes on the driver's parallel
 // experiment runner (DRA_BENCH_JOBS workers); numbers are independent of
 // the worker count.
@@ -59,8 +61,34 @@ int main() {
               "missed-opportunity energy (T-TPM-s %.4f < TPM %.4f)\n",
               Missed(TTpmS) < Missed(Tpm) ? "ok" : "MISMATCH", Missed(TTpmS),
               Missed(Tpm));
-  maybeWriteCsv(Rep, All, "fig9a");
-  maybeWriteJson(Rep, All, "fig9a");
-  maybeWriteLedgerJson(Rep, All, "fig9a");
+
+  std::printf("\n== Figure 10(a): Performance degradation (disk I/O time), 1 "
+              "processor ==\n\n");
+  std::printf("%s\n", Rep.renderPerfTable(All).c_str());
+
+  std::printf("Paper vs measured (average degradation, fraction):\n");
+  // Paper averages (Sec. 7.2): TPM ~0, DRPM 11.9%, T-TPM-s 2.1%,
+  // T-DRPM-s 4.7%.
+  const double PaperIo[] = {0.0, 0.0, 0.119, 0.021, 0.047};
+  for (size_t I = 0; I != Schemes.size(); ++I)
+    printComparison("io-time", schemeName(Schemes[I]), PaperIo[I],
+                    Rep.averagePerfDegradation(All, I));
+
+  std::printf("\nShape checks (the paper's qualitative findings):\n");
+  auto AvgIo = [&](size_t I) { return Rep.averagePerfDegradation(All, I); };
+  std::printf("  [%s] TPM incurs no significant penalty (< 1%%)\n",
+              AvgIo(Tpm) < 0.01 ? "ok" : "MISMATCH");
+  std::printf("  [%s] DRPM incurs the largest penalty (~10%%+, slower "
+              "rotation)\n",
+              AvgIo(Drpm) > 0.05 && AvgIo(Drpm) > AvgIo(TTpmS) &&
+                      AvgIo(Drpm) > AvgIo(TDrpmS)
+                  ? "ok"
+                  : "MISMATCH");
+  std::printf("  [%s] the restructured versions stay well below DRPM "
+              "(longer idle periods need fewer mode switches)\n",
+              AvgIo(TTpmS) < AvgIo(Drpm) / 2 && AvgIo(TDrpmS) < AvgIo(Drpm) / 2
+                  ? "ok"
+                  : "MISMATCH");
+  writeBenchArtifacts(Rep, All, "fig9a", /*Ledger=*/true);
   return 0;
 }

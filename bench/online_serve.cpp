@@ -184,10 +184,9 @@ int main() {
   // the batch pipeline's).
   if (std::getenv("DRA_BENCH_JSON")) {
     AppResults App{"online", OneTickRuns, FootprintJson};
-    std::string Path;
-    FILE *F = openArtifact(std::getenv("DRA_BENCH_JSON"), "online_serve",
-                           "json", Path);
-    writeArtifact(F, Path, renderRunReportJson(Cfg, {App}, "online_serve"));
+    std::string Path =
+        writeArtifact(std::getenv("DRA_BENCH_JSON"), "online_serve", "json",
+                      renderRunReportJson(Cfg, {App}, "online_serve"));
     std::printf("\n(run report written to %s)\n", Path.c_str());
   }
   return 0;

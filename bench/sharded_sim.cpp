@@ -268,9 +268,9 @@ int main() {
     Cfg.NumProcs = W.Replay.numProcs();
     Cfg.Attribution = true;
     AppResults App{"multitenant", {Runs[1]}, ""};
-    std::string Path;
-    FILE *F = openArtifact(Dir, "sharded_sim", "json", Path);
-    writeArtifact(F, Path, renderRunReportJson(Cfg, {App}, "sharded_sim"));
+    std::string Path =
+        writeArtifact(Dir, "sharded_sim", "json",
+                      renderRunReportJson(Cfg, {App}, "sharded_sim"));
     std::printf("\n(run report written to %s)\n", Path.c_str());
 
     JsonWriter J;
@@ -309,8 +309,7 @@ int main() {
     J.key("speedup_at_8");
     J.value(SpeedupAt8);
     J.endObject();
-    F = openArtifact(Dir, "sharded_sim.scaling", "json", Path);
-    writeArtifact(F, Path, J.take() + "\n");
+    Path = writeArtifact(Dir, "sharded_sim.scaling", "json", J.take() + "\n");
     std::printf("(scaling record written to %s)\n", Path.c_str());
   }
   return 0;

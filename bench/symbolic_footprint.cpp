@@ -252,10 +252,9 @@ int main() {
   }
 
   if (const char *Dir = std::getenv("DRA_BENCH_JSON")) {
-    std::string Path;
-    FILE *F = openArtifact(Dir, "symbolic_footprint", "json", Path);
-    writeArtifact(F, Path,
-                  renderRunReportJson(Cfg, Artifact, "symbolic_footprint"));
+    std::string Path =
+        writeArtifact(Dir, "symbolic_footprint", "json",
+                      renderRunReportJson(Cfg, Artifact, "symbolic_footprint"));
     std::printf("(run report written to %s)\n", Path.c_str());
   }
   return 0;

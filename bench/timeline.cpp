@@ -263,9 +263,8 @@ int main() {
   }
 
   if (const char *Dir = std::getenv("DRA_BENCH_JSON")) {
-    std::string Path;
-    FILE *F = openArtifact(Dir, "timeline", "json", Path);
-    writeArtifact(F, Path, renderTimelineJson(Artifact, "bench"));
+    std::string Path = writeArtifact(Dir, "timeline", "json",
+                                     renderTimelineJson(Artifact, "bench"));
     std::printf("(timeline of the first %zu apps written to %s)\n",
                 std::min(ArtifactApps, Apps.size()), Path.c_str());
   }

@@ -94,6 +94,23 @@ bool dra::schemeByName(const std::string &Name, Scheme &Out) {
   return false;
 }
 
+SimResults dra::simulateScheme(Scheme S, const DiskLayout &Layout,
+                               const PipelineConfig &Cfg, const Trace &T) {
+  // The simulator's events live on their own process track, named after
+  // the scheme, stamped in simulated (not wall) time. SimShards selects
+  // the sharded engine (byte-identical results, DESIGN.md Sec. 11).
+  DiskParams Disk = schemeDiskParams(S, Cfg.Disk);
+  std::string Label = std::string("sim ") + schemeName(S);
+  if (Cfg.SimShards > 0)
+    return ShardedSimEngine(Layout, Disk, schemePolicy(S), Cfg.SimShards,
+                            Cfg.SimWindowMs, Cfg.Cache, Cfg.Trace, Label,
+                            Cfg.Attribution, Cfg.Timeline)
+        .run(T);
+  return SimEngine(Layout, Disk, schemePolicy(S), Cfg.Cache, Cfg.Trace, Label,
+                   Cfg.Attribution, Cfg.Timeline)
+      .run(T);
+}
+
 AttributionNames dra::attributionNamesOf(const Program &P) {
   AttributionNames Names;
   for (const LoopNest &N : P.nests()) {
@@ -232,7 +249,6 @@ ScheduledWork Pipeline::restructurePerProc(const ScheduledWork &Work) const {
   // Per-iteration scheduling round (provenance for attribution); every
   // iteration appears in exactly one processor's schedule.
   Out.RoundOf.assign(Space->size(), 0);
-  LastRounds = 0;
 
   for (size_t P = 0; P != Work.PerProc.size(); ++P) {
     // Group this processor's iterations by barrier phase; reordering must
@@ -253,7 +269,6 @@ ScheduledWork Pipeline::restructurePerProc(const ScheduledWork &Work) const {
       // cross-processor ones are enforced by the barrier itself.
       IterationGraph SubGraph(*Table, Subset, Config.GraphWorkers);
       Schedule S = Scheduler->schedule(SubGraph, Subset, StartDisk);
-      LastRounds = std::max(LastRounds, Scheduler->lastRounds());
       if (Config.Metrics) {
         Config.Metrics->counter("scheduler.invocations").add(1);
         Config.Metrics->counter("scheduler.rounds_total")
@@ -314,8 +329,6 @@ ScheduledWork Pipeline::compile(Scheme S) const {
   if (schemeRestructures(S)) {
     PassTimer PT(Tr, TracePid, 0, "restructure", Me);
     Work = restructurePerProc(Work);
-  } else {
-    LastRounds = 0;
   }
 
   if (Config.Verify != VerifyLevel::Off) {
@@ -334,20 +347,20 @@ ScheduledWork Pipeline::compile(Scheme S) const {
   return Work;
 }
 
-Trace Pipeline::generateTrace(Scheme S, const ScheduledWork &Work) const {
+Trace Pipeline::trace(Scheme S, const ScheduledWork &Work) const {
   PassTimer PT(Config.Trace, TracePid, 0, "trace-gen", Config.Metrics,
                {TraceArg::str("scheme", schemeName(S))});
   TraceGenerator Gen(Prog, *Space, *Layout, Config.BlockBytes, Table.get());
   return Gen.generate(Work);
 }
 
-Trace Pipeline::trace(Scheme S) const { return generateTrace(S, compile(S)); }
-
 SchemeRun Pipeline::run(Scheme S) const {
   ScheduledWork Work = compile(S);
-  Trace T = generateTrace(S, Work);
+  return simulate(S, Work, trace(S, Work));
+}
 
-  DiskParams Disk = schemeDiskParams(S, Config.Disk);
+SchemeRun Pipeline::simulate(Scheme S, const ScheduledWork &Work,
+                             const Trace &T) const {
   SchemeRun Run;
   Run.S = S;
   if (Config.Attribution)
@@ -355,25 +368,15 @@ SchemeRun Pipeline::run(Scheme S) const {
   {
     PassTimer PT(Config.Trace, TracePid, 0, "simulate", Config.Metrics,
                  {TraceArg::str("scheme", schemeName(S))});
-    // The simulator's events live on their own process track, named after
-    // the scheme, stamped in simulated (not wall) time. SimShards selects
-    // the sharded engine (byte-identical results, DESIGN.md Sec. 11).
-    if (Config.SimShards > 0) {
-      ShardedSimEngine Engine(*Layout, Disk, schemePolicy(S), Config.SimShards,
-                              Config.SimWindowMs, Config.Cache, Config.Trace,
-                              std::string("sim ") + schemeName(S),
-                              Config.Attribution, Config.Timeline);
-      Run.Sim = Engine.run(T);
-    } else {
-      SimEngine Engine(*Layout, Disk, schemePolicy(S), Config.Cache,
-                       Config.Trace, std::string("sim ") + schemeName(S),
-                       Config.Attribution, Config.Timeline);
-      Run.Sim = Engine.run(T);
-    }
+    Run.Sim = simulateScheme(S, *Layout, Config, T);
   }
   if (Config.Verify != VerifyLevel::Off)
     checkVerified(EnergyAuditor(Run.Sim, DE).verify(), "energy-ledger");
-  Run.SchedulerRounds = LastRounds;
+  // Every Fig. 3 round places at least one iteration, so the largest
+  // round tag is the deepest schedule's round count less one.
+  if (!Work.RoundOf.empty())
+    Run.SchedulerRounds =
+        *std::max_element(Work.RoundOf.begin(), Work.RoundOf.end()) + 1;
   Run.TraceRequests = T.size();
   Run.TraceBytes = T.totalBytes();
 

@@ -157,6 +157,14 @@ struct PipelineConfig {
   TimelineRecorder *Timeline = nullptr;
 };
 
+/// The "simulate" step of Pipeline and of the front ends that assemble
+/// their own traces (multi-tenant merges, online sessions): replays \p T on
+/// \p Layout with scheme \p S's disk parameters and power policy, and
+/// with \p Cfg's cache, sinks and engine (serial, or sharded when
+/// Cfg.SimShards > 0).
+SimResults simulateScheme(Scheme S, const DiskLayout &Layout,
+                          const PipelineConfig &Cfg, const Trace &T);
+
 /// The result of running one scheme.
 struct SchemeRun {
   Scheme S = Scheme::Base;
@@ -177,8 +185,8 @@ struct SchemeRun {
 /// or function-local static mutable data — so any number of pipelines may
 /// compile/trace/run concurrently from different threads. One *instance* is
 /// NOT safe for concurrent use: compile()/run() are logically const but
-/// mutate the diagnostic engine, the scheduler's round telemetry and
-/// LastRounds through `mutable` members. Give each concurrent job its own
+/// mutate the diagnostic engine and the scheduler's round telemetry
+/// through `mutable` members. Give each concurrent job its own
 /// Pipeline (and its own EventTracer/MetricsRegistry sinks, or rely on
 /// their internal locking — see obs/Tracer.h, obs/Metrics.h).
 class Pipeline {
@@ -216,8 +224,18 @@ public:
   /// without simulating.
   ScheduledWork compile(Scheme S) const;
 
-  /// Generates the I/O trace for \p S.
-  Trace trace(Scheme S) const;
+  /// The "trace-gen" pass: \p Work, compiled for \p S, as an I/O trace.
+  Trace trace(Scheme S, const ScheduledWork &Work) const;
+
+  /// Compiles \p S and generates its I/O trace.
+  Trace trace(Scheme S) const { return trace(S, compile(S)); }
+
+  /// The "simulate" pass and the run's accounting: replays \p T, the trace
+  /// of \p Work compiled for \p S. Scheduler rounds and locality come from
+  /// \p Work, so a caller that keeps the work and trace (to print code or
+  /// dump the trace) compiles each scheme once.
+  SchemeRun simulate(Scheme S, const ScheduledWork &Work,
+                     const Trace &T) const;
 
   /// Full run: compile, trace, simulate.
   SchemeRun run(Scheme S) const;
@@ -239,7 +257,6 @@ private:
   std::unique_ptr<SymbolicFootprint> Footprint;
   std::unique_ptr<IterationGraph> Graph;
   std::unique_ptr<DiskReuseScheduler> Scheduler;
-  mutable unsigned LastRounds = 0;
   mutable DiagnosticEngine DE;
   mutable CollectingConsumer Collected;
   /// Trace process id of the compiler's wall-clock timeline (0 = no tracer).
@@ -252,9 +269,6 @@ private:
   /// Applies the Sec. 5 restructuring to each processor's work, one barrier
   /// phase at a time (reordering may not cross a barrier).
   ScheduledWork restructurePerProc(const ScheduledWork &Work) const;
-
-  /// The "trace-gen" pass: \p Work (compiled for \p S) as an I/O trace.
-  Trace generateTrace(Scheme S, const ScheduledWork &Work) const;
 };
 
 } // namespace dra

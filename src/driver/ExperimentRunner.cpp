@@ -20,21 +20,6 @@ using namespace dra;
 
 namespace {
 
-bool writeFileOrError(const std::string &Path, const std::string &Data,
-                      std::string &Error) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    Error = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  bool Ok = std::fwrite(Data.data(), 1, Data.size(), F) == Data.size();
-  if (std::fclose(F) != 0)
-    Ok = false;
-  if (!Ok)
-    Error = "cannot write '" + Path + "'";
-  return Ok;
-}
-
 std::string jobFileStem(const std::string &Dir, size_t Index) {
   char Buf[16];
   std::snprintf(Buf, sizeof(Buf), "job-%05zu", Index);
@@ -81,30 +66,24 @@ JobOutcome ExperimentRunner::runOne(const SweepJob &J) const {
     App.Name = J.Point.App;
     App.Runs.push_back(O.Run);
     std::string Stem = jobFileStem(Opts.TelemetryDir, J.Index);
-    std::string Error;
-    if (!writeFileOrError(Stem + ".trace.json", Tracer.renderChromeTrace(),
-                          Error) ||
-        !writeFileOrError(Stem + ".metrics.json", Metrics.renderJson(),
-                          Error) ||
-        !writeFileOrError(Stem + ".report.json",
-                          renderRunReportJson(J.Config, {App}, "sweep"),
-                          Error) ||
-        !writeFileOrError(Stem + ".ledger.json",
-                          renderLedgerReportJson(J.Config, {App}, "sweep"),
-                          Error) ||
-        !writeFileOrError(Stem + ".timeline.json",
-                          renderTimelineJson(Timeline, "sweep"), Error)) {
+    RunArtifacts Out;
+    Out.ChromeTracePath = Stem + ".trace.json";
+    Out.MetricsPath = Stem + ".metrics.json";
+    Out.ReportPath = Stem + ".report.json";
+    Out.LedgerPath = Stem + ".ledger.json";
+    // Source attribution (dra-attrib-v1) only when the job's pipeline
+    // exported it (sweeps may disable it for speed).
+    if (O.Run.Sim.AttributionEnabled)
+      Out.AttribPath = Stem + ".attrib.json";
+    Out.TimelinePath = Stem + ".timeline.json";
+    Out.Tracer = &Tracer;
+    Out.Metrics = &Metrics;
+    Out.Timeline = &Timeline;
+    if (auto Failure = writeRunArtifacts(Out, J.Config, App, "sweep")) {
       O.Ok = false;
-      O.Error = Error;
-    }
-    // Per-job source attribution (dra-attrib-v1), only when the job's
-    // pipeline actually carried it (sweeps may disable it for speed).
-    if (O.Ok && O.Run.Sim.AttributionEnabled &&
-        !writeFileOrError(Stem + ".attrib.json",
-                          renderAttribReportJson(J.Config, {App}, "sweep"),
-                          Error)) {
-      O.Ok = false;
-      O.Error = Error;
+      O.Error = Failure->Opened ? "cannot write '" + Failure->Path + "'"
+                                : "cannot open '" + Failure->Path +
+                                      "' for writing";
     }
   }
   return O;

@@ -7,10 +7,10 @@
 #include "frontend/Parser.h"
 #include "analysis/RegionAnalysis.h"
 #include "ir/ProgramBuilder.h"
+#include "support/FileIO.h"
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <map>
 #include <memory>
 
@@ -344,16 +344,10 @@ std::optional<Program> Parser::parse(const std::string &Source,
 
 std::optional<Program> Parser::parseFile(const std::string &Path,
                                          std::string &Error) {
-  FILE *F = std::fopen(Path.c_str(), "r");
-  if (!F) {
+  std::optional<std::string> Source = readFile(Path);
+  if (!Source) {
     Error = "cannot open '" + Path + "'";
     return std::nullopt;
   }
-  std::string Source;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Source.append(Buf, N);
-  std::fclose(F);
-  return parse(Source, Error);
+  return parse(*Source, Error);
 }

@@ -6,13 +6,12 @@
 
 #include "obs/AttribDiff.h"
 
+#include "support/FileIO.h"
 #include "support/Format.h"
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 using namespace dra;
 
@@ -278,16 +277,14 @@ std::string dra::renderAttribDiffTable(const AttribDiff &D) {
 static bool loadAttribFile(const std::string &Path,
                            std::vector<AttribRunView> &Out,
                            std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text) {
     Error = "cannot read '" + Path + "'";
     return false;
   }
-  std::ostringstream SS;
-  SS << In.rdbuf();
   JsonValue Doc;
   std::string Detail;
-  if (!parseJson(SS.str(), Doc, Detail)) {
+  if (!parseJson(*Text, Doc, Detail)) {
     Error = Path + ": " + Detail;
     return false;
   }

@@ -13,7 +13,7 @@
 /// Nests are matched by label (stable across code versions even when ids
 /// shift); the unattributed bucket diffs like any other row. Rendered as
 /// the "dra-diff-v1" JSON schema (docs/FORMATS.md) and as a text table
-/// (tools/dra-diff).
+/// (`dra-compare --nests`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,9 +95,10 @@ std::string renderAttribDiffJson(const AttribDiff &D);
 /// delta magnitude, with busy/stall time deltas alongside.
 std::string renderAttribDiffTable(const AttribDiff &D);
 
-/// Convenience driver for tools/dra-diff: reads, parses and extracts both
-/// files (paths become the source labels) and builds the diff. Returns
-/// false with \p Error naming the offending file on any failure.
+/// Convenience entry point for `dra-compare --nests`: reads, parses and
+/// extracts both files (paths become the source labels) and builds the
+/// diff. Returns false with \p Error naming the offending file on any
+/// failure.
 bool diffAttribFiles(const std::string &FileA, const std::string &FileB,
                      const std::string &SchemeA, const std::string &SchemeB,
                      AttribDiff &Out, std::string &Error);

@@ -6,10 +6,9 @@
 
 #include "obs/CompareReport.h"
 
+#include "support/FileIO.h"
 #include "support/Format.h"
 
-#include <fstream>
-#include <sstream>
 
 using namespace dra;
 
@@ -414,16 +413,14 @@ bool dra::compareReportFiles(const std::vector<std::string> &Files,
                              Comparison &Out, std::string &Error) {
   std::vector<CompareRun> Runs;
   for (const std::string &Path : Files) {
-    std::ifstream In(Path, std::ios::binary);
-    if (!In) {
+    std::optional<std::string> Text = readFile(Path);
+    if (!Text) {
       Error = "cannot read '" + Path + "'";
       return false;
     }
-    std::ostringstream SS;
-    SS << In.rdbuf();
     JsonValue Doc;
     std::string ParseError;
-    if (!parseJson(SS.str(), Doc, ParseError)) {
+    if (!parseJson(*Text, Doc, ParseError)) {
       Error = Path + ": " + ParseError;
       return false;
     }

@@ -14,8 +14,7 @@
 /// internally consistent), falling back to any source's baseline for the
 /// same app — which lets per-job sweep ledgers, each holding one scheme,
 /// be compared as a set. Rendered as the "dra-compare-v1" JSON schema
-/// (docs/FORMATS.md) and as a text table (`drac --compare`,
-/// `tools/dra-compare`).
+/// (docs/FORMATS.md) and as a text table (`tools/dra-compare`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,11 +110,11 @@ std::string renderCompareJson(const Comparison &C);
 /// normalized missed-opportunity energy.
 std::string renderCompareTable(const Comparison &C);
 
-/// Convenience driver shared by `drac --compare` and tools/dra-compare:
-/// reads and parses every file in \p Files (the file path becomes the
-/// run's source label), extracts its runs, and normalizes them against
-/// \p BaselineScheme. Returns false with \p Error naming the offending
-/// file on any read/parse/extract/normalization failure.
+/// Convenience entry point for tools/dra-compare: reads and parses every
+/// file in \p Files (the file path becomes the run's source label),
+/// extracts its runs, and normalizes them against \p BaselineScheme.
+/// Returns false with \p Error naming the offending file on any
+/// read/parse/extract/normalization failure.
 bool compareReportFiles(const std::vector<std::string> &Files,
                         const std::string &BaselineScheme, Comparison &Out,
                         std::string &Error);

@@ -7,6 +7,10 @@
 #include "obs/RunReport.h"
 
 #include "obs/IdleGapAnalyzer.h"
+#include "obs/Metrics.h"
+#include "obs/Timeline.h"
+#include "obs/Tracer.h"
+#include "support/FileIO.h"
 
 #include <cmath>
 #include <string_view>
@@ -502,4 +506,34 @@ std::string dra::renderAttribFlame(const std::vector<AppResults> &Apps) {
     }
   }
   return Out;
+}
+
+std::optional<ArtifactFailure>
+dra::writeRunArtifacts(const RunArtifacts &A, const PipelineConfig &Cfg,
+                       const AppResults &App, const std::string &Source) {
+  std::optional<ArtifactFailure> Failure;
+  // Renders lazily, so a skipped artifact costs nothing.
+  auto write = [&](const std::string &Path, const char *What, auto Render) {
+    if (Failure || Path.empty())
+      return;
+    WriteResult R = writeFile(Path, Render());
+    if (!R)
+      Failure = ArtifactFailure{What, Path, R.Opened};
+  };
+  write(A.ChromeTracePath, "trace",
+        [&] { return A.Tracer->renderChromeTrace(); });
+  write(A.MetricsPath, "metrics", [&] { return A.Metrics->renderJson(); });
+  write(A.ReportPath, "report",
+        [&] { return renderRunReportJson(Cfg, {App}, Source); });
+  write(A.LedgerPath, "ledger",
+        [&] { return renderLedgerReportJson(Cfg, {App}, Source); });
+  write(A.AttribPath, "attribution",
+        [&] { return renderAttribReportJson(Cfg, {App}, Source); });
+  write(A.FlamePath, "flame stacks", [&] { return renderAttribFlame({App}); });
+  write(A.FootprintPath, "footprint",
+        [&] { return std::string_view(App.FootprintJson); });
+  write(A.TimelinePath, "timeline", [&] {
+    return renderTimelineJson(*A.Timeline, Source, A.ServingJson);
+  });
+  return Failure;
 }

@@ -21,10 +21,15 @@
 #include "core/Report.h"
 #include "support/Json.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace dra {
+
+class EventTracer;
+class MetricsRegistry;
+class TimelineRecorder;
 
 /// Serializes every field of \p R (including cache and per-disk stats) as
 /// one JSON object.
@@ -80,6 +85,42 @@ std::string renderRunReportJson(const PipelineConfig &Cfg,
 std::string renderLedgerReportJson(const PipelineConfig &Cfg,
                                    const std::vector<AppResults> &Apps,
                                    const std::string &Source);
+
+/// The artifacts one run may export and where to put them. An empty path
+/// skips that artifact; a requested sink artifact needs its sink.
+struct RunArtifacts {
+  std::string ChromeTracePath; ///< Chrome trace_event timeline (Tracer).
+  std::string MetricsPath;     ///< Metrics registry JSON (Metrics).
+  std::string ReportPath;      ///< dra-report-v1.
+  std::string LedgerPath;      ///< dra-ledger-v1.
+  std::string AttribPath;      ///< dra-attrib-v1.
+  std::string FlamePath;       ///< Collapsed flame stacks.
+  std::string FootprintPath;   ///< The app's dra-footprint-v1 body.
+  std::string TimelinePath;    ///< dra-timeline-v1 (Timeline).
+  const EventTracer *Tracer = nullptr;
+  const MetricsRegistry *Metrics = nullptr;
+  const TimelineRecorder *Timeline = nullptr;
+  /// Pre-rendered serving section spliced into the timeline (dra-serve).
+  std::string ServingJson;
+};
+
+/// The first artifact writeRunArtifacts could not write.
+struct ArtifactFailure {
+  /// What the file holds, for "cannot write <What> to '<Path>'".
+  const char *What = "";
+  std::string Path;
+  /// Whether the file could be created at all (see WriteResult).
+  bool Opened = false;
+};
+
+/// Writes every requested artifact of \p App's run under \p Cfg, in the
+/// field order of RunArtifacts, stopping at the first failure. \p Source
+/// labels the documents ("drac", "dra-serve", "sweep"). The one export
+/// path of drac, dra-serve and the sweep runner's per-job telemetry.
+std::optional<ArtifactFailure> writeRunArtifacts(const RunArtifacts &A,
+                                                 const PipelineConfig &Cfg,
+                                                 const AppResults &App,
+                                                 const std::string &Source);
 
 } // namespace dra
 

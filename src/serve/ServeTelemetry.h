@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-tick serving telemetry shared by the two online drivers (`dra-serve`
-/// and `drac --online`, docs/SERVING.md): the one per-tick table renderer
-/// both print, exact dispatch-lag histograms (arrival tick -> dispatch
-/// tick), the serve counters both emit into a MetricsRegistry, and the
+/// Per-tick serving telemetry of the online front end (`dra-serve`,
+/// docs/SERVING.md): the per-tick table renderer, exact dispatch-lag
+/// histograms (arrival tick -> dispatch tick), the serve counters emitted
+/// into a MetricsRegistry, and the
 /// declarative SLO layer — a dra-slo-v1 spec evaluated per rolling window
 /// of ticks, with violations surfaced as diagnostics (pass "serve-slo")
 /// and a nonzero driver exit code.

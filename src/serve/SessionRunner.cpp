@@ -280,16 +280,9 @@ SessionResult SessionRunner::run() {
     T = std::move(Merged);
   }
 
-  // Simulate exactly as Pipeline::run does: restructured schemes get the
-  // compiler's proactive power hints, the tracer process is named after
-  // the scheme.
-  SimEngine Engine(Layout, schemeDiskParams(S, Cfg.Disk), schemePolicy(S),
-                   Cfg.Cache, Cfg.Trace, std::string("sim ") + schemeName(S),
-                   Cfg.Attribution, Cfg.Timeline);
-
   Result.Run.S = S;
   Result.Run.AttribNames = attributionNamesOf(*Prog);
-  Result.Run.Sim = Engine.run(T);
+  Result.Run.Sim = simulateScheme(S, Layout, Cfg, T);
   Result.Run.SchedulerRounds = MaxRounds;
   Result.Run.TraceRequests = T.size();
   Result.Run.TraceBytes = T.totalBytes();
@@ -297,8 +290,7 @@ SessionResult SessionRunner::run() {
   Proc0.Order = Order;
   Result.Run.Locality = Proc0.locality(Pipe->table(), Layout);
 
-  // Shared with drac --online so both drivers export the same counter set
-  // (serve/ServeTelemetry.h).
+  // The serve counter set (serve/ServeTelemetry.h).
   if (Metrics)
     recordServeMetrics(*Metrics, Result);
 

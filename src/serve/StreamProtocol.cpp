@@ -6,10 +6,10 @@
 
 #include "serve/StreamProtocol.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 
 using namespace dra;
@@ -185,18 +185,11 @@ bool parseProgram(const JsonValue &Doc, const std::string &BaseDir, Ctx &C,
   std::filesystem::path Path(File->Str);
   if (Path.is_relative() && !BaseDir.empty())
     Path = std::filesystem::path(BaseDir) / Path;
-  std::FILE *F = std::fopen(Path.string().c_str(), "rb");
-  if (!F)
+  std::optional<std::string> Text = readFile(Path.string());
+  if (!Text || Text->empty())
     return C.fail("stream-bad-program",
                   "cannot read program file '" + Path.string() + "'");
-  char Buf[4096];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) != 0;)
-    Source.append(Buf, N);
-  bool Ok = std::ferror(F) == 0;
-  std::fclose(F);
-  if (!Ok || Source.empty())
-    return C.fail("stream-bad-program",
-                  "cannot read program file '" + Path.string() + "'");
+  Source = std::move(*Text);
   return true;
 }
 

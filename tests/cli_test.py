@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Front-end contract of the command-line tools.
+
+Runs the built drac, dra-serve and dra-compare binaries and checks that:
+  * every flag of a retired drac mode exits 2 with one line naming its
+    replacement;
+  * dra-compare --nests writes a dra-diff-v1 document and keeps each view's
+    options to itself;
+  * an unwritable artifact path exits 1 with "cannot write";
+  * drac compiles each scheme once, even with --print-code and --dump-trace.
+
+Usage: cli_test.py --drac BIN --dra-serve BIN --dra-compare BIN --source-dir DIR
+"""
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+FAILURES = []
+
+
+def check(cond, msg):
+    if not cond:
+        FAILURES.append(msg)
+
+
+def run(*argv):
+    return subprocess.run([str(a) for a in argv], capture_output=True,
+                          text=True, timeout=300)
+
+
+def removed_flags(drac):
+    # flag -> what its one-line message must name
+    table = {
+        "--online": "dra-serve",
+        "--record": "dra-serve --record",
+        "--compare": "dra-compare",
+        "--baseline-scheme": "dra-compare --baseline-scheme",
+        "--compare-json": "dra-compare --json",
+        "--no-attribution": "attribution is always recorded",
+    }
+    for flag, names in table.items():
+        p = run(drac, flag, "x.json")
+        lines = p.stderr.splitlines()
+        check(p.returncode == 2, f"{flag}: exit {p.returncode}, want 2")
+        check(len(lines) == 1, f"{flag}: want one stderr line, got {lines}")
+        check(lines and f"{flag} was removed" in lines[0] and
+              names in lines[0], f"{flag}: message {lines}")
+
+
+def compare_nests(drac, compare, src, tmp):
+    attrib = os.path.join(tmp, "demo.attrib.json")
+    p = run(drac, os.path.join(src, "examples/programs/demo.dra"),
+            "--attrib-json", attrib)
+    check(p.returncode == 0, f"drac --attrib-json: exit {p.returncode}")
+    out = os.path.join(tmp, "diff.json")
+    p = run(compare, "--nests", attrib, attrib, "--scheme-a", "TPM",
+            "--scheme-b", "T-TPM-s", "--json", out)
+    check(p.returncode == 0, f"dra-compare --nests: exit {p.returncode} "
+          f"({p.stderr.strip()})")
+    check("TPM (A) vs T-TPM-s (B)" in p.stdout,
+          "dra-compare --nests: no nest table on stdout")
+    schema = json.load(open(out)).get("schema") if os.path.exists(out) else None
+    check(schema == "dra-diff-v1", f"dra-compare --nests schema {schema}")
+    # Each view rejects the other's options.
+    check(run(compare, "--nests", attrib).returncode == 2,
+          "--nests with one file must be a usage error")
+    check(run(compare, "--nests", attrib, attrib, "--baseline-scheme",
+              "Base").returncode == 2,
+          "--nests with --baseline-scheme must be a usage error")
+    check(run(compare, attrib, "--scheme-a", "TPM").returncode == 2,
+          "--scheme-a without --nests must be a usage error")
+
+
+def unwritable(drac, serve, src, tmp):
+    bad = os.path.join(tmp, "no-such-dir", "out.json")
+    p = run(drac, os.path.join(src, "examples/programs/demo.dra"),
+            "--report-json", bad)
+    check(p.returncode == 1, f"drac unwritable report: exit {p.returncode}")
+    check(f"cannot write report to '{bad}'" in p.stderr,
+          f"drac unwritable report: stderr {p.stderr!r}")
+    p = run(serve, os.path.join(src, "examples/online/ci-small.stream.json"),
+            "--quiet", "--timeline-json", bad)
+    check(p.returncode == 1, f"dra-serve unwritable timeline: exit "
+          f"{p.returncode}")
+    check(f"dra-serve: error: cannot write timeline to '{bad}'" in p.stderr,
+          f"dra-serve unwritable timeline: stderr {p.stderr!r}")
+
+
+def pass_counts(drac, src, tmp):
+    p = run(drac, os.path.join(src, "examples/programs/stencil.dra"),
+            "--procs", "4", "--scheme", "T-TPM-m", "--timings",
+            "--print-code", "--dump-trace", os.path.join(tmp, "t.trace"))
+    check(p.returncode == 0, f"drac --timings: exit {p.returncode}")
+    runs = {m.group(1): int(m.group(2)) for m in
+            re.finditer(r"^([a-z-]+)\s+(\d+)\s+[\d.]+\s+[\d.]+$", p.stdout,
+                        re.M)}
+    # Base and T-TPM-m compile once each; only T-TPM-m restructures.
+    check(runs.get("restructure") == 1, f"restructure runs {runs}")
+    check(runs.get("trace-gen") == 2, f"trace-gen runs {runs}")
+    check(runs.get("simulate") == 2, f"simulate runs {runs}")
+    m = re.search(r"^scheduler: (\d+) invocations", p.stdout, re.M)
+    check(m and int(m.group(1)) == 8, "scheduler invocations: " +
+          (m.group(0) if m else "missing"))
+    check("-- T-TPM-m, processor 3 --" in p.stdout, "--print-code output")
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--drac", required=True)
+    ap.add_argument("--dra-serve", required=True)
+    ap.add_argument("--dra-compare", required=True)
+    ap.add_argument("--source-dir", required=True)
+    a = ap.parse_args()
+    with tempfile.TemporaryDirectory(prefix="dra-cli-") as tmp:
+        removed_flags(a.drac)
+        compare_nests(a.drac, a.dra_compare, a.source_dir, tmp)
+        unwritable(a.drac, a.dra_serve, a.source_dir, tmp)
+        pass_counts(a.drac, a.source_dir, tmp)
+    for f in FAILURES:
+        print("FAIL: " + f)
+    if FAILURES:
+        return 1
+    print("ok: removed flags, compare --nests, unwritable paths, pass counts")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/IterVec.h"
 #include "support/Statistics.h"
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 
 using namespace dra;
@@ -279,4 +281,68 @@ TEST(DurationHistogramTest, RenderMentionsEveryBucket) {
   std::string S = H.render();
   EXPECT_NE(S.find(">="), std::string::npos);
   EXPECT_NE(S.find("periods"), std::string::npos);
+}
+
+namespace {
+
+/// A fresh, empty scratch directory per test, removed afterwards.
+class FileIOTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    Dir = std::filesystem::temp_directory_path() /
+          (std::string("dra-fileio-") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(Dir);
+    std::filesystem::create_directories(Dir);
+  }
+  void TearDown() override { std::filesystem::remove_all(Dir); }
+  std::string path(const char *Name) const { return (Dir / Name).string(); }
+
+  std::filesystem::path Dir;
+};
+
+} // namespace
+
+TEST_F(FileIOTest, MissingFileIsNotReadAndMissingDirIsNotCreated) {
+  EXPECT_FALSE(readFile(path("absent.json")).has_value());
+  WriteResult R = writeFile(path("no-such-dir/out.json"), "x");
+  EXPECT_FALSE(R.Opened);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_FALSE(bool(R));
+}
+
+TEST_F(FileIOTest, DirectoryIsNeitherReadNorWritten) {
+  // fopen accepts a directory for reading; the read itself must fail.
+  EXPECT_FALSE(readFile(Dir.string()).has_value());
+  WriteResult R = writeFile(Dir.string(), "x");
+  EXPECT_FALSE(R.Opened);
+  EXPECT_FALSE(bool(R));
+}
+
+TEST_F(FileIOTest, ShortWriteIsAFailure) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this system";
+  // /dev/full opens fine and refuses every byte (ENOSPC), so the failure
+  // surfaces on the write or on the flush inside fclose.
+  WriteResult R = writeFile("/dev/full", std::string(1 << 16, 'x'));
+  EXPECT_TRUE(R.Opened);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_FALSE(bool(R));
+}
+
+TEST_F(FileIOTest, RoundTripKeepsEveryByteAndTruncates) {
+  const char Raw[] = "line one\n\0binary\r\n\xff";
+  std::string Data(Raw, sizeof(Raw) - 1);
+  Data += std::string(10000, 'z'); // Spans several read buffers.
+  ASSERT_TRUE(bool(writeFile(path("doc.bin"), Data)));
+  std::optional<std::string> Back = readFile(path("doc.bin"));
+  ASSERT_TRUE(Back.has_value());
+  EXPECT_EQ(*Back, Data);
+
+  WriteResult R = writeFile(path("doc.bin"), "short");
+  EXPECT_TRUE(R.Opened && R.Ok);
+  EXPECT_EQ(readFile(path("doc.bin")), std::optional<std::string>("short"));
+
+  ASSERT_TRUE(bool(writeFile(path("empty.txt"), "")));
+  EXPECT_EQ(readFile(path("empty.txt")), std::optional<std::string>(""));
 }

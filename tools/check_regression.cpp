@@ -20,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -27,9 +28,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,16 +43,6 @@ int usage(const char *Argv0) {
                "[--tolerance R]\n",
                Argv0);
   return 2;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
 }
 
 /// The gated metrics of one (app, scheme) run. Flat name -> value; every
@@ -234,8 +224,8 @@ bool extractMetrics(const JsonValue &Doc, MetricMap &Out, std::string &Error) {
 /// not a dra-report-v1, or that defines no gated metrics at all is a hard
 /// failure — a gate that silently compares nothing would pass forever.
 bool loadMetrics(const char *Role, const std::string &Path, MetricMap &Out) {
-  std::string Text;
-  if (!readFile(Path, Text)) {
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text) {
     std::fprintf(stderr,
                  "check-regression: error: cannot read %s '%s'%s\n", Role,
                  Path.c_str(),
@@ -244,7 +234,7 @@ bool loadMetrics(const char *Role, const std::string &Path, MetricMap &Out) {
   }
   JsonValue Doc;
   std::string Error;
-  if (!parseJson(Text, Doc, Error)) {
+  if (!parseJson(*Text, Doc, Error)) {
     std::fprintf(stderr, "check-regression: error: %s '%s' is not valid "
                          "JSON: %s\n",
                  Role, Path.c_str(), Error.c_str());

@@ -2,25 +2,42 @@
 //
 // Part of the DRA project (CGO 2006 disk-access-locality reproduction).
 //
-// Diffs one or more "dra-report-v1" / "dra-ledger-v1" documents into the
-// paper's Fig. 9 view: per-scheme energy normalized to a baseline scheme,
-// broken down by ledger category, with the sub-break-even
-// missed-opportunity energy the compiler restructuring exists to shrink.
+// The compare front end for saved runs, at two granularities.
+//
+// Scheme view: diffs one or more "dra-report-v1" / "dra-ledger-v1"
+// documents into the paper's Fig. 9 view: per-scheme energy normalized to
+// a baseline scheme, broken down by ledger category, with the
+// sub-break-even missed-opportunity energy the compiler restructuring
+// exists to shrink.
+//
+// Nest view (--nests): compares two "dra-report-v1" / "dra-attrib-v1"
+// documents at source-attribution granularity: signed per-nest joule and
+// time deltas, sorted by magnitude, so an energy regression (or a
+// restructuring win) is pinned to the loop nests that moved. Comparing a
+// Base run against a restructured scheme of the same report names the
+// nests the compiler transformed.
 //
 // Usage:
 //   dra-compare <report.json>... [options]
 //     --baseline-scheme NAME  normalize against NAME (default: Base)
-//     --json FILE             write the dra-compare-v1 document to FILE
-//                             ('-' for stdout); the text table still goes
-//                             to stdout unless --quiet
-//     --quiet                 suppress the text table
+//   dra-compare --nests <a.json> <b.json> [options]
+//     --scheme-a NAME  scheme to pick from A (default: pair equal schemes)
+//     --scheme-b NAME  scheme to pick from B (default: same as --scheme-a)
+//   Both views:
+//     --json FILE      write the dra-compare-v1 (scheme view) or
+//                      dra-diff-v1 (nest view) document to FILE ('-' for
+//                      stdout); the text table still goes to stdout
+//                      unless --quiet
+//     --quiet          suppress the text table
 //
 // Exit codes: 0 success, 1 bad input (unreadable file, unknown schema, no
-// baseline run for an app), 2 usage error.
+// baseline run for an app, no matching run pair), 2 usage error.
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/AttribDiff.h"
 #include "obs/CompareReport.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 #include <string>
@@ -31,31 +48,28 @@ using namespace dra;
 static int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s <report.json>... [--baseline-scheme NAME] "
-               "[--json FILE] [--quiet]\n",
-               Argv0);
+               "[--json FILE] [--quiet]\n"
+               "       %s --nests <a.json> <b.json> [--scheme-a NAME] "
+               "[--scheme-b NAME] [--json FILE] [--quiet]\n",
+               Argv0, Argv0);
   return 2;
-}
-
-static bool writeFile(const std::string &Path, const std::string &Data) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Data.data(), 1, Data.size(), F) == Data.size();
-  if (std::fclose(F) != 0)
-    Ok = false;
-  return Ok;
 }
 
 int main(int argc, char **argv) {
   std::vector<std::string> Files;
-  std::string BaselineScheme = "Base";
-  std::string JsonOut;
-  bool Quiet = false;
+  std::string BaselineScheme, SchemeA, SchemeB, JsonOut;
+  bool Nests = false, Quiet = false;
 
   for (int I = 1; I != argc; ++I) {
     std::string Arg = argv[I];
-    if (Arg == "--baseline-scheme" && I + 1 != argc) {
+    if (Arg == "--nests") {
+      Nests = true;
+    } else if (Arg == "--baseline-scheme" && I + 1 != argc) {
       BaselineScheme = argv[++I];
+    } else if (Arg == "--scheme-a" && I + 1 != argc) {
+      SchemeA = argv[++I];
+    } else if (Arg == "--scheme-b" && I + 1 != argc) {
+      SchemeB = argv[++I];
     } else if (Arg == "--json" && I + 1 != argc) {
       JsonOut = argv[++I];
     } else if (Arg == "--quiet") {
@@ -66,20 +80,37 @@ int main(int argc, char **argv) {
       Files.push_back(Arg);
     }
   }
-  if (Files.empty())
+  // Each view takes only its own options.
+  if (Nests ? Files.size() != 2 || !BaselineScheme.empty()
+            : Files.empty() || !SchemeA.empty() || !SchemeB.empty())
     return usage(argv[0]);
 
-  Comparison C;
-  std::string Error;
-  if (!compareReportFiles(Files, BaselineScheme, C, Error)) {
-    std::fprintf(stderr, "dra-compare: error: %s\n", Error.c_str());
-    return 1;
+  std::string Table, Doc, Error;
+  if (Nests) {
+    AttribDiff D;
+    if (!diffAttribFiles(Files[0], Files[1], SchemeA, SchemeB, D, Error)) {
+      std::fprintf(stderr, "dra-compare: error: %s\n", Error.c_str());
+      return 1;
+    }
+    Table = renderAttribDiffTable(D);
+    if (!JsonOut.empty())
+      Doc = renderAttribDiffJson(D);
+  } else {
+    Comparison C;
+    if (!compareReportFiles(Files,
+                            BaselineScheme.empty() ? "Base" : BaselineScheme,
+                            C, Error)) {
+      std::fprintf(stderr, "dra-compare: error: %s\n", Error.c_str());
+      return 1;
+    }
+    Table = renderCompareTable(C);
+    if (!JsonOut.empty())
+      Doc = renderCompareJson(C);
   }
 
   if (!Quiet)
-    std::printf("%s", renderCompareTable(C).c_str());
+    std::printf("%s", Table.c_str());
   if (!JsonOut.empty()) {
-    std::string Doc = renderCompareJson(C);
     if (JsonOut == "-") {
       std::printf("%s\n", Doc.c_str());
     } else if (!writeFile(JsonOut, Doc)) {

@@ -26,6 +26,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
@@ -46,31 +47,6 @@ int usage(const char *Argv0) {
                "usage: %s <doc.json>... -o <out.html> [--title TITLE]\n",
                Argv0);
   return 2;
-}
-
-std::optional<std::string> readFile(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return std::nullopt;
-  std::string Data;
-  char Buf[4096];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) != 0;)
-    Data.append(Buf, N);
-  bool Ok = std::ferror(F) == 0;
-  std::fclose(F);
-  if (!Ok)
-    return std::nullopt;
-  return Data;
-}
-
-bool writeFile(const std::string &Path, const std::string &Data) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Data.data(), 1, Data.size(), F) == Data.size();
-  if (std::fclose(F) != 0)
-    Ok = false;
-  return Ok;
 }
 
 std::string esc(const std::string &S) {

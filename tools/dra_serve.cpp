@@ -38,6 +38,7 @@
 #include "obs/Timeline.h"
 #include "serve/ServeTelemetry.h"
 #include "serve/SessionRunner.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 
 #include <cstdio>
@@ -56,31 +57,6 @@ static int usage(const char *Argv0) {
                "[--quiet]\n",
                Argv0);
   return 2;
-}
-
-static std::optional<std::string> readFile(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return std::nullopt;
-  std::string Data;
-  char Buf[4096];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) != 0;)
-    Data.append(Buf, N);
-  bool Ok = std::ferror(F) == 0;
-  std::fclose(F);
-  if (!Ok)
-    return std::nullopt;
-  return Data;
-}
-
-static bool writeFile(const std::string &Path, const std::string &Data) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Data.data(), 1, Data.size(), F) == Data.size();
-  if (std::fclose(F) != 0)
-    Ok = false;
-  return Ok;
 }
 
 int main(int argc, char **argv) {
@@ -205,38 +181,6 @@ int main(int argc, char **argv) {
   App.Name = Result.ProgramName;
   App.Runs.push_back(Run);
   App.FootprintJson = Result.FootprintJson;
-  const PipelineConfig &Cfg = Runner.pipelineConfig();
-
-  if (!ReportJson.empty() &&
-      !writeFile(ReportJson, renderRunReportJson(Cfg, {App}, "dra-serve"))) {
-    std::fprintf(stderr, "dra-serve: error: cannot write report to '%s'\n",
-                 ReportJson.c_str());
-    return 1;
-  }
-  if (!LedgerJson.empty() &&
-      !writeFile(LedgerJson, renderLedgerReportJson(Cfg, {App}, "dra-serve"))) {
-    std::fprintf(stderr, "dra-serve: error: cannot write ledger to '%s'\n",
-                 LedgerJson.c_str());
-    return 1;
-  }
-  if (!AttribJson.empty() &&
-      !writeFile(AttribJson, renderAttribReportJson(Cfg, {App}, "dra-serve"))) {
-    std::fprintf(stderr,
-                 "dra-serve: error: cannot write attribution to '%s'\n",
-                 AttribJson.c_str());
-    return 1;
-  }
-  if (!FlameOut.empty() && !writeFile(FlameOut, renderAttribFlame({App}))) {
-    std::fprintf(stderr,
-                 "dra-serve: error: cannot write flame stacks to '%s'\n",
-                 FlameOut.c_str());
-    return 1;
-  }
-  if (!MetricsJson.empty() && !writeFile(MetricsJson, Metrics.renderJson())) {
-    std::fprintf(stderr, "dra-serve: error: cannot write metrics to '%s'\n",
-                 MetricsJson.c_str());
-    return 1;
-  }
 
   // Evaluate SLOs before writing the timeline so violations appear in it.
   std::vector<SloViolation> Violations;
@@ -244,16 +188,23 @@ int main(int argc, char **argv) {
     Violations = evaluateSlos(Slo, Result, Result.TickLags, Run0);
     reportSloViolations(DE, Violations);
   }
-  if (!TimelineJson.empty()) {
-    std::string Serving =
-        renderServingJson(Result, Result.TickLags, Run0,
-                          HaveSlo ? &Slo : nullptr, Violations);
-    if (!writeFile(TimelineJson,
-                   renderTimelineJson(Timeline, "dra-serve", Serving))) {
-      std::fprintf(stderr, "dra-serve: error: cannot write timeline to '%s'\n",
-                   TimelineJson.c_str());
-      return 1;
-    }
+  RunArtifacts Out;
+  Out.MetricsPath = MetricsJson;
+  Out.ReportPath = ReportJson;
+  Out.LedgerPath = LedgerJson;
+  Out.AttribPath = AttribJson;
+  Out.FlamePath = FlameOut;
+  Out.TimelinePath = TimelineJson;
+  Out.Metrics = &Metrics;
+  Out.Timeline = &Timeline;
+  if (!TimelineJson.empty())
+    Out.ServingJson = renderServingJson(Result, Result.TickLags, Run0,
+                                        HaveSlo ? &Slo : nullptr, Violations);
+  if (auto Failure = writeRunArtifacts(Out, Runner.pipelineConfig(), App,
+                                       "dra-serve")) {
+    std::fprintf(stderr, "dra-serve: error: cannot write %s to '%s'\n",
+                 Failure->What, Failure->Path.c_str());
+    return 1;
   }
   if (!Violations.empty()) {
     std::fprintf(stderr, "dra-serve: %zu SLO violation%s (spec '%s')\n",

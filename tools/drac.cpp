@@ -70,17 +70,9 @@
 //     spec; --sim-shards/--sim-window, --dump-trace and every report/
 //     timeline artifact option above apply to the merged run.
 //
-// Compare mode (docs/FORMATS.md, dra-compare-v1) — diff existing reports:
-//   drac --compare <report.json>... [options]
-//     --baseline-scheme NAME  normalize against NAME (default: Base)
-//     --compare-json F        also write the dra-compare-v1 document to F
-//
-// Online mode (docs/SERVING.md) — the file is a request stream, not source:
-//   drac --online <stream.json> [options]
-//     --record F       write the normalized dra-session-v1 record to F
-//     (--report-json / --ledger-json / --attrib-json / --flame /
-//      --metrics-json / --timeline-json / --timeline-window as above; the
-//      dedicated dra-serve binary is the full-featured front end)
+// Comparing saved reports is dra-compare's job and serving a request
+// stream is dra-serve's; the flags drac once had for them exit 2 naming the
+// replacement (RemovedFlags below).
 //
 // Sweep mode (docs/SWEEPS.md) — no source file argument:
 //   drac --sweep <spec.json> [options]
@@ -101,14 +93,11 @@
 #include "driver/ExperimentRunner.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
-#include "obs/CompareReport.h"
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
 #include "obs/Timeline.h"
 #include "obs/Tracer.h"
-#include "serve/ServeTelemetry.h"
-#include "serve/SessionRunner.h"
-#include "sim/ShardedSimEngine.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "trace/TenantMerge.h"
 #include "trace/TraceIO.h"
@@ -141,33 +130,31 @@ static int usage(const char *Argv0) {
                "[--report-json FILE] [--ledger-json FILE] "
                "[--attrib-json FILE] [--flame FILE] "
                "[--timeline-json FILE] [--timeline-window MS]\n"
-               "       %s --online <stream.json> [--record FILE] "
-               "[--report-json FILE] [--ledger-json FILE] "
-               "[--attrib-json FILE] [--flame FILE] [--metrics-json FILE] "
-               "[--timeline-json FILE] [--timeline-window MS]\n"
-               "       %s --compare <report.json>... "
-               "[--baseline-scheme NAME] [--compare-json FILE]\n"
                "       %s --sweep <spec.json> [--jobs N] [--sweep-out FILE] "
                "[--timings] [--sweep-telemetry DIR]\n",
-               Argv0, Argv0, Argv0, Argv0, Argv0);
+               Argv0, Argv0, Argv0);
   return 2;
 }
 
-static bool writeFile(const std::string &Path, const std::string &Data);
+/// Flags of retired drac modes. Each is a usage error (exit 2) whose one
+/// line names what replaced it.
+static constexpr struct {
+  const char *Flag;
+  const char *Replacement;
+} RemovedFlags[] = {
+    {"--online", "serve request streams with dra-serve <stream.json>"},
+    {"--record", "record sessions with dra-serve --record"},
+    {"--compare", "compare reports with dra-compare <report.json>..."},
+    {"--baseline-scheme", "use dra-compare --baseline-scheme"},
+    {"--compare-json", "use dra-compare --json"},
+    {"--no-attribution", "attribution is always recorded"},
+};
 
-static std::optional<std::string> readFile(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return std::nullopt;
-  std::string Data;
-  char Buf[4096];
-  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) != 0;)
-    Data.append(Buf, N);
-  bool Ok = std::ferror(F) == 0;
-  std::fclose(F);
-  if (!Ok)
-    return std::nullopt;
-  return Data;
+/// Prints \p F as drac's artifact-write diagnostic; always returns 1.
+static int artifactError(const ArtifactFailure &F) {
+  std::fprintf(stderr, "error: cannot write %s to '%s'\n", F.What,
+               F.Path.c_str());
+  return 1;
 }
 
 /// Sweep mode: parse + validate the spec, expand, execute on the worker
@@ -225,119 +212,6 @@ static int runSweep(const std::string &SpecPath, unsigned Jobs,
   std::fprintf(stderr, "drac: sweep done, %zu jobs, %u failed\n",
                Outcomes.size(), Failed);
   return Failed == 0 ? 0 : 1;
-}
-
-static bool writeFile(const std::string &Path, const std::string &Data) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Data.data(), 1, Data.size(), F) == Data.size();
-  if (std::fclose(F) != 0)
-    Ok = false;
-  return Ok;
-}
-
-/// Online mode (docs/SERVING.md): the positional file is a dra-stream-v1 /
-/// dra-session-v1 document instead of pseudo-language source. Runs it
-/// through the serving subsystem and emits the same JSON artifacts; the
-/// full-featured front end is the dedicated dra-serve binary.
-static int runOnline(const std::string &Path, const std::string &Record,
-                     const std::string &ReportJson,
-                     const std::string &LedgerJson,
-                     const std::string &AttribJson,
-                     const std::string &FlameOut,
-                     const std::string &MetricsJson,
-                     const std::string &TimelineJson,
-                     unsigned TimelineWindowMs) {
-  std::optional<std::string> Text = readFile(Path);
-  if (!Text) {
-    std::fprintf(stderr, "drac: error: cannot read '%s'\n", Path.c_str());
-    return 1;
-  }
-  DiagnosticEngine DE;
-  StreamingConsumer Stream(std::cerr);
-  DE.addConsumer(&Stream);
-  std::string BaseDir = std::filesystem::path(Path).parent_path().string();
-  std::optional<StreamSession> Session =
-      parseStreamSession(*Text, DE, BaseDir);
-  if (!Session) {
-    std::fprintf(stderr, "drac: error: invalid session '%s' (%llu errors)\n",
-                 Path.c_str(), (unsigned long long)DE.numErrors());
-    return 1;
-  }
-  if (!Record.empty() && !writeFile(Record, renderSessionJson(*Session))) {
-    std::fprintf(stderr, "error: cannot write session record to '%s'\n",
-                 Record.c_str());
-    return 1;
-  }
-  MetricsRegistry Metrics;
-  TimelineRecorder Timeline{double(TimelineWindowMs)};
-  SessionRunner Runner(*Session, DE, /*Tracer=*/nullptr,
-                       MetricsJson.empty() ? nullptr : &Metrics,
-                       TimelineJson.empty() ? nullptr : &Timeline);
-  SessionResult Result = Runner.run();
-  if (!Result.Ok) {
-    std::fprintf(stderr, "drac: error: session failed (%llu errors)\n",
-                 (unsigned long long)DE.numErrors());
-    return 1;
-  }
-  // The same renderer dra-serve uses (serve/ServeTelemetry.h), so the two
-  // drivers print one table format.
-  std::printf("%s",
-              renderServeTickTable(Result.Ticks, Result.TickLags).c_str());
-  const SchemeRun &Run = Result.Run;
-  std::printf("%s: %s: %s J, disk I/O %s s, wall %s s\n",
-              Result.ProgramName.c_str(), schemeName(Run.S),
-              fmtDouble(Run.Sim.EnergyJ, 1).c_str(),
-              fmtDouble(Run.Sim.IoTimeMs / 1000.0, 1).c_str(),
-              fmtDouble(Run.Sim.WallTimeMs / 1000.0, 1).c_str());
-
-  AppResults App;
-  App.Name = Result.ProgramName;
-  App.Runs.push_back(Run);
-  App.FootprintJson = Result.FootprintJson;
-  const PipelineConfig &Cfg = Runner.pipelineConfig();
-  if (!ReportJson.empty() &&
-      !writeFile(ReportJson, renderRunReportJson(Cfg, {App}, "dra-serve"))) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 ReportJson.c_str());
-    return 1;
-  }
-  if (!LedgerJson.empty() &&
-      !writeFile(LedgerJson, renderLedgerReportJson(Cfg, {App}, "dra-serve"))) {
-    std::fprintf(stderr, "error: cannot write ledger to '%s'\n",
-                 LedgerJson.c_str());
-    return 1;
-  }
-  if (!AttribJson.empty() &&
-      !writeFile(AttribJson, renderAttribReportJson(Cfg, {App}, "dra-serve"))) {
-    std::fprintf(stderr, "error: cannot write attribution to '%s'\n",
-                 AttribJson.c_str());
-    return 1;
-  }
-  if (!FlameOut.empty() && !writeFile(FlameOut, renderAttribFlame({App}))) {
-    std::fprintf(stderr, "error: cannot write flame stacks to '%s'\n",
-                 FlameOut.c_str());
-    return 1;
-  }
-  if (!MetricsJson.empty() && !writeFile(MetricsJson, Metrics.renderJson())) {
-    std::fprintf(stderr, "error: cannot write metrics to '%s'\n",
-                 MetricsJson.c_str());
-    return 1;
-  }
-  if (!TimelineJson.empty()) {
-    const RunTimeline *Run0 =
-        Timeline.runs().empty() ? nullptr : &Timeline.runs().front();
-    std::string Serving = renderServingJson(Result, Result.TickLags, Run0,
-                                            /*Spec=*/nullptr, {});
-    if (!writeFile(TimelineJson,
-                   renderTimelineJson(Timeline, "dra-serve", Serving))) {
-      std::fprintf(stderr, "error: cannot write timeline to '%s'\n",
-                   TimelineJson.c_str());
-      return 1;
-    }
-  }
-  return 0;
 }
 
 /// Multi-tenant mode (trace/TenantMerge.h): compile every tenant of the
@@ -464,23 +338,15 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
     }
     MergedWorkload W = mergeTenants(Inputs);
 
-    DiskParams Disk = schemeDiskParams(S, Cfg.Disk);
-
     TimelineRecorder Timeline{double(TimelineWindowMs)};
-    TimelineRecorder *TL = TimelineJson.empty() ? nullptr : &Timeline;
-    std::string Label = std::string("sim ") + schemeName(S);
+    PipelineConfig SimCfg = Cfg;
+    SimCfg.SimShards = SimShards;
+    SimCfg.SimWindowMs = SimWindowMs;
+    if (!TimelineJson.empty())
+      SimCfg.Timeline = &Timeline;
     SchemeRun Run;
     Run.S = S;
-    if (SimShards > 0) {
-      ShardedSimEngine Engine(W.Layout, Disk, schemePolicy(S), SimShards,
-                              SimWindowMs, CacheConfig(), nullptr, Label,
-                              /*Attribution=*/true, TL);
-      Run.Sim = Engine.run(W.Replay);
-    } else {
-      SimEngine Engine(W.Layout, Disk, schemePolicy(S), CacheConfig(),
-                       nullptr, Label, /*Attribution=*/true, TL);
-      Run.Sim = Engine.run(W.Replay);
-    }
+    Run.Sim = simulateScheme(S, W.Layout, SimCfg, W.Replay);
     Run.AttribNames = W.Names;
     Run.TraceRequests = W.Replay.size();
     Run.TraceBytes = W.Replay.totalBytes();
@@ -511,35 +377,15 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
     App.Runs.push_back(Run);
     PipelineConfig RepCfg = Cfg;
     RepCfg.NumProcs = W.Replay.numProcs();
-    if (!ReportJson.empty() &&
-        !writeFile(ReportJson, renderRunReportJson(RepCfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                   ReportJson.c_str());
-      return 1;
-    }
-    if (!LedgerJson.empty() &&
-        !writeFile(LedgerJson, renderLedgerReportJson(RepCfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write ledger to '%s'\n",
-                   LedgerJson.c_str());
-      return 1;
-    }
-    if (!AttribJson.empty() &&
-        !writeFile(AttribJson, renderAttribReportJson(RepCfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write attribution to '%s'\n",
-                   AttribJson.c_str());
-      return 1;
-    }
-    if (!FlameOut.empty() && !writeFile(FlameOut, renderAttribFlame({App}))) {
-      std::fprintf(stderr, "error: cannot write flame stacks to '%s'\n",
-                   FlameOut.c_str());
-      return 1;
-    }
-    if (!TimelineJson.empty() &&
-        !writeFile(TimelineJson, renderTimelineJson(Timeline, "drac"))) {
-      std::fprintf(stderr, "error: cannot write timeline to '%s'\n",
-                   TimelineJson.c_str());
-      return 1;
-    }
+    RunArtifacts Out;
+    Out.ReportPath = ReportJson;
+    Out.LedgerPath = LedgerJson;
+    Out.AttribPath = AttribJson;
+    Out.FlamePath = FlameOut;
+    Out.TimelinePath = TimelineJson;
+    Out.Timeline = &Timeline;
+    if (auto Failure = writeRunArtifacts(Out, RepCfg, App, "drac"))
+      return artifactError(*Failure);
   } catch (const std::exception &E) {
     std::fprintf(stderr, "drac: error: %s\n", E.what());
     return 1;
@@ -554,16 +400,13 @@ int main(int argc, char **argv) {
   std::string Path;
   unsigned Procs = 1;
   bool PrintProgram = false, PrintCode = false, Verify = false;
-  bool Timings = false, Compare = false, Online = false;
-  std::string RecordOut;
+  bool Timings = false;
   unsigned Jobs = std::max(1u, std::thread::hardware_concurrency());
   std::string DumpTrace, TraceJson, MetricsJson, ReportJson, LedgerJson;
   std::string AttribJson, FlameOut, FootprintJson, TimelineJson;
   unsigned TimelineWindowMs = 1000;
   FootprintMode Footprint = FootprintMode::Auto;
   std::string SweepSpecPath, SweepOut, SweepTelemetry;
-  std::string BaselineScheme = "Base", CompareJson;
-  std::vector<std::string> CompareFiles;
   std::vector<Scheme> Schemes;
   std::string TenantsSpecPath;
   unsigned SimShards = 0;
@@ -572,17 +415,14 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I != argc; ++I) {
     std::string Arg = argv[I];
-    if (Arg == "--compare") {
-      Compare = true;
-    } else if (Arg == "--online") {
-      Online = true;
-    } else if (Arg == "--record" && I + 1 != argc) {
-      RecordOut = argv[++I];
-    } else if (Arg == "--baseline-scheme" && I + 1 != argc) {
-      BaselineScheme = argv[++I];
-    } else if (Arg == "--compare-json" && I + 1 != argc) {
-      CompareJson = argv[++I];
-    } else if (Arg == "--sweep" && I + 1 != argc) {
+    for (const auto &R : RemovedFlags) {
+      if (Arg == R.Flag) {
+        std::fprintf(stderr, "error: %s was removed: %s\n", R.Flag,
+                     R.Replacement);
+        return 2;
+      }
+    }
+    if (Arg == "--sweep" && I + 1 != argc) {
       SweepSpecPath = argv[++I];
     } else if (Arg == "--jobs" && I + 1 != argc) {
       if (!parseUnsigned(argv[I + 1], Jobs, 1, 1024)) {
@@ -655,10 +495,6 @@ int main(int argc, char **argv) {
       AttribJson = argv[++I];
     } else if (Arg == "--flame" && I + 1 != argc) {
       FlameOut = argv[++I];
-    } else if (Arg == "--no-attribution") {
-      std::fprintf(stderr, "error: --no-attribution was removed: attribution "
-                           "is always recorded\n");
-      return 2;
     } else if (Arg == "--footprint-json" && I + 1 != argc) {
       FootprintJson = argv[++I];
     } else if (Arg == "--timeline-json" && I + 1 != argc) {
@@ -681,8 +517,6 @@ int main(int argc, char **argv) {
       }
     } else if (Arg.rfind("--", 0) == 0) {
       return usage(argv[0]);
-    } else if (Compare) {
-      CompareFiles.push_back(Arg);
     } else if (Path.empty()) {
       Path = Arg;
     } else {
@@ -690,8 +524,7 @@ int main(int argc, char **argv) {
     }
   }
   if (!TenantsSpecPath.empty()) {
-    if (!Path.empty() || Compare || Online || !SweepSpecPath.empty() ||
-        Schemes.size() > 1)
+    if (!Path.empty() || !SweepSpecPath.empty() || Schemes.size() > 1)
       return usage(argv[0]);
     Scheme S = Schemes.empty() ? Scheme::Base : Schemes.front();
     return runTenants(TenantsSpecPath, S, !Schemes.empty(), Procs, ProcsGiven,
@@ -699,33 +532,10 @@ int main(int argc, char **argv) {
                       LedgerJson, AttribJson, FlameOut, TimelineJson,
                       TimelineWindowMs);
   }
-  if (Compare) {
-    if (CompareFiles.empty() || !Path.empty() || !SweepSpecPath.empty())
-      return usage(argv[0]);
-    Comparison C;
-    std::string Error;
-    if (!compareReportFiles(CompareFiles, BaselineScheme, C, Error)) {
-      std::fprintf(stderr, "drac: error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::printf("%s", renderCompareTable(C).c_str());
-    if (!CompareJson.empty() && !writeFile(CompareJson, renderCompareJson(C))) {
-      std::fprintf(stderr, "error: cannot write comparison to '%s'\n",
-                   CompareJson.c_str());
-      return 1;
-    }
-    return 0;
-  }
   if (!SweepSpecPath.empty()) {
     if (!Path.empty()) // Sweep mode takes its programs from the spec.
       return usage(argv[0]);
     return runSweep(SweepSpecPath, Jobs, SweepOut, Timings, SweepTelemetry);
-  }
-  if (Online) {
-    if (Path.empty())
-      return usage(argv[0]);
-    return runOnline(Path, RecordOut, ReportJson, LedgerJson, AttribJson,
-                     FlameOut, MetricsJson, TimelineJson, TimelineWindowMs);
   }
   if (Path.empty())
     return usage(argv[0]);
@@ -774,26 +584,14 @@ int main(int argc, char **argv) {
 
     TextTable T({"Version", "Energy (J)", "vs Base", "Disk I/O (s)",
                  "Wall (s)", "Spin-downs", "RPM steps", "Rounds"});
-    // Base runs exactly once (it is the normalization reference); if it is
-    // also in the requested scheme list, the run is reused rather than
-    // repeated so the telemetry timeline has one process per scheme.
-    SchemeRun BaseRun = Pipe.run(Scheme::Base);
-    double BaseE = BaseRun.Sim.EnergyJ;
-    AppResults App;
-    App.Name = Path;
-    App.FootprintJson = Pipe.footprint().renderJson();
-    for (Scheme S : Schemes) {
-      SchemeRun R = S == Scheme::Base ? BaseRun : Pipe.run(S);
-      App.Runs.push_back(R);
-      T.addRow({schemeName(S), fmtDouble(R.Sim.EnergyJ, 1),
-                fmtPercent(R.Sim.EnergyJ / BaseE - 1.0),
-                fmtDouble(R.Sim.IoTimeMs / 1000.0, 1),
-                fmtDouble(R.Sim.WallTimeMs / 1000.0, 1),
-                fmtGrouped(R.Sim.SpinDowns), fmtGrouped(R.Sim.RpmSteps),
-                fmtGrouped(R.SchedulerRounds)});
-
+    // Each scheme compiles once: the work feeds --print-code and the trace
+    // feeds --dump-trace (the last scheme's) as well as the simulation.
+    std::optional<Trace> Dumped;
+    auto runScheme = [&](Scheme S) {
+      ScheduledWork W = Pipe.compile(S);
+      Trace Tr = Pipe.trace(S, W);
+      SchemeRun R = Pipe.simulate(S, W, Tr);
       if (PrintCode && schemeRestructures(S)) {
-        ScheduledWork W = Pipe.compile(S);
         ScheduleCodeGen CG(Pipe.program(), Pipe.space());
         for (size_t Proc = 0; Proc != W.PerProc.size(); ++Proc) {
           Schedule Sch;
@@ -802,9 +600,29 @@ int main(int argc, char **argv) {
                       CG.printBands(CG.rollBands(Sch)).c_str());
         }
       }
+      if (!DumpTrace.empty() && S == Schemes.back())
+        Dumped = std::move(Tr);
+      return R;
+    };
+    // Base runs exactly once (it is the normalization reference); if it is
+    // also in the requested scheme list, the run is reused rather than
+    // repeated so the telemetry timeline has one process per scheme.
+    SchemeRun BaseRun = runScheme(Scheme::Base);
+    double BaseE = BaseRun.Sim.EnergyJ;
+    AppResults App;
+    App.Name = Path;
+    App.FootprintJson = Pipe.footprint().renderJson();
+    for (Scheme S : Schemes) {
+      SchemeRun R = S == Scheme::Base ? BaseRun : runScheme(S);
+      App.Runs.push_back(R);
+      T.addRow({schemeName(S), fmtDouble(R.Sim.EnergyJ, 1),
+                fmtPercent(R.Sim.EnergyJ / BaseE - 1.0),
+                fmtDouble(R.Sim.IoTimeMs / 1000.0, 1),
+                fmtDouble(R.Sim.WallTimeMs / 1000.0, 1),
+                fmtGrouped(R.Sim.SpinDowns), fmtGrouped(R.Sim.RpmSteps),
+                fmtGrouped(R.SchedulerRounds)});
     }
-    if (!DumpTrace.empty() &&
-        !writeTraceFile(Pipe.trace(Schemes.back()), DumpTrace)) {
+    if (Dumped && !writeTraceFile(*Dumped, DumpTrace)) {
       std::fprintf(stderr, "error: cannot write trace to '%s'\n",
                    DumpTrace.c_str());
       return 1;
@@ -849,51 +667,20 @@ int main(int argc, char **argv) {
                    (unsigned long long)DE.count(DiagSeverity::Warning));
     }
 
-    if (!TraceJson.empty() &&
-        !writeFile(TraceJson, Tracer.renderChromeTrace())) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                   TraceJson.c_str());
-      return 1;
-    }
-    if (!MetricsJson.empty() && !writeFile(MetricsJson, Metrics.renderJson())) {
-      std::fprintf(stderr, "error: cannot write metrics to '%s'\n",
-                   MetricsJson.c_str());
-      return 1;
-    }
-    if (!ReportJson.empty() &&
-        !writeFile(ReportJson, renderRunReportJson(Cfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                   ReportJson.c_str());
-      return 1;
-    }
-    if (!LedgerJson.empty() &&
-        !writeFile(LedgerJson, renderLedgerReportJson(Cfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write ledger to '%s'\n",
-                   LedgerJson.c_str());
-      return 1;
-    }
-    if (!AttribJson.empty() &&
-        !writeFile(AttribJson, renderAttribReportJson(Cfg, {App}, "drac"))) {
-      std::fprintf(stderr, "error: cannot write attribution to '%s'\n",
-                   AttribJson.c_str());
-      return 1;
-    }
-    if (!FlameOut.empty() && !writeFile(FlameOut, renderAttribFlame({App}))) {
-      std::fprintf(stderr, "error: cannot write flame stacks to '%s'\n",
-                   FlameOut.c_str());
-      return 1;
-    }
-    if (!FootprintJson.empty() && !writeFile(FootprintJson, App.FootprintJson)) {
-      std::fprintf(stderr, "error: cannot write footprint to '%s'\n",
-                   FootprintJson.c_str());
-      return 1;
-    }
-    if (!TimelineJson.empty() &&
-        !writeFile(TimelineJson, renderTimelineJson(Timeline, "drac"))) {
-      std::fprintf(stderr, "error: cannot write timeline to '%s'\n",
-                   TimelineJson.c_str());
-      return 1;
-    }
+    RunArtifacts Out;
+    Out.ChromeTracePath = TraceJson;
+    Out.MetricsPath = MetricsJson;
+    Out.ReportPath = ReportJson;
+    Out.LedgerPath = LedgerJson;
+    Out.AttribPath = AttribJson;
+    Out.FlamePath = FlameOut;
+    Out.FootprintPath = FootprintJson;
+    Out.TimelinePath = TimelineJson;
+    Out.Tracer = &Tracer;
+    Out.Metrics = &Metrics;
+    Out.Timeline = &Timeline;
+    if (auto Failure = writeRunArtifacts(Out, Cfg, App, "drac"))
+      return artifactError(*Failure);
   } catch (const VerificationError &E) {
     std::fprintf(stderr, "drac: %s\n", E.what());
     return 1;
