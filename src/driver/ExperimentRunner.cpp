@@ -71,8 +71,8 @@ JobOutcome ExperimentRunner::runOne(const SweepJob &J) const {
     Out.MetricsPath = Stem + ".metrics.json";
     Out.ReportPath = Stem + ".report.json";
     Out.LedgerPath = Stem + ".ledger.json";
-    // Source attribution (dra-attrib-v1) only when the job's pipeline
-    // exported it (sweeps may disable it for speed).
+    // Source attribution (dra-attrib-v1) only when the job's run kept it
+    // (PipelineConfig::Attribution; no sweep key turns it off).
     if (O.Run.Sim.AttributionEnabled)
       Out.AttribPath = Stem + ".attrib.json";
     Out.TimelinePath = Stem + ".timeline.json";

@@ -34,10 +34,10 @@ struct StripingConfig {
   /// First I/O node of the file (Table 1: the first disk).
   unsigned StartDisk = 0;
   /// Disks inside each I/O node (RAID level, hidden from software). The
-  /// paper's experiments use 1 ("each I/O node has one disk").
+  /// paper's experiments use 1 ("each I/O node has one disk"); the
+  /// simulator models a larger node as a RAID-0 group that scales its
+  /// transfer rate and power (StorageSystem::scaleForNode).
   unsigned DisksPerNode = 1;
-  /// RAID-level sub-stripe unit, only meaningful when DisksPerNode > 1.
-  uint64_t RaidStripeUnitBytes = 8 * 1024;
 };
 
 /// One fragment of a request after striping: the bytes a single I/O node

@@ -6,8 +6,6 @@
 
 #include "obs/IdleGapAnalyzer.h"
 
-#include "support/Format.h"
-
 using namespace dra;
 
 /// Fills the classification part of \p G from one disk's counters.
@@ -45,29 +43,4 @@ IdleGapAnalysis dra::analyzeIdleGaps(const SimResults &R, double BreakEvenS) {
   }
   addHistogram(A.Total, Merged, BreakEvenS);
   return A;
-}
-
-std::string dra::renderIdleGapTable(const IdleGapAnalysis &A) {
-  std::string Th = fmtDouble(A.BreakEvenS, 1);
-  TextTable T({"Disk", "Gaps", "< " + Th + " s", ">= " + Th + " s",
-               "Idle < (s)", "Idle >= (s)", "Missed (J)", "Coverage",
-               "p50 (s)", "p95 (s)", "p99 (s)"});
-  auto Row = [](const std::string &Label, const GapStats &G) {
-    return std::vector<std::string>{
-        Label,
-        fmtGrouped(int64_t(G.Gaps)),
-        fmtGrouped(int64_t(G.GapsBelowBreakEven)),
-        fmtGrouped(int64_t(G.GapsAtLeastBreakEven)),
-        fmtDouble(G.IdleSBelowBreakEven, 1),
-        fmtDouble(G.IdleSAtLeastBreakEven, 1),
-        fmtDouble(G.MissedOpportunityJ, 1),
-        fmtPercent(G.CoverageAtLeastBreakEven),
-        fmtDouble(G.P50S, 2),
-        fmtDouble(G.P95S, 2),
-        fmtDouble(G.P99S, 2)};
-  };
-  for (const DiskGapStats &D : A.PerDisk)
-    T.addRow(Row(std::to_string(D.Disk), D.Stats));
-  T.addRow(Row("total", A.Total));
-  return T.render();
 }

@@ -20,7 +20,6 @@
 
 #include "sim/SimEngine.h"
 
-#include <string>
 #include <vector>
 
 namespace dra {
@@ -64,10 +63,6 @@ struct IdleGapAnalysis {
 /// (DiskParams::TpmBreakEvenS in normal use). Percentiles of the aggregate
 /// come from the merged per-disk histograms.
 IdleGapAnalysis analyzeIdleGaps(const SimResults &R, double BreakEvenS);
-
-/// Multi-line text table of an analysis (per disk + total row), for drac
-/// and the example programs.
-std::string renderIdleGapTable(const IdleGapAnalysis &A);
 
 } // namespace dra
 

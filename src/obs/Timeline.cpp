@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <iterator>
-#include <utility>
 
 using namespace dra;
 
@@ -64,59 +62,6 @@ const char *dra::timelineEnergyName(unsigned C) {
   return "?";
 }
 
-void DiskTimeline::merge(DiskTimeline &&O) {
-  if (Windows.empty() && Gaps.empty()) {
-    // Disjoint-shard fast path: adopt the other recording wholesale, so
-    // the merged run is bit-for-bit the recording the owning shard made.
-    *this = std::move(O);
-    return;
-  }
-  // General merge-join on window index; colliding windows sum.
-  std::vector<TimelineWindow> Merged;
-  Merged.reserve(Windows.size() + O.Windows.size());
-  size_t I = 0, J = 0;
-  while (I != Windows.size() || J != O.Windows.size()) {
-    if (J == O.Windows.size() ||
-        (I != Windows.size() && Windows[I].Index < O.Windows[J].Index)) {
-      Merged.push_back(Windows[I++]);
-    } else if (I == Windows.size() || O.Windows[J].Index < Windows[I].Index) {
-      Merged.push_back(O.Windows[J++]);
-    } else {
-      TimelineWindow W = Windows[I++];
-      const TimelineWindow &X = O.Windows[J++];
-      for (unsigned S = 0; S != NumTimelineStates; ++S)
-        W.StateMs[S] += X.StateMs[S];
-      for (unsigned C = 0; C != NumTimelineEnergyCats; ++C)
-        W.EnergyJ[C] += X.EnergyJ[C];
-      W.Requests += X.Requests;
-      W.Bytes += X.Bytes;
-      W.QueueMs += X.QueueMs;
-      Merged.push_back(W);
-    }
-  }
-  Windows = std::move(Merged);
-  std::vector<TimelineGapEvent> Gs;
-  Gs.reserve(Gaps.size() + O.Gaps.size());
-  std::merge(Gaps.begin(), Gaps.end(), O.Gaps.begin(), O.Gaps.end(),
-             std::back_inserter(Gs),
-             [](const TimelineGapEvent &A, const TimelineGapEvent &B) {
-               return A.StartMs < B.StartMs;
-             });
-  Gaps = std::move(Gs);
-}
-
-void RunTimeline::merge(RunTimeline &&O) {
-  EndMs = std::max(EndMs, O.EndMs);
-  if (Disks.size() < O.Disks.size())
-    Disks.resize(O.Disks.size());
-  for (size_t D = 0; D != O.Disks.size(); ++D)
-    Disks[D].merge(std::move(O.Disks[D]));
-  if (Phases.size() < O.Phases.size())
-    Phases.resize(O.Phases.size());
-  for (size_t P = 0; P != O.Phases.size(); ++P)
-    Phases[P].merge(O.Phases[P]);
-}
-
 TimelineRecorder::TimelineRecorder(double WindowMs) : WindowMs(WindowMs) {
   assert(WindowMs > 0 && "window width must be positive");
 }
@@ -126,6 +71,8 @@ RunTimeline &TimelineRecorder::beginRun(const std::string &Label,
   Runs.emplace_back();
   Runs.back().Label = Label;
   Runs.back().Disks.resize(NumDisks);
+  for (DiskTimeline &DT : Runs.back().Disks)
+    DT.WindowMs = WindowMs;
   return Runs.back();
 }
 
@@ -134,33 +81,33 @@ void TimelineRecorder::endRun(double EndMs) {
   Runs.back().EndMs = EndMs;
 }
 
-TimelineWindow &TimelineRecorder::windowAt(DiskTimeline &DT, uint64_t Index) {
+TimelineWindow &DiskTimeline::windowAt(uint64_t Index) {
   // The common case appends or re-touches the last window; queue waits can
   // reach back a few windows, which the binary search covers.
-  if (!DT.Windows.empty() && DT.Windows.back().Index == Index)
-    return DT.Windows.back();
-  if (DT.Windows.empty() || DT.Windows.back().Index < Index) {
-    DT.Windows.emplace_back();
-    DT.Windows.back().Index = Index;
-    return DT.Windows.back();
+  if (!Windows.empty() && Windows.back().Index == Index)
+    return Windows.back();
+  if (Windows.empty() || Windows.back().Index < Index) {
+    Windows.emplace_back();
+    Windows.back().Index = Index;
+    return Windows.back();
   }
   auto It = std::lower_bound(
-      DT.Windows.begin(), DT.Windows.end(), Index,
+      Windows.begin(), Windows.end(), Index,
       [](const TimelineWindow &W, uint64_t I) { return W.Index < I; });
-  if (It == DT.Windows.end() || It->Index != Index) {
-    It = DT.Windows.insert(It, TimelineWindow());
+  if (It == Windows.end() || It->Index != Index) {
+    It = Windows.insert(It, TimelineWindow());
     It->Index = Index;
   }
   return *It;
 }
 
-void TimelineRecorder::addSpan(DiskTimeline &DT, unsigned State, unsigned Cat,
-                               double StartMs, double Ms, double Joules) {
+void DiskTimeline::addSpan(unsigned State, unsigned Cat, double StartMs,
+                           double Ms, double Joules) {
   if (Ms <= 0.0) {
     // Instantaneous charge (e.g. a zero-length overlap remainder): energy
     // lands in the window containing the instant, no occupancy.
     if (Joules != 0.0)
-      windowAt(DT, uint64_t(StartMs / WindowMs)).EnergyJ[Cat] += Joules;
+      windowAt(uint64_t(StartMs / WindowMs)).EnergyJ[Cat] += Joules;
     return;
   }
   double End = StartMs + Ms;
@@ -174,7 +121,7 @@ void TimelineRecorder::addSpan(DiskTimeline &DT, unsigned State, unsigned Cat,
     // sum exactly (bit-for-bit) to the span's Ms and Joules.
     double PartMs = LastPart ? RemMs : WinEnd - Cursor;
     double PartJ = LastPart ? RemJ : Joules * (PartMs / Ms);
-    TimelineWindow &Win = windowAt(DT, Idx);
+    TimelineWindow &Win = windowAt(Idx);
     Win.StateMs[State] += PartMs;
     Win.EnergyJ[Cat] += PartJ;
     if (LastPart)
@@ -186,24 +133,18 @@ void TimelineRecorder::addSpan(DiskTimeline &DT, unsigned State, unsigned Cat,
   }
 }
 
-void TimelineRecorder::recordService(unsigned D, double StartMs, double Ms,
-                                     double Joules, bool IsWrite,
-                                     uint64_t Bytes) {
-  assert(!Runs.empty() && "hook before beginRun");
-  DiskTimeline &DT = Runs.back().Disks[D];
-  addSpan(DT, TlService, IsWrite ? TlEActiveWrite : TlEActiveRead, StartMs, Ms,
+void DiskTimeline::recordService(double StartMs, double Ms, double Joules,
+                                 bool IsWrite, uint64_t Bytes) {
+  addSpan(TlService, IsWrite ? TlEActiveWrite : TlEActiveRead, StartMs, Ms,
           Joules);
-  TimelineWindow &Win = windowAt(DT, uint64_t(StartMs / WindowMs));
+  TimelineWindow &Win = windowAt(uint64_t(StartMs / WindowMs));
   ++Win.Requests;
   Win.Bytes += Bytes;
 }
 
-void TimelineRecorder::recordGap(unsigned D, double StartMs, double GapMs,
-                                 const IdleOutcome &O, unsigned MaxRpm,
-                                 double BreakEvenMs) {
-  assert(!Runs.empty() && "hook before beginRun");
-  DiskTimeline &DT = Runs.back().Disks[D];
-
+void DiskTimeline::recordGap(double StartMs, double GapMs, const IdleOutcome &O,
+                             unsigned MaxRpm, bool BelowBreakEven,
+                             double MissedJ) {
   double T = StartMs;
   for (const GapSegment &Seg : O.Segments) {
     unsigned State = TlIdle, Cat = TlEIdle;
@@ -229,7 +170,7 @@ void TimelineRecorder::recordGap(unsigned D, double StartMs, double GapMs,
       Cat = TlERpmStep;
       break;
     }
-    addSpan(DT, State, Cat, T, Seg.Ms, Seg.Joules);
+    addSpan(State, Cat, T, Seg.Ms, Seg.Joules);
     T += Seg.Ms;
   }
   assert(std::fabs(T - (StartMs + GapMs)) <=
@@ -240,38 +181,29 @@ void TimelineRecorder::recordGap(unsigned D, double StartMs, double GapMs,
   // out the remaining spin-up/step time. Mirrors the ledger's
   // ready-penalty branch (sim/Disk.cpp chargeGap).
   if (O.ReadyDelayMs > 0)
-    addSpan(DT, TlStall, TlEReadyPenalty, StartMs + GapMs, O.ReadyDelayMs,
+    addSpan(TlStall, TlEReadyPenalty, StartMs + GapMs, O.ReadyDelayMs,
             O.ReadyEnergyJ);
 
   TimelineGapEvent E;
   E.StartMs = StartMs;
   E.Ms = GapMs;
   E.EndRpm = O.EndRpm;
-  E.BelowBreakEven = GapMs < BreakEvenMs;
-  if (E.BelowBreakEven) {
-    auto FullIdle = O.IdleByRpmJ.find(MaxRpm);
-    if (FullIdle != O.IdleByRpmJ.end())
-      E.MissedJ = FullIdle->second;
-  }
+  E.BelowBreakEven = BelowBreakEven;
+  E.MissedJ = MissedJ;
   E.SpinDowns = O.SpinDowns;
   E.SpinUps = O.SpinUps;
   E.RpmSteps = O.RpmSteps;
-  DT.Gaps.push_back(E);
+  Gaps.push_back(E);
 }
 
-void TimelineRecorder::recordRamp(unsigned D, double StartMs, double Ms,
-                                  double Joules) {
-  assert(!Runs.empty() && "hook before beginRun");
-  addSpan(Runs.back().Disks[D], TlRamp, TlERpmStep, StartMs, Ms, Joules);
+void DiskTimeline::recordRamp(double StartMs, double Ms, double Joules) {
+  addSpan(TlRamp, TlERpmStep, StartMs, Ms, Joules);
 }
 
-void TimelineRecorder::recordQueueWait(unsigned D, double ArrivalMs,
-                                       double ServiceStartMs) {
-  assert(!Runs.empty() && "hook before beginRun");
+void DiskTimeline::recordQueueWait(double ArrivalMs, double ServiceStartMs) {
   double Ms = ServiceStartMs - ArrivalMs;
   if (Ms <= 0.0)
     return;
-  DiskTimeline &DT = Runs.back().Disks[D];
   double Cursor = ArrivalMs;
   double Rem = Ms;
   uint64_t Idx = uint64_t(ArrivalMs / WindowMs);
@@ -279,7 +211,7 @@ void TimelineRecorder::recordQueueWait(unsigned D, double ArrivalMs,
     double WinEnd = double(Idx + 1) * WindowMs;
     bool LastPart = ServiceStartMs <= WinEnd;
     double PartMs = LastPart ? Rem : WinEnd - Cursor;
-    windowAt(DT, Idx).QueueMs += PartMs;
+    windowAt(Idx).QueueMs += PartMs;
     if (LastPart)
       return;
     Rem -= PartMs;

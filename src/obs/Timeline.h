@@ -30,7 +30,6 @@
 #include "sim/IdleOutcome.h"
 #include "support/Statistics.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -113,16 +112,44 @@ struct TimelineGapEvent {
   unsigned RpmSteps = 0;
 };
 
-/// All series of one disk within one run.
+/// All series of one disk within one run. The disk that owns this slot
+/// (sim/Disk.h) is its only writer, through the hooks below, in both
+/// simulator engines.
 struct DiskTimeline {
   std::vector<TimelineWindow> Windows; ///< Ascending Index, sparse.
   std::vector<TimelineGapEvent> Gaps;  ///< In gap start order.
+  /// Window width in simulated ms, set by TimelineRecorder::beginRun.
+  double WindowMs = 1000.0;
 
-  /// Associative merge: windows join by Index (colliding windows sum their
-  /// states/energy/counters), gaps interleave by start time. Merging into
-  /// an empty timeline moves \p O in unchanged, so combining disjoint
-  /// per-shard recordings is byte-exact.
-  void merge(DiskTimeline &&O);
+  // Disk-side hooks. Spans crossing window edges are split proportionally,
+  // with the residual assigned to the last window so the parts always sum
+  // exactly to the whole span.
+
+  /// One serviced fragment: service span + throughput counters.
+  void recordService(double StartMs, double Ms, double Joules, bool IsWrite,
+                     uint64_t Bytes);
+  /// One evaluated idle gap: its segments become state/energy spans (idle
+  /// at \p MaxRpm is TlIdle, below it TlIdleLow), the post-gap stall (if
+  /// any) a TlStall span, and the gap itself a time-stamped
+  /// TimelineGapEvent carrying the disk's break-even classification
+  /// \p BelowBreakEven and missed-opportunity joules \p MissedJ.
+  void recordGap(double StartMs, double GapMs, const IdleOutcome &O,
+                 unsigned MaxRpm, bool BelowBreakEven, double MissedJ);
+  /// Post-service emergency DRPM ramp (occupies the disk, RpmStep energy).
+  void recordRamp(double StartMs, double Ms, double Joules);
+  /// One fragment's wait between arrival and service start (queue-depth
+  /// integral; zero-length waits contribute nothing).
+  void recordQueueWait(double ArrivalMs, double ServiceStartMs);
+
+private:
+  /// The window containing Index, created on demand. Spans are recorded in
+  /// near-sorted order, so the scan from the back is O(1) amortized.
+  TimelineWindow &windowAt(uint64_t Index);
+  /// Spreads a span over windows: \p Ms of \p State and \p Joules of
+  /// \p Cat starting at \p StartMs. Zero-length spans charge their energy
+  /// to the window containing StartMs.
+  void addSpan(unsigned State, unsigned Cat, double StartMs, double Ms,
+               double Joules);
 };
 
 /// Per-barrier-phase request latency (issue -> completion). In the online
@@ -140,15 +167,6 @@ struct PhaseLatency {
     return Requests == 0 ? 0.0 : SumMs / double(Requests);
   }
   double percentileMs(double Q) const { return Hist.percentile(Q) * 1000.0; }
-
-  /// Associative merge: counts/sums add, max takes the max, histograms
-  /// merge bucket-wise.
-  void merge(const PhaseLatency &O) {
-    Requests += O.Requests;
-    SumMs += O.SumMs;
-    MaxMs = std::max(MaxMs, O.MaxMs);
-    Hist.merge(O.Hist);
-  }
 };
 
 /// One simulation run's timeline (one scheme / one trace replay).
@@ -157,18 +175,13 @@ struct RunTimeline {
   double EndMs = 0.0;
   std::vector<DiskTimeline> Disks;
   std::vector<PhaseLatency> Phases;
-
-  /// Associative merge of another partial recording of the same run (the
-  /// sharded engine merges per-shard recorder runs, which hold disjoint
-  /// disks, into the caller's run): disks merge index-wise, phases merge
-  /// entry-wise, the end stamp takes the max. Keeps this run's Label.
-  void merge(RunTimeline &&O);
 };
 
 /// The recorder. Attach one per job (like EventTracer / MetricsRegistry:
 /// concurrent sweep jobs get private recorders); each SimEngine::run
-/// appends one RunTimeline. Purely observational — simulation results are
-/// identical with and without a recorder attached.
+/// appends one RunTimeline and hands disk D its slot Disks[D]. Purely
+/// observational — simulation results are identical with and without a
+/// recorder attached.
 class TimelineRecorder {
 public:
   /// \param WindowMs simulated-time window width; bucketing is
@@ -178,51 +191,22 @@ public:
 
   double windowMs() const { return WindowMs; }
 
-  /// Starts a new run; subsequent disk hooks record into it.
+  /// Starts a new run of \p NumDisks disk slots, each at this recorder's
+  /// window width; the engine passes slot D to disk D.
   RunTimeline &beginRun(const std::string &Label, unsigned NumDisks);
   /// Stamps the current run's end time (the simulation's MaxCompletion).
   void endRun(double EndMs);
 
   const std::vector<RunTimeline> &runs() const { return Runs; }
 
-  // Disk-side hooks (disk \p D of the current run). Spans crossing window
-  // edges are split proportionally, with the residual assigned to the last
-  // window so the parts always sum exactly to the whole span.
-
-  /// One serviced fragment: service span + throughput counters.
-  void recordService(unsigned D, double StartMs, double Ms, double Joules,
-                     bool IsWrite, uint64_t Bytes);
-  /// One evaluated idle gap: its segments become state/energy spans, the
-  /// post-gap stall (if any) a TlStall span, and the gap itself a
-  /// time-stamped TimelineGapEvent classified against \p BreakEvenMs.
-  void recordGap(unsigned D, double StartMs, double GapMs,
-                 const IdleOutcome &O, unsigned MaxRpm, double BreakEvenMs);
-  /// Post-service emergency DRPM ramp (occupies the disk, RpmStep energy).
-  void recordRamp(unsigned D, double StartMs, double Ms, double Joules);
-  /// One fragment's wait between arrival and service start (queue-depth
-  /// integral; zero-length waits contribute nothing).
-  void recordQueueWait(unsigned D, double ArrivalMs, double ServiceStartMs);
-
-  // Engine-side hook.
-
-  /// One logical request's issue -> completion latency, keyed by barrier
-  /// phase (== tick in serving mode).
+  /// Engine-side hook: one logical request's issue -> completion latency,
+  /// keyed by barrier phase (== tick in serving mode).
   void recordRequestLatency(uint32_t Phase, double IssueMs,
                             double CompletionMs);
 
 private:
   double WindowMs;
   std::vector<RunTimeline> Runs;
-
-  /// The window containing Index in \p DT, created on demand. Spans are
-  /// recorded in near-sorted order, so the scan from the back is O(1)
-  /// amortized.
-  TimelineWindow &windowAt(DiskTimeline &DT, uint64_t Index);
-  /// Spreads a span over windows: \p Ms of \p State and \p Joules of
-  /// \p Cat starting at \p StartMs. Zero-length spans charge their energy
-  /// to the window containing StartMs.
-  void addSpan(DiskTimeline &DT, unsigned State, unsigned Cat, double StartMs,
-               double Ms, double Joules);
 };
 
 /// Renders \p TL as a dra-timeline-v1 document (docs/FORMATS.md).

@@ -154,17 +154,6 @@ private:
   std::vector<value_type> Items; ///< Sorted by key, keys unique.
 };
 
-/// Associative merge: key-wise entry sum. Ordered iteration makes the
-/// result (and its FP summation order) deterministic, so merging the same
-/// operands always reproduces the same bytes.
-inline void mergeAttribution(AttributionMap &Dst, const AttributionMap &Src) {
-  size_t Hint = 0;
-  for (const auto &[Key, E] : Src) {
-    Hint = Dst.indexOf(Key, Hint);
-    Dst.entry(Hint) += E;
-  }
-}
-
 /// The run-level aggregation of the dra-attrib-v1 section writer
 /// (obs/RunReport.cpp): totals, the unattributed bucket, per-nest and
 /// per-(nest, ref) rollups with rounds collapsed. The per-disk views (the

@@ -17,7 +17,7 @@ using namespace dra;
 static double simUs(double Ms) { return Ms * 1000.0; }
 
 Disk::Disk(unsigned Id, const DiskParams &Params, PowerPolicyKind Policy,
-           EventTracer *Trace, uint64_t TracePid, TimelineRecorder *Timeline)
+           EventTracer *Trace, uint64_t TracePid, DiskTimeline *Timeline)
     : Id(Id), Model(Params, Policy), Trace(Trace), TracePid(TracePid),
       TL(Timeline) {}
 
@@ -83,13 +83,16 @@ void Disk::chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
   // Classify the gap against the TPM break-even time (Sec. 3). Full-speed
   // idle joules inside sub-break-even gaps are the missed opportunity:
   // gaps too short for any reactive policy to exploit.
-  double BreakEvenMs = Params.TpmBreakEvenS * 1000.0;
-  if (GapMs < BreakEvenMs) {
+  bool BelowBreakEven = GapMs < Params.TpmBreakEvenS * 1000.0;
+  double MissedJ = 0.0;
+  if (BelowBreakEven) {
     ++S.GapsBelowBreakEven;
     S.IdleMsBelowBreakEven += GapMs;
     auto FullIdle = O.IdleByRpmJ.find(Params.MaxRpm);
-    if (FullIdle != O.IdleByRpmJ.end())
-      S.MissedOpportunityJ += FullIdle->second;
+    if (FullIdle != O.IdleByRpmJ.end()) {
+      MissedJ = FullIdle->second;
+      S.MissedOpportunityJ += MissedJ;
+    }
   } else {
     ++S.GapsAtLeastBreakEven;
     S.IdleMsAtLeastBreakEven += GapMs;
@@ -98,7 +101,8 @@ void Disk::chargeGap(const IdleOutcome &O, double GapStartMs, double GapMs,
   if (Trace)
     traceGap(GapStartMs, GapMs, O);
   if (TL)
-    TL->recordGap(Id, GapStartMs, GapMs, O, Params.MaxRpm, BreakEvenMs);
+    TL->recordGap(GapStartMs, GapMs, O, Params.MaxRpm, BelowBreakEven,
+                  MissedJ);
 }
 
 void Disk::traceGap(double GapStartMs, double GapMs,
@@ -151,8 +155,8 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
   S.BusyMs += Svc;
   ++S.NumRequests;
   if (TL) {
-    TL->recordQueueWait(Id, ArrivalMs, T.ServiceStartMs);
-    TL->recordService(Id, T.ServiceStartMs, Svc, SvcJ, IsWrite, Bytes);
+    TL->recordQueueWait(ArrivalMs, T.ServiceStartMs);
+    TL->recordService(T.ServiceStartMs, Svc, SvcJ, IsWrite, Bytes);
   }
 
   // Service charges go to the entry; finalize() folds it into S.Ledger.
@@ -195,8 +199,7 @@ double Disk::submit(double ArrivalMs, uint64_t Offset, uint64_t Bytes,
                             simUs(T.CompletionMs + params().RpmStepTransitionS *
                                                        1000.0 * (L + 1)));
     if (TL)
-      TL->recordRamp(Id, T.CompletionMs, PM.rpmTransitionMs(T.RampLevels),
-                     RampJ);
+      TL->recordRamp(T.CompletionMs, PM.rpmTransitionMs(T.RampLevels), RampJ);
     S.RpmSteps += T.RampLevels;
   }
   return T.CompletionMs;

@@ -9,7 +9,7 @@
 /// every service time, idle-gap outcome and power-state change, and the
 /// disk charges what the model reports to its accounting sinks — DiskStats,
 /// the attribution entries (folded into the energy ledger at finalize), the
-/// event tracer and the timeline recorder.
+/// event tracer and the disk's own timeline slot.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,28 +63,6 @@ struct DiskStats {
   /// per-category sum; an engine run without attribution drops it from
   /// the results (SimResults::AttributionEnabled).
   AttributionMap Attrib;
-
-  /// Associative merge of two partial views of the same disk (or an
-  /// all-disks rollup): counters and times sum, histograms/ledgers/maps
-  /// merge category- and key-wise.
-  void merge(const DiskStats &O) {
-    NumRequests += O.NumRequests;
-    BusyMs += O.BusyMs;
-    EnergyJ += O.EnergyJ;
-    ResponseSumMs += O.ResponseSumMs;
-    IdleMsTotal += O.IdleMsTotal;
-    SpinDowns += O.SpinDowns;
-    SpinUps += O.SpinUps;
-    RpmSteps += O.RpmSteps;
-    IdleHist.merge(O.IdleHist);
-    Ledger.merge(O.Ledger);
-    GapsBelowBreakEven += O.GapsBelowBreakEven;
-    GapsAtLeastBreakEven += O.GapsAtLeastBreakEven;
-    IdleMsBelowBreakEven += O.IdleMsBelowBreakEven;
-    IdleMsAtLeastBreakEven += O.IdleMsAtLeastBreakEven;
-    MissedOpportunityJ += O.MissedOpportunityJ;
-    mergeAttribution(Attrib, O.Attrib);
-  }
 };
 
 /// A single simulated disk.
@@ -94,14 +72,14 @@ public:
   ///        timeline (service/idle spans, spin and RPM instants) as thread
   ///        \p Id + 1 of process \p TracePid, stamped in simulated time.
   ///        Purely observational: results are identical with and without.
-  /// \param Timeline optional windowed time-series recorder
-  ///        (obs/Timeline.h); the disk buckets its power states, energy
-  ///        categories and throughput into simulated-time windows of the
-  ///        recorder's current run. Purely observational: results are
+  /// \param Timeline optional timeline slot of this disk (the run's
+  ///        Disks[Id], obs/Timeline.h); the disk is its only writer and
+  ///        buckets its power states, energy categories and throughput
+  ///        into simulated-time windows. Purely observational: results are
   ///        identical with and without.
   Disk(unsigned Id, const DiskParams &Params, PowerPolicyKind Policy,
        EventTracer *Trace = nullptr, uint64_t TracePid = 0,
-       TimelineRecorder *Timeline = nullptr);
+       DiskTimeline *Timeline = nullptr);
 
   unsigned id() const { return Id; }
   unsigned currentRpm() const { return Model.currentRpm(); }
@@ -129,7 +107,7 @@ private:
   DiskStats S;
   EventTracer *Trace;
   uint64_t TracePid;
-  TimelineRecorder *TL;
+  DiskTimeline *TL;
   /// Position in S.Attrib of the most recent serviced request's entry —
   /// the "previous bound" of the next idle gap; NoEntry until the first
   /// submit. entryIndex() keeps it on its entry across insertions.

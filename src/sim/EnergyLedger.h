@@ -118,10 +118,6 @@ struct EnergyLedger {
   double totalJ() const;
 
   EnergyLedger &operator+=(const EnergyLedger &O);
-
-  /// Associative merge (the += spelling shared by the SimResults /
-  /// AttributionMap / RunTimeline merge family): category-wise sum.
-  void merge(const EnergyLedger &O) { *this += O; }
 };
 
 } // namespace dra

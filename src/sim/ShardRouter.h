@@ -25,6 +25,7 @@
 
 #include "sim/DiskParams.h"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -46,16 +47,18 @@ struct ShardRouter {
 /// Resolves the configured window width \p RequestedMs (0 = auto: the
 /// policy's maximum legal window, powerDecisionMs, or 1000 ms when
 /// unconstrained). Throws std::invalid_argument when the request is
-/// non-positive or exceeds the policy's legal maximum — checked at
-/// configuration time, before any simulation runs.
+/// negative, not finite (NaN never flushes a batch) or exceeds the
+/// policy's legal maximum — checked at configuration time, before any
+/// simulation runs.
 inline double resolveSimWindowMs(double RequestedMs, const DiskParams &P,
                                  PowerPolicyKind Policy) {
   double MaxMs = powerDecisionMs(P, Policy);
   if (RequestedMs == 0.0)
     return MaxMs == std::numeric_limits<double>::infinity() ? 1000.0 : MaxMs;
-  if (RequestedMs < 0.0)
-    throw std::invalid_argument("sim window must be positive, got " +
-                                std::to_string(RequestedMs) + " ms");
+  if (!std::isfinite(RequestedMs) || RequestedMs < 0.0)
+    throw std::invalid_argument(
+        "sim window must be positive and finite, got " +
+        std::to_string(RequestedMs) + " ms");
   if (RequestedMs > MaxMs)
     throw std::invalid_argument(
         "sim window " + std::to_string(RequestedMs) +

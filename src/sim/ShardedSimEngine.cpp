@@ -38,12 +38,10 @@ ShardedSimEngine::ShardedSimEngine(const DiskLayout &Layout,
 namespace {
 
 /// Everything one shard worker owns. Queue/Done/FinalizeEndMs are guarded
-/// by Mu; Disks and the recorder are touched only by the owning worker
-/// between thread start and join.
+/// by Mu; Disks and their timeline slots are touched only by the owning
+/// worker between thread start and join.
 struct ShardState {
   std::vector<unsigned> OwnedDisks; ///< Global disk ids, ascending.
-  std::unique_ptr<TimelineRecorder> TL;
-  RunTimeline *ShardRun = nullptr;
   std::vector<Disk> Disks; ///< Index-aligned with OwnedDisks.
 
   std::mutex Mu;
@@ -64,11 +62,11 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
   const DiskParams NodeParams =
       StorageSystem::scaleForNode(Params, Layout.config().DisksPerNode);
 
-  RunTimeline *MainRun =
+  RunTimeline *Run =
       Timeline ? &Timeline->beginRun(TraceLabel, NumDisks) : nullptr;
 
   // --- Build shard state: each shard owns the disks the router maps to it,
-  // with full accounting (ledger, attribution, private timeline recorder).
+  // with full accounting (ledger, attribution, the disk's timeline slot).
   std::vector<std::unique_ptr<ShardState>> ShardVec;
   ShardVec.reserve(Shards);
   for (unsigned S = 0; S != Shards; ++S)
@@ -81,19 +79,14 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
   }
   for (const std::unique_ptr<ShardState> &SP : ShardVec) {
     ShardState &SS = *SP;
-    if (Timeline) {
-      // Private recorder per shard (no cross-thread recorder sharing); the
-      // shard's run is sized for all disks so disk ids index directly, and
-      // the disjoint per-disk timelines are moved into the main run after
-      // the join.
-      SS.TL = std::make_unique<TimelineRecorder>(Timeline->windowMs());
-      SS.ShardRun = &SS.TL->beginRun(TraceLabel, NumDisks);
-    }
     SS.Disks.reserve(SS.OwnedDisks.size());
     for (unsigned D : SS.OwnedDisks)
       // No per-disk tracer under sharding (see the header): cross-shard
-      // tracer interleaving has no deterministic order.
-      SS.Disks.emplace_back(D, NodeParams, Policy, nullptr, 0, SS.TL.get());
+      // tracer interleaving has no deterministic order. Each disk belongs
+      // to one shard, so its timeline slot in the shared run has exactly
+      // one writer.
+      SS.Disks.emplace_back(D, NodeParams, Policy, nullptr, 0,
+                            Run ? &Run->Disks[D] : nullptr);
   }
 
   // --- Shard workers: drain batches, replay the heavy accounting path,
@@ -193,8 +186,7 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
         });
   };
 
-  // Shutdown: final partial window, then release the workers and merge
-  // their disjoint per-disk timelines into the main run.
+  // Shutdown: final partial window, then release the workers.
   auto Finish = [&](double WallMs) {
     Flush(WindowEndMs);
     for (const std::unique_ptr<ShardState> &SP : ShardVec) {
@@ -211,10 +203,6 @@ SimResults ShardedSimEngine::run(const Trace &T) const {
     for (const std::unique_ptr<ShardState> &SP : ShardVec)
       if (SP->Error)
         std::rethrow_exception(SP->Error);
-    if (MainRun)
-      for (const std::unique_ptr<ShardState> &SP : ShardVec)
-        if (SP->ShardRun)
-          MainRun->merge(std::move(*SP->ShardRun));
   };
 
   SimResults Res = replayAndAssemble(

@@ -7,9 +7,10 @@
 /// \file
 /// The sharded discrete-event simulator (DESIGN.md Sec. 11): the simulation
 /// is partitioned by disk, so each shard owns its disks' replay state —
-/// power-policy state (TPM/DRPM), energy ledgers, attribution maps and a
-/// private TimelineRecorder — while processor think/compute state lives on
-/// a coordinator that advances simulated time in conservative windows.
+/// power-policy state (TPM/DRPM), energy ledgers, attribution maps and
+/// their slots of the run's timeline, each with one writer — while
+/// processor think/compute state lives on a coordinator that advances
+/// simulated time in conservative windows.
 ///
 /// The coordinator runs the shared closed loop (sim/ReplayCore.h) through
 /// the shared StorageFrontEnd against bare per-disk DiskTimingModels — the

@@ -8,7 +8,6 @@
 
 #include "sim/ReplayCore.h"
 
-#include <algorithm>
 
 using namespace dra;
 
@@ -16,10 +15,9 @@ SimResults SimEngine::run(const Trace &T) const {
   // Each run gets its own trace process so back-to-back schemes (Base,
   // TPM, ...) land on separate simulated-time timelines.
   uint64_t TracePid = Tracer ? Tracer->addProcess(TraceLabel) : 0;
-  if (Timeline)
-    Timeline->beginRun(TraceLabel, Layout.numDisks());
-  StorageSystem Storage(Layout, Params, Policy, Cache, Tracer, TracePid,
-                        Timeline);
+  RunTimeline *Run =
+      Timeline ? &Timeline->beginRun(TraceLabel, Layout.numDisks()) : nullptr;
+  StorageSystem Storage(Layout, Params, Policy, Cache, Tracer, TracePid, Run);
 
   // The closed-loop processor model and the result assembly live in
   // sim/ReplayCore.h, shared with the sharded engine; the serial oracle's
@@ -43,22 +41,4 @@ EnergyLedger SimResults::totalLedger() const {
   for (const DiskStats &S : PerDisk)
     L += S.Ledger;
   return L;
-}
-
-void SimResults::merge(const SimResults &O) {
-  WallTimeMs = std::max(WallTimeMs, O.WallTimeMs);
-  IoTimeMs += O.IoTimeMs;
-  EnergyJ += O.EnergyJ;
-  ResponseSumMs += O.ResponseSumMs;
-  NumRequests += O.NumRequests;
-  NumFragments += O.NumFragments;
-  SpinDowns += O.SpinDowns;
-  SpinUps += O.SpinUps;
-  RpmSteps += O.RpmSteps;
-  Cache.merge(O.Cache);
-  if (PerDisk.size() < O.PerDisk.size())
-    PerDisk.resize(O.PerDisk.size());
-  for (size_t D = 0; D != O.PerDisk.size(); ++D)
-    PerDisk[D].merge(O.PerDisk[D]);
-  AttributionEnabled = AttributionEnabled || O.AttributionEnabled;
 }

@@ -56,15 +56,6 @@ struct SimResults {
   /// Sum of the per-disk energy ledgers; totalJ() == EnergyJ to ~1e-9
   /// relative (sim/EnergyLedger.h).
   EnergyLedger totalLedger() const;
-
-  /// Associative merge of two partial runs over disjoint request sets
-  /// (e.g. per-shard partial results): wall time is the max, everything
-  /// else sums, per-disk stats merge index-wise. Note the FP caveat:
-  /// merged scalar sums are reassociated relative to a serial single-pass
-  /// accumulation, so byte-identity-sensitive callers (ShardedSimEngine)
-  /// accumulate scalars in disk order instead and use merge() only for
-  /// the structured members.
-  void merge(const SimResults &O);
 };
 
 /// Replays traces against a fresh storage system per run.
@@ -80,9 +71,10 @@ public:
   ///        so all other results are bit-identical with and without.
   /// \param Timeline optional windowed time-series recorder
   ///        (obs/Timeline.h); each run() begins a recorder run labelled
-  ///        \p TraceLabel holding per-disk power-state/energy windows and
-  ///        per-phase request latency. Purely observational: results are
-  ///        identical with and without.
+  ///        \p TraceLabel in which every disk writes its own slot of
+  ///        power-state/energy windows and the engine the per-phase
+  ///        request latency. Purely observational: results are identical
+  ///        with and without.
   SimEngine(const DiskLayout &Layout, const DiskParams &Params,
             PowerPolicyKind Policy, CacheConfig Cache = CacheConfig(),
             EventTracer *Trace = nullptr, std::string TraceLabel = "sim",

@@ -60,15 +60,6 @@ struct CacheStats {
     uint64_t N = Hits + Misses;
     return N == 0 ? 0.0 : double(Hits) / double(N);
   }
-
-  /// Associative merge (counter-wise sum), for combining partial runs.
-  void merge(const CacheStats &O) {
-    Hits += O.Hits;
-    Misses += O.Misses;
-    Writes += O.Writes;
-    Evictions += O.Evictions;
-    PowerAwareEvictions += O.PowerAwareEvictions;
-  }
 };
 
 /// A set-less, fully associative block cache.

@@ -41,13 +41,14 @@ StorageFrontEnd::StorageFrontEnd(const DiskLayout &Layout, CacheConfig Cache,
 StorageSystem::StorageSystem(const DiskLayout &Layout, const DiskParams &Params,
                              PowerPolicyKind Policy, CacheConfig Cache,
                              EventTracer *Trace, uint64_t TracePid,
-                             TimelineRecorder *Timeline)
+                             RunTimeline *Run)
     : Front(Layout, Cache, Params, Policy,
             [this](unsigned D) { return Disks[D].busyUntilMs(); }) {
   DiskParams NodeParams = scaleForNode(Params, Layout.config().DisksPerNode);
   Disks.reserve(Layout.numDisks());
   for (unsigned D = 0; D != Layout.numDisks(); ++D) {
-    Disks.emplace_back(D, NodeParams, Policy, Trace, TracePid, Timeline);
+    Disks.emplace_back(D, NodeParams, Policy, Trace, TracePid,
+                       Run ? &Run->Disks[D] : nullptr);
     if (Trace)
       Trace->nameThread(TracePid, D + 1, "disk " + std::to_string(D));
   }

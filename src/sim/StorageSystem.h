@@ -91,12 +91,12 @@ class StorageSystem {
 public:
   /// \param Trace optional event tracer: every disk gets a named thread
   ///        track under process \p TracePid (see Disk).
-  /// \param Timeline optional windowed time-series recorder; every disk
-  ///        records into the recorder's current run (obs/Timeline.h).
+  /// \param Run optional timeline run (obs/Timeline.h) with one slot per
+  ///        disk; disk D records into Run->Disks[D].
   StorageSystem(const DiskLayout &Layout, const DiskParams &Params,
                 PowerPolicyKind Policy, CacheConfig Cache = CacheConfig(),
                 EventTracer *Trace = nullptr, uint64_t TracePid = 0,
-                TimelineRecorder *Timeline = nullptr);
+                RunTimeline *Run = nullptr);
 
   /// Submits a logical request; returns the completion time of its last
   /// fragment. Every fragment inherits the request's provenance \p Prov.

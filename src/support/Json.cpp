@@ -462,8 +462,15 @@ private:
       while (Pos < Text.size() && Text[Pos] >= '0' && Text[Pos] <= '9')
         ++Pos;
     }
+    double Num = std::strtod(Text.c_str() + Start, nullptr);
+    if (!std::isfinite(Num)) {
+      // strtod overflows an out-of-range literal (1e999) to +-inf; report
+      // the literal's own offset.
+      Pos = Start;
+      return fail("number out of range");
+    }
     Out.K = JsonValue::Kind::Number;
-    Out.Num = std::strtod(Text.c_str() + Start, nullptr);
+    Out.Num = Num;
     return true;
   }
 

@@ -16,8 +16,7 @@ static void checkCompatible(const TenantInput &A, const TenantInput &B) {
   const StripingConfig &CB = B.Layout->config();
   if (CA.StripeUnitBytes != CB.StripeUnitBytes ||
       CA.StripeFactor != CB.StripeFactor || CA.StartDisk != CB.StartDisk ||
-      CA.DisksPerNode != CB.DisksPerNode ||
-      CA.RaidStripeUnitBytes != CB.RaidStripeUnitBytes)
+      CA.DisksPerNode != CB.DisksPerNode)
     throw std::invalid_argument("tenant '" + B.Label +
                                 "': striping config differs from tenant '" +
                                 A.Label + "'");

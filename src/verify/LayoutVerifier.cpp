@@ -44,11 +44,6 @@ bool LayoutVerifier::verifyConfig(const StripingConfig &C,
               << "each I/O node needs at least one disk");
     Ok = false;
   }
-  if (C.DisksPerNode > 1 && C.RaidStripeUnitBytes == 0) {
-    DE.report(Diagnostic(DiagSeverity::Error, PassName, "zero-raid-stripe")
-              << "RAID-level sub-striping needs a positive sub-stripe unit");
-    Ok = false;
-  }
   return Ok;
 }
 

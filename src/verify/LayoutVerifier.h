@@ -25,7 +25,7 @@
 ///
 /// Checks (pass "layout-verifier"):
 ///   zero-stripe-factor, zero-stripe-unit, start-disk-out-of-range,
-///   zero-disks-per-node, zero-raid-stripe     bad StripingConfig
+///   zero-disks-per-node                       bad StripingConfig
 ///   array-start-disk-out-of-range             per-array override off range
 ///   disk-out-of-range                         fragment on a nonexistent disk
 ///   coverage-gap                              split misses logical bytes

@@ -7,7 +7,9 @@ Runs the built drac, dra-serve and dra-compare binaries and checks that:
   * dra-compare --nests writes a dra-diff-v1 document and keeps each view's
     options to itself;
   * an unwritable artifact path exits 1 with "cannot write";
-  * drac compiles each scheme once, even with --print-code and --dump-trace.
+  * drac compiles each scheme once, even with --print-code and --dump-trace;
+  * a JSON number that overflows a double and a non-finite --sim-window
+    are rejected with a diagnostic instead of running on inf or NaN.
 
 Usage: cli_test.py --drac BIN --dra-serve BIN --dra-compare BIN --source-dir DIR
 """
@@ -109,6 +111,29 @@ def pass_counts(drac, src, tmp):
     check("-- T-TPM-m, processor 3 --" in p.stdout, "--print-code output")
 
 
+def non_finite_inputs(drac, src, tmp):
+    # A tenants spec whose start_ms overflows to inf must fail to parse.
+    spec = open(os.path.join(src, "examples/multitenant/consolidated.json"),
+                encoding="utf-8").read()
+    programs = os.path.join(src, "examples/programs") + "/"
+    spec = spec.replace("../programs/", programs)
+    spec = spec.replace('"start_ms": 200.0', '"start_ms": 1e999')
+    bad = os.path.join(tmp, "overflow.tenants.json")
+    with open(bad, "w", encoding="utf-8") as f:
+        f.write(spec)
+    p = run(drac, "--tenants", bad)
+    check(p.returncode == 1, f"drac --tenants 1e999: exit {p.returncode}")
+    check("number out of range" in p.stderr,
+          f"drac --tenants 1e999: stderr {p.stderr!r}")
+    check("inf" not in p.stdout, f"drac --tenants 1e999: stdout {p.stdout!r}")
+    # NaN compares false against every bound; it must still be refused.
+    p = run(drac, os.path.join(src, "examples/programs/stencil.dra"),
+            "--sim-shards", "2", "--sim-window", "nan")
+    check(p.returncode == 2, f"drac --sim-window nan: exit {p.returncode}")
+    check("--sim-window" in p.stderr,
+          f"drac --sim-window nan: stderr {p.stderr!r}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--drac", required=True)
@@ -121,11 +146,13 @@ def main():
         compare_nests(a.drac, a.dra_compare, a.source_dir, tmp)
         unwritable(a.drac, a.dra_serve, a.source_dir, tmp)
         pass_counts(a.drac, a.source_dir, tmp)
+        non_finite_inputs(a.drac, a.source_dir, tmp)
     for f in FAILURES:
         print("FAIL: " + f)
     if FAILURES:
         return 1
-    print("ok: removed flags, compare --nests, unwritable paths, pass counts")
+    print("ok: removed flags, compare --nests, unwritable paths, pass counts, "
+          "non-finite inputs")
     return 0
 
 

@@ -252,8 +252,9 @@ TEST(DiskTimingModelTest, MatchesDiskAfterEveryFragment) {
         P.TpmProactiveHints = C.TpmHints;
         P.DrpmProactiveHints = C.DrpmHints;
         TimelineRecorder TL(500.0);
-        TL.beginRun("model", 1);
-        Disk D(0, P, C.Policy, nullptr, 0, WithTimeline ? &TL : nullptr);
+        RunTimeline &Run = TL.beginRun("model", 1);
+        Disk D(0, P, C.Policy, nullptr, 0,
+               WithTimeline ? &Run.Disks[0] : nullptr);
         DiskTimingModel M(P, C.Policy);
         std::mt19937 Rng(Seed);
         uint64_t Gaps = 0;

@@ -98,6 +98,7 @@ TEST(JsonParserTest, ParsesScalarsAndContainers) {
   EXPECT_TRUE(parseOk("true").B);
   EXPECT_FALSE(parseOk("false").B);
   EXPECT_EQ(parseOk("-12.5e2").Num, -1250.0);
+  EXPECT_EQ(parseOk("1e308").Num, 1e308);
   EXPECT_EQ(parseOk("\"hi\"").Str, "hi");
   EXPECT_EQ(parseOk("[1, 2, 3]").Arr.size(), 3u);
   JsonValue O = parseOk("{\"a\": 1, \"b\": [true]}");
@@ -127,6 +128,8 @@ TEST(JsonParserTest, RejectsMalformedInput) {
   EXPECT_TRUE(parseFails("\"bad\\q\""));
   EXPECT_TRUE(parseFails("\"\\uD83D\"")); // unpaired high surrogate
   EXPECT_TRUE(parseFails("1 2"));         // trailing garbage
+  EXPECT_TRUE(parseFails("1e999"));       // strtod overflows to inf
+  EXPECT_TRUE(parseFails("-1e999"));
 }
 
 TEST(JsonParserTest, ErrorsCarryByteOffsets) {
@@ -134,6 +137,8 @@ TEST(JsonParserTest, ErrorsCarryByteOffsets) {
   std::string Error;
   EXPECT_FALSE(parseJson("[1, x]", V, Error));
   EXPECT_NE(Error.find("offset"), std::string::npos) << Error;
+  EXPECT_FALSE(parseJson("[0, 1e999]", V, Error));
+  EXPECT_EQ(Error, "number out of range at offset 4");
 }
 
 TEST(JsonParserTest, BoundsNestingDepth) {

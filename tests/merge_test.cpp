@@ -1,22 +1,19 @@
-//===- tests/merge_test.cpp - associative merge helper tests -----------------===//
+//===- tests/merge_test.cpp - ledger and rollup combine tests ----------------===//
 //
 // Part of the DRA project (CGO 2006 disk-access-locality reproduction).
 //
 //===----------------------------------------------------------------------===//
 //
-// Hand-computed two-shard merges of every partial-result type the sharded
-// simulator combines: SimResults, DiskStats, CacheStats, EnergyLedger,
-// AttributionMap/AttributionRollup and the timeline family (DiskTimeline,
-// PhaseLatency, RunTimeline). Each test builds two small partials whose
-// merged values are computed by hand, so a silent change to any merge rule
+// Hand-computed combines of the partial results that still sum: the
+// EnergyLedger's category-wise += and the AttributionRollup's grouping of
+// per-disk attribution maps. Each test builds two small partials whose
+// combined values are computed by hand, so a silent change to either rule
 // fails loudly.
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/Timeline.h"
 #include "sim/Attribution.h"
 #include "sim/EnergyLedger.h"
-#include "sim/SimEngine.h"
 
 #include <gtest/gtest.h>
 
@@ -36,7 +33,7 @@ TEST(MergeTest, EnergyLedgerCategoryWiseSum) {
   B.StandbyJ = 0.0625;
   B.RpmStepJ = 0.25;
   B.ReadyPenaltyJ = 1.5;
-  A.merge(B);
+  A += B;
   EXPECT_DOUBLE_EQ(A.ActiveReadJ, 3.0);
   EXPECT_DOUBLE_EQ(A.ActiveWriteJ, 0.25);
   EXPECT_DOUBLE_EQ(A.IdleByRpmJ.at(12000), 4.0);
@@ -51,27 +48,12 @@ TEST(MergeTest, EnergyLedgerCategoryWiseSum) {
                                    0.0625 + 0.25 + 1.5);
 }
 
-TEST(MergeTest, CacheStatsCounterWiseSum) {
-  CacheStats A, B;
-  A.Hits = 10;
-  A.Misses = 5;
-  A.Writes = 2;
-  B.Hits = 1;
-  B.Misses = 3;
-  B.Evictions = 7;
-  B.PowerAwareEvictions = 4;
-  A.merge(B);
-  EXPECT_EQ(A.Hits, 11u);
-  EXPECT_EQ(A.Misses, 8u);
-  EXPECT_EQ(A.Writes, 2u);
-  EXPECT_EQ(A.Evictions, 7u);
-  EXPECT_EQ(A.PowerAwareEvictions, 4u);
-  EXPECT_DOUBLE_EQ(A.hitRate(), 11.0 / 19.0);
-}
-
 TEST(MergeTest, AttributionKeyWiseEntrySum) {
-  AttributionMap A, B;
+  // Two disks' maps and, by hand, their key-wise sum. The rollup is
+  // associative over disk grouping: folding the disks one by one equals
+  // folding the summed map.
   AttribKey K0{0, 0, 0}, K1{0, 1, 0}, KU; // KU = unattributed sentinel
+  AttributionMap A, B, Whole;
   A[K0].BusyMs = 10.0;
   A[K0].NumRequests = 4;
   A[K0].Energy.ActiveReadJ = 2.0;
@@ -80,225 +62,28 @@ TEST(MergeTest, AttributionKeyWiseEntrySum) {
   B[K0].NumRequests = 1;
   B[K1].ReadyDelayMs = 3.0;
   B[K1].NumRequests = 2;
-  mergeAttribution(A, B);
-  ASSERT_EQ(A.size(), 3u);
-  EXPECT_DOUBLE_EQ(A[K0].BusyMs, 15.0);
-  EXPECT_EQ(A[K0].NumRequests, 5u);
-  EXPECT_DOUBLE_EQ(A[K0].Energy.ActiveReadJ, 2.0);
-  EXPECT_DOUBLE_EQ(A[K1].ReadyDelayMs, 3.0);
-  EXPECT_DOUBLE_EQ(A[KU].Energy.SpinDownJ, 0.5);
+  Whole[K0].BusyMs = 15.0;
+  Whole[K0].NumRequests = 5;
+  Whole[K0].Energy.ActiveReadJ = 2.0;
+  Whole[K1].ReadyDelayMs = 3.0;
+  Whole[K1].NumRequests = 2;
+  Whole[KU].Energy.SpinDownJ = 0.5;
 
-  // The rollup is associative over disk grouping: folding A then B equals
-  // folding the merged map.
-  AttributionMap A2, B2;
-  A2[K0].BusyMs = 10.0;
-  A2[K0].NumRequests = 4;
-  A2[K0].Energy.ActiveReadJ = 2.0;
-  A2[KU].Energy.SpinDownJ = 0.5;
-  B2[K0].BusyMs = 5.0;
-  B2[K0].NumRequests = 1;
-  B2[K1].ReadyDelayMs = 3.0;
-  B2[K1].NumRequests = 2;
-  AttributionRollup Split, Whole;
-  Split.add(A2);
-  Split.add(B2);
-  Whole.add(A);
-  EXPECT_DOUBLE_EQ(Split.Total.BusyMs, Whole.Total.BusyMs);
-  EXPECT_EQ(Split.Total.NumRequests, Whole.Total.NumRequests);
+  AttributionRollup Split, Summed;
+  Split.add(A);
+  Split.add(B);
+  Summed.add(Whole);
+  EXPECT_DOUBLE_EQ(Split.Total.BusyMs, 15.0);
+  EXPECT_DOUBLE_EQ(Split.Total.BusyMs, Summed.Total.BusyMs);
+  EXPECT_EQ(Split.Total.NumRequests, 7u);
+  EXPECT_EQ(Split.Total.NumRequests, Summed.Total.NumRequests);
+  EXPECT_DOUBLE_EQ(Split.Total.ReadyDelayMs, Summed.Total.ReadyDelayMs);
+  EXPECT_DOUBLE_EQ(Split.Unattributed.Energy.SpinDownJ, 0.5);
   EXPECT_DOUBLE_EQ(Split.Unattributed.Energy.SpinDownJ,
-                   Whole.Unattributed.Energy.SpinDownJ);
+                   Summed.Unattributed.Energy.SpinDownJ);
   EXPECT_DOUBLE_EQ(Split.PerNest.at(0).BusyMs, 15.0);
+  EXPECT_DOUBLE_EQ(Summed.PerNest.at(0).BusyMs, 15.0);
+  EXPECT_EQ(Split.PerRef.at({0u, 0u}).NumRequests, 5u);
   EXPECT_EQ(Split.PerRef.at({0u, 1u}).NumRequests, 2u);
-  EXPECT_EQ(Whole.PerRef.at({0u, 1u}).NumRequests, 2u);
-}
-
-TEST(MergeTest, DiskStatsFieldWiseSum) {
-  DiskStats A, B;
-  A.NumRequests = 3;
-  A.BusyMs = 30.0;
-  A.EnergyJ = 5.0;
-  A.ResponseSumMs = 45.0;
-  A.IdleMsTotal = 100.0;
-  A.SpinDowns = 1;
-  A.GapsBelowBreakEven = 2;
-  A.IdleMsBelowBreakEven = 80.0;
-  A.MissedOpportunityJ = 1.25;
-  A.Ledger.ActiveReadJ = 5.0;
-  B.NumRequests = 2;
-  B.BusyMs = 10.0;
-  B.EnergyJ = 2.5;
-  B.SpinUps = 4;
-  B.RpmSteps = 6;
-  B.GapsAtLeastBreakEven = 1;
-  B.IdleMsAtLeastBreakEven = 20.0;
-  B.Ledger.ActiveReadJ = 2.5;
-  A.merge(B);
-  EXPECT_EQ(A.NumRequests, 5u);
-  EXPECT_DOUBLE_EQ(A.BusyMs, 40.0);
-  EXPECT_DOUBLE_EQ(A.EnergyJ, 7.5);
-  EXPECT_DOUBLE_EQ(A.ResponseSumMs, 45.0);
-  EXPECT_DOUBLE_EQ(A.IdleMsTotal, 100.0);
-  EXPECT_EQ(A.SpinDowns, 1u);
-  EXPECT_EQ(A.SpinUps, 4u);
-  EXPECT_EQ(A.RpmSteps, 6u);
-  EXPECT_EQ(A.GapsBelowBreakEven, 2u);
-  EXPECT_EQ(A.GapsAtLeastBreakEven, 1u);
-  EXPECT_DOUBLE_EQ(A.IdleMsBelowBreakEven, 80.0);
-  EXPECT_DOUBLE_EQ(A.IdleMsAtLeastBreakEven, 20.0);
-  EXPECT_DOUBLE_EQ(A.MissedOpportunityJ, 1.25);
-  EXPECT_DOUBLE_EQ(A.Ledger.ActiveReadJ, 7.5);
-}
-
-TEST(MergeTest, SimResultsTwoShardMerge) {
-  // Shard A owns disk 0, shard B owns disks 0..1 (disk 0 empty) — merged
-  // per-disk stats line up index-wise; wall time is the max, the rest sums.
-  SimResults A, B;
-  A.WallTimeMs = 100.0;
-  A.IoTimeMs = 40.0;
-  A.EnergyJ = 8.0;
-  A.ResponseSumMs = 50.0;
-  A.NumRequests = 4;
-  A.NumFragments = 6;
-  A.SpinDowns = 1;
-  A.Cache.Hits = 2;
-  A.PerDisk.resize(1);
-  A.PerDisk[0].NumRequests = 6;
-  A.PerDisk[0].EnergyJ = 8.0;
-  B.WallTimeMs = 250.0;
-  B.IoTimeMs = 10.0;
-  B.EnergyJ = 2.0;
-  B.NumRequests = 1;
-  B.NumFragments = 1;
-  B.SpinUps = 3;
-  B.RpmSteps = 2;
-  B.Cache.Misses = 5;
-  B.PerDisk.resize(2);
-  B.PerDisk[1].NumRequests = 1;
-  B.PerDisk[1].EnergyJ = 2.0;
-  A.merge(B);
-  EXPECT_DOUBLE_EQ(A.WallTimeMs, 250.0); // max, not sum
-  EXPECT_DOUBLE_EQ(A.IoTimeMs, 50.0);
-  EXPECT_DOUBLE_EQ(A.EnergyJ, 10.0);
-  EXPECT_DOUBLE_EQ(A.ResponseSumMs, 50.0);
-  EXPECT_EQ(A.NumRequests, 5u);
-  EXPECT_EQ(A.NumFragments, 7u);
-  EXPECT_EQ(A.SpinDowns, 1u);
-  EXPECT_EQ(A.SpinUps, 3u);
-  EXPECT_EQ(A.RpmSteps, 2u);
-  EXPECT_EQ(A.Cache.Hits, 2u);
-  EXPECT_EQ(A.Cache.Misses, 5u);
-  ASSERT_EQ(A.PerDisk.size(), 2u);
-  EXPECT_EQ(A.PerDisk[0].NumRequests, 6u);
-  EXPECT_EQ(A.PerDisk[1].NumRequests, 1u);
-  EXPECT_DOUBLE_EQ(A.totalLedger().totalJ(), 0.0); // ledgers were empty
-}
-
-TEST(MergeTest, PhaseLatencyMerge) {
-  PhaseLatency A, B;
-  A.Requests = 2;
-  A.SumMs = 30.0;
-  A.MaxMs = 20.0;
-  A.Hist.addSample(0.020);
-  A.Hist.addSample(0.010);
-  B.Requests = 1;
-  B.SumMs = 50.0;
-  B.MaxMs = 50.0;
-  B.Hist.addSample(0.050);
-  A.merge(B);
-  EXPECT_EQ(A.Requests, 3u);
-  EXPECT_DOUBLE_EQ(A.SumMs, 80.0);
-  EXPECT_DOUBLE_EQ(A.MaxMs, 50.0);
-  EXPECT_DOUBLE_EQ(A.meanMs(), 80.0 / 3.0);
-  EXPECT_EQ(A.Hist.totalCount(), 3u);
-}
-
-TEST(MergeTest, DiskTimelineMergeJoinsByWindowIndex) {
-  DiskTimeline A, B;
-  TimelineWindow W0, W2, W2b, W5;
-  W0.Index = 0;
-  W0.StateMs[TlService] = 10.0;
-  W0.Requests = 2;
-  W2.Index = 2;
-  W2.StateMs[TlIdle] = 500.0;
-  W2.EnergyJ[TlEIdle] = 1.5;
-  W2b.Index = 2; // collides with A's window 2
-  W2b.StateMs[TlService] = 30.0;
-  W2b.EnergyJ[TlEActiveRead] = 0.5;
-  W2b.Requests = 1;
-  W2b.Bytes = 4096;
-  W2b.QueueMs = 12.0;
-  W5.Index = 5;
-  W5.StateMs[TlStandby] = 999.0;
-  A.Windows = {W0, W2};
-  B.Windows = {W2b, W5};
-  TimelineGapEvent GA, GB;
-  GA.StartMs = 100.0;
-  GB.StartMs = 50.0;
-  A.Gaps = {GA};
-  B.Gaps = {GB};
-
-  A.merge(std::move(B));
-  ASSERT_EQ(A.Windows.size(), 3u);
-  EXPECT_EQ(A.Windows[0].Index, 0u);
-  EXPECT_EQ(A.Windows[1].Index, 2u);
-  EXPECT_EQ(A.Windows[2].Index, 5u);
-  // The colliding window summed state/energy/counters.
-  EXPECT_DOUBLE_EQ(A.Windows[1].StateMs[TlIdle], 500.0);
-  EXPECT_DOUBLE_EQ(A.Windows[1].StateMs[TlService], 30.0);
-  EXPECT_DOUBLE_EQ(A.Windows[1].EnergyJ[TlEIdle], 1.5);
-  EXPECT_DOUBLE_EQ(A.Windows[1].EnergyJ[TlEActiveRead], 0.5);
-  EXPECT_EQ(A.Windows[1].Requests, 1u);
-  EXPECT_EQ(A.Windows[1].Bytes, 4096u);
-  EXPECT_DOUBLE_EQ(A.Windows[1].QueueMs, 12.0);
-  // Gaps interleave by start time.
-  ASSERT_EQ(A.Gaps.size(), 2u);
-  EXPECT_DOUBLE_EQ(A.Gaps[0].StartMs, 50.0);
-  EXPECT_DOUBLE_EQ(A.Gaps[1].StartMs, 100.0);
-
-  // Merging into an empty timeline moves the source in unchanged.
-  DiskTimeline Empty, Src;
-  TimelineWindow W7;
-  W7.Index = 7;
-  Src.Windows = {W7};
-  Empty.merge(std::move(Src));
-  ASSERT_EQ(Empty.Windows.size(), 1u);
-  EXPECT_EQ(Empty.Windows[0].Index, 7u);
-}
-
-TEST(MergeTest, RunTimelineMergeDisksIndexWise) {
-  RunTimeline A, B;
-  A.Label = "keep-me";
-  A.EndMs = 1000.0;
-  A.Disks.resize(2);
-  TimelineWindow WA;
-  WA.Index = 0;
-  WA.StateMs[TlService] = 5.0;
-  A.Disks[0].Windows = {WA};
-  A.Phases.resize(1);
-  A.Phases[0].Requests = 2;
-  A.Phases[0].SumMs = 10.0;
-
-  B.Label = "discard-me";
-  B.EndMs = 2000.0;
-  B.Disks.resize(3);
-  TimelineWindow WB;
-  WB.Index = 1;
-  WB.StateMs[TlIdle] = 7.0;
-  B.Disks[2].Windows = {WB};
-  B.Phases.resize(2);
-  B.Phases[0].Requests = 1;
-  B.Phases[0].SumMs = 4.0;
-  B.Phases[1].Requests = 5;
-
-  A.merge(std::move(B));
-  EXPECT_EQ(A.Label, "keep-me");
-  EXPECT_DOUBLE_EQ(A.EndMs, 2000.0);
-  ASSERT_EQ(A.Disks.size(), 3u);
-  EXPECT_DOUBLE_EQ(A.Disks[0].Windows.at(0).StateMs[TlService], 5.0);
-  EXPECT_TRUE(A.Disks[1].Windows.empty());
-  EXPECT_DOUBLE_EQ(A.Disks[2].Windows.at(0).StateMs[TlIdle], 7.0);
-  ASSERT_EQ(A.Phases.size(), 2u);
-  EXPECT_EQ(A.Phases[0].Requests, 3u);
-  EXPECT_DOUBLE_EQ(A.Phases[0].SumMs, 14.0);
-  EXPECT_EQ(A.Phases[1].Requests, 5u);
+  EXPECT_EQ(Summed.PerRef.at({0u, 1u}).NumRequests, 2u);
 }

@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 
 using namespace dra;
@@ -226,6 +228,15 @@ TEST(ShardedSimTest, WindowLegality) {
                std::invalid_argument);
   EXPECT_THROW(resolveSimWindowMs(-5.0, P, PowerPolicyKind::None),
                std::invalid_argument);
+  // Non-finite widths compare false against both bounds; NaN would never
+  // flush a batch before the end of the run.
+  for (PowerPolicyKind Pol : {PowerPolicyKind::None, PowerPolicyKind::Tpm}) {
+    EXPECT_THROW(resolveSimWindowMs(std::nan(""), P, Pol),
+                 std::invalid_argument);
+    EXPECT_THROW(resolveSimWindowMs(
+                     std::numeric_limits<double>::infinity(), P, Pol),
+                 std::invalid_argument);
+  }
   // None admits any positive window.
   EXPECT_DOUBLE_EQ(resolveSimWindowMs(1e9, P, PowerPolicyKind::None), 1e9);
 

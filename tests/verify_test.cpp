@@ -187,7 +187,6 @@ TEST(LayoutVerifierTest, AcceptsRaidSubStriping) {
   Program P = smallStencil();
   StripingConfig C = paperConfig(1).Striping;
   C.DisksPerNode = 4;
-  C.RaidStripeUnitBytes = 8 * 1024;
   DiskLayout L(P, C);
   DiagHarness H;
   EXPECT_TRUE(LayoutVerifier(P, L, H.DE).verify());
@@ -230,14 +229,6 @@ TEST(LayoutVerifierTest, RejectsBadConfigs) {
     C.DisksPerNode = 0;
     EXPECT_FALSE(LayoutVerifier::verifyConfig(C, H.DE));
     ASSERT_NE(H.Diags.findCheck("zero-disks-per-node"), nullptr);
-  }
-  {
-    DiagHarness H;
-    StripingConfig C;
-    C.DisksPerNode = 2;
-    C.RaidStripeUnitBytes = 0;
-    EXPECT_FALSE(LayoutVerifier::verifyConfig(C, H.DE));
-    ASSERT_NE(H.Diags.findCheck("zero-raid-stripe"), nullptr);
   }
   {
     DiagHarness H;

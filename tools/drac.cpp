@@ -102,6 +102,7 @@
 #include "trace/TenantMerge.h"
 #include "trace/TraceIO.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -461,10 +462,11 @@ int main(int argc, char **argv) {
     } else if (Arg == "--sim-window" && I + 1 != argc) {
       char *End = nullptr;
       SimWindowMs = std::strtod(argv[++I], &End);
-      if (End == argv[I] || *End != '\0' || SimWindowMs < 0) {
+      if (End == argv[I] || *End != '\0' || !std::isfinite(SimWindowMs) ||
+          SimWindowMs < 0) {
         std::fprintf(stderr,
-                     "error: --sim-window expects a non-negative number "
-                     "(simulated ms), got '%s'\n",
+                     "error: --sim-window expects a finite non-negative "
+                     "number (simulated ms), got '%s'\n",
                      argv[I]);
         return 2;
       }
