@@ -6,7 +6,7 @@
 // applications:
 //
 //   1. times the table-fed compile path (shared TileAccessTable,
-//      ready-bucket scheduler, sharded graph build) per app and checks that
+//      ready-bucket scheduler, CSR graph build) per app and checks that
 //      repeated compiles produce identical outputs;
 //   2. asserts that a pipeline run publishes the pass.*.wall_ms timing
 //      histogram of every pass in TimedPasses (the observability
@@ -53,7 +53,7 @@ struct PathResult {
 };
 
 /// The compile path: one virtual execution (the table), the ready-bucket
-/// scheduler, the sharded graph build and table-fed consumers, with
+/// scheduler, the CSR graph build and table-fed consumers, with
 /// restructuring done as Pipeline::restructurePerProc does it.
 PathResult runHotPath(const Program &P, const StripingConfig &SC) {
   PathResult R;

@@ -7,19 +7,18 @@
 #include "analysis/IterationGraph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
-#include <thread>
 #include <unordered_map>
 
 using namespace dra;
 
 namespace {
 
-/// Virtual-execution state of one tile.
+constexpr GlobalIter NoIter = ~GlobalIter(0);
+
+/// Virtual-execution state of one tile in the reference build.
 struct TileState {
-  static constexpr GlobalIter NoIter = ~GlobalIter(0);
   GlobalIter LastWriter = NoIter;
   std::vector<GlobalIter> ReadersSinceWrite;
 };
@@ -30,11 +29,6 @@ uint64_t tileKey(const TileRef &T) {
   assert(uint64_t(T.Linear) < (uint64_t(1) << 48) && "tile index overflow");
   return (uint64_t(T.Array) << 48) | uint64_t(T.Linear);
 }
-
-/// Sharded builds below this many table entries run on the calling thread;
-/// thread spawn plus bucketing overhead dominates on smaller inputs (the
-/// per-processor sub-phase graphs of restructurePerProc are typically tiny).
-constexpr uint64_t MinAccessesPerWorker = 1 << 13;
 
 /// Rank dictionary over a dense-tile-id universe for subset builds: a
 /// bitmap of the ids the subset touches plus per-word prefix popcounts.
@@ -70,60 +64,49 @@ struct DenseRank {
 
 } // namespace
 
-void IterationGraph::addEdge(GlobalIter From, GlobalIter To) {
-  assert(From < To && "dependences must flow forward in program order");
-  // Duplicate suppression: the common duplicate is a repeat of the most
-  // recent edge (same source touched via several references). Any
-  // interleaved duplicates that slip through are removed by compact().
-  if (!Succ[From].empty() && Succ[From].back() == To)
-    return;
-  Succ[From].push_back(To);
-  ++InDeg[To];
-  ++Edges;
-}
+void IterationGraph::buildCsr(uint64_t NumNodes,
+                              const std::vector<Edge> &Edges) {
+  // Count pass: out-degrees, then their prefix sums as row starts.
+  Offset.assign(NumNodes + 1, 0);
+  for (const auto &[From, To] : Edges) {
+    assert(From < To && To < NumNodes &&
+           "dependences must flow forward in program order");
+    ++Offset[From + 1];
+  }
+  for (uint64_t U = 0; U != NumNodes; ++U)
+    Offset[U + 1] += Offset[U];
 
-void IterationGraph::compact(unsigned SortWorkers) {
-  auto SortRange = [this](size_t Begin, size_t End) {
-    for (size_t I = Begin; I != End; ++I) {
-      std::vector<GlobalIter> &S = Succ[I];
-      std::sort(S.begin(), S.end());
-      S.erase(std::unique(S.begin(), S.end()), S.end());
-    }
-  };
-  if (SortWorkers <= 1 || Succ.size() < size_t(MinAccessesPerWorker)) {
-    SortRange(0, Succ.size());
-  } else {
-    const size_t Chunk = 1 << 12;
-    const size_t NumChunks = (Succ.size() + Chunk - 1) / Chunk;
-    unsigned W = unsigned(std::min<size_t>(SortWorkers, NumChunks));
-    std::atomic<size_t> Next{0};
-    auto Work = [&] {
-      for (size_t C = Next.fetch_add(1, std::memory_order_relaxed);
-           C < NumChunks; C = Next.fetch_add(1, std::memory_order_relaxed))
-        SortRange(C * Chunk, std::min(Succ.size(), (C + 1) * Chunk));
-    };
-    {
-      std::vector<std::jthread> Pool;
-      Pool.reserve(W - 1);
-      for (unsigned T = 1; T != W; ++T)
-        Pool.emplace_back(Work);
-      Work();
-    } // jthread joins here; every list is canonical below this point.
-  }
-  Edges = 0;
-  InDeg.assign(Succ.size(), 0);
-  for (const std::vector<GlobalIter> &S : Succ) {
-    Edges += S.size();
-    for (GlobalIter V : S)
+  // Fill pass, in buffer order: each row receives its targets in
+  // non-decreasing order. Offset[U] serves as U's cursor and ends at U's
+  // row end, so shifting by one restores the row starts.
+  Succ.resize(Edges.size());
+  for (const auto &[From, To] : Edges)
+    Succ[Offset[From]++] = To;
+  for (uint64_t U = NumNodes; U != 0; --U)
+    Offset[U] = Offset[U - 1];
+  Offset[0] = 0;
+
+  // Drop adjacent duplicates in place and count in-degrees of what stays.
+  InDeg.assign(NumNodes, 0);
+  uint64_t Out = 0, Begin = 0;
+  for (uint64_t U = 0; U != NumNodes; ++U) {
+    const uint64_t End = Offset[U + 1];
+    Offset[U] = Out;
+    for (uint64_t I = Begin; I != End; ++I) {
+      GlobalIter V = Succ[I];
+      if (Out != Offset[U] && Succ[Out - 1] == V)
+        continue;
+      Succ[Out++] = V;
       ++InDeg[V];
+    }
+    Begin = End;
   }
+  Offset[NumNodes] = Out;
+  Succ.resize(Out);
 }
 
 IterationGraph::IterationGraph(const Program &P, const IterationSpace &Space,
                                const std::vector<GlobalIter> &Subset) {
-  Succ.resize(Space.size());
-  InDeg.assign(Space.size(), 0);
-
   std::vector<bool> InSubset;
   if (!Subset.empty()) {
     InSubset.assign(Space.size(), false);
@@ -141,6 +124,9 @@ IterationGraph::IterationGraph(const Program &P, const IterationSpace &Space,
   Tiles.reserve(size_t(std::min<uint64_t>(AccessBound, 1 << 16)));
   std::vector<TileAccess> Touched;
 
+  // Every edge is emitted while visiting its target G, so the buffer is
+  // ordered by target as buildCsr requires.
+  std::vector<Edge> Edges;
   for (GlobalIter G = 0, E = GlobalIter(Space.size()); G != E; ++G) {
     if (!InSubset.empty() && !InSubset[G])
       continue;
@@ -149,57 +135,45 @@ IterationGraph::IterationGraph(const Program &P, const IterationSpace &Space,
     for (const TileAccess &TA : Touched) {
       TileState &TS = Tiles[tileKey(TA.Tile)];
       if (TA.Kind == AccessKind::Read) {
-        if (TS.LastWriter != TileState::NoIter && TS.LastWriter != G)
-          addEdge(TS.LastWriter, G);
+        if (TS.LastWriter != NoIter && TS.LastWriter != G)
+          Edges.emplace_back(TS.LastWriter, G);
         if (TS.ReadersSinceWrite.empty() || TS.ReadersSinceWrite.back() != G)
           TS.ReadersSinceWrite.push_back(G);
         continue;
       }
       // Write: WAW on the previous writer, WAR on intervening readers.
-      if (TS.LastWriter != TileState::NoIter && TS.LastWriter != G)
-        addEdge(TS.LastWriter, G);
+      if (TS.LastWriter != NoIter && TS.LastWriter != G)
+        Edges.emplace_back(TS.LastWriter, G);
       for (GlobalIter R : TS.ReadersSinceWrite)
         if (R != G)
-          addEdge(R, G);
+          Edges.emplace_back(R, G);
       TS.ReadersSinceWrite.clear();
       TS.LastWriter = G;
     }
   }
-  compact();
+  buildCsr(Space.size(), Edges);
 }
 
 IterationGraph::IterationGraph(const TileAccessTable &Table,
                                const std::vector<GlobalIter> &Subset,
-                               unsigned Workers) {
-  buildFromTable(Table, Subset, Workers);
-}
-
-void IterationGraph::buildFromTable(const TileAccessTable &Table,
-                                    const std::vector<GlobalIter> &Subset,
-                                    unsigned Workers) {
-  const uint64_t N = Table.numIters();
-  Succ.resize(N);
-  InDeg.assign(N, 0);
-
+                               unsigned /*Workers*/) {
   // The virtual execution must replay accesses in ascending program order,
-  // so subset builds walk a sorted, deduplicated copy of the member list
-  // directly — O(|Subset|) rows touched, not O(N) as in the legacy
-  // full-space scan.
-  std::vector<GlobalIter> SortedSubset;
-  if (!Subset.empty() &&
-      !std::is_sorted(Subset.begin(), Subset.end())) {
-    SortedSubset = Subset;
-    std::sort(SortedSubset.begin(), SortedSubset.end());
+  // so subset builds walk a sorted copy of an unsorted member list (the
+  // pipeline passes sorted subsets, which are walked in place).
+  std::vector<GlobalIter> Sorted;
+  if (!std::is_sorted(Subset.begin(), Subset.end())) {
+    Sorted = Subset;
+    std::sort(Sorted.begin(), Sorted.end());
   }
-  const std::vector<GlobalIter> &Members =
-      SortedSubset.empty() ? Subset : SortedSubset;
+  const std::vector<GlobalIter> &Members = Sorted.empty() ? Subset : Sorted;
+  const uint64_t N = Table.numIters();
   auto ForEachRow = [&](auto &&Fn) {
     if (Members.empty()) {
       for (GlobalIter G = 0; G != GlobalIter(N); ++G)
         Fn(G);
       return;
     }
-    GlobalIter Prev = ~GlobalIter(0);
+    GlobalIter Prev = NoIter;
     for (GlobalIter G : Members) {
       if (G == Prev)
         continue; // Duplicate subset member; visit each row once.
@@ -211,204 +185,111 @@ void IterationGraph::buildFromTable(const TileAccessTable &Table,
   // Tile state never crosses arrays, and the table's dense tile ids are
   // contiguous, so the virtual execution uses direct-indexed per-tile state
   // — no hashing. Readers-since-last-write live in one pooled index-linked
-  // list instead of a vector per tile: per-tile vectors would cost one heap
-  // allocation per distinct tile per build, which dominates the many small
-  // per-processor sub-builds. Reader lists come back newest-first; edge
-  // emission order is irrelevant because compact() canonicalizes the
-  // successor lists.
+  // list instead of a vector per tile, so a build allocates the same
+  // however many tiles it touches. Reader lists come back newest-first,
+  // but every edge emitted while visiting G targets G, so the buffer stays
+  // ordered by target as buildCsr requires.
   struct PooledTileState {
-    GlobalIter LastWriter = TileState::NoIter;
+    GlobalIter LastWriter = NoIter;
     int32_t ReadersHead = -1;
   };
   struct ReaderNode {
     GlobalIter Reader;
     int32_t Next;
   };
-  auto Apply = [](PooledTileState &TS, std::vector<ReaderNode> &Pool,
-                  GlobalIter G, AccessKind Kind, auto &&Emit) {
+  uint64_t TotalEntries = 0;
+  if (Members.empty())
+    TotalEntries = Table.numAccesses();
+  else
+    ForEachRow([&](GlobalIter G) { TotalEntries += Table.row(G).size(); });
+  assert(TotalEntries < (uint64_t(1) << 31) &&
+         "reader pool index exceeds 31 bits");
+
+  // Each access emits at most one edge from the last writer, and each
+  // pooled reader is emitted at most once (by the write that clears it),
+  // so 2 * TotalEntries bounds the edge count and neither buffer grows.
+  std::vector<Edge> Edges;
+  Edges.reserve(size_t(2 * TotalEntries));
+  std::vector<ReaderNode> Pool;
+  Pool.reserve(size_t(TotalEntries));
+  auto Apply = [&](PooledTileState &TS, GlobalIter G, AccessKind Kind) {
     if (Kind == AccessKind::Read) {
-      if (TS.LastWriter != TileState::NoIter && TS.LastWriter != G)
-        Emit(TS.LastWriter, G);
+      if (TS.LastWriter != NoIter && TS.LastWriter != G)
+        Edges.emplace_back(TS.LastWriter, G);
       if (TS.ReadersHead < 0 || Pool[size_t(TS.ReadersHead)].Reader != G) {
         Pool.push_back({G, TS.ReadersHead});
         TS.ReadersHead = int32_t(Pool.size() - 1);
       }
       return;
     }
-    if (TS.LastWriter != TileState::NoIter && TS.LastWriter != G)
-      Emit(TS.LastWriter, G);
+    if (TS.LastWriter != NoIter && TS.LastWriter != G)
+      Edges.emplace_back(TS.LastWriter, G);
     for (int32_t I = TS.ReadersHead; I >= 0; I = Pool[size_t(I)].Next)
       if (Pool[size_t(I)].Reader != G)
-        Emit(Pool[size_t(I)].Reader, G);
+        Edges.emplace_back(Pool[size_t(I)].Reader, G);
     TS.ReadersHead = -1;
     TS.LastWriter = G;
   };
 
-  const unsigned NumArrays = Table.numArrays();
-  uint64_t TotalEntries = 0;
-  if (Members.empty())
-    TotalEntries = Table.numAccesses();
-  else
-    ForEachRow([&](GlobalIter G) { TotalEntries += Table.row(G).size(); });
-
-  unsigned W = Workers != 0 ? Workers
-                            : std::max(1u, std::thread::hardware_concurrency());
-  W = std::min<unsigned>({W, NumArrays ? NumArrays : 1u, 16u});
-  if (TotalEntries < MinAccessesPerWorker * 2)
-    W = 1;
-
-  if (W <= 1) {
-    // Serial: one pass straight over the table rows, with flat per-tile
-    // state indexed by the table's dense tile ids (no hashing). Edges are
-    // emitted raw in program order; compact() canonicalizes the lists.
-    auto EmitEdge = [&](GlobalIter From, GlobalIter To) {
-      assert(From < To && "dependences must flow forward in program order");
-      Succ[From].push_back(To);
-    };
-    assert(TotalEntries < (uint64_t(1) << 31) &&
-           "reader pool index exceeds 31 bits");
-    std::vector<ReaderNode> Pool;
-    Pool.reserve(size_t(TotalEntries));
-    if (Members.empty()) {
-      std::vector<PooledTileState> State(size_t(Table.numDistinctTiles()));
-      ForEachRow([&](GlobalIter G) {
-        std::span<const TileAccess> Row = Table.row(G);
-        std::span<const uint32_t> Dense = Table.denseRow(G);
-        for (size_t I = 0; I != Row.size(); ++I)
-          Apply(State[Dense[I]], Pool, G, Row[I].Kind, EmitEdge);
-      });
-    } else {
-      // A subset (one processor, one phase) touches a sliver of the tile
-      // universe. Remap the dense ids it actually uses to consecutive
-      // local ids so the state vector is subset-sized — initializing a
-      // universe-sized state for each of the many per-processor sub-builds
-      // would dwarf the build itself.
-      DenseRank Rank(Table.numDistinctTiles());
-      ForEachRow([&](GlobalIter G) {
-        for (uint32_t D : Table.denseRow(G))
-          Rank.mark(D);
-      });
-      Rank.freeze();
-      std::vector<PooledTileState> State(Rank.Count);
-      ForEachRow([&](GlobalIter G) {
-        std::span<const TileAccess> Row = Table.row(G);
-        std::span<const uint32_t> Dense = Table.denseRow(G);
-        for (size_t I = 0; I != Row.size(); ++I)
-          Apply(State[Rank.rank(Dense[I])], Pool, G, Row[I].Kind, EmitEdge);
-      });
-    }
-    compact();
-    return;
-  }
-
-  // Sharded: bucket the table rows into per-array access streams
-  // (order-preserving, so each stream is the per-array projection of
-  // original program order), derive each array's edges in parallel, and
-  // concatenate shard outputs in array order. compact() canonicalizes the
-  // merged lists, which is why the result cannot depend on the worker
-  // count.
-  struct StreamEntry {
-    GlobalIter G;
-    uint32_t Dense; ///< Table dense tile id, already array-disjoint.
-    AccessKind Kind;
-  };
-  std::vector<uint64_t> StreamLen(NumArrays, 0);
-  ForEachRow([&](GlobalIter G) {
-    for (const TileAccess &TA : Table.row(G))
-      ++StreamLen[TA.Tile.Array];
-  });
-  std::vector<std::vector<StreamEntry>> Streams(NumArrays);
-  for (unsigned A = 0; A != NumArrays; ++A)
-    Streams[A].reserve(StreamLen[A]);
-  ForEachRow([&](GlobalIter G) {
-    std::span<const TileAccess> Row = Table.row(G);
-    std::span<const uint32_t> Dense = Table.denseRow(G);
-    for (size_t I = 0; I != Row.size(); ++I)
-      Streams[Row[I].Tile.Array].push_back({G, Dense[I], Row[I].Kind});
-  });
-
-  // One edge list per shard; raw emission (no duplicate suppression) —
-  // compact() removes duplicates and sets InDeg/Edges.
-  std::vector<std::vector<std::pair<GlobalIter, GlobalIter>>> ShardEdges(
-      NumArrays);
-  auto BuildArray = [&](unsigned A) {
-    std::vector<std::pair<GlobalIter, GlobalIter>> &Out = ShardEdges[A];
-    auto EmitEdge = [&Out](GlobalIter From, GlobalIter To) {
-      Out.emplace_back(From, To);
-    };
-    std::vector<ReaderNode> Pool;
-    Pool.reserve(Streams[A].size());
-    if (Members.empty()) {
-      const uint32_t Base = Table.denseBaseOfArray(A);
-      std::vector<PooledTileState> State(
-          size_t(Table.numDistinctTilesOfArray(A)));
-      for (const StreamEntry &E : Streams[A])
-        Apply(State[E.Dense - Base], Pool, E.G, E.Kind, EmitEdge);
-      return;
-    }
-    // Subset shard: remap to local ids (see the serial subset build).
-    const uint32_t Base = Table.denseBaseOfArray(A);
-    DenseRank Rank(Table.numDistinctTilesOfArray(A));
-    for (const StreamEntry &E : Streams[A])
-      Rank.mark(E.Dense - Base);
+  if (Members.empty()) {
+    std::vector<PooledTileState> State(size_t(Table.numDistinctTiles()));
+    ForEachRow([&](GlobalIter G) {
+      std::span<const TileAccess> Row = Table.row(G);
+      std::span<const uint32_t> Dense = Table.denseRow(G);
+      for (size_t I = 0; I != Row.size(); ++I)
+        Apply(State[Dense[I]], G, Row[I].Kind);
+    });
+  } else {
+    // A subset (one processor, one phase) touches a sliver of the tile
+    // universe. Remap the dense ids it actually uses to consecutive local
+    // ids so the state vector is subset-sized — initializing a
+    // universe-sized state for each of the many per-processor sub-builds
+    // would dwarf the build itself.
+    DenseRank Rank(Table.numDistinctTiles());
+    ForEachRow([&](GlobalIter G) {
+      for (uint32_t D : Table.denseRow(G))
+        Rank.mark(D);
+    });
     Rank.freeze();
     std::vector<PooledTileState> State(Rank.Count);
-    for (const StreamEntry &E : Streams[A])
-      Apply(State[Rank.rank(E.Dense - Base)], Pool, E.G, E.Kind, EmitEdge);
-  };
-
-  std::atomic<unsigned> Next{0};
-  auto Work = [&] {
-    for (unsigned A = Next.fetch_add(1, std::memory_order_relaxed);
-         A < NumArrays; A = Next.fetch_add(1, std::memory_order_relaxed))
-      BuildArray(A);
-  };
-  {
-    std::vector<std::jthread> Pool;
-    Pool.reserve(W - 1);
-    for (unsigned T = 1; T != W; ++T)
-      Pool.emplace_back(Work);
-    Work();
-  } // jthread joins here; all shards complete before the merge.
-
-  for (unsigned A = 0; A != NumArrays; ++A)
-    for (const auto &[From, To] : ShardEdges[A]) {
-      assert(From < To && "dependences must flow forward in program order");
-      Succ[From].push_back(To);
-    }
-  compact(W);
+    ForEachRow([&](GlobalIter G) {
+      std::span<const TileAccess> Row = Table.row(G);
+      std::span<const uint32_t> Dense = Table.denseRow(G);
+      for (size_t I = 0; I != Row.size(); ++I)
+        Apply(State[Rank.rank(Dense[I])], G, Row[I].Kind);
+    });
+  }
+  buildCsr(N, Edges);
 }
 
-IterationGraph::IterationGraph(
-    unsigned NumNodes,
-    const std::vector<std::pair<GlobalIter, GlobalIter>> &EdgeList) {
-  Succ.resize(NumNodes);
-  InDeg.assign(NumNodes, 0);
-  for (const auto &[From, To] : EdgeList) {
-    assert(To < NumNodes && "edge endpoint out of range");
-    addEdge(From, To);
-  }
-  // Interleaved duplicates (a-b, a-c, a-b) escape addEdge's back-check and
-  // used to inflate b's in-degree, deadlocking the scheduler's
-  // remaining-predecessor count. Compaction makes the lists canonical.
-  compact();
+IterationGraph::IterationGraph(unsigned NumNodes,
+                               const std::vector<Edge> &EdgeList) {
+  // Explicit lists come in any order and may repeat an edge (a-b, a-c,
+  // a-b). Ordering them by target puts each row in order with its
+  // duplicates adjacent, so buildCsr drops them instead of letting them
+  // inflate in-degrees and deadlock the scheduler.
+  std::vector<Edge> Edges = EdgeList;
+  std::sort(Edges.begin(), Edges.end(), [](const Edge &A, const Edge &B) {
+    return A.second < B.second;
+  });
+  buildCsr(NumNodes, Edges);
 }
 
 std::vector<std::vector<GlobalIter>> IterationGraph::buildPredLists() const {
-  std::vector<std::vector<GlobalIter>> Pred(Succ.size());
-  for (GlobalIter U = 0; U != GlobalIter(Succ.size()); ++U)
-    for (GlobalIter V : Succ[U])
+  std::vector<std::vector<GlobalIter>> Pred(numNodes());
+  for (GlobalIter U = 0; U != GlobalIter(numNodes()); ++U)
+    for (GlobalIter V : succs(U))
       Pred[V].push_back(U);
   return Pred;
 }
 
 bool IterationGraph::respectsDependences(
     const std::vector<GlobalIter> &Order) const {
-  std::vector<uint64_t> Pos(Succ.size(), ~uint64_t(0));
+  std::vector<uint64_t> Pos(numNodes(), ~uint64_t(0));
   for (uint64_t I = 0; I != Order.size(); ++I)
     Pos[Order[I]] = I;
-  for (GlobalIter U = 0; U != GlobalIter(Succ.size()); ++U) {
-    for (GlobalIter V : Succ[U]) {
+  for (GlobalIter U = 0; U != GlobalIter(numNodes()); ++U) {
+    for (GlobalIter V : succs(U)) {
       if (Pos[U] == ~uint64_t(0) || Pos[V] == ~uint64_t(0))
         return false; // A constrained node is missing from the order.
       if (Pos[U] >= Pos[V])

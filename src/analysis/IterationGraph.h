@@ -17,13 +17,14 @@
 /// near-linear number of edges, and is cross-validated in the tests against
 /// the distance-vector analysis.
 ///
-/// Because tile state is keyed by (array, tile), the virtual execution
-/// shards cleanly by array: the table-based constructor derives each
-/// array's edges independently on a bounded std::jthread pool and merges
-/// them deterministically. Every constructor finishes with a canonical
-/// compaction (per-node successor lists sorted ascending and deduplicated,
-/// in-degrees recounted), so the resulting graph is identical for any
-/// worker count and for the serial builder (docs/PERFORMANCE.md).
+/// The graph is stored in CSR form: one offsets array, one successor array
+/// and the in-degrees. Every build runs serially and collects its edges in
+/// one buffer, then lays them out with a count pass and a fill pass. The
+/// virtual executions emit every edge while visiting its target, in
+/// ascending target order, so each successor row comes out sorted and only
+/// adjacent duplicates need removing. A table build allocates a fixed
+/// number of times, however many nodes and edges it has
+/// (docs/PERFORMANCE.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +35,8 @@
 #include "ir/TileAccessTable.h"
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace dra {
@@ -42,37 +45,38 @@ namespace dra {
 class IterationGraph {
 public:
   /// Builds the exact tile-granularity dependence graph of \p P over the
-  /// iteration space \p Space with a private serial virtual execution.
-  /// Optionally restricted to the iterations in \p Subset (others become
-  /// isolated nodes); an empty subset means all. The pipeline uses the
-  /// table-based constructor; this serial build stays as its reference
-  /// (tests/hotpath_test.cpp checks the sharded build against it) and
-  /// serves LoopFusion, which checks legality before any table exists.
+  /// iteration space \p Space with a private virtual execution of the
+  /// program. Optionally restricted to the iterations in \p Subset (others
+  /// become isolated nodes); an empty subset means all. The pipeline uses
+  /// the table-based constructor; this build stays independent of the
+  /// table as its reference (tests/hotpath_test.cpp) and serves LoopFusion,
+  /// which checks legality before any table exists, and the
+  /// ScheduleVerifier, which must not trust the table it checks.
   IterationGraph(const Program &P, const IterationSpace &Space,
                  const std::vector<GlobalIter> &Subset = {});
 
-  /// Builds the same graph from the precomputed access \p Table, sharded
-  /// by array over \p Workers threads (0 = one per array, bounded by the
-  /// hardware concurrency). The result is identical for every worker
-  /// count, including 1.
+  /// Builds the same graph from the precomputed access \p Table. A subset
+  /// build visits only the member rows and keeps tile state for only the
+  /// tiles they touch. \p Workers is ignored; it stays only until the
+  /// benchmark's decomposed compile stops passing it.
   explicit IterationGraph(const TileAccessTable &Table,
                           const std::vector<GlobalIter> &Subset = {},
                           unsigned Workers = 0);
 
   /// Builds a graph over \p NumNodes abstract iterations with explicit
   /// edges (each From < To). Used to replay published examples (Fig. 4)
-  /// and in tests. Duplicate edges in \p EdgeList are compacted away
-  /// rather than inflating in-degrees.
+  /// and in tests. Duplicate edges in \p EdgeList are removed rather than
+  /// inflating in-degrees.
   IterationGraph(unsigned NumNodes,
                  const std::vector<std::pair<GlobalIter, GlobalIter>> &EdgeList);
 
   uint64_t numNodes() const { return InDeg.size(); }
-  uint64_t numEdges() const { return Edges; }
+  uint64_t numEdges() const { return Succ.size(); }
 
   /// Successors of \p G (iterations that must run after it), ascending and
-  /// duplicate-free after compaction.
-  const std::vector<GlobalIter> &succs(GlobalIter G) const {
-    return Succ[G];
+  /// duplicate-free.
+  std::span<const GlobalIter> succs(GlobalIter G) const {
+    return {Succ.data() + Offset[G], Succ.data() + Offset[G + 1]};
   }
 
   /// Number of predecessors of \p G.
@@ -88,23 +92,17 @@ public:
   bool respectsDependences(const std::vector<GlobalIter> &Order) const;
 
 private:
-  std::vector<std::vector<GlobalIter>> Succ;
+  using Edge = std::pair<GlobalIter, GlobalIter>; ///< (From, To).
+
+  std::vector<uint64_t> Offset; ///< numNodes()+1 offsets into Succ.
+  std::vector<GlobalIter> Succ;
   std::vector<uint32_t> InDeg;
-  uint64_t Edges = 0;
 
-  void addEdge(GlobalIter From, GlobalIter To);
-
-  /// Sorts and deduplicates every successor list, then recounts InDeg and
-  /// Edges from the compacted lists. Canonicalizes the graph so builds
-  /// that only differ in edge-emission order (or duplicate multiplicity)
-  /// compare equal. Successor lists are independent, so the sort pass
-  /// shards over \p SortWorkers threads (the recount stays serial); the
-  /// result is identical for any worker count.
-  void compact(unsigned SortWorkers = 1);
-
-  void buildFromTable(const TileAccessTable &Table,
-                      const std::vector<GlobalIter> &Subset,
-                      unsigned Workers);
+  /// Lays \p Edges out as the CSR arrays over \p NumNodes nodes and counts
+  /// the in-degrees. The buffer must be ordered by non-decreasing target,
+  /// as every virtual execution emits it; each row then comes out sorted
+  /// with its duplicates adjacent, and they are dropped without a sort.
+  void buildCsr(uint64_t NumNodes, const std::vector<Edge> &Edges);
 };
 
 } // namespace dra

@@ -33,8 +33,8 @@ static bool depsStayForward(const IterationSpace &Space,
       for (GlobalIter V : Graph.succs(U)) {
         if (Space.nestOf(V) != C)
           continue;
-        const IterVec &IU = Space.iterOf(U);
-        const IterVec &IV = Space.iterOf(V);
+        IterSpan IU = Space.iterOf(U);
+        IterSpan IV = Space.iterOf(V);
         // V must not execute before U in the fused nest: require IU <= IV.
         if (lexLess(IV, IU))
           return false;

@@ -154,8 +154,7 @@ Pipeline::Pipeline(const Program &P, PipelineConfig Config)
     // per-iteration accesses from this table instead of re-evaluating
     // subscripts (docs/PERFORMANCE.md).
     PassTimer PT(Tr, TracePid, 0, "tile-access-table", Me);
-    Table = std::make_unique<TileAccessTable>(Prog, *Space,
-                                              Config.GraphWorkers);
+    Table = std::make_unique<TileAccessTable>(Prog, *Space);
     if (Me) {
       Me->counter("table.rows").add(Table->numIters());
       Me->counter("table.accesses").add(Table->numAccesses());
@@ -194,8 +193,7 @@ Pipeline::Pipeline(const Program &P, PipelineConfig Config)
   }
   {
     PassTimer PT(Tr, TracePid, 0, "dependence-graph", Me);
-    Graph = std::make_unique<IterationGraph>(
-        *Table, std::vector<GlobalIter>{}, Config.GraphWorkers);
+    Graph = std::make_unique<IterationGraph>(*Table);
   }
   {
     PassTimer PT(Tr, TracePid, 0, "scheduler-init", Me);
@@ -267,7 +265,7 @@ ScheduledWork Pipeline::restructurePerProc(const ScheduledWork &Work) const {
       std::sort(Subset.begin(), Subset.end());
       // Intra-processor dependences within the phase constrain the order;
       // cross-processor ones are enforced by the barrier itself.
-      IterationGraph SubGraph(*Table, Subset, Config.GraphWorkers);
+      IterationGraph SubGraph(*Table, Subset);
       Schedule S = Scheduler->schedule(SubGraph, Subset, StartDisk);
       if (Config.Metrics) {
         Config.Metrics->counter("scheduler.invocations").add(1);

@@ -108,9 +108,9 @@ struct PipelineConfig {
   std::vector<unsigned> ArrayStartDisks;
   /// Optional storage cache in front of the disks (Sec. 3 related work).
   CacheConfig Cache;
-  /// Worker threads for the sharded dependence-graph build (0 = one per
-  /// array, bounded by the hardware concurrency). Any value produces the
-  /// identical graph; this only tunes compile time (docs/PERFORMANCE.md).
+  /// Ignored: the table and dependence-graph builds are serial
+  /// (docs/PERFORMANCE.md). Kept only until the benchmark's decomposed
+  /// compile stops passing it.
   unsigned GraphWorkers = 0;
   /// Tile-sized scratch slots reserved after the program's files — the
   /// online serving mode's ad-hoc object store (docs/SERVING.md). 0 (the

@@ -14,7 +14,7 @@ using namespace dra;
 
 /// If \p To is reachable from \p From by advancing exactly one induction
 /// variable, returns (depth, stride); otherwise returns false.
-static bool singleVarStep(const IterVec &From, const IterVec &To,
+static bool singleVarStep(IterSpan From, IterSpan To,
                           unsigned &Depth, int64_t &Stride) {
   if (From.size() != To.size())
     return false;
@@ -38,7 +38,7 @@ std::vector<LoopBand> ScheduleCodeGen::rollBands(const Schedule &S) const {
     GlobalIter G = S.Order[I];
     LoopBand Band;
     Band.Nest = Space.nestOf(G);
-    Band.Start = Space.iterOf(G);
+    Band.Start = toIterVec(Space.iterOf(G));
     Band.Count = 1;
     // Try to open a run with the next iteration.
     unsigned Depth = 0;
@@ -49,7 +49,7 @@ std::vector<LoopBand> ScheduleCodeGen::rollBands(const Schedule &S) const {
       Band.VaryDepth = Depth;
       Band.Stride = Stride;
       Band.Count = 2;
-      IterVec Prev = Space.iterOf(S.Order[J]);
+      IterSpan Prev = Space.iterOf(S.Order[J]);
       ++J;
       while (J != E && Space.nestOf(S.Order[J]) == Band.Nest) {
         unsigned D2 = 0;
@@ -96,7 +96,7 @@ int64_t ScheduleCodeGen::lookup(NestId N, const IterVec &Iter) const {
     else
       Hi = Mid;
   }
-  if (Lo == Space.nestEnd(N) || Space.iterOf(Lo) != Iter)
+  if (Lo == Space.nestEnd(N) || !std::ranges::equal(Space.iterOf(Lo), Iter))
     return -1;
   return int64_t(Lo);
 }

@@ -29,7 +29,7 @@ void AffineExpr::trim() {
 
 bool AffineExpr::isConstant() const { return Coeffs.empty(); }
 
-int64_t AffineExpr::evaluate(const IterVec &Iter) const {
+int64_t AffineExpr::evaluate(IterSpan Iter) const {
   assert(Coeffs.size() <= Iter.size() &&
          "expression references an unbound induction variable");
   int64_t V = Const;

@@ -54,7 +54,7 @@ public:
 
   /// Evaluates the expression for a concrete iteration vector. The vector
   /// must bind every depth the expression references.
-  int64_t evaluate(const IterVec &Iter) const;
+  int64_t evaluate(IterSpan Iter) const;
 
   AffineExpr operator+(const AffineExpr &O) const;
   AffineExpr operator-(const AffineExpr &O) const;

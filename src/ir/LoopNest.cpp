@@ -34,20 +34,30 @@ void LoopNest::forEachIteration(
 }
 
 uint64_t LoopNest::numIterations() const {
+  assert(!Loops.empty() && "loop nest with no loops");
+  const unsigned Inner = depth() - 1;
+  IterVec Iter(Loops.size(), 0);
   uint64_t N = 0;
-  forEachIteration([&](const IterVec &) { ++N; });
+  auto Count = [&](auto &Self, unsigned Depth) -> void {
+    int64_t Lo = Loops[Depth].Lower.evaluate(Iter);
+    int64_t Hi = Loops[Depth].Upper.evaluate(Iter);
+    if (Depth == Inner) {
+      // Trip count in the unsigned domain, where Hi - Lo cannot overflow.
+      uint64_t Trips = Hi > Lo ? uint64_t(Hi) - uint64_t(Lo) : 0;
+      N = Trips > UINT64_MAX - N ? UINT64_MAX : N + Trips;
+      return;
+    }
+    for (int64_t V = Lo; V < Hi; ++V) {
+      Iter[Depth] = V;
+      Self(Self, Depth + 1);
+    }
+    Iter[Depth] = 0;
+  };
+  Count(Count, 0);
   return N;
 }
 
-std::vector<int64_t> LoopNest::evalSubscripts(const ArrayAccess &Access,
-                                              const IterVec &Iter) {
-  std::vector<int64_t> Coord;
-  evalSubscriptsInto(Access, Iter, Coord);
-  return Coord;
-}
-
-void LoopNest::evalSubscriptsInto(const ArrayAccess &Access,
-                                  const IterVec &Iter,
+void LoopNest::evalSubscriptsInto(const ArrayAccess &Access, IterSpan Iter,
                                   std::vector<int64_t> &Coord) {
   Coord.resize(Access.Subscripts.size());
   for (size_t D = 0, E = Access.Subscripts.size(); D != E; ++D)

@@ -74,17 +74,15 @@ public:
   /// empty range at any depth are skipped.
   void forEachIteration(const std::function<void(const IterVec &)> &Fn) const;
 
-  /// Total number of iterations (enumerated count).
+  /// Total number of iterations. The outer loops are enumerated and the
+  /// innermost loop adds its trip count in closed form, so a long
+  /// innermost loop costs nothing; a count past UINT64_MAX saturates.
   uint64_t numIterations() const;
 
-  /// Evaluates the tile coordinate accessed by \p Access at \p Iter.
-  static std::vector<int64_t> evalSubscripts(const ArrayAccess &Access,
-                                             const IterVec &Iter);
-
-  /// As evalSubscripts, but reuses \p Coord's storage — the virtual
-  /// execution's inner loop calls this once per access per iteration and
-  /// must not allocate.
-  static void evalSubscriptsInto(const ArrayAccess &Access, const IterVec &Iter,
+  /// Evaluates the tile coordinate accessed by \p Access at \p Iter into
+  /// \p Coord, reusing its storage, so a loop over many iterations
+  /// allocates once.
+  static void evalSubscriptsInto(const ArrayAccess &Access, IterSpan Iter,
                                  std::vector<int64_t> &Coord);
 
 private:

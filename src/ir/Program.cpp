@@ -7,6 +7,8 @@
 #include "ir/Program.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 using namespace dra;
 
@@ -38,24 +40,22 @@ NestId Program::addNest(LoopNest Nest) {
   return Nests.back().id();
 }
 
-void Program::appendTouchedTiles(NestId N, const IterVec &Iter,
+void Program::appendTouchedTiles(NestId N, IterSpan Iter,
                                  std::vector<TileAccess> &Out) const {
-  const LoopNest &Nest = Nests[N];
-  // Coord is hoisted (and reused by evalSubscriptsInto) so the virtual
-  // execution's inner loop performs no allocations.
-  std::vector<int64_t> Coord;
-  for (const ArrayAccess &A : Nest.accesses()) {
-    LoopNest::evalSubscriptsInto(A, Iter, Coord);
-    TileAccess T;
-    T.Tile.Array = A.Array;
-    T.Tile.Linear = Arrays[A.Array].linearTile(Coord);
-    T.Kind = A.Kind;
-    Out.push_back(T);
+  for (const ArrayAccess &A : Nests[N].accesses()) {
+    const std::vector<int64_t> &Dims = Arrays[A.Array].DimsInTiles;
+    assert(A.Subscripts.size() == Dims.size() && "subscript arity mismatch");
+    int64_t Linear = 0;
+    for (size_t D = 0, E = Dims.size(); D != E; ++D) {
+      int64_t C = A.Subscripts[D].evaluate(Iter);
+      assert(C >= 0 && C < Dims[D] && "array tile access out of bounds");
+      Linear = Linear * Dims[D] + C;
+    }
+    Out.push_back({{A.Array, Linear}, A.Kind});
   }
 }
 
-std::vector<TileAccess> Program::touchedTiles(NestId N,
-                                              const IterVec &Iter) const {
+std::vector<TileAccess> Program::touchedTiles(NestId N, IterSpan Iter) const {
   std::vector<TileAccess> Out;
   Out.reserve(Nests[N].accesses().size());
   appendTouchedTiles(N, Iter, Out);
@@ -70,14 +70,31 @@ uint64_t Program::totalBytesAccessed(uint64_t TileBytes) const {
 }
 
 IterationSpace::IterationSpace(const Program &P) {
-  NestOffset.push_back(0);
+  // Count first, so an oversized program fails before anything is stored
+  // and the fill below never reallocates.
+  uint64_t Iters = 0, NumCoords = 0;
   for (const LoopNest &Nest : P.nests()) {
+    uint64_t N = Nest.numIterations();
+    if (N > MaxIterations - Iters)
+      throw std::invalid_argument(
+          "program '" + P.name() + "' has more than " +
+          std::to_string(MaxIterations) +
+          " iterations, the most flat iteration ids can number");
+    Iters += N;
+    NumCoords += N * Nest.depth();
+  }
+
+  Coords.reserve(NumCoords);
+  NestOf.reserve(Iters);
+  Slices.reserve(P.nests().size() + 1);
+  for (const LoopNest &Nest : P.nests()) {
+    Slices.push_back({Coords.size(), GlobalIter(NestOf.size()), Nest.depth()});
     Nest.forEachIteration([&](const IterVec &Iter) {
-      Iters.push_back(Iter);
+      Coords.insert(Coords.end(), Iter.begin(), Iter.end());
       NestOf.push_back(Nest.id());
     });
-    assert(Iters.size() < (uint64_t(1) << 32) &&
-           "iteration space exceeds GlobalIter range");
-    NestOffset.push_back(GlobalIter(Iters.size()));
   }
+  Slices.push_back({Coords.size(), GlobalIter(NestOf.size()), 0});
+  assert(NestOf.size() == Iters && Coords.size() == NumCoords &&
+         "enumeration disagrees with the iteration count");
 }

@@ -64,27 +64,55 @@ struct TileAccess {
 /// dependence graph and as the unit of scheduling.
 using GlobalIter = uint32_t;
 
+/// The most iterations a program may have. Flat ids keep the top bit of
+/// GlobalIter clear, so they also fit the signed 32-bit links of the
+/// dependence graph's pooled reader lists, and the all-ones value stays
+/// free as the graph builds' "no iteration" mark.
+constexpr uint64_t MaxIterations = (uint64_t(1) << 31) - 1;
+
 class Program;
 
 /// The materialized iteration space of a program: every iteration of every
 /// nest in original order, with flat-id <-> (nest, vector) translation.
+///
+/// The coordinates live in one flat array. Nest N's iterations are stored
+/// back to back, each as depth(N) values, so iterOf is a view into that
+/// array and building the space allocates O(nests), not per iteration.
 class IterationSpace {
 public:
+  /// Counts every nest's iterations before storing any. Throws
+  /// std::invalid_argument if there are more than MaxIterations.
   explicit IterationSpace(const Program &P);
 
-  uint64_t size() const { return Iters.size(); }
+  uint64_t size() const { return NestOf.size(); }
   NestId nestOf(GlobalIter G) const { return NestOf[G]; }
-  const IterVec &iterOf(GlobalIter G) const { return Iters[G]; }
+
+  /// The iteration vector of \p G, outermost loop first. The view stays
+  /// valid as long as the space does.
+  IterSpan iterOf(GlobalIter G) const {
+    const NestSlice &S = Slices[NestOf[G]];
+    return {Coords.data() + S.CoordBegin + uint64_t(G - S.Begin) * S.Depth,
+            S.Depth};
+  }
 
   /// First flat id belonging to nest \p N.
-  GlobalIter nestBegin(NestId N) const { return NestOffset[N]; }
+  GlobalIter nestBegin(NestId N) const { return Slices[N].Begin; }
   /// One past the last flat id belonging to nest \p N.
-  GlobalIter nestEnd(NestId N) const { return NestOffset[N + 1]; }
+  GlobalIter nestEnd(NestId N) const { return Slices[N + 1].Begin; }
 
 private:
-  std::vector<IterVec> Iters;
+  /// Where nest N's iterations start, as a flat id and as an offset into
+  /// Coords, and how many coordinates each has. One trailing slice marks
+  /// the end of the space.
+  struct NestSlice {
+    uint64_t CoordBegin = 0;
+    GlobalIter Begin = 0;
+    unsigned Depth = 0;
+  };
+
+  std::vector<int64_t> Coords;
   std::vector<NestId> NestOf;
-  std::vector<GlobalIter> NestOffset;
+  std::vector<NestSlice> Slices;
 };
 
 /// An ordered collection of loop nests over disk-resident arrays.
@@ -105,11 +133,12 @@ public:
 
   /// Evaluates every tile touched by iteration \p Iter of nest \p N, in body
   /// order. Out-of-bounds accesses assert (regular codes never go OOB).
-  std::vector<TileAccess> touchedTiles(NestId N, const IterVec &Iter) const;
+  std::vector<TileAccess> touchedTiles(NestId N, IterSpan Iter) const;
 
-  /// Appends the tiles touched by iteration \p Iter of nest \p N to \p Out
-  /// (allocation-free fast path for the hot analysis loops).
-  void appendTouchedTiles(NestId N, const IterVec &Iter,
+  /// Appends the tiles touched by iteration \p Iter of nest \p N to \p Out.
+  /// Each subscript is linearized as it is evaluated, so the call allocates
+  /// nothing beyond \p Out's own growth.
+  void appendTouchedTiles(NestId N, IterSpan Iter,
                           std::vector<TileAccess> &Out) const;
 
   /// Total bytes transferred when every iteration performs all its accesses

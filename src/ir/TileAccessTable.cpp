@@ -6,22 +6,12 @@
 
 #include "ir/TileAccessTable.h"
 
-#include <atomic>
 #include <cassert>
-#include <thread>
-
-namespace {
-
-/// Rows per parallel fill chunk; below two chunks the build stays on the
-/// calling thread (thread spawn dominates on the tiny sub-spaces).
-constexpr uint64_t RowsPerChunk = 1 << 13;
-
-} // namespace
 
 using namespace dra;
 
 TileAccessTable::TileAccessTable(const Program &P, const IterationSpace &Space,
-                                 unsigned Workers) {
+                                 unsigned /*Workers*/) {
   uint64_t N = Space.size();
 
   // Every iteration contributes exactly one entry per access of its nest,
@@ -31,44 +21,14 @@ TileAccessTable::TileAccessTable(const Program &P, const IterationSpace &Space,
   for (GlobalIter G = 0; G != GlobalIter(N); ++G)
     RowOffset[G + 1] =
         RowOffset[G] + P.nest(Space.nestOf(G)).accesses().size();
-  Entries.resize(RowOffset[N]);
 
-  // Fill disjoint row ranges; each row writes its precomputed slice, so
-  // the entries are bit-identical for any worker count.
-  auto FillRows = [&](GlobalIter Begin, GlobalIter End) {
-    std::vector<TileAccess> Scratch;
-    for (GlobalIter G = Begin; G != End; ++G) {
-      Scratch.clear();
-      P.appendTouchedTiles(Space.nestOf(G), Space.iterOf(G), Scratch);
-      assert(Scratch.size() == RowOffset[G + 1] - RowOffset[G] &&
-             "virtual execution emitted an unexpected entry count");
-      std::copy(Scratch.begin(), Scratch.end(),
-                Entries.begin() + ptrdiff_t(RowOffset[G]));
-    }
-  };
-
-  const uint64_t NumChunks = (N + RowsPerChunk - 1) / RowsPerChunk;
-  unsigned W = Workers != 0 ? Workers
-                            : std::max(1u, std::thread::hardware_concurrency());
-  W = unsigned(std::min<uint64_t>({W, NumChunks, 16}));
-  if (W <= 1) {
-    FillRows(0, GlobalIter(N));
-  } else {
-    std::atomic<uint64_t> NextChunk{0};
-    auto Work = [&] {
-      for (uint64_t C = NextChunk.fetch_add(1, std::memory_order_relaxed);
-           C < NumChunks;
-           C = NextChunk.fetch_add(1, std::memory_order_relaxed))
-        FillRows(GlobalIter(C * RowsPerChunk),
-                 GlobalIter(std::min(N, (C + 1) * RowsPerChunk)));
-    };
-    {
-      std::vector<std::jthread> Pool;
-      Pool.reserve(W - 1);
-      for (unsigned T = 1; T != W; ++T)
-        Pool.emplace_back(Work);
-      Work();
-    } // jthread joins here; the table is complete below this point.
+  // Rows are stored in iteration order, so appending each iteration's
+  // accesses in turn lays out the CSR entries with no scratch copy.
+  Entries.reserve(RowOffset[N]);
+  for (GlobalIter G = 0; G != GlobalIter(N); ++G) {
+    P.appendTouchedTiles(Space.nestOf(G), Space.iterOf(G), Entries);
+    assert(Entries.size() == RowOffset[G + 1] &&
+           "virtual execution emitted an unexpected entry count");
   }
 
   // Distinct-tile census, per array and total. Linear tile indices are

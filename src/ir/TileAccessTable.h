@@ -21,6 +21,12 @@
 /// lookups. Rows are stored contiguously in iteration order, so consumers
 /// that sweep the whole space scan the table linearly.
 ///
+/// The build is one serial pass that appends each iteration's accesses
+/// straight into the entry array, reading the iteration vectors in place
+/// from the flat IterationSpace. It allocates O(arrays) times whatever the
+/// iteration count: the row offsets, the entries, the dense ids and one
+/// census bitmap and rank table per array.
+///
 /// Every compile-side consumer requires the table; none keeps a table-less
 /// twin. The deliberate exceptions are the serial IterationGraph reference
 /// build and the ScheduleVerifier's Full-level re-derivation (CI rejects
@@ -45,14 +51,9 @@ namespace dra {
 class TileAccessTable {
 public:
   /// Performs the single virtual execution: evaluates every access of every
-  /// iteration of \p Space in original program order.
-  ///
-  /// Every iteration of a nest contributes exactly one entry per access, so
-  /// the row offsets are known before any subscript is evaluated and the
-  /// evaluation itself shards over disjoint row ranges: \p Workers threads
-  /// (0 = hardware concurrency) fill disjoint slices of the entry vector,
-  /// which makes the result bit-identical for any worker count. Small
-  /// spaces build on the calling thread.
+  /// iteration of \p Space in original program order, on the calling
+  /// thread. \p Workers is ignored; it stays only until the benchmark's
+  /// decomposed compile stops passing it.
   TileAccessTable(const Program &P, const IterationSpace &Space,
                   unsigned Workers = 0);
 

@@ -16,11 +16,9 @@ IncrementalScheduler::IncrementalScheduler(const TileAccessTable &Table,
                                            const IterationGraph &Graph,
                                            const DiskReuseScheduler &Scheduler,
                                            bool Restructure,
-                                           unsigned GraphWorkers,
                                            uint64_t IdleTicks)
     : Table(Table), Layout(Layout), Graph(Graph), Scheduler(Scheduler),
-      Restructure(Restructure), GraphWorkers(GraphWorkers),
-      IdleTicks(IdleTicks) {
+      Restructure(Restructure), IdleTicks(IdleTicks) {
   RemainingPreds.resize(Graph.numNodes());
   for (GlobalIter G = 0; G != GlobalIter(Graph.numNodes()); ++G)
     RemainingPreds[G] = Graph.inDegree(G);
@@ -85,7 +83,7 @@ TickResult IncrementalScheduler::runTick(uint64_t Budget, uint64_t Tick) {
     // then the shared Fig. 3 scheduler (core/Pipeline.cpp
     // restructurePerProc). Predecessors outside the subset were placed by
     // earlier ticks; the tick barrier orders them.
-    IterationGraph SubGraph(Table, Subset, GraphWorkers);
+    IterationGraph SubGraph(Table, Subset);
     Schedule S = Scheduler.schedule(SubGraph, Subset, R.StartDisk);
     assert(S.RoundOf.size() == S.Order.size() &&
            "scheduler must tag every placed iteration with its round");

@@ -83,7 +83,7 @@ public:
   IncrementalScheduler(const TileAccessTable &Table, const DiskLayout &Layout,
                        const IterationGraph &Graph,
                        const DiskReuseScheduler &Scheduler, bool Restructure,
-                       unsigned GraphWorkers = 0, uint64_t IdleTicks = 2);
+                       uint64_t IdleTicks = 2);
 
   /// Registers the arrival of iteration \p G. Returns false (and ignores
   /// the call) when \p G already arrived; the caller reports the protocol
@@ -115,7 +115,6 @@ private:
   const IterationGraph &Graph;
   const DiskReuseScheduler &Scheduler;
   bool Restructure;
-  unsigned GraphWorkers;
   uint64_t IdleTicks;
 
   std::vector<GlobalIter> Pending; ///< Arrived, unscheduled; kept sorted.

@@ -88,8 +88,7 @@ SessionResult SessionRunner::run() {
   Result.FootprintJson = Pipe->footprint().renderJson();
 
   IncrementalScheduler Inc(Pipe->table(), Layout, Pipe->graph(),
-                           Pipe->scheduler(), schemeRestructures(S),
-                           Cfg.GraphWorkers);
+                           Pipe->scheduler(), schemeRestructures(S));
 
   // Live ad-hoc object state: named objects over a fixed pool of scratch
   // slots, allocated lowest-slot-first so replays place identically.

@@ -15,7 +15,7 @@
 
 using namespace dra;
 
-std::string dra::toString(const IterVec &V) {
+std::string dra::toString(IterSpan V) {
   std::string S = "(";
   for (size_t I = 0, E = V.size(); I != E; ++I) {
     if (I != 0)

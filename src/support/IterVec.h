@@ -18,6 +18,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,9 +28,16 @@ namespace dra {
 /// Also used for data dependence distance vectors (Sec. 6.1).
 using IterVec = std::vector<int64_t>;
 
+/// A read-only view of an iteration vector, e.g. one row of the flat
+/// IterationSpace. An IterVec converts to it implicitly.
+using IterSpan = std::span<const int64_t>;
+
+/// Copies a viewed iteration vector into an owning one.
+inline IterVec toIterVec(IterSpan V) { return IterVec(V.begin(), V.end()); }
+
 /// Returns true if \p A is lexicographically less than \p B.
 /// Both vectors must have the same length.
-inline bool lexLess(const IterVec &A, const IterVec &B) {
+inline bool lexLess(IterSpan A, IterSpan B) {
   assert(A.size() == B.size() && "comparing iteration vectors of mixed rank");
   for (size_t I = 0, E = A.size(); I != E; ++I) {
     if (A[I] != B[I])
@@ -58,7 +66,7 @@ inline bool isZeroVec(const IterVec &D) {
 
 /// Component-wise difference \p B - \p A (the dependence distance when B
 /// depends on A).
-inline IterVec vecDiff(const IterVec &B, const IterVec &A) {
+inline IterVec vecDiff(IterSpan B, IterSpan A) {
   assert(A.size() == B.size() && "subtracting vectors of mixed rank");
   IterVec R(A.size());
   for (size_t I = 0, E = A.size(); I != E; ++I)
@@ -67,7 +75,7 @@ inline IterVec vecDiff(const IterVec &B, const IterVec &A) {
 }
 
 /// Renders an iteration vector as "(i0, i1, ...)" for diagnostics.
-std::string toString(const IterVec &V);
+std::string toString(IterSpan V);
 
 } // namespace dra
 

@@ -15,7 +15,7 @@ TEST(AffineExprTest, ConstantExpr) {
   AffineExpr E = AffineExpr::constant(7);
   EXPECT_TRUE(E.isConstant());
   EXPECT_EQ(E.constTerm(), 7);
-  EXPECT_EQ(E.evaluate({1, 2, 3}), 7);
+  EXPECT_EQ(E.evaluate(IterVec{1, 2, 3}), 7);
   EXPECT_EQ(E.evaluate({}), 7);
 }
 
@@ -25,7 +25,7 @@ TEST(AffineExprTest, SingleVar) {
   EXPECT_EQ(E.coeff(0), 0);
   EXPECT_EQ(E.coeff(1), 2);
   EXPECT_EQ(E.coeff(5), 0);
-  EXPECT_EQ(E.evaluate({10, 4}), 5);
+  EXPECT_EQ(E.evaluate(IterVec{10, 4}), 5);
 }
 
 TEST(AffineExprTest, Addition) {
@@ -33,7 +33,7 @@ TEST(AffineExprTest, Addition) {
   EXPECT_EQ(E.coeff(0), 1);
   EXPECT_EQ(E.coeff(1), 3);
   EXPECT_EQ(E.constTerm(), 5);
-  EXPECT_EQ(E.evaluate({2, 3}), 16);
+  EXPECT_EQ(E.evaluate(IterVec{2, 3}), 16);
 }
 
 TEST(AffineExprTest, Subtraction) {
@@ -42,7 +42,7 @@ TEST(AffineExprTest, Subtraction) {
   EXPECT_EQ(E.constTerm(), 0);
 
   AffineExpr F = iv(1) - 4;
-  EXPECT_EQ(F.evaluate({0, 10}), 6);
+  EXPECT_EQ(F.evaluate(IterVec{0, 10}), 6);
 }
 
 TEST(AffineExprTest, ScalingTrimsZeroCoeffs) {
@@ -69,7 +69,7 @@ TEST(AffineExprTest, ToString) {
 
 TEST(AffineExprTest, EvaluateLongerIterVecThanCoeffs) {
   AffineExpr E = iv(0);
-  EXPECT_EQ(E.evaluate({5, 100, 200}), 5);
+  EXPECT_EQ(E.evaluate(IterVec{5, 100, 200}), 5);
 }
 
 // Parameterized sweep: evaluate must be linear in each variable.

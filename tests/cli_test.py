@@ -9,7 +9,9 @@ Runs the built drac, dra-serve and dra-compare binaries and checks that:
   * an unwritable artifact path exits 1 with "cannot write";
   * drac compiles each scheme once, even with --print-code and --dump-trace;
   * a JSON number that overflows a double and a non-finite --sim-window
-    are rejected with a diagnostic instead of running on inf or NaN.
+    are rejected with a diagnostic instead of running on inf or NaN;
+  * a program with more iterations than flat iteration ids can number
+    fails fast with a diagnostic instead of enumerating them.
 
 Usage: cli_test.py --drac BIN --dra-serve BIN --dra-compare BIN --source-dir DIR
 """
@@ -21,6 +23,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 FAILURES = []
 
@@ -134,6 +137,42 @@ def non_finite_inputs(drac, src, tmp):
           f"drac --sim-window nan: stderr {p.stderr!r}")
 
 
+def oversized_spaces(drac, tmp):
+    # Both probes used to enumerate until a timeout killed them. Counting
+    # adds the innermost trip count in closed form, so each must end with
+    # the diagnostic well inside the 2 s limit.
+    probes = {
+        "long": "array A[4000000000]\n"
+                "nest n compute 1.0 {\n"
+                "  for i0 = 0 .. 3999999999\n"
+                "  read A[i0]\n"
+                "}\n",
+        "square": "array A[70000][70000]\n"
+                  "nest n compute 1.0 {\n"
+                  "  for i0 = 0 .. 69999\n"
+                  "  for i1 = 0 .. 69999\n"
+                  "  read A[i0][i1]\n"
+                  "}\n",
+    }
+    for name, body in probes.items():
+        src = os.path.join(tmp, name + ".dra")
+        with open(src, "w", encoding="utf-8") as f:
+            f.write("program " + name + "\n" + body)
+        start = time.monotonic()
+        try:
+            p = subprocess.run([drac, src], capture_output=True, text=True,
+                               timeout=2)
+        except subprocess.TimeoutExpired:
+            check(False, f"{name} probe: no diagnostic within 2 s")
+            continue
+        took = time.monotonic() - start
+        check(p.returncode == 1, f"{name} probe: exit {p.returncode}")
+        check(p.stderr.startswith("drac: error: ") and
+              "iterations" in p.stderr,
+              f"{name} probe: stderr {p.stderr!r}")
+        check(took < 2.0, f"{name} probe: took {took:.2f} s")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--drac", required=True)
@@ -147,12 +186,13 @@ def main():
         unwritable(a.drac, a.dra_serve, a.source_dir, tmp)
         pass_counts(a.drac, a.source_dir, tmp)
         non_finite_inputs(a.drac, a.source_dir, tmp)
+        oversized_spaces(a.drac, tmp)
     for f in FAILURES:
         print("FAIL: " + f)
     if FAILURES:
         return 1
     print("ok: removed flags, compare --nests, unwritable paths, pass counts, "
-          "non-finite inputs")
+          "non-finite inputs, oversized spaces")
     return 0
 
 

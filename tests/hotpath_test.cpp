@@ -13,8 +13,9 @@
 //     per-round stats of the published rescan (scheduleMaskedReference,
 //     kept below as the oracle) across randomized programs, subsets, start
 //     disks and disk counts;
-//   * the sharded dependence-graph build produces the identical graph for
-//     every worker count, and identical to the serial program-based build;
+//   * the CSR dependence graph built from the table equals the one the
+//     Program-based reference build derives on its own, for full builds
+//     and for every per-processor phase subset of the paper apps;
 //   * the TileAccessTable rows — the only access source of every
 //     compile-side consumer — agree row-for-row with
 //     Program::appendTouchedTiles;
@@ -23,12 +24,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Apps.h"
 #include "core/Pipeline.h"
 #include "ir/ProgramBuilder.h"
 #include "ir/TileAccessTable.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
 #include <set>
 
@@ -151,9 +155,33 @@ bool sameGraph(const IterationGraph &A, const IterationGraph &B) {
   if (A.numNodes() != B.numNodes() || A.numEdges() != B.numEdges())
     return false;
   for (GlobalIter G = 0; G != GlobalIter(A.numNodes()); ++G)
-    if (A.succs(G) != B.succs(G) || A.inDegree(G) != B.inDegree(G))
+    if (!std::ranges::equal(A.succs(G), B.succs(G)) ||
+        A.inDegree(G) != B.inDegree(G))
       return false;
   return true;
+}
+
+/// The successors of \p U, copied so they compare by value.
+std::vector<GlobalIter> succList(const IterationGraph &G, GlobalIter U) {
+  std::span<const GlobalIter> S = G.succs(U);
+  return {S.begin(), S.end()};
+}
+
+/// The pipeline's restructuring subsets: each processor's iterations of
+/// one barrier phase, ascending.
+std::vector<std::vector<GlobalIter>> phaseSubsets(const ScheduledWork &Work) {
+  std::vector<std::vector<GlobalIter>> Out;
+  for (const std::vector<GlobalIter> &Proc : Work.PerProc) {
+    std::map<uint32_t, std::vector<GlobalIter>> ByPhase;
+    for (GlobalIter G : Proc)
+      ByPhase[Work.PhaseOf.empty() ? 0 : Work.PhaseOf[G]].push_back(G);
+    for (auto &[Phase, Subset] : ByPhase) {
+      (void)Phase;
+      std::sort(Subset.begin(), Subset.end());
+      Out.push_back(std::move(Subset));
+    }
+  }
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -286,110 +314,116 @@ TEST(HotPathSchedulerTest, MatchesReferenceOnSubGraphSubsets) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded graph build: worker-count invariance
+// CSR graph build from the table vs. the Program-based reference
 //===----------------------------------------------------------------------===//
 
-TEST(ShardedGraphTest, IdenticalForAllWorkerCountsAndSerialBuild) {
+TEST(CsrGraphTest, FullBuildsMatchProgramReference) {
   for (unsigned Seed : {3u, 17u, 29u}) {
     Program P = randomProgram(Seed);
     IterationSpace Space(P);
     TileAccessTable Table(P, Space);
-
-    IterationGraph Serial(P, Space);
-    for (unsigned Workers : {1u, 2u, 8u}) {
-      IterationGraph Sharded(Table, {}, Workers);
-      EXPECT_TRUE(sameGraph(Serial, Sharded))
-          << "seed " << Seed << " workers " << Workers;
-    }
+    EXPECT_TRUE(sameGraph(IterationGraph(P, Space), IterationGraph(Table)))
+        << "seed " << Seed;
   }
 }
 
-TEST(ShardedGraphTest, SubsetBuildsMatchSerialSubsetBuilds) {
+TEST(CsrGraphTest, SubsetBuildsMatchProgramReference) {
   Program P = randomProgram(13);
   IterationSpace Space(P);
   TileAccessTable Table(P, Space);
-  std::vector<GlobalIter> Subset = everyNth(Space.size(), 3, 1);
-
-  IterationGraph Serial(P, Space, Subset);
-  for (unsigned Workers : {1u, 2u, 8u}) {
-    IterationGraph Sharded(Table, Subset, Workers);
-    EXPECT_TRUE(sameGraph(Serial, Sharded)) << "workers " << Workers;
+  for (uint64_t Step : {1u, 3u, 7u}) {
+    std::vector<GlobalIter> Subset = everyNth(Space.size(), Step, 1);
+    IterationGraph Reference(P, Space, Subset);
+    EXPECT_TRUE(sameGraph(Reference, IterationGraph(Table, Subset)))
+        << "step " << Step;
+    // Unsorted members with repeats name the same subset.
+    std::vector<GlobalIter> Shuffled = Subset;
+    std::reverse(Shuffled.begin(), Shuffled.end());
+    Shuffled.push_back(Subset.front());
+    EXPECT_TRUE(sameGraph(Reference, IterationGraph(Table, Shuffled)))
+        << "step " << Step << ", shuffled";
   }
 }
 
-TEST(ShardedGraphTest, SuccessorListsAreSortedAndUnique) {
+TEST(CsrGraphTest, SuccessorListsAreSortedAndUnique) {
   Program P = randomProgram(8);
   IterationSpace Space(P);
   TileAccessTable Table(P, Space);
   IterationGraph G(Table);
   for (GlobalIter U = 0; U != GlobalIter(G.numNodes()); ++U) {
-    const auto &S = G.succs(U);
+    std::span<const GlobalIter> S = G.succs(U);
     for (size_t I = 1; I < S.size(); ++I)
       ASSERT_LT(S[I - 1], S[I]) << "node " << U;
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Duplicate-edge compaction (the addEdge regression)
+// Duplicate-edge removal (the addEdge regression)
 //===----------------------------------------------------------------------===//
 
-TEST(ShardedGraphTest, InterleavedDuplicateEdgesDoNotInflateInDegrees) {
-  // addEdge's last-edge check misses interleaved duplicates (0->2, 0->3,
-  // 0->2); before compaction the second 0->2 bumped inDegree(2) to 2, and
-  // a scheduler run over the graph deadlocked on the phantom predecessor.
+TEST(CsrGraphTest, InterleavedDuplicateEdgesDoNotInflateInDegrees) {
+  // An explicit list may repeat an edge non-adjacently (0->2, 0->3, 0->2).
+  // Counting both once bumped inDegree(2) to 2, and a scheduler run over
+  // the graph deadlocked on the phantom predecessor.
   IterationGraph G(4, {{0, 2}, {0, 3}, {0, 2}, {1, 2}});
   EXPECT_EQ(G.numEdges(), 3u);
   EXPECT_EQ(G.inDegree(2), 2u);
   EXPECT_EQ(G.inDegree(3), 1u);
-  EXPECT_EQ(G.succs(0), (std::vector<GlobalIter>{2, 3}));
+  EXPECT_EQ(succList(G, 0), (std::vector<GlobalIter>{2, 3}));
+  EXPECT_EQ(succList(G, 1), (std::vector<GlobalIter>{2}));
 
   // The phantom in-degree previously tripped the scheduler's no-progress
-  // assert; with compaction the schedule completes and is legal.
+  // assert; without it the schedule completes and is legal.
   std::vector<uint64_t> Masks = {1, 1, 1, 1};
   Schedule S = DiskReuseScheduler::scheduleMasked(Masks, G, 1);
   EXPECT_EQ(S.Order.size(), 4u);
   EXPECT_TRUE(G.respectsDependences(S.Order));
 }
 
-TEST(ShardedGraphTest, ProgramBuildsEmitNoDuplicateEdges) {
-  // Property: the virtual-execution builder cannot produce duplicates in
-  // the first place (all edges added while processing iteration G point at
-  // G), so compaction must not change the edge count.
+TEST(CsrGraphTest, ProgramBuildsEmitNoDuplicateEdges) {
+  // Property: every stored edge is distinct, and the in-degrees count
+  // exactly the stored edges, for both builds.
   for (unsigned Seed : {2u, 9u, 31u}) {
     Program P = randomProgram(Seed);
     IterationSpace Space(P);
-    IterationGraph G(P, Space);
-    uint64_t Sum = 0;
-    for (GlobalIter U = 0; U != GlobalIter(G.numNodes()); ++U)
-      Sum += G.succs(U).size();
-    EXPECT_EQ(G.numEdges(), Sum) << "seed " << Seed;
+    TileAccessTable Table(P, Space);
+    for (const IterationGraph &G :
+         {IterationGraph(P, Space), IterationGraph(Table)}) {
+      std::set<std::pair<GlobalIter, GlobalIter>> Distinct;
+      uint64_t InDegrees = 0;
+      for (GlobalIter U = 0; U != GlobalIter(G.numNodes()); ++U) {
+        for (GlobalIter V : G.succs(U))
+          Distinct.emplace(U, V);
+        InDegrees += G.inDegree(U);
+      }
+      EXPECT_EQ(Distinct.size(), G.numEdges()) << "seed " << Seed;
+      EXPECT_EQ(InDegrees, G.numEdges()) << "seed " << Seed;
+    }
   }
 }
 
-TEST(HotPathPipelineTest, GraphWorkerCountDoesNotChangeResults) {
-  // End-to-end invariance: the same program through pipelines configured
-  // with different graph worker counts produces identical schedules,
-  // traces and simulated energy (full verification on, to also exercise
-  // the withheld-table-at-Full path).
-  Program P = randomProgram(37);
-  auto RunWith = [&](unsigned Workers) {
-    PipelineConfig C;
-    C.NumProcs = 2;
-    C.Striping.StripeFactor = 4;
-    C.GraphWorkers = Workers;
-    C.Verify = VerifyLevel::Full;
-    Pipeline Pipe(P, C);
-    return Pipe.run(Scheme::TDrpmM);
-  };
-  SchemeRun R1 = RunWith(1);
-  for (unsigned Workers : {2u, 8u}) {
-    SchemeRun RN = RunWith(Workers);
-    EXPECT_DOUBLE_EQ(R1.Sim.EnergyJ, RN.Sim.EnergyJ) << "workers " << Workers;
-    EXPECT_EQ(R1.TraceRequests, RN.TraceRequests);
-    EXPECT_EQ(R1.TraceBytes, RN.TraceBytes);
-    EXPECT_EQ(R1.SchedulerRounds, RN.SchedulerRounds);
-    EXPECT_EQ(R1.Locality.DiskSwitches, RN.Locality.DiskSwitches);
-    EXPECT_EQ(R1.Locality.DiskVisits, RN.Locality.DiskVisits);
+TEST(HotPathPipelineTest, PaperAppGraphsMatchProgramReference) {
+  // The pipeline's own graphs, full and per processor and barrier phase,
+  // against the reference build over the same program and subsets, for
+  // the row-block (TPM) and layout-aware (T-TPM-m) parallelizations.
+  for (const AppUnderTest &App : paperApps(0.1)) {
+    Program P = App.Build();
+    Pipeline Pipe(P, paperConfig(4));
+    const IterationSpace &Space = Pipe.space();
+    EXPECT_TRUE(sameGraph(IterationGraph(P, Space), Pipe.graph()))
+        << App.Name;
+    unsigned Subsets = 0;
+    for (Scheme S : {Scheme::Tpm, Scheme::TTpmM}) {
+      for (const std::vector<GlobalIter> &Subset :
+           phaseSubsets(Pipe.compile(S))) {
+        EXPECT_TRUE(sameGraph(IterationGraph(P, Space, Subset),
+                              IterationGraph(Pipe.table(), Subset)))
+            << App.Name << " " << schemeName(S) << " subset of "
+            << Subset.size();
+        ++Subsets;
+      }
+    }
+    EXPECT_GE(Subsets, 8u) << App.Name;
   }
 }
 

@@ -86,7 +86,7 @@ TEST(ProgramTest, TouchedTilesEvaluatesSubscripts) {
       .write(V, {iv(1), iv(0)})
       .endNest();
   Program P = B.build();
-  auto Tiles = P.touchedTiles(0, {2, 1});
+  auto Tiles = P.touchedTiles(0, IterVec{2, 1});
   ASSERT_EQ(Tiles.size(), 2u);
   EXPECT_EQ(Tiles[0].Tile.Array, U);
   EXPECT_EQ(Tiles[0].Tile.Linear, 2 * 4 + 2);
@@ -115,8 +115,99 @@ TEST(IterationSpaceTest, FlattensNestsInProgramOrder) {
   EXPECT_EQ(S.nestEnd(1), 7u);
   EXPECT_EQ(S.nestOf(0), 0u);
   EXPECT_EQ(S.nestOf(4), 1u);
-  EXPECT_EQ(S.iterOf(3), (IterVec{1, 1}));
-  EXPECT_EQ(S.iterOf(6), (IterVec{2}));
+  EXPECT_EQ(toIterVec(S.iterOf(3)), (IterVec{1, 1}));
+  EXPECT_EQ(toIterVec(S.iterOf(6)), (IterVec{2}));
+}
+
+TEST(IterationSpaceTest, IterOfViewsMixedDepthNestsInPlace) {
+  // A 1-deep, a 3-deep and a 2-deep nest: each nest's rows have its own
+  // width in the flat coordinate array.
+  ProgramBuilder B("mixed");
+  ArrayId U = B.addArray("U", {4, 4, 4});
+  B.beginNest("n0", 1.0)
+      .loop(0, 3)
+      .read(U, {iv(0), AffineExpr::constant(0), AffineExpr::constant(0)})
+      .endNest();
+  B.beginNest("n1", 1.0)
+      .loop(0, 2)
+      .loop(1, 3)
+      .loop(0, 2)
+      .read(U, {iv(0), iv(1), iv(2)})
+      .endNest();
+  B.beginNest("n2", 1.0)
+      .loop(2, 4)
+      .loop(0, 2)
+      .write(U, {iv(0), iv(1), AffineExpr::constant(3)})
+      .endNest();
+  Program P = B.build();
+  IterationSpace S(P);
+
+  std::vector<std::pair<NestId, IterVec>> Want;
+  for (const LoopNest &Nest : P.nests())
+    Nest.forEachIteration(
+        [&](const IterVec &I) { Want.emplace_back(Nest.id(), I); });
+  ASSERT_EQ(S.size(), Want.size());
+  ASSERT_EQ(S.size(), 3u + 8u + 4u);
+  for (GlobalIter G = 0; G != GlobalIter(S.size()); ++G) {
+    EXPECT_EQ(S.nestOf(G), Want[G].first) << "iteration " << G;
+    EXPECT_EQ(toIterVec(S.iterOf(G)), Want[G].second) << "iteration " << G;
+  }
+  EXPECT_EQ(toIterVec(S.iterOf(2)), (IterVec{2}));
+  EXPECT_EQ(toIterVec(S.iterOf(3)), (IterVec{0, 1, 0}));
+  EXPECT_EQ(toIterVec(S.iterOf(10)), (IterVec{1, 2, 1}));
+  EXPECT_EQ(toIterVec(S.iterOf(11)), (IterVec{2, 0}));
+  EXPECT_EQ(toIterVec(S.iterOf(14)), (IterVec{3, 1}));
+}
+
+TEST(IterationSpaceTest, IterOfViewsTriangularNest) {
+  // Rows of a triangular nest have one width but a varying count per outer
+  // value; iterOf must still land on the enumeration order.
+  ProgramBuilder B("tri");
+  ArrayId U = B.addArray("U", {5, 5});
+  B.beginNest("pre", 1.0).loop(0, 2).read(U, {iv(0), iv(0)}).endNest();
+  B.beginNest("tri", 1.0)
+      .loop(0, 5)
+      .loop(AffineExpr::constant(0), iv(0) + 1) // j <= i
+      .write(U, {iv(0), iv(1)})
+      .endNest();
+  Program P = B.build();
+  IterationSpace S(P);
+  ASSERT_EQ(S.size(), 2u + 15u);
+  EXPECT_EQ(S.nestBegin(1), 2u);
+  GlobalIter G = S.nestBegin(1);
+  for (int64_t I = 0; I != 5; ++I)
+    for (int64_t J = 0; J <= I; ++J, ++G) {
+      EXPECT_EQ(S.nestOf(G), 1u);
+      EXPECT_EQ(toIterVec(S.iterOf(G)), (IterVec{I, J})) << "iteration " << G;
+    }
+  EXPECT_EQ(G, S.nestEnd(1));
+}
+
+TEST(IterationSpaceTest, RejectsSpacesBeyondMaxIterations) {
+  // 70000 x 70000 = 4.9e9 iterations, past MaxIterations: the count fails
+  // fast (the innermost trip count is added in closed form) before any
+  // coordinate is stored.
+  ProgramBuilder B("huge");
+  ArrayId U = B.addArray("U", {70000, 70000});
+  B.beginNest("n0", 1.0)
+      .loop(0, 70000)
+      .loop(0, 70000)
+      .read(U, {iv(0), iv(1)})
+      .endNest();
+  Program P = B.build();
+  EXPECT_EQ(P.nest(0).numIterations(), uint64_t(70000) * 70000);
+  EXPECT_THROW(IterationSpace S(P), std::invalid_argument);
+
+  // Two nests that fit alone but not together.
+  ProgramBuilder B2("split");
+  ArrayId V = B2.addArray("V", {int64_t(MaxIterations)});
+  for (const char *Name : {"a", "b"})
+    B2.beginNest(Name, 1.0)
+        .loop(0, int64_t(MaxIterations / 2 + 1))
+        .read(V, {iv(0)})
+        .endNest();
+  Program P2 = B2.build();
+  EXPECT_THROW(IterationSpace S2(P2), std::invalid_argument);
 }
 
 TEST(ProgramBuilderTest, BuildsMultiNestProgram) {
@@ -160,6 +251,6 @@ TEST(ProgramDeathTest, OutOfBoundsAccessAsserts) {
       .read(U, {iv(0), AffineExpr::constant(0)})
       .endNest();
   Program P = B.build();
-  EXPECT_DEATH((void)P.touchedTiles(0, {2}), "out of bounds");
+  EXPECT_DEATH((void)P.touchedTiles(0, IterVec{2}), "out of bounds");
 }
 #endif

@@ -271,5 +271,5 @@ TEST_P(RandomProgramProperty, SourceRoundTripPreservesIterationSpace) {
   IterationSpace SA(P), SB(*Q);
   ASSERT_EQ(SA.size(), SB.size());
   for (GlobalIter G = 0; G != SA.size(); ++G)
-    ASSERT_EQ(SA.iterOf(G), SB.iterOf(G));
+    ASSERT_EQ(toIterVec(SA.iterOf(G)), toIterVec(SB.iterOf(G)));
 }

@@ -34,7 +34,7 @@ void expectSamePrograms(const Program &A, const Program &B) {
   ASSERT_EQ(SA.size(), SB.size());
   for (GlobalIter G = 0; G != SA.size(); ++G) {
     ASSERT_EQ(SA.nestOf(G), SB.nestOf(G));
-    ASSERT_EQ(SA.iterOf(G), SB.iterOf(G));
+    ASSERT_EQ(toIterVec(SA.iterOf(G)), toIterVec(SB.iterOf(G)));
     auto TA = A.touchedTiles(SA.nestOf(G), SA.iterOf(G));
     auto TB = B.touchedTiles(SB.nestOf(G), SB.iterOf(G));
     ASSERT_EQ(TA.size(), TB.size());

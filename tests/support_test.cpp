@@ -18,10 +18,10 @@
 using namespace dra;
 
 TEST(IterVecTest, LexLessBasic) {
-  EXPECT_TRUE(lexLess({0, 0}, {0, 1}));
-  EXPECT_TRUE(lexLess({0, 5}, {1, 0}));
-  EXPECT_FALSE(lexLess({1, 0}, {0, 5}));
-  EXPECT_FALSE(lexLess({2, 3}, {2, 3}));
+  EXPECT_TRUE(lexLess(IterVec{0, 0}, IterVec{0, 1}));
+  EXPECT_TRUE(lexLess(IterVec{0, 5}, IterVec{1, 0}));
+  EXPECT_FALSE(lexLess(IterVec{1, 0}, IterVec{0, 5}));
+  EXPECT_FALSE(lexLess(IterVec{2, 3}, IterVec{2, 3}));
 }
 
 TEST(IterVecTest, LexPositive) {
@@ -39,8 +39,8 @@ TEST(IterVecTest, ZeroVec) {
 }
 
 TEST(IterVecTest, VecDiff) {
-  EXPECT_EQ(vecDiff({3, 4}, {1, 1}), (IterVec{2, 3}));
-  EXPECT_EQ(vecDiff({1, 1}, {3, 4}), (IterVec{-2, -3}));
+  EXPECT_EQ(vecDiff(IterVec{3, 4}, IterVec{1, 1}), (IterVec{2, 3}));
+  EXPECT_EQ(vecDiff(IterVec{1, 1}, IterVec{3, 4}), (IterVec{-2, -3}));
 }
 
 TEST(IterVecTest, ToString) {
