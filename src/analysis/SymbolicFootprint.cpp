@@ -26,18 +26,6 @@ const char *dra::footprintModeName(FootprintMode M) {
   return "auto";
 }
 
-bool dra::parseFootprintMode(const std::string &Name, FootprintMode &Out) {
-  if (Name == "enumerated")
-    Out = FootprintMode::Enumerated;
-  else if (Name == "symbolic")
-    Out = FootprintMode::Symbolic;
-  else if (Name == "auto")
-    Out = FootprintMode::Auto;
-  else
-    return false;
-  return true;
-}
-
 const char *dra::footprintMethodName(FootprintMethod M) {
   switch (M) {
   case FootprintMethod::ClosedForm:

@@ -69,9 +69,6 @@ enum class FootprintMode { Enumerated, Symbolic, Auto };
 /// Lower-case mode name ("enumerated", "symbolic", "auto").
 const char *footprintModeName(FootprintMode M);
 
-/// Parses a mode name as printed by footprintModeName.
-bool parseFootprintMode(const std::string &Name, FootprintMode &Out);
-
 /// The derivation tier that produced one reference's footprint.
 enum class FootprintMethod { ClosedForm, RowSymbolic, Fallback };
 

@@ -6,7 +6,6 @@
 
 #include "core/Pipeline.h"
 #include "obs/Telemetry.h"
-#include "sim/ShardedSimEngine.h"
 #include "trace/TraceGenerator.h"
 #include "verify/EnergyAuditor.h"
 #include "verify/IRVerifier.h"
@@ -97,16 +96,9 @@ bool dra::schemeByName(const std::string &Name, Scheme &Out) {
 SimResults dra::simulateScheme(Scheme S, const DiskLayout &Layout,
                                const PipelineConfig &Cfg, const Trace &T) {
   // The simulator's events live on their own process track, named after
-  // the scheme, stamped in simulated (not wall) time. SimShards selects
-  // the sharded engine (byte-identical results, DESIGN.md Sec. 11).
-  DiskParams Disk = schemeDiskParams(S, Cfg.Disk);
-  std::string Label = std::string("sim ") + schemeName(S);
-  if (Cfg.SimShards > 0)
-    return ShardedSimEngine(Layout, Disk, schemePolicy(S), Cfg.SimShards,
-                            Cfg.SimWindowMs, Cfg.Cache, Cfg.Trace, Label,
-                            Cfg.Attribution, Cfg.Timeline)
-        .run(T);
-  return SimEngine(Layout, Disk, schemePolicy(S), Cfg.Cache, Cfg.Trace, Label,
+  // the scheme, stamped in simulated (not wall) time.
+  return SimEngine(Layout, schemeDiskParams(S, Cfg.Disk), schemePolicy(S),
+                   Cfg.Cache, Cfg.Trace, std::string("sim ") + schemeName(S),
                    Cfg.Attribution, Cfg.Timeline)
       .run(T);
 }

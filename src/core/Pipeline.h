@@ -117,18 +117,6 @@ struct PipelineConfig {
   /// default) leaves the layout exactly as before; batch runs never need
   /// scratch.
   uint64_t ScratchTiles = 0;
-  /// Shard workers for the simulation (sim/ShardedSimEngine.h): 0 (the
-  /// default) runs the serial oracle, >= 1 the sharded engine with that
-  /// many disk-partitioned worker threads. Results are byte-identical for
-  /// any value (DESIGN.md Sec. 11); this only tunes simulate wall time.
-  /// The one telemetry exception: per-disk Chrome-trace spans are not
-  /// emitted under sharding.
-  unsigned SimShards = 0;
-  /// Conservative window width of the sharded engine, in simulated ms;
-  /// 0 picks the policy's maximum legal window. Must not exceed the
-  /// policy's break-even gap (std::invalid_argument otherwise). Ignored
-  /// when SimShards == 0.
-  double SimWindowMs = 0.0;
   /// How the symbolic-footprint pass derives per-reference tile demand
   /// (docs/ANALYSIS.md): Auto (default) uses the closed forms and falls
   /// back to shared-table rows for irregular references; Symbolic never
@@ -160,8 +148,7 @@ struct PipelineConfig {
 /// The "simulate" step of Pipeline and of the front ends that assemble
 /// their own traces (multi-tenant merges, online sessions): replays \p T on
 /// \p Layout with scheme \p S's disk parameters and power policy, and
-/// with \p Cfg's cache, sinks and engine (serial, or sharded when
-/// Cfg.SimShards > 0).
+/// with \p Cfg's cache and sinks.
 SimResults simulateScheme(Scheme S, const DiskLayout &Layout,
                           const PipelineConfig &Cfg, const Trace &T);
 

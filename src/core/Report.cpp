@@ -147,22 +147,6 @@ std::string Report::renderCsv(const std::vector<AppResults> &All) const {
   return Out;
 }
 
-std::string Report::renderDiskBreakdown(const SimResults &R) {
-  TextTable T({"Disk", "Busy (s)", "Idle (s)", "Utilization", "Energy (J)",
-               "Spin-downs", "RPM steps", "Idle >= 15.2 s"});
-  for (size_t D = 0; D != R.PerDisk.size(); ++D) {
-    const DiskStats &S = R.PerDisk[D];
-    double Total = S.BusyMs + S.IdleMsTotal;
-    T.addRow({std::to_string(D), fmtDouble(S.BusyMs / 1000.0, 1),
-              fmtDouble(S.IdleMsTotal / 1000.0, 1),
-              fmtPercent(Total > 0 ? S.BusyMs / Total : 0.0),
-              fmtDouble(S.EnergyJ, 1), fmtGrouped(S.SpinDowns),
-              fmtGrouped(S.RpmSteps),
-              fmtPercent(S.IdleHist.fractionOfTimeInPeriodsAtLeast(15.2))});
-  }
-  return T.render();
-}
-
 std::string
 Report::renderLedgerTable(const std::vector<AppResults> &All) const {
   size_t BI = baseIndex();
@@ -195,22 +179,6 @@ Report::renderLedgerTable(const std::vector<AppResults> &All) const {
               fmtDouble(Up / N, 4), fmtDouble(Standby / N, 4),
               fmtDouble(Step / N, 4), fmtDouble(Penalty / N, 4),
               fmtDouble(Total / N, 4), fmtDouble(Missed / N, 4)});
-  }
-  return T.render();
-}
-
-std::string Report::renderCharacteristicsTable(
-    const std::vector<AppResults> &All) const {
-  size_t BI = baseIndex();
-  TextTable T({"Name", "Data Manipulated (GB)", "Number of Disk Reqs",
-               "Base Energy (J)", "I/O Time (ms)"});
-  for (const AppResults &A : All) {
-    const SchemeRun &Base = A.Runs[BI];
-    T.addRow({A.Name,
-              fmtDouble(double(Base.TraceBytes) / (1024.0 * 1024 * 1024), 1),
-              fmtGrouped(int64_t(Base.TraceRequests)),
-              fmtDouble(Base.Sim.EnergyJ, 1),
-              fmtDouble(Base.Sim.IoTimeMs, 1)});
   }
   return T.render();
 }

@@ -66,17 +66,9 @@ public:
   /// over Base.
   std::string renderPerfTable(const std::vector<AppResults> &All) const;
 
-  /// Table 2-style characteristics (data manipulated, requests, base
-  /// energy, base I/O time).
-  std::string
-  renderCharacteristicsTable(const std::vector<AppResults> &All) const;
-
   /// Machine-readable CSV of the normalized energies and I/O-time
   /// degradations (one row per app x scheme), for external plotting.
   std::string renderCsv(const std::vector<AppResults> &All) const;
-
-  /// Per-disk breakdown of one run: busy/idle time, energy, transitions.
-  static std::string renderDiskBreakdown(const SimResults &R);
 
   /// Energy-attribution table: rows = schemes, entries = each ledger
   /// category normalized to Base energy and averaged over the apps, plus

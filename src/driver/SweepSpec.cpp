@@ -99,7 +99,7 @@ std::optional<SweepSpec> SweepSpec::parse(const std::string &JsonText,
       "scale",         "schemes",       "procs",
       "stripe_factor", "stripe_unit_kb", "cache_blocks",
       "cache_policy",  "tpm_break_even_s", "drpm_window_requests",
-      "block_bytes",   "verify",        "sim_shards"};
+      "block_bytes",   "verify"};
   bool Ok = true;
   for (const auto &[Key, Val] : Doc.Obj) {
     (void)Val;
@@ -222,14 +222,6 @@ std::optional<SweepSpec> SweepSpec::parse(const std::string &JsonText,
     else
       Spec.BlockBytes = uint64_t(V->Num);
   }
-  if (const JsonValue *V = Doc.find("sim_shards")) {
-    if (!V->isNumber() || V->Num != double(uint64_t(V->Num)) ||
-        uint64_t(V->Num) > 256)
-      Ok = fail(DE, "out-of-range",
-                "'sim_shards' must be one integer in [0, 256]");
-    else
-      Spec.SimShards = unsigned(V->Num);
-  }
   if (const JsonValue *V = Doc.find("verify")) {
     if (V->isString() && V->Str == "off")
       Spec.Verify = VerifyLevel::Off;
@@ -308,7 +300,6 @@ SweepSpec::expand(DiagnosticEngine &DE) const {
                   Cfg.Disk.TpmBreakEvenS = TB;
                   Cfg.Disk.DrpmWindowRequests = DW;
                   Cfg.Verify = Verify;
-                  Cfg.SimShards = SimShards;
                   J.Config = Cfg;
                   Jobs.push_back(std::move(J));
                 }
@@ -370,8 +361,6 @@ void SweepSpec::writeJson(JsonWriter &W) const {
   W.endArray();
   W.key("block_bytes");
   W.value(BlockBytes);
-  W.key("sim_shards");
-  W.value(SimShards);
   W.key("verify");
   W.value(Verify == VerifyLevel::Off
               ? "off"

@@ -80,10 +80,6 @@ public:
   CachePolicyKind CachePolicy = CachePolicyKind::Lru;
   uint64_t BlockBytes = 4096;
   VerifyLevel Verify = VerifyLevel::Off;
-  /// Simulation shard workers per job (sim/ShardedSimEngine.h); 0 runs the
-  /// serial oracle. Results are byte-identical for any value, so this is a
-  /// wall-time knob, not an axis of the experiment space.
-  unsigned SimShards = 0;
 
   /// Parses and validates \p JsonText. All violations (syntax, unknown
   /// keys, wrong types, unknown names, out-of-range or empty axes) are

@@ -95,18 +95,13 @@ public:
   /// Number of arrays covered by the per-array distinct-tile counts.
   unsigned numArrays() const { return unsigned(DistinctTilesOfArray.size()); }
 
-  /// Declared tile count of array \p A (ArrayInfo::numTiles). Every
-  /// Tile.Linear of array A in the table is < this, so consumers can use
-  /// direct-indexed per-tile state instead of hashing.
-  int64_t tileSpanOfArray(ArrayId A) const { return TileSpanOfArray[A]; }
-
 private:
   std::vector<uint64_t> RowOffset; ///< numIters()+1 offsets into Entries.
   std::vector<TileAccess> Entries;
   std::vector<uint32_t> DenseIds; ///< Parallel to Entries; see denseRow.
   std::vector<uint32_t> DenseBaseOfArray;
   std::vector<uint64_t> DistinctTilesOfArray;
-  std::vector<int64_t> TileSpanOfArray;
+  std::vector<int64_t> TileSpanOfArray; ///< ArrayInfo::numTiles per array.
   uint64_t DistinctTiles = 0;
 };
 

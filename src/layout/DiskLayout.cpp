@@ -73,10 +73,6 @@ uint64_t DiskLayout::scratchSlotOffset(uint64_t Slot) const {
   return TotalBytes + Slot * TileBytes;
 }
 
-unsigned DiskLayout::diskOfScratchSlot(uint64_t Slot) const {
-  return diskOfByte(scratchSlotOffset(Slot));
-}
-
 unsigned DiskLayout::primaryDiskOfTile(const TileRef &T) const {
   return diskOfByte(tileByteOffset(T));
 }

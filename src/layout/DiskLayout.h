@@ -127,16 +127,9 @@ public:
   /// leaves the address space exactly as before.
   void setScratchTiles(uint64_t NumTiles) { ScratchTiles = NumTiles; }
 
-  uint64_t scratchTiles() const { return ScratchTiles; }
-
-  /// First byte of the scratch region (cycle-aligned, == totalBytes()).
-  uint64_t scratchBase() const { return TotalBytes; }
-
-  /// Global byte offset of scratch slot \p Slot (< scratchTiles()).
+  /// Global byte offset of scratch slot \p Slot (< the reserved count);
+  /// slot 0 starts at totalBytes(), which is cycle-aligned.
   uint64_t scratchSlotOffset(uint64_t Slot) const;
-
-  /// The I/O node holding scratch slot \p Slot's first byte.
-  unsigned diskOfScratchSlot(uint64_t Slot) const;
 
   /// One past the last addressable byte (program files plus scratch).
   uint64_t addressableBytes() const {

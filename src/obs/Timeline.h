@@ -81,19 +81,6 @@ struct TimelineWindow {
   /// Integral of the number of waiting requests over the window, in ms
   /// (divide by the window width for the mean queue depth).
   double QueueMs = 0.0;
-
-  double stateMsTotal() const {
-    double T = 0.0;
-    for (double S : StateMs)
-      T += S;
-    return T;
-  }
-  double energyJTotal() const {
-    double J = 0.0;
-    for (double E : EnergyJ)
-      J += E;
-    return J;
-  }
 };
 
 /// One idle gap as a time-stamped event (satellite of IdleGapAnalyzer:

@@ -102,9 +102,6 @@ public:
   /// True once \p G has been placed by some tick.
   bool scheduled(GlobalIter G) const { return Done[G]; }
 
-  /// Where the next tick's disk sweep will start.
-  unsigned nextStartDisk() const { return NextStartDisk; }
-
   /// Disks predicted to be in low power at \p Tick: never touched, or idle
   /// for at least the construction-time idle-tick threshold.
   unsigned predictedLowPowerDisks(uint64_t Tick) const;

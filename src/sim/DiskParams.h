@@ -110,8 +110,6 @@ struct DiskParams {
     return MinRpm + L * RpmStep;
   }
 
-  unsigned maxLevel() const { return numRpmLevels() - 1; }
-
   /// The analytic TPM break-even time implied by the energy model; Table 1
   /// quotes 15.2 s, which this reproduces to within 0.1 s.
   double computedBreakEvenS() const {

@@ -6,6 +6,7 @@
 
 #include "trace/TenantMerge.h"
 
+#include <cctype>
 #include <stdexcept>
 #include <string>
 
@@ -30,10 +31,30 @@ static void checkCompatible(const TenantInput &A, const TenantInput &B) {
                                 A.Label + "'");
 }
 
+/// Tenant \p I's label prefixes its attribution names ("label/nest") and
+/// flame frames, so it must be non-empty, unique, and free of the flame
+/// separators: ';' between frames, whitespace before the weight.
+static void checkLabel(const std::vector<TenantInput> &Tenants, size_t I) {
+  const std::string &L = Tenants[I].Label;
+  if (L.empty())
+    throw std::invalid_argument("tenants[" + std::to_string(I) +
+                                "]: empty label");
+  for (char C : L)
+    if (C == ';' || std::isspace((unsigned char)C))
+      throw std::invalid_argument("tenant '" + L +
+                                  "': label contains ';' or whitespace");
+  for (size_t J = 0; J != I; ++J)
+    if (Tenants[J].Label == L)
+      throw std::invalid_argument("tenant '" + L +
+                                  "': label used by another tenant");
+}
+
 MergedWorkload dra::mergeTenants(const std::vector<TenantInput> &Tenants) {
   if (Tenants.empty())
     throw std::invalid_argument("mergeTenants: no tenants");
-  for (const TenantInput &TI : Tenants) {
+  for (size_t I = 0; I != Tenants.size(); ++I) {
+    checkLabel(Tenants, I);
+    const TenantInput &TI = Tenants[I];
     if (!TI.Prog || !TI.Replay || !TI.Layout)
       throw std::invalid_argument("tenant '" + TI.Label +
                                   "': program, trace and layout required");

@@ -7,15 +7,15 @@
 /// \file
 /// Combines independently compiled applications (tenants) into one
 /// multi-tenant workload sharing a storage system — the consolidation
-/// scenario the paper's single-application assumption (Sec. 2) excludes and
-/// the sharded simulator exists to scale to. Each tenant brings its own
-/// program, scheduled trace, and layout; the merge relocates every tenant's
-/// files into one shared striped byte space (per-array start disks
-/// preserved), offsets processor and nest ids into disjoint ranges, stamps
-/// Request::Tenant, and prefixes attribution labels with "label/" so
-/// per-tenant energy stays separable in dra-attrib-v1, `dra-compare
-/// --nests` and flame output. Barrier phases remain scoped per tenant (sim/ReplayCore.h), so
-/// each tenant replays exactly as it would alone modulo contention.
+/// scenario the paper's single-application assumption (Sec. 2) excludes.
+/// Each tenant brings its own program, scheduled trace, and layout; the
+/// merge relocates every tenant's files into one shared striped byte space
+/// (per-array start disks preserved), offsets processor and nest ids into
+/// disjoint ranges, stamps Request::Tenant, and prefixes attribution labels
+/// with "label/" so per-tenant energy stays separable in dra-attrib-v1,
+/// `dra-compare --nests` and flame output. Barrier phases remain scoped per
+/// tenant (sim/ReplayCore.h), so each tenant replays exactly as it would
+/// alone modulo contention.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +47,7 @@ struct TenantInput {
   double StartMs = 0.0;
 };
 
-/// A merged multi-tenant workload, ready for (sharded) simulation.
+/// A merged multi-tenant workload, ready for simulation.
 struct MergedWorkload {
   Program Prog;      ///< Arrays of every tenant ("label/name"); no nests.
   DiskLayout Layout; ///< Shared layout over Prog, start disks preserved.
@@ -60,9 +60,10 @@ struct MergedWorkload {
   MergedWorkload() : Prog("multitenant"), Layout(Prog, StripingConfig()) {}
 };
 
-/// Merges \p Tenants into one workload. Every tenant must share the
-/// striping configuration, tile size and trace block size (the tenants
-/// inhabit one physical storage system); violations and empty inputs throw
+/// Merges \p Tenants into one workload. Every tenant needs a non-empty,
+/// unique label without ';' or whitespace, and all must share the striping
+/// configuration, tile size and trace block size (the tenants inhabit one
+/// physical storage system); violations and empty inputs throw
 /// std::invalid_argument. Requests keep their per-tenant issue order;
 /// tenant t's blocks are relocated by the distance between its arrays'
 /// tenant-local and merged file bases, its processors are offset by the

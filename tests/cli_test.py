@@ -2,14 +2,16 @@
 """Front-end contract of the command-line tools.
 
 Runs the built drac, dra-serve and dra-compare binaries and checks that:
-  * every flag of a retired drac mode exits 2 with one line naming its
-    replacement;
+  * every flag of a retired drac mode or selector exits 2 with one line
+    naming its replacement, in the source and the --tenants mode alike;
   * dra-compare --nests writes a dra-diff-v1 document and keeps each view's
     options to itself;
   * an unwritable artifact path exits 1 with "cannot write";
   * drac compiles each scheme once, even with --print-code and --dump-trace;
-  * a JSON number that overflows a double and a non-finite --sim-window
-    are rejected with a diagnostic instead of running on inf or NaN;
+  * a JSON number that overflows a double is rejected with a diagnostic
+    instead of running on inf;
+  * tenant labels that would merge two tenants' attribution (empty,
+    repeated, or holding ';' or whitespace) are rejected;
   * a program with more iterations than flat iteration ids can number
     fails fast with a diagnostic instead of enumerating them.
 
@@ -47,6 +49,9 @@ def removed_flags(drac):
         "--baseline-scheme": "dra-compare --baseline-scheme",
         "--compare-json": "dra-compare --json",
         "--no-attribution": "attribution is always recorded",
+        "--sim-shards": "every run uses the serial simulator",
+        "--sim-window": "every run uses the serial simulator",
+        "--footprint-mode": "footprints always use the auto mode",
     }
     for flag, names in table.items():
         p = run(drac, flag, "x.json")
@@ -129,12 +134,35 @@ def non_finite_inputs(drac, src, tmp):
     check("number out of range" in p.stderr,
           f"drac --tenants 1e999: stderr {p.stderr!r}")
     check("inf" not in p.stdout, f"drac --tenants 1e999: stdout {p.stdout!r}")
-    # NaN compares false against every bound; it must still be refused.
-    p = run(drac, os.path.join(src, "examples/programs/stencil.dra"),
-            "--sim-shards", "2", "--sim-window", "nan")
-    check(p.returncode == 2, f"drac --sim-window nan: exit {p.returncode}")
-    check("--sim-window" in p.stderr,
-          f"drac --sim-window nan: stderr {p.stderr!r}")
+    # The simulator selector is gone from both modes, whatever its value.
+    spec = os.path.join(src, "examples/multitenant/consolidated.json")
+    for argv in ([os.path.join(src, "examples/programs/stencil.dra"),
+                  "--sim-shards", "2"],
+                 ["--tenants", spec, "--sim-window", "nan"]):
+        p = run(drac, *argv)
+        flag = argv[-2]
+        check(p.returncode == 2, f"drac {flag}: exit {p.returncode}")
+        check(p.stderr == f"error: {flag} was removed: every run uses the "
+              "serial simulator\n", f"drac {flag}: stderr {p.stderr!r}")
+
+
+def tenant_labels(drac, src, tmp):
+    # Two tenants from one file default to the same label (the file stem);
+    # their nests would collide in dra-attrib-v1 and dra-compare --nests.
+    demo = os.path.join(src, "examples/programs/demo.dra")
+    labels = {"same stem": [{}, {}], "flame separators": [{"label": "x;y z"}]}
+    for name, extra in labels.items():
+        spec = {"schema": "dra-tenants-v1",
+                "tenants": [dict(file=demo, **e) for e in extra]}
+        path = os.path.join(tmp, "labels.tenants.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(spec, f)
+        p = run(drac, "--tenants", path, "--flame",
+                os.path.join(tmp, "labels.flame"))
+        check(p.returncode == 1, f"tenant labels, {name}: exit {p.returncode}")
+        check(p.stderr.startswith("drac: error: tenant '") and
+              "label" in p.stderr,
+              f"tenant labels, {name}: stderr {p.stderr!r}")
 
 
 def oversized_spaces(drac, tmp):
@@ -186,13 +214,14 @@ def main():
         unwritable(a.drac, a.dra_serve, a.source_dir, tmp)
         pass_counts(a.drac, a.source_dir, tmp)
         non_finite_inputs(a.drac, a.source_dir, tmp)
+        tenant_labels(a.drac, a.source_dir, tmp)
         oversized_spaces(a.drac, tmp)
     for f in FAILURES:
         print("FAIL: " + f)
     if FAILURES:
         return 1
     print("ok: removed flags, compare --nests, unwritable paths, pass counts, "
-          "non-finite inputs, oversized spaces")
+          "non-finite inputs, tenant labels, oversized spaces")
     return 0
 
 

@@ -49,6 +49,13 @@ TEST_F(SpecParse, TopLevelMustBeObject) {
 TEST_F(SpecParse, UnknownKeyIsDiagnosed) {
   EXPECT_FALSE(parse(R"({"apps": ["AST"], "procss": [1]})"));
   EXPECT_NE(Diags.findCheck("unknown-key"), nullptr);
+  // Every run uses the serial simulator; the retired shard count is no
+  // longer a key.
+  Diags.clear();
+  EXPECT_FALSE(parse(R"({"apps": ["AST"], "sim_shards": 8})"));
+  const Diagnostic *D = Diags.findCheck("unknown-key");
+  ASSERT_NE(D, nullptr);
+  EXPECT_NE(D->message().find("'sim_shards'"), std::string::npos);
 }
 
 TEST_F(SpecParse, UnknownSchemeAndAppAreDiagnosed) {

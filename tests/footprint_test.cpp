@@ -162,22 +162,6 @@ StripingConfig makeConfig(unsigned Factor, unsigned StartDisk,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Mode plumbing
-//===----------------------------------------------------------------------===//
-
-TEST(FootprintTest, ModeNamesRoundTrip) {
-  for (FootprintMode M : {FootprintMode::Enumerated, FootprintMode::Symbolic,
-                          FootprintMode::Auto}) {
-    FootprintMode Back = FootprintMode::Enumerated;
-    EXPECT_TRUE(parseFootprintMode(footprintModeName(M), Back));
-    EXPECT_EQ(Back, M);
-  }
-  FootprintMode Out;
-  EXPECT_FALSE(parseFootprintMode("tables", Out));
-  EXPECT_FALSE(parseFootprintMode("", Out));
-}
-
-//===----------------------------------------------------------------------===//
 // Hand-built shapes
 //===----------------------------------------------------------------------===//
 

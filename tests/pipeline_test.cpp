@@ -221,9 +221,6 @@ TEST(ReportTest, EvaluateAndRenderTables) {
   EXPECT_EQ(Perf.find("Base"), std::string::npos); // Base column dropped
   EXPECT_NE(Perf.find("%"), std::string::npos);
 
-  std::string Chars = Rep.renderCharacteristicsTable(All);
-  EXPECT_NE(Chars.find("Base Energy (J)"), std::string::npos);
-
   // Base normalizes to exactly 1.
   EXPECT_DOUBLE_EQ(Rep.averageNormalizedEnergy(All, Rep.baseIndex()), 1.0);
   EXPECT_DOUBLE_EQ(Rep.averagePerfDegradation(All, Rep.baseIndex()), 0.0);

@@ -94,13 +94,3 @@ TEST(ReportTest, CsvHasHeaderAndAllRows) {
   EXPECT_NE(Csv.find("mini,Base,"), std::string::npos);
   EXPECT_NE(Csv.find("mini,TPM,"), std::string::npos);
 }
-
-TEST(ReportTest, DiskBreakdownListsEveryDisk) {
-  PipelineConfig Cfg = paperConfig(1);
-  Pipeline Pipe(makeFft(0.05), Cfg);
-  SchemeRun R = Pipe.run(Scheme::TTpmS);
-  std::string S = Report::renderDiskBreakdown(R.Sim);
-  EXPECT_NE(S.find("Utilization"), std::string::npos);
-  // 8 disk rows (plus header + separator).
-  EXPECT_EQ(size_t(std::count(S.begin(), S.end(), '\n')), 10u);
-}

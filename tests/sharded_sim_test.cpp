@@ -191,18 +191,17 @@ TEST(ShardedSimTest, PipelineShardsMatchSerialAllSchemes) {
       .endNest();
   Program P = B.build();
 
-  PipelineConfig Serial = paperConfig(4);
-  Serial.Attribution = true;
-  PipelineConfig Sharded = Serial;
-  Sharded.SimShards = 3; // odd count, does not divide the disk count
-  Pipeline SerialPipe(P, Serial);
-  Pipeline ShardedPipe(P, Sharded);
+  PipelineConfig Cfg = paperConfig(4);
+  Pipeline Pipe(P, Cfg);
   for (Scheme S : allSchemes()) {
-    SchemeRun RunA = SerialPipe.run(S);
-    SchemeRun RunB = ShardedPipe.run(S);
+    Trace T = Pipe.trace(S);
+    // 3 shards: an odd count that does not divide the disk count.
+    ShardedSimEngine Sharded(Pipe.layout(), schemeDiskParams(S, Cfg.Disk),
+                             schemePolicy(S), 3, 0.0, Cfg.Cache, nullptr,
+                             "sim", Cfg.Attribution);
     JsonWriter WA, WB;
-    writeSchemeRunJson(WA, RunA, Serial.Disk.TpmBreakEvenS);
-    writeSchemeRunJson(WB, RunB, Serial.Disk.TpmBreakEvenS);
+    writeSimResultsJson(WA, simulateScheme(S, Pipe.layout(), Cfg, T));
+    writeSimResultsJson(WB, Sharded.run(T));
     EXPECT_EQ(WA.take(), WB.take()) << "scheme " << schemeName(S);
   }
 }
@@ -383,14 +382,39 @@ TEST(TenantMergeTest, IncompatibleStripingThrows) {
   A.add(1.0, 0, 0, 0);
   B.add(1.0, 0, 0, 0);
   std::vector<TenantInput> In(2);
+  In[0].Label = "a";
   In[0].Prog = &A.P;
   In[0].Replay = &A.Replay;
   In[0].Layout = &A.Layout;
+  In[1].Label = "b";
   In[1].Prog = &B.P;
   In[1].Replay = &B.Replay;
   In[1].Layout = &B.Layout;
   EXPECT_THROW(mergeTenants(In), std::invalid_argument);
   EXPECT_THROW(mergeTenants({}), std::invalid_argument);
+
+  // Labels keep tenants apart in attribution names and flame frames: an
+  // empty, repeated, ';'- or whitespace-bearing label is refused, naming
+  // the tenant. Tenant A twice isolates the label check.
+  In[1].Prog = &A.P;
+  In[1].Replay = &A.Replay;
+  In[1].Layout = &A.Layout;
+  ASSERT_NO_THROW(mergeTenants(In));
+  auto messageFor = [&](const std::string &Label) -> std::string {
+    std::vector<TenantInput> Bad = In;
+    Bad[1].Label = Label;
+    try {
+      mergeTenants(Bad);
+    } catch (const std::invalid_argument &E) {
+      return E.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(messageFor(""), "tenants[1]: empty label");
+  EXPECT_EQ(messageFor("a"), "tenant 'a': label used by another tenant");
+  for (const char *Label : {"x;y", "x y", "x;y z", "x\ty"})
+    EXPECT_EQ(messageFor(Label), std::string("tenant '") + Label +
+                                     "': label contains ';' or whitespace");
 }
 
 TEST(TenantMergeTest, MergedTraceShardedMatchesSerial) {
@@ -443,9 +467,11 @@ TEST(TenantMergeTest, BarriersAreTenantScoped) {
   B.add(0.0, 0, 0, 0);
   B.add(1.0, 1, 0, 1);
   std::vector<TenantInput> In(2);
+  In[0].Label = "A";
   In[0].Prog = &A.P;
   In[0].Replay = &A.Replay;
   In[0].Layout = &A.Layout;
+  In[1].Label = "B";
   In[1].Prog = &B.P;
   In[1].Replay = &B.Replay;
   In[1].Layout = &B.Layout;

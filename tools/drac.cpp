@@ -31,11 +31,6 @@
 //     --flame F        write the source-attributed energy as collapsed
 //                      flame stacks (app;scheme;nest;ref;disk;category
 //                      joules; speedscope/flamegraph.pl) to F
-//     --footprint-mode NAME
-//                      derive per-reference tile demand symbolically
-//                      ("symbolic"), by enumeration ("enumerated"), or
-//                      closed-form with per-reference fallback ("auto",
-//                      the default) — docs/ANALYSIS.md
 //     --footprint-json F
 //                      write the standalone dra-footprint-v1 document
 //                      (per-nest/per-reference tile counts, per-disk
@@ -52,13 +47,6 @@
 //                      series & SLOs") to F
 //     --timeline-window MS
 //                      timeline window width in simulated ms (default 1000)
-//     --sim-shards N   replay on the sharded simulator with N disk-
-//                      partitioned worker threads (0, the default, runs the
-//                      serial oracle); every output is byte-identical for
-//                      any value (DESIGN.md Sec. 11)
-//     --sim-window MS  conservative window width of the sharded engine in
-//                      simulated ms (default 0 = the policy's maximum legal
-//                      window; rejected above the policy's break-even gap)
 //
 // Multi-tenant mode (docs/FORMATS.md, dra-tenants-v1) — consolidate several
 // applications onto one storage system (trace/TenantMerge.h):
@@ -67,12 +55,13 @@
 //     tenant is compiled separately, the traces are merged (per-tenant
 //     barrier scoping, relocated files, "label/" attribution prefixes) and
 //     the merged workload is simulated once. --scheme/--procs override the
-//     spec; --sim-shards/--sim-window, --dump-trace and every report/
-//     timeline artifact option above apply to the merged run.
+//     spec; --dump-trace and every report/timeline artifact option above
+//     apply to the merged run.
 //
 // Comparing saved reports is dra-compare's job and serving a request
-// stream is dra-serve's; the flags drac once had for them exit 2 naming the
-// replacement (RemovedFlags below).
+// stream is dra-serve's; the flags drac once had for them, and for the
+// retired simulator and footprint selectors, exit 2 naming the replacement
+// (RemovedFlags below).
 //
 // Sweep mode (docs/SWEEPS.md) — no source file argument:
 //   drac --sweep <spec.json> [options]
@@ -102,7 +91,6 @@
 #include "trace/TenantMerge.h"
 #include "trace/TraceIO.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -123,11 +111,10 @@ static int usage(const char *Argv0) {
                "[--verify] [--trace-json FILE] [--metrics-json FILE] "
                "[--report-json FILE] [--ledger-json FILE] "
                "[--attrib-json FILE] [--flame FILE] "
-               "[--footprint-mode NAME] [--footprint-json FILE] "
-               "[--timeline-json FILE] [--timeline-window MS] "
-               "[--sim-shards N] [--sim-window MS] [--timings]\n"
+               "[--footprint-json FILE] "
+               "[--timeline-json FILE] [--timeline-window MS] [--timings]\n"
                "       %s --tenants <spec.json> [--scheme NAME] [--procs N] "
-               "[--sim-shards N] [--sim-window MS] [--dump-trace FILE] "
+               "[--dump-trace FILE] "
                "[--report-json FILE] [--ledger-json FILE] "
                "[--attrib-json FILE] [--flame FILE] "
                "[--timeline-json FILE] [--timeline-window MS]\n"
@@ -137,8 +124,8 @@ static int usage(const char *Argv0) {
   return 2;
 }
 
-/// Flags of retired drac modes. Each is a usage error (exit 2) whose one
-/// line names what replaced it.
+/// Flags of retired drac modes and selectors. Each is a usage error (exit 2)
+/// whose one line names what replaced it.
 static constexpr struct {
   const char *Flag;
   const char *Replacement;
@@ -149,6 +136,9 @@ static constexpr struct {
     {"--baseline-scheme", "use dra-compare --baseline-scheme"},
     {"--compare-json", "use dra-compare --json"},
     {"--no-attribution", "attribution is always recorded"},
+    {"--sim-shards", "every run uses the serial simulator"},
+    {"--sim-window", "every run uses the serial simulator"},
+    {"--footprint-mode", "footprints always use the auto mode"},
 };
 
 /// Prints \p F as drac's artifact-write diagnostic; always returns 1.
@@ -217,10 +207,10 @@ static int runSweep(const std::string &SpecPath, unsigned Jobs,
 
 /// Multi-tenant mode (trace/TenantMerge.h): compile every tenant of the
 /// dra-tenants-v1 spec separately, merge the traces onto one shared storage
-/// system and simulate the merged workload once (serial or sharded).
+/// system and simulate the merged workload once.
 static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
-                      unsigned Procs, bool ProcsSet, unsigned SimShards,
-                      double SimWindowMs, const std::string &DumpTrace,
+                      unsigned Procs, bool ProcsSet,
+                      const std::string &DumpTrace,
                       const std::string &ReportJson,
                       const std::string &LedgerJson,
                       const std::string &AttribJson,
@@ -341,8 +331,6 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
 
     TimelineRecorder Timeline{double(TimelineWindowMs)};
     PipelineConfig SimCfg = Cfg;
-    SimCfg.SimShards = SimShards;
-    SimCfg.SimWindowMs = SimWindowMs;
     if (!TimelineJson.empty())
       SimCfg.Timeline = &Timeline;
     SchemeRun Run;
@@ -406,12 +394,9 @@ int main(int argc, char **argv) {
   std::string DumpTrace, TraceJson, MetricsJson, ReportJson, LedgerJson;
   std::string AttribJson, FlameOut, FootprintJson, TimelineJson;
   unsigned TimelineWindowMs = 1000;
-  FootprintMode Footprint = FootprintMode::Auto;
   std::string SweepSpecPath, SweepOut, SweepTelemetry;
   std::vector<Scheme> Schemes;
   std::string TenantsSpecPath;
-  unsigned SimShards = 0;
-  double SimWindowMs = 0.0;
   bool ProcsGiven = false;
 
   for (int I = 1; I != argc; ++I) {
@@ -451,25 +436,6 @@ int main(int argc, char **argv) {
       ProcsGiven = true;
     } else if (Arg == "--tenants" && I + 1 != argc) {
       TenantsSpecPath = argv[++I];
-    } else if (Arg == "--sim-shards" && I + 1 != argc) {
-      if (!parseUnsigned(argv[++I], SimShards, 0, 256)) {
-        std::fprintf(stderr,
-                     "error: --sim-shards expects an integer in [0, 256], "
-                     "got '%s'\n",
-                     argv[I]);
-        return 2;
-      }
-    } else if (Arg == "--sim-window" && I + 1 != argc) {
-      char *End = nullptr;
-      SimWindowMs = std::strtod(argv[++I], &End);
-      if (End == argv[I] || *End != '\0' || !std::isfinite(SimWindowMs) ||
-          SimWindowMs < 0) {
-        std::fprintf(stderr,
-                     "error: --sim-window expects a finite non-negative "
-                     "number (simulated ms), got '%s'\n",
-                     argv[I]);
-        return 2;
-      }
     } else if (Arg == "--scheme" && I + 1 != argc) {
       Scheme S;
       if (!schemeByName(argv[++I], S)) {
@@ -509,14 +475,6 @@ int main(int argc, char **argv) {
                      argv[I]);
         return 2;
       }
-    } else if (Arg == "--footprint-mode" && I + 1 != argc) {
-      if (!parseFootprintMode(argv[++I], Footprint)) {
-        std::fprintf(stderr,
-                     "error: --footprint-mode expects one of enumerated, "
-                     "symbolic, auto; got '%s'\n",
-                     argv[I]);
-        return 2;
-      }
     } else if (Arg.rfind("--", 0) == 0) {
       return usage(argv[0]);
     } else if (Path.empty()) {
@@ -530,9 +488,8 @@ int main(int argc, char **argv) {
       return usage(argv[0]);
     Scheme S = Schemes.empty() ? Scheme::Base : Schemes.front();
     return runTenants(TenantsSpecPath, S, !Schemes.empty(), Procs, ProcsGiven,
-                      SimShards, SimWindowMs, DumpTrace, ReportJson,
-                      LedgerJson, AttribJson, FlameOut, TimelineJson,
-                      TimelineWindowMs);
+                      DumpTrace, ReportJson, LedgerJson, AttribJson, FlameOut,
+                      TimelineJson, TimelineWindowMs);
   }
   if (!SweepSpecPath.empty()) {
     if (!Path.empty()) // Sweep mode takes its programs from the spec.
@@ -555,9 +512,6 @@ int main(int argc, char **argv) {
 
   PipelineConfig Cfg;
   Cfg.NumProcs = Procs;
-  Cfg.Footprint = Footprint;
-  Cfg.SimShards = SimShards;
-  Cfg.SimWindowMs = SimWindowMs;
   if (Verify)
     Cfg.Verify = VerifyLevel::Full;
 
@@ -687,8 +641,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "drac: %s\n", E.what());
     return 1;
   } catch (const std::invalid_argument &E) {
-    // Config-time rejections (e.g. an illegal --sim-window for the
-    // scheme's power policy) are user errors, not crashes.
+    // Config-time rejections (e.g. a program past the iteration limit) are
+    // user errors, not crashes.
     std::fprintf(stderr, "drac: error: %s\n", E.what());
     return 1;
   }
