@@ -9,7 +9,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 
 using namespace dra;
 
@@ -17,18 +18,65 @@ namespace {
 
 constexpr GlobalIter NoIter = ~GlobalIter(0);
 
-/// Virtual-execution state of one tile in the reference build.
-struct TileState {
-  GlobalIter LastWriter = NoIter;
-  std::vector<GlobalIter> ReadersSinceWrite;
-};
+/// The virtual execution both program-order builds share. Per-tile state
+/// is direct-indexed by a slot the caller assigns (no hashing), and the
+/// readers since each tile's last write live in one pooled index-linked
+/// list instead of a vector per tile, so a build allocates the same
+/// however many tiles it touches. Reader lists come back newest-first,
+/// but every edge emitted while visiting G targets G, so the buffer stays
+/// ordered by target as buildCsr requires.
+class VirtualExecution {
+public:
+  using Edge = std::pair<GlobalIter, GlobalIter>;
 
-/// Packs (array, linear tile) into one hash key. Arrays are few; linear tile
-/// indices fit comfortably in 48 bits for any workload in this repo.
-uint64_t tileKey(const TileRef &T) {
-  assert(uint64_t(T.Linear) < (uint64_t(1) << 48) && "tile index overflow");
-  return (uint64_t(T.Array) << 48) | uint64_t(T.Linear);
-}
+  /// Sizes every buffer up front for \p Slots tiles and \p Accesses
+  /// replayed accesses. Each access emits at most one edge from the last
+  /// writer, and each pooled reader is emitted at most once (by the write
+  /// that clears it), so 2 * Accesses bounds the edge count and no buffer
+  /// grows.
+  VirtualExecution(uint64_t Slots, uint64_t Accesses)
+      : State(static_cast<size_t>(Slots)) {
+    assert(Accesses < (uint64_t(1) << 31) &&
+           "reader pool index exceeds 31 bits");
+    Edges.reserve(size_t(2 * Accesses));
+    Pool.reserve(size_t(Accesses));
+  }
+
+  /// Replays one access of iteration \p G to the tile in \p Slot.
+  void apply(uint64_t Slot, GlobalIter G, AccessKind Kind) {
+    TileState &TS = State[size_t(Slot)];
+    if (TS.LastWriter != NoIter && TS.LastWriter != G)
+      Edges.emplace_back(TS.LastWriter, G);
+    if (Kind == AccessKind::Read) {
+      if (TS.ReadersHead < 0 || Pool[size_t(TS.ReadersHead)].Reader != G) {
+        Pool.push_back({G, TS.ReadersHead});
+        TS.ReadersHead = int32_t(Pool.size() - 1);
+      }
+      return;
+    }
+    // Write: WAW on the previous writer, WAR on intervening readers.
+    for (int32_t I = TS.ReadersHead; I >= 0; I = Pool[size_t(I)].Next)
+      if (Pool[size_t(I)].Reader != G)
+        Edges.emplace_back(Pool[size_t(I)].Reader, G);
+    TS.ReadersHead = -1;
+    TS.LastWriter = G;
+  }
+
+  const std::vector<Edge> &edges() const { return Edges; }
+
+private:
+  struct TileState {
+    GlobalIter LastWriter = NoIter;
+    int32_t ReadersHead = -1;
+  };
+  struct ReaderNode {
+    GlobalIter Reader;
+    int32_t Next;
+  };
+  std::vector<TileState> State;
+  std::vector<ReaderNode> Pool;
+  std::vector<Edge> Edges;
+};
 
 /// Rank dictionary over a dense-tile-id universe for subset builds: a
 /// bitmap of the ids the subset touches plus per-word prefix popcounts.
@@ -113,45 +161,54 @@ IterationGraph::IterationGraph(const Program &P, const IterationSpace &Space,
     for (GlobalIter G : Subset)
       InSubset[G] = true;
   }
+  auto Visited = [&](GlobalIter G) { return InSubset.empty() || InSubset[G]; };
 
-  // The number of accesses executed bounds the number of distinct tiles;
-  // the cap keeps small programs from over-reserving (the table-based
-  // builder knows the exact distinct-tile counts instead).
-  uint64_t AccessBound = 0;
-  for (const LoopNest &Nest : P.nests())
-    AccessBound += Nest.numIterations() * Nest.accesses().size();
-  std::unordered_map<uint64_t, TileState> Tiles;
-  Tiles.reserve(size_t(std::min<uint64_t>(AccessBound, 1 << 16)));
+  // Per-tile state is indexed by Base[Array] + Linear over the declared
+  // tiles of every array the program references: the same universe the
+  // table's census allocates, derived here from the program alone so the
+  // reference never sees a table or its dense ids.
+  struct ArraySlots {
+    uint64_t Base = 0;
+    int64_t Tiles = -1; ///< -1 until a nest references the array.
+  };
+  std::vector<ArraySlots> Slots(P.arrays().size());
+  uint64_t NumSlots = 0;
+  size_t MaxRow = 0;
+  for (const LoopNest &Nest : P.nests()) {
+    MaxRow = std::max(MaxRow, Nest.accesses().size());
+    for (const ArrayAccess &A : Nest.accesses()) {
+      ArraySlots &S = Slots[A.Array];
+      if (S.Tiles >= 0)
+        continue;
+      S = {NumSlots, P.array(A.Array).numTiles()};
+      NumSlots += uint64_t(S.Tiles);
+    }
+  }
+  uint64_t Accesses = 0;
+  for (GlobalIter G = 0, E = GlobalIter(Space.size()); G != E; ++G)
+    if (Visited(G))
+      Accesses += P.nest(Space.nestOf(G)).accesses().size();
+
+  VirtualExecution Exec(NumSlots, Accesses);
   std::vector<TileAccess> Touched;
-
-  // Every edge is emitted while visiting its target G, so the buffer is
-  // ordered by target as buildCsr requires.
-  std::vector<Edge> Edges;
+  Touched.reserve(MaxRow);
   for (GlobalIter G = 0, E = GlobalIter(Space.size()); G != E; ++G) {
-    if (!InSubset.empty() && !InSubset[G])
+    if (!Visited(G))
       continue;
     Touched.clear();
     P.appendTouchedTiles(Space.nestOf(G), Space.iterOf(G), Touched);
     for (const TileAccess &TA : Touched) {
-      TileState &TS = Tiles[tileKey(TA.Tile)];
-      if (TA.Kind == AccessKind::Read) {
-        if (TS.LastWriter != NoIter && TS.LastWriter != G)
-          Edges.emplace_back(TS.LastWriter, G);
-        if (TS.ReadersSinceWrite.empty() || TS.ReadersSinceWrite.back() != G)
-          TS.ReadersSinceWrite.push_back(G);
-        continue;
-      }
-      // Write: WAW on the previous writer, WAR on intervening readers.
-      if (TS.LastWriter != NoIter && TS.LastWriter != G)
-        Edges.emplace_back(TS.LastWriter, G);
-      for (GlobalIter R : TS.ReadersSinceWrite)
-        if (R != G)
-          Edges.emplace_back(R, G);
-      TS.ReadersSinceWrite.clear();
-      TS.LastWriter = G;
+      const ArraySlots &S = Slots[TA.Tile.Array];
+      if (TA.Tile.Linear < 0 || TA.Tile.Linear >= S.Tiles)
+        throw std::out_of_range("iteration " + std::to_string(G) +
+                                " touches tile " +
+                                std::to_string(TA.Tile.Linear) +
+                                " outside array '" +
+                                P.array(TA.Tile.Array).Name + "'");
+      Exec.apply(S.Base + uint64_t(TA.Tile.Linear), G, TA.Kind);
     }
   }
-  buildCsr(Space.size(), Edges);
+  buildCsr(Space.size(), Exec.edges());
 }
 
 IterationGraph::IterationGraph(const TileAccessTable &Table,
@@ -183,83 +240,43 @@ IterationGraph::IterationGraph(const TileAccessTable &Table,
   };
 
   // Tile state never crosses arrays, and the table's dense tile ids are
-  // contiguous, so the virtual execution uses direct-indexed per-tile state
-  // — no hashing. Readers-since-last-write live in one pooled index-linked
-  // list instead of a vector per tile, so a build allocates the same
-  // however many tiles it touches. Reader lists come back newest-first,
-  // but every edge emitted while visiting G targets G, so the buffer stays
-  // ordered by target as buildCsr requires.
-  struct PooledTileState {
-    GlobalIter LastWriter = NoIter;
-    int32_t ReadersHead = -1;
-  };
-  struct ReaderNode {
-    GlobalIter Reader;
-    int32_t Next;
-  };
+  // contiguous, so they serve directly as the state slots.
   uint64_t TotalEntries = 0;
   if (Members.empty())
     TotalEntries = Table.numAccesses();
   else
     ForEachRow([&](GlobalIter G) { TotalEntries += Table.row(G).size(); });
-  assert(TotalEntries < (uint64_t(1) << 31) &&
-         "reader pool index exceeds 31 bits");
-
-  // Each access emits at most one edge from the last writer, and each
-  // pooled reader is emitted at most once (by the write that clears it),
-  // so 2 * TotalEntries bounds the edge count and neither buffer grows.
-  std::vector<Edge> Edges;
-  Edges.reserve(size_t(2 * TotalEntries));
-  std::vector<ReaderNode> Pool;
-  Pool.reserve(size_t(TotalEntries));
-  auto Apply = [&](PooledTileState &TS, GlobalIter G, AccessKind Kind) {
-    if (Kind == AccessKind::Read) {
-      if (TS.LastWriter != NoIter && TS.LastWriter != G)
-        Edges.emplace_back(TS.LastWriter, G);
-      if (TS.ReadersHead < 0 || Pool[size_t(TS.ReadersHead)].Reader != G) {
-        Pool.push_back({G, TS.ReadersHead});
-        TS.ReadersHead = int32_t(Pool.size() - 1);
-      }
-      return;
-    }
-    if (TS.LastWriter != NoIter && TS.LastWriter != G)
-      Edges.emplace_back(TS.LastWriter, G);
-    for (int32_t I = TS.ReadersHead; I >= 0; I = Pool[size_t(I)].Next)
-      if (Pool[size_t(I)].Reader != G)
-        Edges.emplace_back(Pool[size_t(I)].Reader, G);
-    TS.ReadersHead = -1;
-    TS.LastWriter = G;
-  };
 
   if (Members.empty()) {
-    std::vector<PooledTileState> State(size_t(Table.numDistinctTiles()));
+    VirtualExecution Exec(Table.numDistinctTiles(), TotalEntries);
     ForEachRow([&](GlobalIter G) {
       std::span<const TileAccess> Row = Table.row(G);
       std::span<const uint32_t> Dense = Table.denseRow(G);
       for (size_t I = 0; I != Row.size(); ++I)
-        Apply(State[Dense[I]], G, Row[I].Kind);
+        Exec.apply(Dense[I], G, Row[I].Kind);
     });
-  } else {
-    // A subset (one processor, one phase) touches a sliver of the tile
-    // universe. Remap the dense ids it actually uses to consecutive local
-    // ids so the state vector is subset-sized — initializing a
-    // universe-sized state for each of the many per-processor sub-builds
-    // would dwarf the build itself.
-    DenseRank Rank(Table.numDistinctTiles());
-    ForEachRow([&](GlobalIter G) {
-      for (uint32_t D : Table.denseRow(G))
-        Rank.mark(D);
-    });
-    Rank.freeze();
-    std::vector<PooledTileState> State(Rank.Count);
-    ForEachRow([&](GlobalIter G) {
-      std::span<const TileAccess> Row = Table.row(G);
-      std::span<const uint32_t> Dense = Table.denseRow(G);
-      for (size_t I = 0; I != Row.size(); ++I)
-        Apply(State[Rank.rank(Dense[I])], G, Row[I].Kind);
-    });
+    buildCsr(N, Exec.edges());
+    return;
   }
-  buildCsr(N, Edges);
+  // A subset (one processor, one phase) touches a sliver of the tile
+  // universe. Remap the dense ids it actually uses to consecutive local
+  // ids so the state vector is subset-sized — initializing a
+  // universe-sized state for each of the many per-processor sub-builds
+  // would dwarf the build itself.
+  DenseRank Rank(Table.numDistinctTiles());
+  ForEachRow([&](GlobalIter G) {
+    for (uint32_t D : Table.denseRow(G))
+      Rank.mark(D);
+  });
+  Rank.freeze();
+  VirtualExecution Exec(Rank.Count, TotalEntries);
+  ForEachRow([&](GlobalIter G) {
+    std::span<const TileAccess> Row = Table.row(G);
+    std::span<const uint32_t> Dense = Table.denseRow(G);
+    for (size_t I = 0; I != Row.size(); ++I)
+      Exec.apply(Rank.rank(Dense[I]), G, Row[I].Kind);
+  });
+  buildCsr(N, Exec.edges());
 }
 
 IterationGraph::IterationGraph(unsigned NumNodes,

@@ -22,8 +22,9 @@
 /// one buffer, then lays them out with a count pass and a fill pass. The
 /// virtual executions emit every edge while visiting its target, in
 /// ascending target order, so each successor row comes out sorted and only
-/// adjacent duplicates need removing. A table build allocates a fixed
-/// number of times, however many nodes and edges it has
+/// adjacent duplicates need removing. Both program-order builds keep flat
+/// per-tile state and one pooled reader list, so each allocates a fixed
+/// number of times, however many nodes, tiles and edges it has
 /// (docs/PERFORMANCE.md).
 ///
 //===----------------------------------------------------------------------===//
@@ -51,7 +52,9 @@ public:
   /// the table-based constructor; this build stays independent of the
   /// table as its reference (tests/hotpath_test.cpp) and serves LoopFusion,
   /// which checks legality before any table exists, and the
-  /// ScheduleVerifier, which must not trust the table it checks.
+  /// ScheduleVerifier, which must not trust the table it checks. Tile
+  /// state is indexed by each referenced array's declared tiles, so a tile
+  /// outside its array throws std::out_of_range.
   IterationGraph(const Program &P, const IterationSpace &Space,
                  const std::vector<GlobalIter> &Subset = {});
 

@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 
 using namespace dra;
 
@@ -143,6 +145,7 @@ private:
     if (ArraysByName.count(Name))
       return fail("array '" + Name + "' is already declared");
     std::vector<int64_t> Dims;
+    int64_t Tiles = 1;
     while (peek().is(TokKind::LBracket)) {
       ++Pos;
       int64_t D = 0;
@@ -150,6 +153,10 @@ private:
         return false;
       if (D <= 0)
         return fail("array dimension must be positive");
+      // ArrayInfo::numTiles multiplies the dimensions in int64_t.
+      if (__builtin_mul_overflow(Tiles, D, &Tiles))
+        return fail("array '" + Name + "' has more than " +
+                    std::to_string(INT64_MAX) + " tiles");
       Dims.push_back(D);
       if (!expect(TokKind::RBracket, "']'"))
         return false;

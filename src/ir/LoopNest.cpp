@@ -33,8 +33,27 @@ void LoopNest::forEachIteration(
   enumerate(Iter, 0, Fn);
 }
 
-uint64_t LoopNest::numIterations() const {
+uint64_t LoopNest::numIterations(uint64_t Limit) const {
   assert(!Loops.empty() && "loop nest with no loops");
+  // Trip counts in the unsigned domain, where Hi - Lo cannot overflow.
+  auto Trips = [](int64_t Lo, int64_t Hi) {
+    return Hi > Lo ? uint64_t(Hi) - uint64_t(Lo) : uint64_t(0);
+  };
+  bool Rectangular = true;
+  for (const Loop &L : Loops)
+    Rectangular &= L.Lower.isConstant() && L.Upper.isConstant();
+  if (Rectangular) {
+    uint64_t N = 1;
+    for (const Loop &L : Loops) {
+      uint64_t T = Trips(L.Lower.constTerm(), L.Upper.constTerm());
+      if (T == 0)
+        return 0;
+      if (__builtin_mul_overflow(N, T, &N))
+        N = UINT64_MAX; // Saturated; a later empty loop still yields 0.
+    }
+    return N;
+  }
+
   const unsigned Inner = depth() - 1;
   IterVec Iter(Loops.size(), 0);
   uint64_t N = 0;
@@ -42,12 +61,11 @@ uint64_t LoopNest::numIterations() const {
     int64_t Lo = Loops[Depth].Lower.evaluate(Iter);
     int64_t Hi = Loops[Depth].Upper.evaluate(Iter);
     if (Depth == Inner) {
-      // Trip count in the unsigned domain, where Hi - Lo cannot overflow.
-      uint64_t Trips = Hi > Lo ? uint64_t(Hi) - uint64_t(Lo) : 0;
-      N = Trips > UINT64_MAX - N ? UINT64_MAX : N + Trips;
+      uint64_t T = Trips(Lo, Hi);
+      N = T > UINT64_MAX - N ? UINT64_MAX : N + T;
       return;
     }
-    for (int64_t V = Lo; V < Hi; ++V) {
+    for (int64_t V = Lo; V < Hi && N <= Limit; ++V) {
       Iter[Depth] = V;
       Self(Self, Depth + 1);
     }

@@ -74,10 +74,14 @@ public:
   /// empty range at any depth are skipped.
   void forEachIteration(const std::function<void(const IterVec &)> &Fn) const;
 
-  /// Total number of iterations. The outer loops are enumerated and the
-  /// innermost loop adds its trip count in closed form, so a long
-  /// innermost loop costs nothing; a count past UINT64_MAX saturates.
-  uint64_t numIterations() const;
+  /// Total number of iterations, exact up to \p Limit and some count
+  /// above \p Limit beyond it; a count past UINT64_MAX saturates. A nest
+  /// whose bounds are all constant is the product of its trip counts.
+  /// Otherwise the outer loops are enumerated, the innermost loop adds its
+  /// trip count in closed form, and the walk stops once the count passes
+  /// \p Limit. Outer points with an empty inner range add nothing, so
+  /// they do not bring that stop closer.
+  uint64_t numIterations(uint64_t Limit = UINT64_MAX) const;
 
   /// Evaluates the tile coordinate accessed by \p Access at \p Iter into
   /// \p Coord, reusing its storage, so a loop over many iterations

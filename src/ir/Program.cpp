@@ -74,7 +74,7 @@ IterationSpace::IterationSpace(const Program &P) {
   // and the fill below never reallocates.
   uint64_t Iters = 0, NumCoords = 0;
   for (const LoopNest &Nest : P.nests()) {
-    uint64_t N = Nest.numIterations();
+    uint64_t N = Nest.numIterations(MaxIterations - Iters);
     if (N > MaxIterations - Iters)
       throw std::invalid_argument(
           "program '" + P.name() + "' has more than " +

@@ -77,15 +77,6 @@ unsigned DiskLayout::primaryDiskOfTile(const TileRef &T) const {
   return diskOfByte(tileByteOffset(T));
 }
 
-std::vector<unsigned> DiskLayout::disksOfTile(const TileRef &T) const {
-  std::vector<unsigned> Disks;
-  for (const SubRequest &S : splitRequest(tileByteOffset(T), TileBytes))
-    Disks.push_back(S.Disk);
-  std::sort(Disks.begin(), Disks.end());
-  Disks.erase(std::unique(Disks.begin(), Disks.end()), Disks.end());
-  return Disks;
-}
-
 uint64_t DiskLayout::diskMaskOfTile(const TileRef &T) const {
   assert(Config.StripeFactor <= 64 && "disk mask limited to 64 I/O nodes");
   // A tile occupies [Base, Base + TileBytes); successive stripe units land

@@ -92,13 +92,10 @@ public:
   /// TileBytes == StripeUnitBytes this is the only node the tile touches.
   unsigned primaryDiskOfTile(const TileRef &T) const;
 
-  /// All I/O nodes tile \p T spans (ascending, deduplicated).
-  std::vector<unsigned> disksOfTile(const TileRef &T) const;
-
   /// Bitmask of the I/O nodes tile \p T spans (bit d set iff disk d holds a
-  /// byte of the tile). Identical contents to disksOfTile, but allocation
-  /// free — this is the compile hot path's form (the scheduler computes one
-  /// mask per table entry). Requires numDisks() <= 64.
+  /// byte of the tile). Allocation free — this is the compile hot path's
+  /// form (the scheduler computes one mask per table entry). Requires
+  /// numDisks() <= 64.
   uint64_t diskMaskOfTile(const TileRef &T) const;
 
   /// Splits a logical request (global \p Offset, \p Bytes) into per-I/O-node

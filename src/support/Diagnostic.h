@@ -70,8 +70,13 @@ struct DiagLocation {
 /// \endcode
 class Diagnostic {
 public:
+  /// The message buffer starts at a capacity that holds any one-line
+  /// message, so building one allocates once however many digits its
+  /// numbers have.
   Diagnostic(DiagSeverity Sev, std::string Pass, std::string Check)
-      : Sev(Sev), Pass(std::move(Pass)), Check(std::move(Check)) {}
+      : Sev(Sev), Pass(std::move(Pass)), Check(std::move(Check)) {
+    Msg.reserve(MessageCapacity);
+  }
 
   DiagSeverity severity() const { return Sev; }
   /// The pass that produced the diagnostic, e.g. "schedule-verifier".
@@ -108,6 +113,8 @@ public:
   std::string render() const;
 
 private:
+  static constexpr size_t MessageCapacity = 256;
+
   DiagSeverity Sev;
   std::string Pass;
   std::string Check;

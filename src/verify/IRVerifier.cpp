@@ -125,9 +125,8 @@ bool IRVerifier::verifyNest(NestId N) {
   }
 
   // Empty iteration spaces are legal but almost always a bug in the input
-  // program; only enumerate when the bounds alone can't prove non-emptiness
-  // (enumeration visits every iteration).
-  if (Ok && Nest.numIterations() == 0) {
+  // program. Counting stops at the first iteration found.
+  if (Ok && Nest.numIterations(/*Limit=*/0) == 0) {
     DE.report(Diagnostic(DiagSeverity::Warning, PassName, "empty-nest")
                   .at(loc(N))
               << "nest '" << Nest.name() << "' has an empty iteration space");

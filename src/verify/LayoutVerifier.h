@@ -44,6 +44,8 @@
 #include "layout/DiskLayout.h"
 #include "support/Diagnostic.h"
 
+#include <span>
+
 namespace dra {
 
 /// Verifies a concrete disk layout of a program.
@@ -62,14 +64,21 @@ public:
   /// Emits a closing remark on success.
   bool verify();
 
+  /// The byte-level checks over \p Frags, the fragments of the whole
+  /// laid-out space in logical order (verify passes
+  /// splitRequest(0, totalBytes())): disk-out-of-range, coverage-gap,
+  /// fragment-overlap and stripe-rotation. A real DiskLayout cannot fail
+  /// them, so tests plant broken fragment lists through this seam.
+  bool verifyFragments(std::span<const SubRequest> Frags);
+
 private:
   const Program &Prog;
   const DiskLayout &Layout;
   DiagnosticEngine &DE;
 
-  bool verifyCoverage();
+  bool verifyOverlaps(std::span<const SubRequest> Frags);
+  bool verifyRotation(std::span<const SubRequest> Frags);
   bool verifyTiles();
-  bool verifyRotation();
 };
 
 } // namespace dra

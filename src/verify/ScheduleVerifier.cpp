@@ -6,7 +6,7 @@
 
 #include "verify/ScheduleVerifier.h"
 
-#include <set>
+#include <algorithm>
 
 using namespace dra;
 
@@ -147,22 +147,24 @@ bool ScheduleVerifier::verifyDependences(const ScheduledWork &Work) {
 
   unsigned Violations = 0, BarrierViolations = 0, NegativeDistances = 0;
   for (GlobalIter U = 0; U != GlobalIter(N); ++U) {
+    const NestId NestU = Space.nestOf(U);
+    const IterSpan IterU = Space.iterOf(U);
     // Cross-validate the re-derived graph against the Sec. 6.1 theory:
     // a same-nest dependence always has a lexicographically positive
     // distance vector (original order is a topological order).
     for (GlobalIter V : G.succs(U)) {
-      if (Space.nestOf(U) == Space.nestOf(V)) {
-        IterVec D = vecDiff(Space.iterOf(V), Space.iterOf(U));
-        if (!lexPositive(D)) {
-          if (++NegativeDistances <= MaxPerCheck)
-            DE.report(Diagnostic(DiagSeverity::Error, PassName,
-                                 "negative-distance")
-                          .at(loc(V))
-                      << "dependence " << U << " -> " << V << " in nest '"
-                      << Prog.nest(Space.nestOf(U)).name()
-                      << "' has non-positive distance " << toString(D));
-          Ok = false;
-        }
+      // The distance V - U is lexicographically positive exactly when U
+      // precedes V, so the vector is built only for the diagnostic.
+      if (NestU == Space.nestOf(V) && !lexLess(IterU, Space.iterOf(V))) {
+        if (++NegativeDistances <= MaxPerCheck)
+          DE.report(Diagnostic(DiagSeverity::Error, PassName,
+                               "negative-distance")
+                        .at(loc(V))
+                    << "dependence " << U << " -> " << V << " in nest '"
+                    << Prog.nest(NestU).name()
+                    << "' has non-positive distance "
+                    << toString(vecDiff(Space.iterOf(V), IterU)));
+        Ok = false;
       }
 
       if (ProcOf[U] == NoProc || ProcOf[V] == NoProc)
@@ -237,7 +239,26 @@ bool ScheduleVerifier::verifyFootprint(const SymbolicFootprint &FP) {
   bool Ok = true;
   unsigned NumDisks = Layout.numDisks();
   unsigned IterMismatches = 0, CountMismatches = 0, DemandMismatches = 0;
+
+  // One flat recount state, sized once for the widest nest and reused by
+  // every nest: a bitmap over each reference's array tiles back to back,
+  // a distinct-tile count per reference and a per-disk demand row per
+  // reference.
+  size_t MaxRefs = 0;
+  uint64_t MaxSeen = 0;
+  for (const NestFootprint &NF : FP.nests()) {
+    const LoopNest &Nest = Prog.nest(NF.Nest);
+    uint64_t Tiles = 0;
+    for (const ArrayAccess &A : Nest.accesses())
+      Tiles += uint64_t(Prog.array(A.Array).numTiles());
+    MaxRefs = std::max(MaxRefs, Nest.accesses().size());
+    MaxSeen = std::max(MaxSeen, Tiles);
+  }
+  std::vector<uint8_t> Seen(static_cast<size_t>(MaxSeen));
+  std::vector<uint64_t> SeenBase(MaxRefs), Count(MaxRefs);
+  std::vector<uint64_t> Demand(MaxRefs * NumDisks);
   std::vector<TileAccess> Touched;
+  Touched.reserve(MaxRefs);
 
   for (const NestFootprint &NF : FP.nests()) {
     NestId N = NF.Nest;
@@ -259,13 +280,14 @@ bool ScheduleVerifier::verifyFootprint(const SymbolicFootprint &FP) {
     // demand counted once per distinct tile at its primary disk.
     size_t NumRefs = Nest.accesses().size();
     assert(NF.Refs.size() == NumRefs && "one footprint per reference");
-    std::vector<std::vector<uint8_t>> SeenOf(NumRefs);
-    for (size_t R = 0; R != NumRefs; ++R)
-      SeenOf[R].assign(
-          uint64_t(Prog.array(Nest.accesses()[R].Array).numTiles()), 0);
-    std::vector<uint64_t> Count(NumRefs, 0);
-    std::vector<std::vector<uint64_t>> Demand(
-        NumRefs, std::vector<uint64_t>(NumDisks, 0));
+    uint64_t SeenEnd = 0;
+    for (size_t R = 0; R != NumRefs; ++R) {
+      SeenBase[R] = SeenEnd;
+      SeenEnd += uint64_t(Prog.array(Nest.accesses()[R].Array).numTiles());
+    }
+    std::fill_n(Seen.begin(), SeenEnd, 0);
+    std::fill_n(Count.begin(), NumRefs, 0);
+    std::fill_n(Demand.begin(), NumRefs * NumDisks, 0);
     for (GlobalIter G = Begin; G != End; ++G) {
       std::span<const TileAccess> Row;
       if (Table) {
@@ -277,17 +299,19 @@ bool ScheduleVerifier::verifyFootprint(const SymbolicFootprint &FP) {
       }
       assert(Row.size() == NumRefs && "one row entry per reference");
       for (size_t R = 0; R != NumRefs; ++R) {
-        auto &Seen = SeenOf[R][uint64_t(Row[R].Tile.Linear)];
-        if (Seen)
+        uint8_t &Bit = Seen[SeenBase[R] + uint64_t(Row[R].Tile.Linear)];
+        if (Bit)
           continue;
-        Seen = 1;
+        Bit = 1;
         ++Count[R];
-        ++Demand[R][Layout.primaryDiskOfTile(Row[R].Tile)];
+        ++Demand[R * NumDisks + Layout.primaryDiskOfTile(Row[R].Tile)];
       }
     }
 
     for (size_t R = 0; R != NumRefs; ++R) {
       const RefFootprint &RF = NF.Refs[R];
+      std::span<const uint64_t> Recount(Demand.data() + R * NumDisks,
+                                        NumDisks);
       if (RF.DistinctTiles != Count[R]) {
         if (++CountMismatches <= MaxPerCheck)
           DE.report(Diagnostic(DiagSeverity::Error, PassName,
@@ -300,11 +324,12 @@ bool ScheduleVerifier::verifyFootprint(const SymbolicFootprint &FP) {
                     << ") but an independent recount gives " << Count[R]);
         Ok = false;
       }
-      if (RF.PerDiskDemand != Demand[R]) {
+      if (!std::equal(RF.PerDiskDemand.begin(), RF.PerDiskDemand.end(),
+                      Recount.begin(), Recount.end())) {
         unsigned BadDisk = 0;
         for (unsigned K = 0; K != NumDisks; ++K)
           if (RF.PerDiskDemand.size() != NumDisks ||
-              RF.PerDiskDemand[K] != Demand[R][K]) {
+              RF.PerDiskDemand[K] != Recount[K]) {
             BadDisk = K;
             break;
           }
@@ -320,7 +345,7 @@ bool ScheduleVerifier::verifyFootprint(const SymbolicFootprint &FP) {
                     << " tiles on disk " << BadDisk << " (method "
                     << footprintMethodName(RF.Method)
                     << ") but an independent recount gives "
-                    << Demand[R][BadDisk]);
+                    << Recount[BadDisk]);
         Ok = false;
       }
     }
@@ -351,8 +376,12 @@ bool ScheduleVerifier::verifyLocality(const Schedule &S,
   // visit is a maximal run of consecutive iterations whose first-touched
   // tile lives on one disk; a switch is a transition between visits.
   ScheduleLocality R;
-  std::set<unsigned> Seen;
+  std::vector<uint8_t> Seen(Layout.numDisks(), 0);
   std::vector<TileAccess> Touched;
+  size_t MaxRow = 0;
+  for (const LoopNest &Nest : Prog.nests())
+    MaxRow = std::max(MaxRow, Nest.accesses().size());
+  Touched.reserve(MaxRow);
   bool HaveLast = false;
   unsigned Last = 0;
   for (GlobalIter G : S.Order) {
@@ -367,7 +396,8 @@ bool ScheduleVerifier::verifyLocality(const Schedule &S,
     if (Row.empty())
       continue;
     unsigned D = Layout.primaryDiskOfTile(Row.front().Tile);
-    Seen.insert(D);
+    R.DisksUsed += 1 - Seen[D];
+    Seen[D] = 1;
     if (!HaveLast || D != Last) {
       if (HaveLast)
         ++R.DiskSwitches;
@@ -376,7 +406,6 @@ bool ScheduleVerifier::verifyLocality(const Schedule &S,
       HaveLast = true;
     }
   }
-  R.DisksUsed = unsigned(Seen.size());
 
   bool Ok = true;
   const std::tuple<const char *, uint64_t, uint64_t> Metrics[] = {

@@ -13,7 +13,8 @@ Runs the built drac, dra-serve and dra-compare binaries and checks that:
   * tenant labels that would merge two tenants' attribution (empty,
     repeated, or holding ';' or whitespace) are rejected;
   * a program with more iterations than flat iteration ids can number
-    fails fast with a diagnostic instead of enumerating them.
+    fails fast with a diagnostic instead of enumerating them, and an
+    array whose tile count overflows int64_t is a parse error.
 
 Usage: cli_test.py --drac BIN --dra-serve BIN --dra-compare BIN --source-dir DIR
 """
@@ -166,23 +167,35 @@ def tenant_labels(drac, src, tmp):
 
 
 def oversized_spaces(drac, tmp):
-    # Both probes used to enumerate until a timeout killed them. Counting
-    # adds the innermost trip count in closed form, so each must end with
-    # the diagnostic well inside the 2 s limit.
+    # Each probe used to run until a timeout or a signal killed it: the
+    # first two enumerated their outer loops, "deep" walked 2^30 outer
+    # points, and "huge" overflowed the tile count into an uncaught
+    # std::length_error. Each must end with its diagnostic and exit 1 well
+    # inside the 2 s limit.
+    deep = "".join(f"  for i{k} = 0 .. 1\n" for k in range(31))
     probes = {
-        "long": "array A[4000000000]\n"
-                "nest n compute 1.0 {\n"
-                "  for i0 = 0 .. 3999999999\n"
-                "  read A[i0]\n"
-                "}\n",
-        "square": "array A[70000][70000]\n"
-                  "nest n compute 1.0 {\n"
-                  "  for i0 = 0 .. 69999\n"
-                  "  for i1 = 0 .. 69999\n"
-                  "  read A[i0][i1]\n"
-                  "}\n",
+        "long": ("array A[4000000000]\n"
+                 "nest n compute 1.0 {\n"
+                 "  for i0 = 0 .. 3999999999\n"
+                 "  read A[i0]\n"
+                 "}\n", "drac: error: ", "iterations"),
+        "square": ("array A[70000][70000]\n"
+                   "nest n compute 1.0 {\n"
+                   "  for i0 = 0 .. 69999\n"
+                   "  for i1 = 0 .. 69999\n"
+                   "  read A[i0][i1]\n"
+                   "}\n", "drac: error: ", "iterations"),
+        "deep": ("array A[2]\n"
+                 "nest n compute 1.0 {\n" + deep +
+                 "  read A[i0]\n"
+                 "}\n", "drac: error: ", "iterations"),
+        "huge": ("array A[4000000000][4000000000]\n"
+                 "nest n compute 1.0 {\n"
+                 "  for i0 = 0 .. 1\n"
+                 "  read A[i0][i0]\n"
+                 "}\n", None, "has more than 9223372036854775807 tiles"),
     }
-    for name, body in probes.items():
+    for name, (body, prefix, needle) in probes.items():
         src = os.path.join(tmp, name + ".dra")
         with open(src, "w", encoding="utf-8") as f:
             f.write("program " + name + "\n" + body)
@@ -194,9 +207,10 @@ def oversized_spaces(drac, tmp):
             check(False, f"{name} probe: no diagnostic within 2 s")
             continue
         took = time.monotonic() - start
+        # A parse error names the file; a budget error names the tool.
+        prefix = prefix or src + ": error: "
         check(p.returncode == 1, f"{name} probe: exit {p.returncode}")
-        check(p.stderr.startswith("drac: error: ") and
-              "iterations" in p.stderr,
+        check(p.stderr.startswith(prefix) and needle in p.stderr,
               f"{name} probe: stderr {p.stderr!r}")
         check(took < 2.0, f"{name} probe: took {took:.2f} s")
 

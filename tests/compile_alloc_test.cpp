@@ -6,14 +6,21 @@
 // TileAccessTable, the full IterationGraph and one subset graph allocates
 // a number of times bounded by the program's nests and arrays, the same
 // at every app scale, however many iterations, accesses and edges there
-// are. The test binary replaces the global operator new with a counting
+// are. Full verification is pinned the same way: the layout check, and
+// the footprint and schedule checks with no table (their own virtual
+// execution and dependence graph), each allocate a fixed handful of
+// times. The test binary replaces the global operator new with a counting
 // one (alloc_counter.cpp), which is why it is its own executable rather
 // than part of dra_tests.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/IterationGraph.h"
+#include "analysis/SymbolicFootprint.h"
 #include "apps/Apps.h"
+#include "core/Pipeline.h"
+#include "verify/LayoutVerifier.h"
+#include "verify/ScheduleVerifier.h"
 
 #include <gtest/gtest.h>
 
@@ -67,7 +74,63 @@ FrontEndAllocs frontEndAllocs(const Program &P) {
   return A;
 }
 
+/// Allocations of each Full-level verification of one program.
+struct VerifierAllocs {
+  uint64_t Layout = 0, Footprint = 0, Work = 0;
+  uint64_t Iters = 0, Edges = 0;
+};
+
+VerifierAllocs verifierAllocs(const Program &P) {
+  VerifierAllocs A;
+  DiagnosticEngine DE;
+  IterationSpace Space(P);
+  DiskLayout Layout(P, paperConfig(1).Striping);
+  SymbolicFootprint FP(P, Layout);
+  // The identity order: legal, and it checks every edge of the graph.
+  ScheduledWork Work;
+  Work.PerProc.emplace_back();
+  for (GlobalIter G = 0; G != GlobalIter(Space.size()); ++G)
+    Work.PerProc[0].push_back(G);
+
+  ScheduleVerifier SV(P, Space, Layout, DE, /*Table=*/nullptr);
+  bool Ok = true;
+  A.Layout = allocsOf([&] { Ok &= LayoutVerifier(P, Layout, DE).verify(); });
+  A.Footprint = allocsOf([&] { Ok &= SV.verifyFootprint(FP); });
+  A.Work = allocsOf([&] { Ok &= SV.verifyWork(Work); });
+  EXPECT_TRUE(Ok && !DE.hasErrors()) << P.name();
+  A.Iters = Space.size();
+  // A second graph, outside the counted calls, only to show the schedule
+  // check had edges to walk.
+  A.Edges = IterationGraph(P, Space).numEdges();
+  return A;
+}
+
 } // namespace
+
+TEST(CompileAllocTest, FullVerificationAllocationsDoNotGrowWithIterations) {
+  verifierAllocs(makeAst(0.05));
+
+  std::vector<AppUnderTest> Small = paperApps(0.1), Large = paperApps(0.2);
+  ASSERT_EQ(Small.size(), Large.size());
+  for (size_t I = 0; I != Small.size(); ++I) {
+    SCOPED_TRACE(Small[I].Name);
+    Program PS = Small[I].Build(), PL = Large[I].Build();
+    VerifierAllocs S = verifierAllocs(PS), L = verifierAllocs(PL);
+    ASSERT_GT(L.Iters, 2 * S.Iters);
+    ASSERT_GT(L.Edges, S.Edges);
+
+    // A fixed handful per check, whatever the iterations, tiles, stripe
+    // units and edges: scratch buffers plus the one closing remark.
+    for (const VerifierAllocs &A : {S, L}) {
+      EXPECT_LE(A.Layout, 12u);
+      EXPECT_LE(A.Footprint, 12u);
+      EXPECT_LE(A.Work, 20u);
+    }
+    EXPECT_EQ(S.Layout, L.Layout);
+    EXPECT_EQ(S.Footprint, L.Footprint);
+    EXPECT_EQ(S.Work, L.Work);
+  }
+}
 
 TEST(CompileAllocTest, FrontEndAllocationsDoNotGrowWithIterations) {
   // Warm up once so lazily initialized runtime state is not counted.

@@ -210,6 +210,37 @@ TEST(IterationSpaceTest, RejectsSpacesBeyondMaxIterations) {
   EXPECT_THROW(IterationSpace S2(P2), std::invalid_argument);
 }
 
+TEST(IterationSpaceTest, CountsOversizedNestsWithoutWalkingThem) {
+  // 31 constant-bound loops of two trips: 2^31 iterations, one past
+  // MaxIterations. The count is the product of the trip counts.
+  ProgramBuilder B("deep");
+  ArrayId U = B.addArray("U", {2});
+  B.beginNest("n0", 1.0);
+  for (int K = 0; K != 31; ++K)
+    B.loop(0, 2);
+  B.read(U, {iv(0)}).endNest();
+  Program P = B.build();
+  EXPECT_EQ(P.nest(0).numIterations(), uint64_t(1) << 31);
+  EXPECT_THROW(IterationSpace S(P), std::invalid_argument);
+
+  // A triangular band is walked, but only until the count passes the
+  // limit: 70000 * 70001 / 2 outer points would take seconds.
+  ProgramBuilder B2("tri");
+  ArrayId V = B2.addArray("V", {70000, 70000});
+  B2.beginNest("n0", 1.0)
+      .loop(0, 70000)
+      .loop(AffineExpr::constant(0), iv(0) + 1)
+      .loop(0, 70000)
+      .read(V, {iv(0), iv(2)})
+      .endNest();
+  Program P2 = B2.build();
+  uint64_t Capped = P2.nest(0).numIterations(MaxIterations);
+  EXPECT_GT(Capped, MaxIterations);
+  EXPECT_LE(Capped, MaxIterations + 70000);
+  EXPECT_EQ(P2.nest(0).numIterations(/*Limit=*/0), 70000u);
+  EXPECT_THROW(IterationSpace S2(P2), std::invalid_argument);
+}
+
 TEST(ProgramBuilderTest, BuildsMultiNestProgram) {
   ProgramBuilder B("app");
   ArrayId U = B.addArray("U", {8, 8});

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 using namespace dra;
 
 namespace {
@@ -49,7 +51,7 @@ TEST(LayoutTest, DefaultTileEqualsStripeUnit) {
   EXPECT_EQ(L.tileBytes(), StripingConfig().StripeUnitBytes);
   // A tile maps to exactly one disk.
   for (int64_t K = 0; K != 4; ++K)
-    EXPECT_EQ(L.disksOfTile({0, K}).size(), 1u);
+    EXPECT_EQ(std::popcount(L.diskMaskOfTile({0, K})), 1);
 }
 
 TEST(LayoutTest, LargeTileSpansSeveralDisks) {
@@ -61,11 +63,11 @@ TEST(LayoutTest, LargeTileSpansSeveralDisks) {
   C.StripeUnitBytes = 32 * 1024;
   C.StripeFactor = 8;
   DiskLayout L(P, C, /*TileBytes=*/96 * 1024); // 3 stripes per tile
-  auto Disks = L.disksOfTile({U, 0});
-  EXPECT_EQ(Disks.size(), 3u);
-  EXPECT_EQ(Disks, (std::vector<unsigned>{0, 1, 2}));
-  auto Disks1 = L.disksOfTile({U, 1});
-  EXPECT_EQ(Disks1, (std::vector<unsigned>{3, 4, 5}));
+  uint64_t Disks = L.diskMaskOfTile({U, 0});
+  EXPECT_EQ(std::popcount(Disks), 3);
+  EXPECT_EQ(Disks, 0b111u); // disks {0, 1, 2}
+  uint64_t Disks1 = L.diskMaskOfTile({U, 1});
+  EXPECT_EQ(Disks1, 0b111000u); // disks {3, 4, 5}
 }
 
 TEST(LayoutTest, FilesAlignToFullStripeCycles) {

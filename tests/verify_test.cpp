@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/SymbolicFootprint.h"
 #include "apps/Apps.h"
 #include "core/Pipeline.h"
 #include "frontend/Parser.h"
@@ -235,6 +236,173 @@ TEST(LayoutVerifierTest, RejectsBadConfigs) {
     EXPECT_TRUE(LayoutVerifier::verifyConfig(StripingConfig(), H.DE));
     EXPECT_EQ(H.DE.total(), 0u);
   }
+}
+
+namespace {
+
+/// The fragments verify() checks: the whole laid-out space, split.
+std::vector<SubRequest> wholeSplit(const DiskLayout &L) {
+  return L.splitRequest(0, L.totalBytes());
+}
+
+} // namespace
+
+TEST(LayoutVerifierTest, FragmentChecksAcceptTheRealSplit) {
+  Program P = smallStencil();
+  DiskLayout L(P, paperConfig(1).Striping);
+  L.setArrayStartDisk(1, 5);
+  std::vector<SubRequest> Frags = wholeSplit(L);
+  DiagHarness H;
+  EXPECT_TRUE(LayoutVerifier(P, L, H.DE).verifyFragments(Frags));
+  EXPECT_EQ(H.DE.total(), 0u);
+
+  // A disk's ranges may arrive out of order; sorted, they still tile it.
+  // Fragments 1 and 9 are disk 1's first two stripe units.
+  ASSERT_EQ(Frags[1].Disk, Frags[9].Disk);
+  std::swap(Frags[1].DiskByteOffset, Frags[9].DiskByteOffset);
+  DiagHarness H2;
+  EXPECT_TRUE(LayoutVerifier(P, L, H2.DE).verifyFragments(Frags));
+  EXPECT_EQ(H2.DE.total(), 0u);
+}
+
+TEST(LayoutVerifierTest, RejectsFragmentOffTheLayout) {
+  Program P = smallStencil();
+  DiskLayout L(P, paperConfig(1).Striping);
+  std::vector<SubRequest> Frags = wholeSplit(L);
+  Frags[3].Disk = 99;
+  DiagHarness H;
+  EXPECT_FALSE(LayoutVerifier(P, L, H.DE).verifyFragments(Frags));
+  const Diagnostic *D = H.Diags.findCheck("disk-out-of-range");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->location().Disk, 99);
+  EXPECT_NE(D->message().find("I/O node 99"), std::string::npos);
+  EXPECT_EQ(H.DE.total(), 1u);
+}
+
+TEST(LayoutVerifierTest, RejectsSplitThatMissesBytes) {
+  Program P = smallStencil();
+  DiskLayout L(P, paperConfig(1).Striping);
+  std::vector<SubRequest> Frags = wholeSplit(L);
+  Frags.pop_back();
+  DiagHarness H;
+  EXPECT_FALSE(LayoutVerifier(P, L, H.DE).verifyFragments(Frags));
+  const Diagnostic *D = H.Diags.findCheck("coverage-gap");
+  ASSERT_NE(D, nullptr);
+  uint64_t Total = L.totalBytes();
+  EXPECT_NE(D->message().find(std::to_string(Total - L.tileBytes()) +
+                              " of " + std::to_string(Total)),
+            std::string::npos);
+  EXPECT_EQ(H.DE.total(), 1u);
+}
+
+TEST(LayoutVerifierTest, RejectsOverlappingFragments) {
+  Program P = smallStencil();
+  DiskLayout L(P, paperConfig(1).Striping);
+  std::vector<SubRequest> Frags = wholeSplit(L);
+  // Disk 1's first unit moves half a unit into its second: the ranges
+  // arrive out of order and overlap once sorted.
+  ASSERT_EQ(Frags[1].Disk, 1u);
+  ASSERT_EQ(Frags[9].DiskByteOffset, L.tileBytes());
+  Frags[1].DiskByteOffset = L.tileBytes() + L.tileBytes() / 2;
+  DiagHarness H;
+  EXPECT_FALSE(LayoutVerifier(P, L, H.DE).verifyFragments(Frags));
+  const Diagnostic *D = H.Diags.findCheck("fragment-overlap");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->location().Disk, 1);
+  EXPECT_NE(D->message().find("I/O node 1 byte ranges [" +
+                              std::to_string(L.tileBytes())),
+            std::string::npos);
+  EXPECT_EQ(H.Diags.countCheck("disk-out-of-range"), 0u);
+  EXPECT_EQ(H.Diags.countCheck("coverage-gap"), 0u);
+  EXPECT_EQ(H.Diags.countCheck("stripe-rotation"), 0u);
+}
+
+TEST(LayoutVerifierTest, RejectsBrokenStripeRotation) {
+  Program P = smallStencil();
+  DiskLayout L(P, paperConfig(1).Striping);
+  L.setArrayStartDisk(1, 5);
+  std::vector<SubRequest> Frags = wholeSplit(L);
+  // Stripe unit 2 of array C (the second file), which round-robin from
+  // iodevice 5 puts on node 7, moves to node 0 at a free device offset.
+  size_t CUnit2 = size_t(L.fileBase(1) / L.tileBytes()) + 2;
+  ASSERT_EQ(Frags[CUnit2].Disk, 7u);
+  Frags[CUnit2].Disk = 0;
+  Frags[CUnit2].DiskByteOffset = L.totalBytes();
+  DiagHarness H;
+  EXPECT_FALSE(LayoutVerifier(P, L, H.DE).verifyFragments(Frags));
+  const Diagnostic *D = H.Diags.findCheck("stripe-rotation");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->message(), "stripe unit 2 of array 'C' lives on I/O node 0 "
+                          "but round-robin from starting iodevice 5 requires "
+                          "node 7");
+  EXPECT_EQ(H.DE.total(), 1u);
+}
+
+TEST(ScheduleVerifierTest, RejectsFootprintOfAnotherLayout) {
+  // The footprint's per-disk demand was derived for 144-tile arrays
+  // striped over 8 I/O nodes (18 tiles each); the verifier's layout
+  // stripes them over 5.
+  Program P = smallStencil();
+  IterationSpace Space(P);
+  StripingConfig C = paperConfig(1).Striping;
+  DiskLayout Claimed(P, C);
+  C.StripeFactor = 5;
+  DiskLayout Actual(P, C);
+  SymbolicFootprint FP(P, Claimed);
+
+  DiagHarness Clean;
+  EXPECT_TRUE(
+      ScheduleVerifier(P, Space, Claimed, Clean.DE).verifyFootprint(FP));
+  DiagHarness H;
+  EXPECT_FALSE(ScheduleVerifier(P, Space, Actual, H.DE).verifyFootprint(FP));
+  const Diagnostic *D = H.Diags.findCheck("footprint-demand-mismatch");
+  ASSERT_NE(D, nullptr);
+  EXPECT_NE(D->message().find("claims 18 tiles on disk 0"), std::string::npos);
+  EXPECT_NE(D->message().find("recount gives 29"), std::string::npos);
+  EXPECT_EQ(H.Diags.countCheck("footprint-count-mismatch"), 0u);
+  EXPECT_EQ(H.Diags.countCheck("footprint-iterations-mismatch"), 0u);
+}
+
+TEST(ScheduleVerifierTest, RejectsFootprintOfAnotherSpace) {
+  // The footprint of the 12x12 stencil checked against the same program
+  // shape over 6x6 iterations: iteration and distinct-tile counts differ.
+  Program Big = smallStencil();
+  DiskLayout BigLayout(Big, paperConfig(1).Striping);
+  SymbolicFootprint FP(Big, BigLayout);
+
+  ProgramBuilder B("small");
+  ArrayId A = B.addArray("A", {12, 12});
+  ArrayId C = B.addArray("C", {12, 12});
+  B.beginNest("s0", 1.5)
+      .loop(0, 6)
+      .loop(0, 6)
+      .read(A, {iv(0), iv(1)})
+      .write(C, {iv(0), iv(1)})
+      .endNest();
+  B.beginNest("s1", 1.5)
+      .loop(0, 6)
+      .loop(0, 6)
+      .read(C, {iv(1), iv(0)})
+      .write(A, {iv(0), iv(1)})
+      .endNest();
+  Program Small = B.build();
+  IterationSpace Space(Small);
+  DiskLayout Layout(Small, paperConfig(1).Striping);
+
+  DiagHarness H;
+  ScheduleVerifier SV(Small, Space, Layout, H.DE);
+  EXPECT_FALSE(SV.verifyFootprint(FP));
+  const Diagnostic *I = H.Diags.findCheck("footprint-iterations-mismatch");
+  ASSERT_NE(I, nullptr);
+  EXPECT_NE(I->message().find("claims 144 iterations symbolically but the "
+                              "iteration space holds 36"),
+            std::string::npos);
+  EXPECT_EQ(H.Diags.countCheck("footprint-iterations-mismatch"), 2u);
+  const Diagnostic *N = H.Diags.findCheck("footprint-count-mismatch");
+  ASSERT_NE(N, nullptr);
+  EXPECT_NE(N->message().find("claims 144 distinct tiles"), std::string::npos);
+  EXPECT_NE(N->message().find("recount gives 36"), std::string::npos);
+  EXPECT_EQ(H.Diags.countCheck("footprint-count-mismatch"), 4u);
 }
 
 //===----------------------------------------------------------------------===//
