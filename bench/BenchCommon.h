@@ -99,11 +99,10 @@ inline std::string writeArtifact(const char *Dir, const std::string &Name,
 /// for external plotting; with DRA_BENCH_JSON set, the full run report as
 /// <dir>/<name>.json — the "dra-report-v1" schema (docs/FORMATS.md) that
 /// `drac --report-json` emits, so the CI regression gate can diff it
-/// against bench/baselines — and, when \p Ledger, the standalone
-/// "dra-ledger-v1" <dir>/<name>.ledger.json that `dra-compare` takes.
+/// against bench/baselines and `dra-compare` can read it.
 inline void writeBenchArtifacts(const Report &Rep,
                                 const std::vector<AppResults> &All,
-                                const char *Name, bool Ledger) {
+                                const char *Name) {
   if (const char *Dir = std::getenv("DRA_BENCH_CSV")) {
     std::string Path = writeArtifact(Dir, Name, "csv", Rep.renderCsv(All));
     std::printf("(raw numbers written to %s)\n", Path.c_str());
@@ -114,11 +113,6 @@ inline void writeBenchArtifacts(const Report &Rep,
   std::string Path = writeArtifact(
       Dir, Name, "json", renderRunReportJson(Rep.config(), All, Name));
   std::printf("(run report written to %s)\n", Path.c_str());
-  if (Ledger) {
-    Path = writeArtifact(Dir, std::string(Name) + ".ledger", "json",
-                         renderLedgerReportJson(Rep.config(), All, Name));
-    std::printf("(energy ledger written to %s)\n", Path.c_str());
-  }
 }
 
 /// Average per-app missed-opportunity energy (sub-break-even idle joules

@@ -3,8 +3,10 @@
 // Part of the DRA project (CGO 2006 disk-access-locality reproduction).
 //
 // Ablation B: sweep the DRPM controller window (Table 1 default: 100
-// requests) under plain DRPM (AST). Small windows react fast but thrash;
-// large windows react slowly and miss quiet phases.
+// requests) under plain DRPM (AST). The smallest windows thrash, but
+// neither energy nor RPM steps fall monotonically with the window, and
+// Table 1's 100 requests is not the optimum on this trace
+// (EXPERIMENTS.md has the scale-1.0 figures).
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +37,8 @@ int main() {
               fmtGrouped(R.Sim.RpmSteps)});
   }
   std::printf("%s\n", T.render().c_str());
-  std::printf("Design-choice check: Table 1's window of 100 requests "
-              "balances reaction time\nagainst control-loop churn "
-              "(RPM steps grow as the window shrinks).\n");
+  std::printf("Reading: the smallest windows thrash, but neither energy "
+              "nor RPM steps fall\nmonotonically with the window; Table 1's "
+              "100 requests is not the optimum here.\n");
   return 0;
 }

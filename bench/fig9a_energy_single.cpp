@@ -89,6 +89,6 @@ int main() {
               AvgIo(TTpmS) < AvgIo(Drpm) / 2 && AvgIo(TDrpmS) < AvgIo(Drpm) / 2
                   ? "ok"
                   : "MISMATCH");
-  writeBenchArtifacts(Rep, All, "fig9a", /*Ledger=*/true);
+  writeBenchArtifacts(Rep, All, "fig9a");
   return 0;
 }

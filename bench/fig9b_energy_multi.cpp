@@ -98,6 +98,6 @@ int main() {
   std::printf("  [%s] the -m versions are preferable from the performance "
               "angle as well (small overheads)\n",
               AvgIo(TTpmM) < 0.05 && AvgIo(TDrpmM) < 0.06 ? "ok" : "MISMATCH");
-  writeBenchArtifacts(Rep, All, "fig9b", /*Ledger=*/true);
+  writeBenchArtifacts(Rep, All, "fig9b");
   return 0;
 }

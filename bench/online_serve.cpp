@@ -6,9 +6,10 @@
 // two-nest program (3200 iterations; DRA_BENCH_SCALE is ignored):
 //
 //   1. self-gates the batch-oracle contract: a whole-app-in-one-tick
-//      session must produce byte-identical report/ledger/attribution/flame
-//      exports to the batch Pipeline for every scheme — any byte of
-//      disagreement exits nonzero, so CI fails even without the JSON gate;
+//      session must produce a byte-identical report (its ledger and
+//      attribution sections included) and flame export to the batch
+//      Pipeline for every scheme — any byte of disagreement exits
+//      nonzero, so CI fails even without the JSON gate;
 //   2. prints the tick-budget amortization table: total and per-tick wall
 //      time of budgeted incremental serving against the one-shot batch
 //      compile, plus the simulated energy each schedule costs;
@@ -134,10 +135,6 @@ int main() {
     } Exports[] = {
         {"report", renderRunReportJson(Cfg, {ServeApp}, "gate"),
          renderRunReportJson(Cfg, {BatchApp}, "gate")},
-        {"ledger", renderLedgerReportJson(Cfg, {ServeApp}, "gate"),
-         renderLedgerReportJson(Cfg, {BatchApp}, "gate")},
-        {"attrib", renderAttribReportJson(Cfg, {ServeApp}, "gate"),
-         renderAttribReportJson(Cfg, {BatchApp}, "gate")},
         {"flame", renderAttribFlame({ServeApp}), renderAttribFlame({BatchApp})},
     };
     for (const Export &E : Exports) {
@@ -149,8 +146,7 @@ int main() {
         return 1;
       }
     }
-    std::printf("  %-9s identical (report, ledger, attrib, flame); "
-                "%.1f J\n",
+    std::printf("  %-9s identical (report, flame); %.1f J\n",
                 SchemeStr, R.Run.Sim.EnergyJ);
     OneTickRuns.push_back(R.Run);
     FootprintJson = R.FootprintJson;

@@ -175,7 +175,7 @@ public:
   /// object value into \p W.
   void writeJson(JsonWriter &W) const;
 
-  /// Convenience: the standalone document as a string.
+  /// Convenience: the body as a string (the report's per-app "footprint").
   std::string renderJson() const;
 
 private:

@@ -70,11 +70,6 @@ JobOutcome ExperimentRunner::runOne(const SweepJob &J) const {
     Out.ChromeTracePath = Stem + ".trace.json";
     Out.MetricsPath = Stem + ".metrics.json";
     Out.ReportPath = Stem + ".report.json";
-    Out.LedgerPath = Stem + ".ledger.json";
-    // Source attribution (dra-attrib-v1) only when the job's run kept it
-    // (PipelineConfig::Attribution; no sweep key turns it off).
-    if (O.Run.Sim.AttributionEnabled)
-      Out.AttribPath = Stem + ".attrib.json";
     Out.TimelinePath = Stem + ".timeline.json";
     Out.Tracer = &Tracer;
     Out.Metrics = &Metrics;

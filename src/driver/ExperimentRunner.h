@@ -50,8 +50,8 @@ struct SweepOptions {
   /// output is byte-identical for every value.
   unsigned Workers = 1;
   /// When non-empty, each job writes its private telemetry to
-  /// <dir>/job-NNNNN.{trace,metrics,report}.json (distinct files per job;
-  /// the directory is created if missing).
+  /// <dir>/job-NNNNN.{trace,metrics,report,timeline}.json (distinct files
+  /// per job; the directory is created if missing).
   std::string TelemetryDir;
 };
 

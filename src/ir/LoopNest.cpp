@@ -6,6 +6,7 @@
 
 #include "ir/LoopNest.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace dra;
@@ -55,24 +56,30 @@ uint64_t LoopNest::numIterations(uint64_t Limit) const {
   }
 
   const unsigned Inner = depth() - 1;
+  const uint64_t WalkLimit = std::max(Limit, MaxWalkPoints);
+  auto SatAdd = [](uint64_t A, uint64_t B) {
+    return B > UINT64_MAX - A ? UINT64_MAX : A + B;
+  };
   IterVec Iter(Loops.size(), 0);
-  uint64_t N = 0;
+  uint64_t N = 0, Walked = 0;
   auto Count = [&](auto &Self, unsigned Depth) -> void {
     int64_t Lo = Loops[Depth].Lower.evaluate(Iter);
     int64_t Hi = Loops[Depth].Upper.evaluate(Iter);
     if (Depth == Inner) {
-      uint64_t T = Trips(Lo, Hi);
-      N = T > UINT64_MAX - N ? UINT64_MAX : N + T;
+      N = SatAdd(N, Trips(Lo, Hi));
       return;
     }
-    for (int64_t V = Lo; V < Hi && N <= Limit; ++V) {
+    // Charged up front, so a loop past the budget is never entered.
+    Walked = SatAdd(Walked, Trips(Lo, Hi));
+    for (int64_t V = Lo; V < Hi && N <= Limit && Walked <= WalkLimit; ++V) {
       Iter[Depth] = V;
       Self(Self, Depth + 1);
     }
     Iter[Depth] = 0;
   };
   Count(Count, 0);
-  return N;
+  // WalkLimit >= Limit, so a walk can only run out when Limit + 1 fits.
+  return Walked > WalkLimit && N <= Limit ? Limit + 1 : N;
 }
 
 void LoopNest::evalSubscriptsInto(const ArrayAccess &Access, IterSpan Iter,

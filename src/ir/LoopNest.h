@@ -79,9 +79,18 @@ public:
   /// whose bounds are all constant is the product of its trip counts.
   /// Otherwise the outer loops are enumerated, the innermost loop adds its
   /// trip count in closed form, and the walk stops once the count passes
-  /// \p Limit. Outer points with an empty inner range add nothing, so
-  /// they do not bring that stop closer.
+  /// \p Limit. Outer points with an empty inner range add nothing to the
+  /// count, so the walk has a budget of its own: each enumerated loop
+  /// charges its points as it is entered, and a walk charged more than
+  /// max(\p Limit, MaxWalkPoints) points stops and returns \p Limit + 1,
+  /// whatever it has counted so far.
   uint64_t numIterations(uint64_t Limit = UINT64_MAX) const;
+
+  /// The fewest outer points a bounded numIterations may walk, so a small
+  /// \p Limit (an emptiness probe passes 0) still walks ordinary nests to
+  /// the end. It equals the iteration space's MaxIterations: counting
+  /// never walks further than enumerating the largest legal space would.
+  static constexpr uint64_t MaxWalkPoints = (uint64_t(1) << 31) - 1;
 
   /// Evaluates the tile coordinate accessed by \p Access at \p Iter into
   /// \p Coord, reusing its storage, so a loop over many iterations

@@ -79,7 +79,8 @@ IterationSpace::IterationSpace(const Program &P) {
       throw std::invalid_argument(
           "program '" + P.name() + "' has more than " +
           std::to_string(MaxIterations) +
-          " iterations, the most flat iteration ids can number");
+          " iterations or loop points to walk, the most flat iteration ids "
+          "can number");
     Iters += N;
     NumCoords += N * Nest.depth();
   }

@@ -69,6 +69,7 @@ using GlobalIter = uint32_t;
 /// dependence graph's pooled reader lists, and the all-ones value stays
 /// free as the graph builds' "no iteration" mark.
 constexpr uint64_t MaxIterations = (uint64_t(1) << 31) - 1;
+static_assert(LoopNest::MaxWalkPoints == MaxIterations);
 
 class Program;
 
@@ -81,7 +82,8 @@ class Program;
 class IterationSpace {
 public:
   /// Counts every nest's iterations before storing any. Throws
-  /// std::invalid_argument if there are more than MaxIterations.
+  /// std::invalid_argument if there are more than MaxIterations, or if
+  /// counting a nest runs out of its walk budget (LoopNest::numIterations).
   explicit IterationSpace(const Program &P);
 
   uint64_t size() const { return NestOf.size(); }

@@ -36,9 +36,8 @@ bool dra::extractAttribRuns(const JsonValue &Doc,
                             std::vector<AttribRunView> &Out,
                             std::string &Error) {
   const JsonValue *Schema = Doc.find("schema");
-  if (!Schema || !Schema->isString() ||
-      (Schema->Str != "dra-report-v1" && Schema->Str != "dra-attrib-v1")) {
-    Error = "not a dra-report-v1 or dra-attrib-v1 document";
+  if (!Schema || !Schema->isString() || Schema->Str != "dra-report-v1") {
+    Error = "not a dra-report-v1 document";
     return false;
   }
   const JsonValue *Apps = Doc.find("apps");

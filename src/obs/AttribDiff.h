@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Diffs two saved runs at source-attribution granularity: given two
-/// "dra-report-v1" or "dra-attrib-v1" documents (obs/RunReport.h), matches
-/// their apps and schemes and reports the signed per-nest joule and time
-/// deltas, sorted by delta magnitude — so "scheme X saved 31 J on app Y"
+/// "dra-report-v1" documents (obs/RunReport.h), matches their apps and
+/// schemes and reports the signed per-nest joule and time deltas, sorted
+/// by delta magnitude — so "scheme X saved 31 J on app Y"
 /// becomes "scheme X saved 28 J of full-RPM idle under nest jacobi.sweep".
 /// Nests are matched by label (stable across code versions even when ids
 /// shift); the unattributed bucket diffs like any other row. Rendered as
@@ -45,9 +45,9 @@ struct AttribRunView {
 };
 
 /// Extracts every attributed app x scheme run of a parsed "dra-report-v1"
-/// or "dra-attrib-v1" document. Returns false with \p Error set when the
-/// document is neither schema or is malformed; runs without an attribution
-/// section are skipped silently (reports written with attribution off).
+/// document. Returns false with \p Error set when the document has another
+/// schema or is malformed; runs without an attribution section are skipped
+/// silently (reports written with attribution off).
 bool extractAttribRuns(const JsonValue &Doc, std::vector<AttribRunView> &Out,
                        std::string &Error);
 

@@ -46,12 +46,10 @@ bool dra::extractCompareRuns(const JsonValue &Doc,
                              std::vector<CompareRun> &Out,
                              std::string &Error) {
   const JsonValue *Schema = Doc.find("schema");
-  if (!Schema || !Schema->isString() ||
-      (Schema->Str != "dra-report-v1" && Schema->Str != "dra-ledger-v1")) {
-    Error = "not a dra-report-v1 or dra-ledger-v1 document";
+  if (!Schema || !Schema->isString() || Schema->Str != "dra-report-v1") {
+    Error = "not a dra-report-v1 document";
     return false;
   }
-  bool IsReport = Schema->Str == "dra-report-v1";
   const JsonValue *Apps = Doc.find("apps");
   if (!Apps || !Apps->isArray()) {
     Error = "missing 'apps' array";
@@ -74,33 +72,20 @@ bool dra::extractCompareRuns(const JsonValue &Doc,
       R.Source = SourceLabel;
       R.App = Name->Str;
       R.Scheme = Scheme->Str;
-      const JsonValue *Ledger = Run.find("ledger");
-      if (IsReport) {
-        const JsonValue *Sim = Run.find("sim");
-        if (!Sim || !Sim->isObject() || !Sim->find("energy_j")) {
-          Error = "run without sim results in app '" + Name->Str + "'";
-          return false;
-        }
-        R.EnergyJ = num(*Sim, "energy_j");
-        if (const JsonValue *Io = Sim->find("io_time_ms");
-            Io && Io->isNumber()) {
-          R.HasIoTime = true;
-          R.IoTimeMs = Io->Num;
-        }
-      } else {
-        if (!Ledger || !Ledger->isObject() || !Ledger->find("total")) {
-          Error = "run without ledger in app '" + Name->Str + "'";
-          return false;
-        }
-        R.EnergyJ = num(*Ledger->find("total"), "energy_j");
-        if (const JsonValue *Io = Run.find("io_time_ms");
-            Io && Io->isNumber()) {
-          R.HasIoTime = true;
-          R.IoTimeMs = Io->Num;
-        }
+      const JsonValue *Sim = Run.find("sim");
+      if (!Sim || !Sim->isObject() || !Sim->find("energy_j")) {
+        Error = "run without sim results in app '" + Name->Str + "'";
+        return false;
       }
-      // Pre-ledger dra-report-v1 documents simply lack the section; they
-      // still compare on total energy.
+      R.EnergyJ = num(*Sim, "energy_j");
+      if (const JsonValue *Io = Sim->find("io_time_ms");
+          Io && Io->isNumber()) {
+        R.HasIoTime = true;
+        R.IoTimeMs = Io->Num;
+      }
+      // Reports written before the ledger section existed simply lack it;
+      // they still compare on total energy.
+      const JsonValue *Ledger = Run.find("ledger");
       if (Ledger && Ledger->isObject() &&
           !extractLedgerRun(*Ledger, R, Error))
         return false;
@@ -123,7 +108,7 @@ bool dra::buildComparison(const std::vector<CompareRun> &Runs,
   }
 
   // Baseline resolution: same-source first, any-source fallback (lets a
-  // set of single-scheme per-job ledgers borrow the Base job's run).
+  // set of single-scheme per-job reports borrow the Base job's run).
   auto findBaseline = [&](const CompareRun &R) -> const CompareRun * {
     const CompareRun *Fallback = nullptr;
     for (const CompareRun &C : Runs) {

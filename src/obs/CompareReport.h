@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Diffs two or more "dra-report-v1" / "dra-ledger-v1" documents into the
-/// paper's Fig. 9 view: per-scheme energy normalized to a baseline scheme
-/// (Base by default), broken down by ledger category, with the
-/// missed-opportunity energy the restructuring exists to shrink. Each run
-/// normalizes against the baseline of its own source document when present
-/// (so two reports of the same app from different code versions stay
-/// internally consistent), falling back to any source's baseline for the
-/// same app — which lets per-job sweep ledgers, each holding one scheme,
-/// be compared as a set. Rendered as the "dra-compare-v1" JSON schema
+/// Diffs two or more "dra-report-v1" documents into the paper's Fig. 9
+/// view: per-scheme energy normalized to a baseline scheme (Base by
+/// default), broken down by the categories of each run's ledger section,
+/// with the missed-opportunity energy the restructuring exists to shrink.
+/// Each run normalizes against the baseline of its own source document
+/// when present (so two reports of the same app from different code
+/// versions stay internally consistent), falling back to any source's
+/// baseline for the same app — which lets per-job sweep reports, each
+/// holding one scheme, be compared as a set. Rendered as the "dra-compare-v1" JSON schema
 /// (docs/FORMATS.md) and as a text table (`tools/dra-compare`).
 ///
 //===----------------------------------------------------------------------===//
@@ -29,8 +29,7 @@
 
 namespace dra {
 
-/// One (source, app, scheme) energy record extracted from a report or
-/// standalone-ledger document.
+/// One (source, app, scheme) energy record extracted from a report.
 struct CompareRun {
   std::string Source; ///< Provenance label (usually the input file name).
   std::string App;
@@ -46,9 +45,10 @@ struct CompareRun {
   std::vector<std::pair<std::string, double>> CategoriesJ;
 };
 
-/// Extracts every app x scheme run of a parsed "dra-report-v1" or
-/// "dra-ledger-v1" document. Returns false with \p Error set when the
-/// document is neither schema or is malformed.
+/// Extracts every app x scheme run of a parsed "dra-report-v1" document.
+/// Returns false with \p Error set when the document has another schema or
+/// is malformed. A run without a ledger section (a report written before
+/// the section existed) still compares on total energy.
 bool extractCompareRuns(const JsonValue &Doc, const std::string &SourceLabel,
                         std::vector<CompareRun> &Out, std::string &Error);
 

@@ -348,18 +348,14 @@ void dra::writeSchemeRunJson(JsonWriter &W, const SchemeRun &R,
   W.endObject();
 }
 
-/// Shared document skeleton of the report and standalone-ledger schemas:
-/// header + config + one entry per app, with \p WriteRun serializing each
-/// scheme run.
-template <typename WriteRunFn>
-static std::string renderAppsDocument(const PipelineConfig &Cfg,
-                                      const std::vector<AppResults> &Apps,
-                                      const std::string &Source,
-                                      const char *Schema, WriteRunFn WriteRun) {
+std::string dra::renderRunReportJson(const PipelineConfig &Cfg,
+                                     const std::vector<AppResults> &Apps,
+                                     const std::string &Source) {
+  double BreakEvenS = Cfg.Disk.TpmBreakEvenS;
   JsonWriter W;
   W.beginObject();
   W.key("schema");
-  W.value(Schema);
+  W.value("dra-report-v1");
   W.key("source");
   W.value(Source);
   W.key("config");
@@ -386,7 +382,7 @@ static std::string renderAppsDocument(const PipelineConfig &Cfg,
     W.key("runs");
     W.beginArray();
     for (const SchemeRun &R : A.Runs)
-      WriteRun(W, R);
+      writeSchemeRunJson(W, R, BreakEvenS);
     W.endArray();
     if (!A.FootprintJson.empty()) {
       // Pre-rendered dra-footprint-v1 body (docs/FORMATS.md).
@@ -398,52 +394,6 @@ static std::string renderAppsDocument(const PipelineConfig &Cfg,
   W.endArray();
   W.endObject();
   return W.take();
-}
-
-std::string dra::renderRunReportJson(const PipelineConfig &Cfg,
-                                     const std::vector<AppResults> &Apps,
-                                     const std::string &Source) {
-  double BreakEvenS = Cfg.Disk.TpmBreakEvenS;
-  return renderAppsDocument(Cfg, Apps, Source, "dra-report-v1",
-                            [&](JsonWriter &W, const SchemeRun &R) {
-                              writeSchemeRunJson(W, R, BreakEvenS);
-                            });
-}
-
-std::string dra::renderLedgerReportJson(const PipelineConfig &Cfg,
-                                        const std::vector<AppResults> &Apps,
-                                        const std::string &Source) {
-  double BreakEvenS = Cfg.Disk.TpmBreakEvenS;
-  return renderAppsDocument(
-      Cfg, Apps, Source, "dra-ledger-v1",
-      [&](JsonWriter &W, const SchemeRun &R) {
-        W.beginObject();
-        W.key("scheme");
-        W.value(schemeName(R.S));
-        W.key("io_time_ms");
-        W.value(R.Sim.IoTimeMs);
-        W.key("ledger");
-        writeLedgerSectionJson(W, R.Sim, BreakEvenS);
-        W.endObject();
-      });
-}
-
-std::string dra::renderAttribReportJson(const PipelineConfig &Cfg,
-                                        const std::vector<AppResults> &Apps,
-                                        const std::string &Source) {
-  return renderAppsDocument(Cfg, Apps, Source, "dra-attrib-v1",
-                            [&](JsonWriter &W, const SchemeRun &R) {
-                              if (!R.Sim.AttributionEnabled)
-                                return;
-                              W.beginObject();
-                              W.key("scheme");
-                              W.value(schemeName(R.S));
-                              W.key("io_time_ms");
-                              W.value(R.Sim.IoTimeMs);
-                              W.key("attribution");
-                              writeAttributionSectionJson(W, R);
-                              W.endObject();
-                            });
 }
 
 /// One collapsed-stack flame line: \p Prefix holds the ';'-joined frames
@@ -525,13 +475,7 @@ dra::writeRunArtifacts(const RunArtifacts &A, const PipelineConfig &Cfg,
   write(A.MetricsPath, "metrics", [&] { return A.Metrics->renderJson(); });
   write(A.ReportPath, "report",
         [&] { return renderRunReportJson(Cfg, {App}, Source); });
-  write(A.LedgerPath, "ledger",
-        [&] { return renderLedgerReportJson(Cfg, {App}, Source); });
-  write(A.AttribPath, "attribution",
-        [&] { return renderAttribReportJson(Cfg, {App}, Source); });
   write(A.FlamePath, "flame stacks", [&] { return renderAttribFlame({App}); });
-  write(A.FootprintPath, "footprint",
-        [&] { return std::string_view(App.FootprintJson); });
   write(A.TimelinePath, "timeline", [&] {
     return renderTimelineJson(*A.Timeline, Source, A.ServingJson);
   });

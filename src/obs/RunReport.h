@@ -9,9 +9,13 @@
 /// (docs/FORMATS.md) serializing full SchemeRun results — every SimResults
 /// field including per-disk stats and idle-period histograms, the
 /// ScheduleLocality metrics, and scheduler/trace counters — for one or
-/// more applications across schemes. Emitted by `drac --report-json` and
-/// the bench binaries (DRA_BENCH_JSON), so every run of the system leaves
-/// a comparable artifact and later PRs get a real perf trajectory.
+/// more applications across schemes. It is the one run document: each
+/// run's energy ledger ("dra-ledger-v1") and source attribution
+/// ("dra-attrib-v1") are sections of it, and each app's dra-footprint-v1
+/// body is its "footprint". Emitted by `drac --report-json`, dra-serve,
+/// the sweep runner's per-job telemetry and the bench binaries
+/// (DRA_BENCH_JSON). dra-compare reads only this schema; dra-dash reads it
+/// beside dra-timeline-v1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,14 +61,6 @@ void writeSchemeRunJson(JsonWriter &W, const SchemeRun &R, double BreakEvenS);
 /// counts how many distinct schedule rounds contributed.
 void writeAttributionSectionJson(JsonWriter &W, const SchemeRun &R);
 
-/// Renders a standalone "dra-attrib-v1" document: the config header plus
-/// one attribution section per app x scheme (`drac --attrib-json`, the
-/// sweep runner's per-job `.attrib.json` telemetry). Runs without
-/// attribution are skipped.
-std::string renderAttribReportJson(const PipelineConfig &Cfg,
-                                   const std::vector<AppResults> &Apps,
-                                   const std::string &Source);
-
 /// Renders the attribution ledgers of \p Apps in collapsed-stack flame
 /// format — one line per non-zero (app, scheme, nest, reference, disk,
 /// ledger category) of the form
@@ -78,24 +74,13 @@ std::string renderRunReportJson(const PipelineConfig &Cfg,
                                 const std::vector<AppResults> &Apps,
                                 const std::string &Source);
 
-/// Renders a standalone "dra-ledger-v1" document: the config header plus
-/// one ledger section per app x scheme — the energy-attribution view of a
-/// run without the full report payload (`drac --ledger-json`, the sweep
-/// runner's per-job `.ledger.json` telemetry).
-std::string renderLedgerReportJson(const PipelineConfig &Cfg,
-                                   const std::vector<AppResults> &Apps,
-                                   const std::string &Source);
-
 /// The artifacts one run may export and where to put them. An empty path
 /// skips that artifact; a requested sink artifact needs its sink.
 struct RunArtifacts {
   std::string ChromeTracePath; ///< Chrome trace_event timeline (Tracer).
   std::string MetricsPath;     ///< Metrics registry JSON (Metrics).
   std::string ReportPath;      ///< dra-report-v1.
-  std::string LedgerPath;      ///< dra-ledger-v1.
-  std::string AttribPath;      ///< dra-attrib-v1.
   std::string FlamePath;       ///< Collapsed flame stacks.
-  std::string FootprintPath;   ///< The app's dra-footprint-v1 body.
   std::string TimelinePath;    ///< dra-timeline-v1 (Timeline).
   const EventTracer *Tracer = nullptr;
   const MetricsRegistry *Metrics = nullptr;

@@ -12,10 +12,10 @@
 /// merge relocates every tenant's files into one shared striped byte space
 /// (per-array start disks preserved), offsets processor and nest ids into
 /// disjoint ranges, stamps Request::Tenant, and prefixes attribution labels
-/// with "label/" so per-tenant energy stays separable in dra-attrib-v1,
-/// `dra-compare --nests` and flame output. Barrier phases remain scoped per
-/// tenant (sim/ReplayCore.h), so each tenant replays exactly as it would
-/// alone modulo contention.
+/// with "label/" so per-tenant energy stays separable in the report's
+/// attribution section, `dra-compare --nests` and flame output. Barrier
+/// phases remain scoped per tenant (sim/ReplayCore.h), so each tenant
+/// replays exactly as it would alone modulo contention.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,8 +11,8 @@
 // policy (service to the serviced key, ready energy to the arriving key,
 // in-gap energy split half/half between the bounding keys); a randomized
 // property sweep pins closure and on/off identity across schemes and
-// configurations; round-trip tests pin the dra-attrib-v1 document, the
-// dra-diff-v1 diff and the chrome-trace v2 span args.
+// configurations; round-trip tests pin the report's dra-attrib-v1
+// sections, the dra-diff-v1 diff and the chrome-trace v2 span args.
 //
 //===----------------------------------------------------------------------===//
 
@@ -302,10 +302,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AttributionClosureProperty,
                          ::testing::Range(1u, 9u));
 
 //===----------------------------------------------------------------------===//
-// dra-attrib-v1 document round-trip.
+// The report's dra-attrib-v1 sections round-trip.
 //===----------------------------------------------------------------------===//
 
-TEST(AttribReportTest, AttribDocumentRoundTripsAndCloses) {
+TEST(AttribReportTest, AttribSectionRoundTripsAndCloses) {
   Program P = pingPongProgram();
   PipelineConfig Cfg;
   Pipeline Pipe(P, Cfg);
@@ -314,11 +314,11 @@ TEST(AttribReportTest, AttribDocumentRoundTripsAndCloses) {
   for (Scheme S : singleProcSchemes())
     App.Runs.push_back(Pipe.run(S));
 
-  std::string Json = renderAttribReportJson(Cfg, {App}, "test");
+  std::string Json = renderRunReportJson(Cfg, {App}, "test");
   JsonValue Doc;
   std::string Error;
   ASSERT_TRUE(parseJson(Json, Doc, Error)) << Error;
-  EXPECT_EQ(Doc.find("schema")->Str, "dra-attrib-v1");
+  EXPECT_EQ(Doc.find("schema")->Str, "dra-report-v1");
   const JsonValue *Apps = Doc.find("apps");
   ASSERT_TRUE(Apps && Apps->isArray());
   const JsonValue *Runs = Apps->Arr[0].find("runs");
@@ -650,7 +650,7 @@ TEST(AttribDiffTest, DiffNamesRestructuredNestsSortedByMagnitude) {
   App.Runs.push_back(Pipe.run(Scheme::Tpm));
   App.Runs.push_back(Pipe.run(Scheme::TTpmS));
 
-  std::string Json = renderAttribReportJson(Cfg, {App}, "test");
+  std::string Json = renderRunReportJson(Cfg, {App}, "test");
   JsonValue Doc;
   std::string Error;
   ASSERT_TRUE(parseJson(Json, Doc, Error)) << Error;
@@ -658,6 +658,15 @@ TEST(AttribDiffTest, DiffNamesRestructuredNestsSortedByMagnitude) {
   std::vector<AttribRunView> Views;
   ASSERT_TRUE(extractAttribRuns(Doc, Views, Error)) << Error;
   ASSERT_EQ(Views.size(), 2u);
+
+  // The report is the only document the nest view reads.
+  JsonValue AttribDoc;
+  ASSERT_TRUE(parseJson(R"({"schema":"dra-attrib-v1","apps":[]})", AttribDoc,
+                        Error))
+      << Error;
+  std::vector<AttribRunView> Refused;
+  EXPECT_FALSE(extractAttribRuns(AttribDoc, Refused, Error));
+  EXPECT_EQ(Error, "not a dra-report-v1 document");
 
   AttribDiff D;
   ASSERT_TRUE(buildAttribDiff(Views, Views, "TPM", "T-TPM-s", D, Error))

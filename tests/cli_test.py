@@ -1,11 +1,21 @@
 #!/usr/bin/env python3
 """Front-end contract of the command-line tools.
 
-Runs the built drac, dra-serve and dra-compare binaries and checks that:
-  * every flag of a retired drac mode or selector exits 2 with one line
-    naming its replacement, in the source and the --tenants mode alike;
+Runs the built drac, dra-serve, dra-compare and dra-dash binaries and
+checks that:
+  * every flag of a retired drac mode, selector or standalone document
+    exits 2 with one line naming its replacement, in the source and the
+    --tenants mode alike, and dra-serve no longer knows the standalone
+    ledger and attribution flags;
   * dra-compare --nests writes a dra-diff-v1 document and keeps each view's
     options to itself;
+  * dra-compare (both views) and dra-dash read dra-report-v1 only, and
+    dra-dash renders the ledger tables from a report's runs, with no
+    external reference in its HTML;
+  * a small sweep's per-job reports validate: every ledger section closes
+    and its gap counts add up, every attribution section closes, the
+    compare view's normalized categories stack to the normalized energy,
+    and the nest view's deltas sum to the total delta in magnitude order;
   * an unwritable artifact path exits 1 with "cannot write";
   * drac compiles each scheme once, even with --print-code and --dump-trace;
   * a JSON number that overflows a double is rejected with a diagnostic
@@ -16,7 +26,8 @@ Runs the built drac, dra-serve and dra-compare binaries and checks that:
     fails fast with a diagnostic instead of enumerating them, and an
     array whose tile count overflows int64_t is a parse error.
 
-Usage: cli_test.py --drac BIN --dra-serve BIN --dra-compare BIN --source-dir DIR
+Usage: cli_test.py --drac BIN --dra-serve BIN --dra-compare BIN
+                   --dra-dash BIN --source-dir DIR
 """
 
 import argparse
@@ -53,6 +64,9 @@ def removed_flags(drac):
         "--sim-shards": "every run uses the serial simulator",
         "--sim-window": "every run uses the serial simulator",
         "--footprint-mode": "footprints always use the auto mode",
+        "--ledger-json": "--report-json",
+        "--attrib-json": "--report-json",
+        "--footprint-json": "--report-json",
     }
     for flag, names in table.items():
         p = run(drac, flag, "x.json")
@@ -64,10 +78,10 @@ def removed_flags(drac):
 
 
 def compare_nests(drac, compare, src, tmp):
-    attrib = os.path.join(tmp, "demo.attrib.json")
+    attrib = os.path.join(tmp, "demo.report.json")
     p = run(drac, os.path.join(src, "examples/programs/demo.dra"),
-            "--attrib-json", attrib)
-    check(p.returncode == 0, f"drac --attrib-json: exit {p.returncode}")
+            "--report-json", attrib)
+    check(p.returncode == 0, f"drac --report-json: exit {p.returncode}")
     out = os.path.join(tmp, "diff.json")
     p = run(compare, "--nests", attrib, attrib, "--scheme-a", "TPM",
             "--scheme-b", "T-TPM-s", "--json", out)
@@ -85,6 +99,125 @@ def compare_nests(drac, compare, src, tmp):
           "--nests with --baseline-scheme must be a usage error")
     check(run(compare, attrib, "--scheme-a", "TPM").returncode == 2,
           "--scheme-a without --nests must be a usage error")
+
+
+def report_only(serve, compare, dash, src, tmp):
+    # dra-serve writes the report alone: the standalone flags are unknown.
+    stream = os.path.join(src, "examples/online/ci-small.stream.json")
+    for flag in ("--ledger-json", "--attrib-json"):
+        p = run(serve, stream, "--quiet", flag, os.path.join(tmp, "x.json"))
+        check(p.returncode == 2, f"dra-serve {flag}: exit {p.returncode}")
+        check(p.stderr.startswith("usage: "),
+              f"dra-serve {flag}: stderr {p.stderr!r}")
+    # A standalone ledger document is not a compare or dash input.
+    ledger = os.path.join(tmp, "standalone.ledger.json")
+    with open(ledger, "w", encoding="utf-8") as f:
+        f.write('{"schema":"dra-ledger-v1","apps":[]}')
+    for argv in ([ledger], ["--nests", ledger, ledger]):
+        p = run(compare, *argv)
+        check(p.returncode == 1, f"dra-compare {argv[0]}: exit "
+              f"{p.returncode}")
+        check("not a dra-report-v1 document" in p.stderr,
+              f"dra-compare {argv[0]}: stderr {p.stderr!r}")
+    html = os.path.join(tmp, "dash.html")
+    p = run(dash, ledger, "-o", html)
+    check(p.returncode == 1, f"dra-dash dra-ledger-v1: exit {p.returncode}")
+    check("unsupported schema 'dra-ledger-v1'" in p.stderr and
+          "dra-report-v1" in p.stderr,
+          f"dra-dash dra-ledger-v1: stderr {p.stderr!r}")
+    # The report alone feeds both of dra-dash's tables.
+    report = os.path.join(tmp, "serve.report.json")
+    p = run(serve, stream, "--quiet", "--report-json", report)
+    check(p.returncode == 0, f"dra-serve --report-json: exit {p.returncode}")
+    p = run(dash, report, "-o", html)
+    check(p.returncode == 0, f"dra-dash report: exit {p.returncode} "
+          f"({p.stderr.strip()})")
+    page = open(html, encoding="utf-8").read() if p.returncode == 0 else ""
+    check("<h2>Report: ci_small</h2>" in page, "dra-dash: no report table")
+    check("<h2>Ledger: ci_small</h2>" in page, "dra-dash: no ledger table")
+    leak = re.search(r"https?://|src=|href=|@import|url\(", page, re.I)
+    check(leak is None, "dra-dash: external reference " +
+          (leak.group(0) if leak else ""))
+
+
+def close(value, want):
+    return abs(value - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def sweep_reports(drac, compare, src, tmp):
+    # The ci-small sweep's per-job reports are the only run documents: the
+    # scheme and nest views read them, and every section they carry closes.
+    tel = os.path.join(tmp, "sweep-telemetry")
+    out = os.path.join(tmp, "sweep-out.json")
+    p = run(drac, "--sweep", os.path.join(src, "bench/sweeps/ci-small.json"),
+            "--jobs", "2", "--sweep-out", out, "--sweep-telemetry", tel)
+    check(p.returncode == 0, f"sweep: exit {p.returncode}")
+    if p.returncode != 0:
+        return
+    sweep = json.load(open(out))
+    check(sweep["schema"] == "dra-sweep-v1", "sweep-out schema")
+    check(sweep["failed"] == 0, "sweep jobs failed")
+    names = sorted(os.listdir(tel))
+    check(not [n for n in names if n.endswith((".ledger.json",
+                                               ".attrib.json"))],
+          f"sweep wrote standalone copies: {names}")
+    reports = [os.path.join(tel, n) for n in names
+               if n.endswith(".report.json")]
+    check(len(reports) == 5, f"sweep reports: {len(reports)}")
+    by_scheme = {}
+    for f in reports:
+        doc = json.load(open(f))
+        check(doc["schema"] == "dra-report-v1", f + ": schema")
+        for app in doc["apps"]:
+            for r in app["runs"]:
+                where = f + ":" + r["scheme"]
+                by_scheme.setdefault(r["scheme"], f)
+                led = r["ledger"]
+                check(led["schema"] == "dra-ledger-v1", where + ": ledger")
+                tot = led["total"]
+                check(close(tot["sum_j"], tot["energy_j"]),
+                      where + ": ledger does not close")
+                gaps = led["gaps"]
+                check(gaps["count"] == gaps["below_break_even"]["count"] +
+                      gaps["at_least_break_even"]["count"],
+                      where + ": gap counts do not add up")
+                att = r["attribution"]
+                check(att["schema"] == "dra-attrib-v1", where + ": attrib")
+                stack = (sum(n["energy_j"] for n in att["nests"]) +
+                         att["unattributed"]["energy_j"])
+                check(close(stack, att["total"]["energy_j"]),
+                      where + ": attribution does not close")
+
+    cmp_json = os.path.join(tmp, "compare.json")
+    p = run(compare, *reports, "--json", cmp_json)
+    check(p.returncode == 0, f"dra-compare reports: exit {p.returncode} "
+          f"({p.stderr.strip()})")
+    if p.returncode == 0:
+        doc = json.load(open(cmp_json))
+        check(doc["schema"] == "dra-compare-v1", "compare.json schema")
+        for app in doc["apps"]:
+            for r in app["runs"]:
+                stack = sum(r["categories_normalized"].values())
+                check(abs(stack - r["normalized_energy"]) <= 1e-9,
+                      "normalized categories do not stack: " + r["scheme"])
+
+    diff_json = os.path.join(tmp, "diff.json")
+    p = run(compare, "--nests", by_scheme.get("TPM", ""),
+            by_scheme.get("T-TPM-s", ""), "--scheme-a", "TPM", "--scheme-b",
+            "T-TPM-s", "--json", diff_json)
+    check(p.returncode == 0, f"dra-compare --nests reports: exit "
+          f"{p.returncode} ({p.stderr.strip()})")
+    if p.returncode == 0:
+        doc = json.load(open(diff_json))
+        check(doc["schema"] == "dra-diff-v1", "diff.json schema")
+        for app in doc["apps"]:
+            s = sum(n["delta_j"] for n in app["nests"])
+            t = app["total_b_j"] - app["total_a_j"]
+            check(abs(s - t) <= 1e-6 * max(1.0, abs(t)),
+                  "per-nest deltas do not sum to the total delta")
+            deltas = [abs(n["delta_j"]) for n in app["nests"]]
+            check(deltas == sorted(deltas, reverse=True),
+                  "diff nests not sorted by delta magnitude")
 
 
 def unwritable(drac, serve, src, tmp):
@@ -169,7 +302,8 @@ def tenant_labels(drac, src, tmp):
 def oversized_spaces(drac, tmp):
     # Each probe used to run until a timeout or a signal killed it: the
     # first two enumerated their outer loops, "deep" walked 2^30 outer
-    # points, and "huge" overflowed the tile count into an uncaught
+    # points, "empty" walked 4e9 outer points whose inner ranges are all
+    # empty, and "huge" overflowed the tile count into an uncaught
     # std::length_error. Each must end with its diagnostic and exit 1 well
     # inside the 2 s limit.
     deep = "".join(f"  for i{k} = 0 .. 1\n" for k in range(31))
@@ -189,6 +323,12 @@ def oversized_spaces(drac, tmp):
                  "nest n compute 1.0 {\n" + deep +
                  "  read A[i0]\n"
                  "}\n", "drac: error: ", "iterations"),
+        "empty": ("array A[4000000000]\n"
+                  "nest n compute 1.0 {\n"
+                  "  for i0 = 0 .. 3999999999\n"
+                  "  for i1 = i0 + 1 .. i0\n"
+                  "  read A[i0]\n"
+                  "}\n", "drac: error: ", "loop points"),
         "huge": ("array A[4000000000][4000000000]\n"
                  "nest n compute 1.0 {\n"
                  "  for i0 = 0 .. 1\n"
@@ -220,11 +360,15 @@ def main():
     ap.add_argument("--drac", required=True)
     ap.add_argument("--dra-serve", required=True)
     ap.add_argument("--dra-compare", required=True)
+    ap.add_argument("--dra-dash", required=True)
     ap.add_argument("--source-dir", required=True)
     a = ap.parse_args()
     with tempfile.TemporaryDirectory(prefix="dra-cli-") as tmp:
         removed_flags(a.drac)
         compare_nests(a.drac, a.dra_compare, a.source_dir, tmp)
+        report_only(a.dra_serve, a.dra_compare, a.dra_dash, a.source_dir,
+                    tmp)
+        sweep_reports(a.drac, a.dra_compare, a.source_dir, tmp)
         unwritable(a.drac, a.dra_serve, a.source_dir, tmp)
         pass_counts(a.drac, a.source_dir, tmp)
         non_finite_inputs(a.drac, a.source_dir, tmp)
@@ -234,8 +378,9 @@ def main():
         print("FAIL: " + f)
     if FAILURES:
         return 1
-    print("ok: removed flags, compare --nests, unwritable paths, pass counts, "
-          "non-finite inputs, tenant labels, oversized spaces")
+    print("ok: removed flags, compare --nests, report-only readers, sweep "
+          "reports, unwritable paths, pass counts, non-finite inputs, tenant "
+          "labels, oversized spaces")
     return 0
 
 

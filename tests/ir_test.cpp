@@ -241,6 +241,36 @@ TEST(IterationSpaceTest, CountsOversizedNestsWithoutWalkingThem) {
   EXPECT_THROW(IterationSpace S2(P2), std::invalid_argument);
 }
 
+TEST(IterationSpaceTest, StopsWalkingEmptyInnerRanges) {
+  // Every inner range is empty, so no count ever grows: only the walk
+  // budget stops 4e9 outer points from being visited one by one.
+  ProgramBuilder B("empty");
+  ArrayId U = B.addArray("U", {4000000000});
+  B.beginNest("n0", 1.0)
+      .loop(0, 4000000000)
+      .loop(iv(0) + 1, iv(0) + 1)
+      .read(U, {iv(0)})
+      .endNest();
+  Program P = B.build();
+  EXPECT_EQ(P.nest(0).numIterations(MaxIterations), MaxIterations + 1);
+  EXPECT_EQ(P.nest(0).numIterations(/*Limit=*/0), 1u);
+  EXPECT_THROW(IterationSpace S(P), std::invalid_argument);
+
+  // Within the budget the walk runs to the end and the count stays exact,
+  // so an emptiness probe (Limit 0) still sees an empty nest.
+  ProgramBuilder B2("small");
+  ArrayId V = B2.addArray("V", {1000});
+  B2.beginNest("n0", 1.0)
+      .loop(0, 1000)
+      .loop(iv(0) + 1, iv(0) + 1)
+      .read(V, {iv(0)})
+      .endNest();
+  Program P2 = B2.build();
+  EXPECT_EQ(P2.nest(0).numIterations(), 0u);
+  EXPECT_EQ(P2.nest(0).numIterations(/*Limit=*/0), 0u);
+  EXPECT_EQ(IterationSpace(P2).size(), 0u);
+}
+
 TEST(ProgramBuilderTest, BuildsMultiNestProgram) {
   ProgramBuilder B("app");
   ArrayId U = B.addArray("U", {8, 8});

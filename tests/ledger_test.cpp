@@ -341,13 +341,11 @@ TEST(IdleGapAnalyzerTest, ClassifiesAndAggregates) {
 
 namespace {
 
-/// Runs the single-proc schemes of one tiny app and renders both report
-/// documents.
+/// Runs the single-proc schemes of one tiny app and renders its report.
 struct RenderedRun {
   PipelineConfig Cfg;
   std::vector<AppResults> Apps;
   std::string ReportJson;
-  std::string LedgerJson;
 };
 
 RenderedRun renderTinyRun() {
@@ -360,7 +358,6 @@ RenderedRun renderTinyRun() {
     App.Runs.push_back(Pipe.run(S));
   R.Apps.push_back(App);
   R.ReportJson = renderRunReportJson(R.Cfg, R.Apps, "test");
-  R.LedgerJson = renderLedgerReportJson(R.Cfg, R.Apps, "test");
   return R;
 }
 
@@ -370,8 +367,8 @@ TEST(LedgerReportTest, LedgerSectionRoundTripsAndCloses) {
   RenderedRun R = renderTinyRun();
   JsonValue Doc;
   std::string Error;
-  ASSERT_TRUE(parseJson(R.LedgerJson, Doc, Error)) << Error;
-  EXPECT_EQ(Doc.find("schema")->Str, "dra-ledger-v1");
+  ASSERT_TRUE(parseJson(R.ReportJson, Doc, Error)) << Error;
+  EXPECT_EQ(Doc.find("schema")->Str, "dra-report-v1");
   const JsonValue *Apps = Doc.find("apps");
   ASSERT_TRUE(Apps && Apps->isArray());
   const JsonValue *Runs = Apps->Arr[0].find("runs");
@@ -380,6 +377,7 @@ TEST(LedgerReportTest, LedgerSectionRoundTripsAndCloses) {
   for (const JsonValue &Run : Runs->Arr) {
     const JsonValue *Ledger = Run.find("ledger");
     ASSERT_TRUE(Ledger);
+    EXPECT_EQ(Ledger->find("schema")->Str, "dra-ledger-v1");
     const JsonValue *Total = Ledger->find("total");
     ASSERT_TRUE(Total);
     // The emitted numbers round-trip exactly, so the audit replays on the
@@ -423,25 +421,46 @@ TEST(CompareReportTest, NormalizedCategoriesStackToNormalizedEnergy) {
   EXPECT_NE(Table.find("Norm. energy"), std::string::npos);
 }
 
-TEST(CompareReportTest, LedgerDocumentComparesAgainstReportDocument) {
-  // The compact ledger document and the full report of the same run must
-  // extract to identical energies: dra-compare accepts them
-  // interchangeably.
+TEST(CompareReportTest, ReportLedgerSectionsFeedTheComparison) {
+  // Each extracted run carries its own run's energy and its ledger
+  // section's missed opportunity; the report is the only document
+  // dra-compare reads, so a standalone ledger document is refused.
   RenderedRun R = renderTinyRun();
   JsonValue RepDoc, LedDoc;
   std::string Error;
   ASSERT_TRUE(parseJson(R.ReportJson, RepDoc, Error)) << Error;
-  ASSERT_TRUE(parseJson(R.LedgerJson, LedDoc, Error)) << Error;
+  ASSERT_TRUE(parseJson(R"({"schema":"dra-ledger-v1","apps":[]})", LedDoc,
+                        Error))
+      << Error;
 
   std::vector<CompareRun> Rep, Led;
   ASSERT_TRUE(extractCompareRuns(RepDoc, "rep", Rep, Error)) << Error;
-  ASSERT_TRUE(extractCompareRuns(LedDoc, "led", Led, Error)) << Error;
-  ASSERT_EQ(Rep.size(), Led.size());
+  const std::vector<SchemeRun> &Runs = R.Apps[0].Runs;
+  ASSERT_EQ(Rep.size(), Runs.size());
   for (size_t I = 0; I != Rep.size(); ++I) {
-    EXPECT_EQ(Rep[I].Scheme, Led[I].Scheme);
-    EXPECT_TRUE(Closes(Rep[I].EnergyJ, Led[I].EnergyJ));
-    EXPECT_TRUE(Closes(Rep[I].MissedOpportunityJ, Led[I].MissedOpportunityJ));
+    EXPECT_EQ(Rep[I].Scheme, schemeName(Runs[I].S));
+    EXPECT_TRUE(Closes(Rep[I].EnergyJ, Runs[I].Sim.EnergyJ));
+    double MissedJ = analyzeIdleGaps(Runs[I].Sim, R.Cfg.Disk.TpmBreakEvenS)
+                         .Total.MissedOpportunityJ;
+    EXPECT_TRUE(Closes(Rep[I].MissedOpportunityJ, MissedJ));
   }
+  EXPECT_FALSE(extractCompareRuns(LedDoc, "led", Led, Error));
+  EXPECT_EQ(Error, "not a dra-report-v1 document");
+  EXPECT_TRUE(Led.empty());
+
+  // A report written before the ledger section existed still compares on
+  // total energy.
+  JsonValue OldDoc;
+  ASSERT_TRUE(parseJson(R"({"schema":"dra-report-v1","apps":[{"app":"a",
+      "runs":[{"scheme":"Base","sim":{"energy_j":2.5,"io_time_ms":4}}]}]})",
+                        OldDoc, Error))
+      << Error;
+  std::vector<CompareRun> Old;
+  ASSERT_TRUE(extractCompareRuns(OldDoc, "old", Old, Error)) << Error;
+  ASSERT_EQ(Old.size(), 1u);
+  EXPECT_FALSE(Old[0].HasLedger);
+  EXPECT_EQ(Old[0].EnergyJ, 2.5);
+  EXPECT_EQ(Old[0].IoTimeMs, 4.0);
 }
 
 TEST(CompareReportTest, RestructuringShrinksMissedOpportunity) {

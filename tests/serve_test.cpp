@@ -144,10 +144,15 @@ TEST(ServeOracle, OneTickWholeAppMatchesBatchByteForByte) {
                         Pipe.footprint().renderJson()};
     EXPECT_EQ(renderRunReportJson(Cfg, {ServeApp}, "oracle"),
               renderRunReportJson(Cfg, {BatchApp}, "oracle"));
-    EXPECT_EQ(renderLedgerReportJson(Cfg, {ServeApp}, "oracle"),
-              renderLedgerReportJson(Cfg, {BatchApp}, "oracle"));
-    EXPECT_EQ(renderAttribReportJson(Cfg, {ServeApp}, "oracle"),
-              renderAttribReportJson(Cfg, {BatchApp}, "oracle"));
+    JsonWriter ServeLedger, BatchLedger, ServeAttrib, BatchAttrib;
+    writeLedgerSectionJson(ServeLedger, ServeApp.Runs[0].Sim,
+                           Cfg.Disk.TpmBreakEvenS);
+    writeLedgerSectionJson(BatchLedger, BatchApp.Runs[0].Sim,
+                           Cfg.Disk.TpmBreakEvenS);
+    writeAttributionSectionJson(ServeAttrib, ServeApp.Runs[0]);
+    writeAttributionSectionJson(BatchAttrib, BatchApp.Runs[0]);
+    EXPECT_EQ(ServeLedger.take(), BatchLedger.take());
+    EXPECT_EQ(ServeAttrib.take(), BatchAttrib.take());
     EXPECT_EQ(renderAttribFlame({ServeApp}), renderAttribFlame({BatchApp}));
   }
 }

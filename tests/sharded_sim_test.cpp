@@ -6,8 +6,9 @@
 //
 // The sharded engine's whole contract is "byte-identical to the serial
 // oracle, only faster" — so every test here is differential: render the
-// full observable surface (dra-report-v1, dra-ledger-v1, dra-attrib-v1,
-// dra-timeline-v1 sections) from both engines and compare the strings.
+// full observable surface (the report's sim, ledger and attribution
+// sections and the dra-timeline-v1 document) from both engines and compare
+// the strings.
 //
 //===----------------------------------------------------------------------===//
 
@@ -87,9 +88,9 @@ Trace makeRandomTrace(unsigned Procs, unsigned Phases, int64_t Tiles,
   return T;
 }
 
-/// Renders everything a run makes observable as one string: the
-/// dra-report-v1 sim section, the dra-ledger-v1 section, the dra-attrib-v1
-/// section and the dra-timeline-v1 document.
+/// Renders everything a run makes observable as one string: the report's
+/// sim, dra-ledger-v1 and dra-attrib-v1 sections and the dra-timeline-v1
+/// document.
 std::string renderObservable(const SimResults &Res, const DiskParams &P,
                              const TimelineRecorder &TL) {
   JsonWriter W;

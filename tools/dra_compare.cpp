@@ -4,16 +4,19 @@
 //
 // The compare front end for saved runs, at two granularities.
 //
-// Scheme view: diffs one or more "dra-report-v1" / "dra-ledger-v1"
-// documents into the paper's Fig. 9 view: per-scheme energy normalized to
-// a baseline scheme, broken down by ledger category, with the
-// sub-break-even missed-opportunity energy the compiler restructuring
-// exists to shrink.
+// Both views read "dra-report-v1" documents only (drac --report-json,
+// dra-serve --report-json, a sweep's per-job .report.json); any other
+// schema is bad input.
 //
-// Nest view (--nests): compares two "dra-report-v1" / "dra-attrib-v1"
-// documents at source-attribution granularity: signed per-nest joule and
-// time deltas, sorted by magnitude, so an energy regression (or a
-// restructuring win) is pinned to the loop nests that moved. Comparing a
+// Scheme view: diffs one or more reports into the paper's Fig. 9 view:
+// per-scheme energy normalized to a baseline scheme, broken down by the
+// categories of each run's ledger section, with the sub-break-even
+// missed-opportunity energy the compiler restructuring exists to shrink.
+//
+// Nest view (--nests): compares two reports' attribution sections at
+// source-attribution granularity: signed per-nest joule and time deltas,
+// sorted by magnitude, so an energy regression (or a restructuring win) is
+// pinned to the loop nests that moved. Comparing a
 // Base run against a restructured scheme of the same report names the
 // nests the compiler transformed.
 //

@@ -12,8 +12,9 @@
 //                    series, latency percentile bands, sub-break-even gap
 //                    markers, and the serving section's backlog/dispatch-lag
 //                    series and SLO violations when present
-//   dra-report-v1    per-app scheme summary table (energy vs Base)
-//   dra-ledger-v1    per-scheme energy category table
+//   dra-report-v1    per-app scheme summary table (energy vs Base) and
+//                    per-scheme energy category table (from each run's
+//                    ledger section)
 //
 // Usage:
 //   dra-dash <doc.json>... -o <out.html> [--title T]
@@ -472,7 +473,8 @@ std::string renderReport(const JsonValue &Doc) {
   return H;
 }
 
-/// Renders a dra-ledger-v1 document as per-scheme category tables.
+/// Renders the ledger sections of a dra-report-v1 document's runs as
+/// per-scheme category tables.
 std::string renderLedger(const JsonValue &Doc) {
   std::string H;
   const JsonValue *Apps = Doc.find("apps");
@@ -623,13 +625,11 @@ int main(int argc, char **argv) {
         Body += renderServing(*Serving);
     } else if (Schema == "dra-report-v1") {
       Body += renderReport(Doc);
-    } else if (Schema == "dra-ledger-v1") {
       Body += renderLedger(Doc);
     } else {
       std::fprintf(stderr,
                    "dra-dash: error: '%s' has unsupported schema '%s' "
-                   "(expected dra-timeline-v1, dra-report-v1 or "
-                   "dra-ledger-v1)\n",
+                   "(expected dra-timeline-v1 or dra-report-v1)\n",
                    Path.c_str(), Schema.c_str());
       return 1;
     }

@@ -14,9 +14,9 @@
 //     --record F       write the normalized dra-session-v1 record to F
 //                      (program source inlined; replaying it reproduces
 //                      this run byte for byte)
-//     --report-json F  write the dra-report-v1 run report to F
-//     --ledger-json F  write the dra-ledger-v1 energy attribution to F
-//     --attrib-json F  write the dra-attrib-v1 source attribution to F
+//     --report-json F  write the dra-report-v1 run report to F (its run
+//                      carries the energy ledger and source attribution
+//                      sections, its app the dra-footprint-v1 body)
 //     --flame F        write collapsed flame stacks to F
 //     --metrics-json F write the dra-metrics-v1 serve counters to F
 //     --timeline-json F  write the dra-timeline-v1 time series to F
@@ -51,8 +51,7 @@ using namespace dra;
 static int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s <stream.json|session.json> [--record FILE] "
-               "[--report-json FILE] [--ledger-json FILE] "
-               "[--attrib-json FILE] [--flame FILE] [--metrics-json FILE] "
+               "[--report-json FILE] [--flame FILE] [--metrics-json FILE] "
                "[--timeline-json FILE] [--timeline-window MS] [--slo FILE] "
                "[--quiet]\n",
                Argv0);
@@ -60,7 +59,7 @@ static int usage(const char *Argv0) {
 }
 
 int main(int argc, char **argv) {
-  std::string Path, Record, ReportJson, LedgerJson, AttribJson, FlameOut;
+  std::string Path, Record, ReportJson, FlameOut;
   std::string MetricsJson, TimelineJson, SloFile;
   unsigned TimelineWindowMs = 1000;
   bool Quiet = false;
@@ -71,10 +70,6 @@ int main(int argc, char **argv) {
       Record = argv[++I];
     } else if (Arg == "--report-json" && I + 1 != argc) {
       ReportJson = argv[++I];
-    } else if (Arg == "--ledger-json" && I + 1 != argc) {
-      LedgerJson = argv[++I];
-    } else if (Arg == "--attrib-json" && I + 1 != argc) {
-      AttribJson = argv[++I];
     } else if (Arg == "--flame" && I + 1 != argc) {
       FlameOut = argv[++I];
     } else if (Arg == "--metrics-json" && I + 1 != argc) {
@@ -191,8 +186,6 @@ int main(int argc, char **argv) {
   RunArtifacts Out;
   Out.MetricsPath = MetricsJson;
   Out.ReportPath = ReportJson;
-  Out.LedgerPath = LedgerJson;
-  Out.AttribPath = AttribJson;
   Out.FlamePath = FlameOut;
   Out.TimelinePath = TimelineJson;
   Out.Metrics = &Metrics;

@@ -21,21 +21,17 @@
 //                      (compiler passes + per-disk power states) to F
 //     --metrics-json F write the metrics registry (pass wall times,
 //                      scheduler counters) to F
-//     --report-json F  write the full machine-readable run report to F
-//     --ledger-json F  write the standalone dra-ledger-v1 energy
-//                      attribution (per-category joules + idle-gap
-//                      analytics) to F
-//     --attrib-json F  write the standalone dra-attrib-v1 source
-//                      attribution (per-nest/per-reference joules and
-//                      times, docs/OBSERVABILITY.md "Attribution") to F
+//     --report-json F  write the dra-report-v1 run report to F: every
+//                      run's sim results with its energy ledger section
+//                      (per-category joules + idle-gap analytics) and
+//                      source attribution section (per-nest/per-reference
+//                      joules and times, docs/OBSERVABILITY.md
+//                      "Attribution"), plus the app's dra-footprint-v1
+//                      body (per-nest/per-reference tile counts, per-disk
+//                      demand, symbolic coverage)
 //     --flame F        write the source-attributed energy as collapsed
 //                      flame stacks (app;scheme;nest;ref;disk;category
 //                      joules; speedscope/flamegraph.pl) to F
-//     --footprint-json F
-//                      write the standalone dra-footprint-v1 document
-//                      (per-nest/per-reference tile counts, per-disk
-//                      demand, symbolic coverage) to F; the same body is
-//                      embedded per app in --report-json output
 //     --timings        print every timed pass's exclusive host wall time
 //                      (stable pass order, trace-gen and simulate
 //                      included) and ready-bucket scheduler round counts
@@ -59,9 +55,10 @@
 //     apply to the merged run.
 //
 // Comparing saved reports is dra-compare's job and serving a request
-// stream is dra-serve's; the flags drac once had for them, and for the
-// retired simulator and footprint selectors, exit 2 naming the replacement
-// (RemovedFlags below).
+// stream is dra-serve's; the flags drac once had for them, for the retired
+// simulator and footprint selectors, and for the standalone ledger,
+// attribution and footprint documents the report now carries, exit 2
+// naming the replacement (RemovedFlags below).
 //
 // Sweep mode (docs/SWEEPS.md) — no source file argument:
 //   drac --sweep <spec.json> [options]
@@ -109,14 +106,11 @@ static int usage(const char *Argv0) {
                "usage: %s <file.dra> [--procs N] [--scheme NAME] "
                "[--print-program] [--print-code] [--dump-trace FILE] "
                "[--verify] [--trace-json FILE] [--metrics-json FILE] "
-               "[--report-json FILE] [--ledger-json FILE] "
-               "[--attrib-json FILE] [--flame FILE] "
-               "[--footprint-json FILE] "
+               "[--report-json FILE] [--flame FILE] "
                "[--timeline-json FILE] [--timeline-window MS] [--timings]\n"
                "       %s --tenants <spec.json> [--scheme NAME] [--procs N] "
                "[--dump-trace FILE] "
-               "[--report-json FILE] [--ledger-json FILE] "
-               "[--attrib-json FILE] [--flame FILE] "
+               "[--report-json FILE] [--flame FILE] "
                "[--timeline-json FILE] [--timeline-window MS]\n"
                "       %s --sweep <spec.json> [--jobs N] [--sweep-out FILE] "
                "[--timings] [--sweep-telemetry DIR]\n",
@@ -139,6 +133,9 @@ static constexpr struct {
     {"--sim-shards", "every run uses the serial simulator"},
     {"--sim-window", "every run uses the serial simulator"},
     {"--footprint-mode", "footprints always use the auto mode"},
+    {"--ledger-json", "each run's ledger is a section of --report-json"},
+    {"--attrib-json", "each run's attribution is a section of --report-json"},
+    {"--footprint-json", "the footprint is the app's body in --report-json"},
 };
 
 /// Prints \p F as drac's artifact-write diagnostic; always returns 1.
@@ -212,8 +209,6 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
                       unsigned Procs, bool ProcsSet,
                       const std::string &DumpTrace,
                       const std::string &ReportJson,
-                      const std::string &LedgerJson,
-                      const std::string &AttribJson,
                       const std::string &FlameOut,
                       const std::string &TimelineJson,
                       unsigned TimelineWindowMs) {
@@ -368,8 +363,6 @@ static int runTenants(const std::string &SpecPath, Scheme S, bool SchemeSet,
     RepCfg.NumProcs = W.Replay.numProcs();
     RunArtifacts Out;
     Out.ReportPath = ReportJson;
-    Out.LedgerPath = LedgerJson;
-    Out.AttribPath = AttribJson;
     Out.FlamePath = FlameOut;
     Out.TimelinePath = TimelineJson;
     Out.Timeline = &Timeline;
@@ -391,8 +384,8 @@ int main(int argc, char **argv) {
   bool PrintProgram = false, PrintCode = false, Verify = false;
   bool Timings = false;
   unsigned Jobs = std::max(1u, std::thread::hardware_concurrency());
-  std::string DumpTrace, TraceJson, MetricsJson, ReportJson, LedgerJson;
-  std::string AttribJson, FlameOut, FootprintJson, TimelineJson;
+  std::string DumpTrace, TraceJson, MetricsJson, ReportJson, FlameOut;
+  std::string TimelineJson;
   unsigned TimelineWindowMs = 1000;
   std::string SweepSpecPath, SweepOut, SweepTelemetry;
   std::vector<Scheme> Schemes;
@@ -457,14 +450,8 @@ int main(int argc, char **argv) {
       MetricsJson = argv[++I];
     } else if (Arg == "--report-json" && I + 1 != argc) {
       ReportJson = argv[++I];
-    } else if (Arg == "--ledger-json" && I + 1 != argc) {
-      LedgerJson = argv[++I];
-    } else if (Arg == "--attrib-json" && I + 1 != argc) {
-      AttribJson = argv[++I];
     } else if (Arg == "--flame" && I + 1 != argc) {
       FlameOut = argv[++I];
-    } else if (Arg == "--footprint-json" && I + 1 != argc) {
-      FootprintJson = argv[++I];
     } else if (Arg == "--timeline-json" && I + 1 != argc) {
       TimelineJson = argv[++I];
     } else if (Arg == "--timeline-window" && I + 1 != argc) {
@@ -488,8 +475,8 @@ int main(int argc, char **argv) {
       return usage(argv[0]);
     Scheme S = Schemes.empty() ? Scheme::Base : Schemes.front();
     return runTenants(TenantsSpecPath, S, !Schemes.empty(), Procs, ProcsGiven,
-                      DumpTrace, ReportJson, LedgerJson, AttribJson, FlameOut,
-                      TimelineJson, TimelineWindowMs);
+                      DumpTrace, ReportJson, FlameOut, TimelineJson,
+                      TimelineWindowMs);
   }
   if (!SweepSpecPath.empty()) {
     if (!Path.empty()) // Sweep mode takes its programs from the spec.
@@ -627,10 +614,7 @@ int main(int argc, char **argv) {
     Out.ChromeTracePath = TraceJson;
     Out.MetricsPath = MetricsJson;
     Out.ReportPath = ReportJson;
-    Out.LedgerPath = LedgerJson;
-    Out.AttribPath = AttribJson;
     Out.FlamePath = FlameOut;
-    Out.FootprintPath = FootprintJson;
     Out.TimelinePath = TimelineJson;
     Out.Tracer = &Tracer;
     Out.Metrics = &Metrics;
