@@ -440,27 +440,6 @@ bool forEachOuterRow(const LoopNest &Nest, uint64_t Budget, const RowFn &Fn) {
   return Walk(Walk, 0);
 }
 
-/// Exact iteration count without full enumeration where possible: product
-/// of constant extents, else an outer-row walk summing innermost extents.
-uint64_t nestIterations(const LoopNest &Nest, const FootprintBudgets &B) {
-  if (allBoundsConstant(Nest)) {
-    uint64_t N = 1;
-    for (const Loop &L : Nest.loops()) {
-      int64_t Lo = L.Lower.constTerm();
-      int64_t Up = L.Upper.constTerm();
-      N *= Up > Lo ? uint64_t(Up - Lo) : 0;
-    }
-    return N;
-  }
-  uint64_t N = 0;
-  if (forEachOuterRow(Nest, B.OuterRows,
-                      [&](const IterVec &, int64_t, int64_t Count) {
-                        N += uint64_t(Count);
-                      }))
-    return N;
-  return Nest.numIterations(); // Pathologically deep outer band.
-}
-
 //===----------------------------------------------------------------------===//
 // Shared demand / run bookkeeping
 //===----------------------------------------------------------------------===//
@@ -529,14 +508,7 @@ bool tryClosedForm(const Program &Prog, const LoopNest &Nest,
     int64_t Lo = Nest.loops()[K].Lower.constTerm();
     int64_t Up = Nest.loops()[K].Upper.constTerm();
     Extent[K] = Up > Lo ? Up - Lo : 0;
-    if (Extent[K] == 0) {
-      // Empty nest: nothing is touched; trivially closed-form.
-      Out.DistinctTiles = 0;
-      Out.PerDiskDemand.assign(Layout.numDisks(), 0);
-      Out.TileRuns.clear();
-      Out.RunsExact = true;
-      return true;
-    }
+    assert(Extent[K] != 0 && "empty nests are footprinted before the tiers");
   }
 
   // Separability: each subscript reads at most one iv; no iv feeds two
@@ -828,7 +800,7 @@ SymbolicFootprint::SymbolicFootprint(const Program &P, const DiskLayout &L,
   for (const LoopNest &Nest : P.nests()) {
     NestFootprint NF;
     NF.Nest = Nest.id();
-    NF.Iterations = nestIterations(Nest, Budgets);
+    NF.Iterations = Nest.numIterations();
     NF.Refs.reserve(Nest.accesses().size());
     for (unsigned R = 0; R != Nest.accesses().size(); ++R) {
       const ArrayAccess &Acc = Nest.accesses()[R];
@@ -838,7 +810,14 @@ SymbolicFootprint::SymbolicFootprint(const Program &P, const DiskLayout &L,
       RF.Kind = Acc.Kind;
       bool Done = false;
       if (Mode != FootprintMode::Enumerated) {
-        if (tryClosedForm(P, Nest, Acc, L, Budgets, RF)) {
+        if (NF.Iterations == 0) {
+          // An empty nest touches nothing, trivially in closed form, and
+          // its outer rows are not walked.
+          RF.PerDiskDemand.assign(L.numDisks(), 0);
+          RF.Method = FootprintMethod::ClosedForm;
+          ++RefsClosedForm;
+          Done = true;
+        } else if (tryClosedForm(P, Nest, Acc, L, Budgets, RF)) {
           RF.Method = FootprintMethod::ClosedForm;
           ++RefsClosedForm;
           Done = true;

@@ -106,8 +106,8 @@ struct RefOverlap {
 /// Footprint of one loop nest.
 struct NestFootprint {
   NestId Nest = 0;
-  /// Exact iteration count, derived without full enumeration (product of
-  /// constant extents, or accumulated along the outer walk).
+  /// Exact iteration count, derived without full enumeration
+  /// (LoopNest::numIterations).
   uint64_t Iterations = 0;
   std::vector<RefFootprint> Refs;
   /// Same-array reference pairs (RefA < RefB) with nonzero estimated or
@@ -121,7 +121,7 @@ struct NestFootprint {
 /// the stored run decomposition may be dropped (RunsExact = false). Tests
 /// shrink them to force the demotion paths at small problem sizes.
 struct FootprintBudgets {
-  /// Outer-band iterations tier 2 (and the iteration counter) may walk.
+  /// Outer-band iterations tier 2 may walk.
   uint64_t OuterRows = uint64_t(1) << 21;
   /// Explicit points a conflicting run union may materialize.
   uint64_t Points = uint64_t(1) << 22;

@@ -9,12 +9,12 @@
 #include "obs/RunReport.h"
 #include "obs/Timeline.h"
 #include "obs/Tracer.h"
+#include "support/Parallel.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <thread>
 
 using namespace dra;
 
@@ -105,15 +105,11 @@ ExperimentRunner::run(const std::vector<SweepJob> &Jobs) const {
       Out[I] = runOne(Jobs[I]);
   };
 
+  // The calling thread is worker 0 (and the only one when N = 1). Each job
+  // runs inside the worker region, so its exports render serially.
   size_t Workers = std::max<size_t>(1, Opts.Workers);
   Workers = std::min(Workers, Jobs.size());
-  {
-    std::vector<std::jthread> Pool;
-    Pool.reserve(Workers - 1);
-    for (size_t W = 1; W < Workers; ++W)
-      Pool.emplace_back(Work);
-    Work(); // The calling thread is worker 0 (and the only one when N = 1).
-  } // jthreads join here; every slot is fully written below this line.
+  runWorkers(unsigned(Workers), [&](unsigned) { Work(); });
   return Out;
 }
 

@@ -71,17 +71,21 @@ public:
 
   /// Invokes \p Fn for every iteration vector in original program order
   /// (row-major over the band, respecting affine bounds). Iterations with an
-  /// empty range at any depth are skipped.
+  /// empty range at any depth are skipped; along the loop enclosing the
+  /// innermost one, only the interval of values whose innermost range is
+  /// non-empty is visited, found in closed form.
   void forEachIteration(const std::function<void(const IterVec &)> &Fn) const;
 
   /// Total number of iterations, exact up to \p Limit and some count
   /// above \p Limit beyond it; a count past UINT64_MAX saturates. A nest
   /// whose bounds are all constant is the product of its trip counts.
-  /// Otherwise the outer loops are enumerated, the innermost loop adds its
-  /// trip count in closed form, and the walk stops once the count passes
-  /// \p Limit. Outer points with an empty inner range add nothing to the
-  /// count, so the walk has a budget of its own: each enumerated loop
-  /// charges its points as it is entered, and a walk charged more than
+  /// Otherwise the loops above the innermost two are enumerated. Along the
+  /// loop enclosing the innermost one, the innermost trip count is affine,
+  /// max(0, aV + b), so its values are summed in closed form as an
+  /// arithmetic series over the interval where it is positive. The count
+  /// stops at the first value that takes it past \p Limit, as a walk would.
+  /// Each loop above the innermost, summed or walked, charges its points
+  /// to a walk budget as it is entered, and a count charged more than
   /// max(\p Limit, MaxWalkPoints) points stops and returns \p Limit + 1,
   /// whatever it has counted so far.
   uint64_t numIterations(uint64_t Limit = UINT64_MAX) const;

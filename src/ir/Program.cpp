@@ -73,6 +73,7 @@ IterationSpace::IterationSpace(const Program &P) {
   // Count first, so an oversized program fails before anything is stored
   // and the fill below never reallocates.
   uint64_t Iters = 0, NumCoords = 0;
+  Slices.reserve(P.nests().size() + 1);
   for (const LoopNest &Nest : P.nests()) {
     uint64_t N = Nest.numIterations(MaxIterations - Iters);
     if (N > MaxIterations - Iters)
@@ -81,21 +82,23 @@ IterationSpace::IterationSpace(const Program &P) {
           std::to_string(MaxIterations) +
           " iterations or loop points to walk, the most flat iteration ids "
           "can number");
+    Slices.push_back({NumCoords, GlobalIter(Iters), Nest.depth()});
     Iters += N;
     NumCoords += N * Nest.depth();
   }
+  Slices.push_back({NumCoords, GlobalIter(Iters), 0});
 
   Coords.reserve(NumCoords);
   NestOf.reserve(Iters);
-  Slices.reserve(P.nests().size() + 1);
-  for (const LoopNest &Nest : P.nests()) {
-    Slices.push_back({Coords.size(), GlobalIter(NestOf.size()), Nest.depth()});
+  for (size_t I = 0; I != P.nests().size(); ++I) {
+    if (Slices[I].Begin == Slices[I + 1].Begin)
+      continue; // An empty nest is not walked.
+    const LoopNest &Nest = P.nests()[I];
     Nest.forEachIteration([&](const IterVec &Iter) {
       Coords.insert(Coords.end(), Iter.begin(), Iter.end());
       NestOf.push_back(Nest.id());
     });
   }
-  Slices.push_back({Coords.size(), GlobalIter(NestOf.size()), 0});
   assert(NestOf.size() == Iters && Coords.size() == NumCoords &&
          "enumeration disagrees with the iteration count");
 }

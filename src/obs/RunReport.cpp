@@ -11,6 +11,7 @@
 #include "obs/Timeline.h"
 #include "obs/Tracer.h"
 #include "support/FileIO.h"
+#include "support/Parallel.h"
 
 #include <cmath>
 #include <string_view>
@@ -152,18 +153,18 @@ void dra::writeLedgerSectionJson(JsonWriter &W, const SimResults &R,
   writeGapStatsJson(W, A.Total);
   W.key("per_disk");
   W.beginArray();
-  for (size_t D = 0; D != R.PerDisk.size(); ++D) {
+  writeElements(W, R.PerDisk.size(), [&](JsonWriter &Elem, size_t D) {
     const DiskStats &S = R.PerDisk[D];
-    W.beginObject();
-    W.key("disk");
-    W.value(unsigned(D));
-    W.key("energy_j");
-    W.value(S.EnergyJ);
-    writeLedgerCategories(W, S.Ledger);
-    W.key("gaps");
-    writeGapStatsJson(W, A.PerDisk[D].Stats);
-    W.endObject();
-  }
+    Elem.beginObject();
+    Elem.key("disk");
+    Elem.value(unsigned(D));
+    Elem.key("energy_j");
+    Elem.value(S.EnergyJ);
+    writeLedgerCategories(Elem, S.Ledger);
+    Elem.key("gaps");
+    writeGapStatsJson(Elem, A.PerDisk[D].Stats);
+    Elem.endObject();
+  });
   W.endArray();
   W.endObject();
 }
@@ -207,8 +208,9 @@ void dra::writeSimResultsJson(JsonWriter &W, const SimResults &R) {
   W.endObject();
   W.key("per_disk");
   W.beginArray();
-  for (size_t D = 0; D != R.PerDisk.size(); ++D)
-    writeDiskStatsJson(W, unsigned(D), R.PerDisk[D]);
+  writeElements(W, R.PerDisk.size(), [&R](JsonWriter &Elem, size_t D) {
+    writeDiskStatsJson(Elem, unsigned(D), R.PerDisk[D]);
+  });
   W.endArray();
   W.endObject();
 }
@@ -276,18 +278,18 @@ void dra::writeAttributionSectionJson(JsonWriter &W, const SchemeRun &R) {
   W.endObject();
   W.key("per_disk");
   W.beginArray();
-  for (size_t D = 0; D != R.Sim.PerDisk.size(); ++D) {
+  writeElements(W, R.Sim.PerDisk.size(), [&R](JsonWriter &Elem, size_t D) {
     // The per-disk view collapses refs and rounds into nest totals. The map
     // is ordered by (Nest, Ref, Round), so each nest's entries are one
     // contiguous run, summed here in the order AttributionRollup::add
     // would sum them (same bits), and the unattributed keys sort last.
     const AttributionMap &M = R.Sim.PerDisk[D].Attrib;
     AttribEntry Unattributed;
-    W.beginObject();
-    W.key("disk");
-    W.value(unsigned(D));
-    W.key("nests");
-    W.beginArray();
+    Elem.beginObject();
+    Elem.key("disk");
+    Elem.value(unsigned(D));
+    Elem.key("nests");
+    Elem.beginArray();
     for (auto It = M.begin(); It != M.end();) {
       const uint32_t Nest = It->first.Nest;
       if (It->first.unattributed()) {
@@ -298,21 +300,21 @@ void dra::writeAttributionSectionJson(JsonWriter &W, const SchemeRun &R) {
       AttribEntry E;
       for (; It != M.end() && It->first.Nest == Nest; ++It)
         E += It->second;
-      W.beginObject();
-      W.key("nest");
-      W.value(Nest);
-      W.key("label");
-      W.value(R.AttribNames.nestLabel(Nest));
-      writeAttribEntryFields(W, E);
-      W.endObject();
+      Elem.beginObject();
+      Elem.key("nest");
+      Elem.value(Nest);
+      Elem.key("label");
+      Elem.value(R.AttribNames.nestLabel(Nest));
+      writeAttribEntryFields(Elem, E);
+      Elem.endObject();
     }
-    W.endArray();
-    W.key("unattributed");
-    W.beginObject();
-    writeAttribEntryFields(W, Unattributed);
-    W.endObject();
-    W.endObject();
-  }
+    Elem.endArray();
+    Elem.key("unattributed");
+    Elem.beginObject();
+    writeAttribEntryFields(Elem, Unattributed);
+    Elem.endObject();
+    Elem.endObject();
+  });
   W.endArray();
   W.endObject();
 }

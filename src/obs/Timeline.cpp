@@ -7,6 +7,7 @@
 #include "obs/Timeline.h"
 
 #include "support/Json.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <cassert>
@@ -234,6 +235,94 @@ void TimelineRecorder::recordRequestLatency(uint32_t Phase, double IssueMs,
   PL.Hist.addSample(Ms / 1000.0);
 }
 
+/// Writes disk \p D's windows, gaps and totals as one object.
+static void writeDiskTimelineJson(JsonWriter &W, size_t D,
+                                  const DiskTimeline &DT) {
+  W.beginObject();
+  W.key("disk");
+  W.value(uint64_t(D));
+  W.key("windows");
+  W.beginArray();
+  for (const TimelineWindow &Win : DT.Windows) {
+    W.beginObject();
+    W.key("w");
+    W.value(Win.Index);
+    W.key("state_ms");
+    W.beginArray();
+    for (double S : Win.StateMs)
+      W.value(S);
+    W.endArray();
+    W.key("energy_j");
+    W.beginArray();
+    for (double E : Win.EnergyJ)
+      W.value(E);
+    W.endArray();
+    W.key("requests");
+    W.value(Win.Requests);
+    W.key("bytes");
+    W.value(Win.Bytes);
+    W.key("queue_ms");
+    W.value(Win.QueueMs);
+    W.endObject();
+  }
+  W.endArray();
+  W.key("gaps");
+  W.beginArray();
+  for (const TimelineGapEvent &G : DT.Gaps) {
+    W.beginObject();
+    W.key("start_ms");
+    W.value(G.StartMs);
+    W.key("ms");
+    W.value(G.Ms);
+    W.key("end_rpm");
+    W.value(uint64_t(G.EndRpm));
+    W.key("below_break_even");
+    W.value(G.BelowBreakEven);
+    W.key("missed_j");
+    W.value(G.MissedJ);
+    W.key("spin_downs");
+    W.value(uint64_t(G.SpinDowns));
+    W.key("spin_ups");
+    W.value(uint64_t(G.SpinUps));
+    W.key("rpm_steps");
+    W.value(uint64_t(G.RpmSteps));
+    W.endObject();
+  }
+  W.endArray();
+  // Per-disk sums: the closure the tests assert, exported so downstream
+  // consumers (dra-dash, check-regression) never recompute them
+  // differently.
+  double StateTot[NumTimelineStates] = {};
+  double EnergyTot[NumTimelineEnergyCats] = {};
+  uint64_t Requests = 0, Bytes = 0;
+  for (const TimelineWindow &Win : DT.Windows) {
+    for (unsigned S = 0; S != NumTimelineStates; ++S)
+      StateTot[S] += Win.StateMs[S];
+    for (unsigned C = 0; C != NumTimelineEnergyCats; ++C)
+      EnergyTot[C] += Win.EnergyJ[C];
+    Requests += Win.Requests;
+    Bytes += Win.Bytes;
+  }
+  W.key("totals");
+  W.beginObject();
+  W.key("state_ms");
+  W.beginArray();
+  for (double S : StateTot)
+    W.value(S);
+  W.endArray();
+  W.key("energy_j");
+  W.beginArray();
+  for (double E : EnergyTot)
+    W.value(E);
+  W.endArray();
+  W.key("requests");
+  W.value(Requests);
+  W.key("bytes");
+  W.value(Bytes);
+  W.endObject();
+  W.endObject();
+}
+
 std::string dra::renderTimelineJson(const TimelineRecorder &TL,
                                     const std::string &Source,
                                     const std::string &ServingJson) {
@@ -266,92 +355,9 @@ std::string dra::renderTimelineJson(const TimelineRecorder &TL,
     W.value(R.EndMs);
     W.key("disks");
     W.beginArray();
-    for (size_t D = 0; D != R.Disks.size(); ++D) {
-      const DiskTimeline &DT = R.Disks[D];
-      W.beginObject();
-      W.key("disk");
-      W.value(uint64_t(D));
-      W.key("windows");
-      W.beginArray();
-      for (const TimelineWindow &Win : DT.Windows) {
-        W.beginObject();
-        W.key("w");
-        W.value(Win.Index);
-        W.key("state_ms");
-        W.beginArray();
-        for (double S : Win.StateMs)
-          W.value(S);
-        W.endArray();
-        W.key("energy_j");
-        W.beginArray();
-        for (double E : Win.EnergyJ)
-          W.value(E);
-        W.endArray();
-        W.key("requests");
-        W.value(Win.Requests);
-        W.key("bytes");
-        W.value(Win.Bytes);
-        W.key("queue_ms");
-        W.value(Win.QueueMs);
-        W.endObject();
-      }
-      W.endArray();
-      W.key("gaps");
-      W.beginArray();
-      for (const TimelineGapEvent &G : DT.Gaps) {
-        W.beginObject();
-        W.key("start_ms");
-        W.value(G.StartMs);
-        W.key("ms");
-        W.value(G.Ms);
-        W.key("end_rpm");
-        W.value(uint64_t(G.EndRpm));
-        W.key("below_break_even");
-        W.value(G.BelowBreakEven);
-        W.key("missed_j");
-        W.value(G.MissedJ);
-        W.key("spin_downs");
-        W.value(uint64_t(G.SpinDowns));
-        W.key("spin_ups");
-        W.value(uint64_t(G.SpinUps));
-        W.key("rpm_steps");
-        W.value(uint64_t(G.RpmSteps));
-        W.endObject();
-      }
-      W.endArray();
-      // Per-disk sums: the closure the tests assert, exported so
-      // downstream consumers (dra-dash, check-regression) never recompute
-      // them differently.
-      double StateTot[NumTimelineStates] = {};
-      double EnergyTot[NumTimelineEnergyCats] = {};
-      uint64_t Requests = 0, Bytes = 0;
-      for (const TimelineWindow &Win : DT.Windows) {
-        for (unsigned S = 0; S != NumTimelineStates; ++S)
-          StateTot[S] += Win.StateMs[S];
-        for (unsigned C = 0; C != NumTimelineEnergyCats; ++C)
-          EnergyTot[C] += Win.EnergyJ[C];
-        Requests += Win.Requests;
-        Bytes += Win.Bytes;
-      }
-      W.key("totals");
-      W.beginObject();
-      W.key("state_ms");
-      W.beginArray();
-      for (double S : StateTot)
-        W.value(S);
-      W.endArray();
-      W.key("energy_j");
-      W.beginArray();
-      for (double E : EnergyTot)
-        W.value(E);
-      W.endArray();
-      W.key("requests");
-      W.value(Requests);
-      W.key("bytes");
-      W.value(Bytes);
-      W.endObject();
-      W.endObject();
-    }
+    writeElements(W, R.Disks.size(), [&R](JsonWriter &Elem, size_t D) {
+      writeDiskTimelineJson(Elem, D, R.Disks[D]);
+    });
     W.endArray();
     W.key("phases");
     W.beginArray();

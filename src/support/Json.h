@@ -74,6 +74,16 @@ public:
   /// one well-formed JSON value (used to splice pre-rendered fragments).
   void rawValue(std::string_view Json);
 
+  /// The bytes written so far.
+  std::string_view view() const { return Out; }
+  /// Makes room for \p Bytes more bytes of output.
+  void reserve(size_t Bytes) { Out.reserve(Out.size() + Bytes); }
+  /// Drops everything written, keeping the storage for the next document.
+  void clear() {
+    Out.clear();
+    Stack.clear();
+  }
+
   /// Finishes the document and returns it. The writer must be balanced
   /// (every begin closed).
   std::string take();

@@ -354,6 +354,34 @@ def oversized_spaces(drac, tmp):
               f"{name} probe: stderr {p.stderr!r}")
         check(took < 2.0, f"{name} probe: took {took:.2f} s")
 
+    # 2e9 outer points over an always-empty inner range fit the walk
+    # budget. The count sums their inner ranges in closed form and no walk
+    # visits them, so the empty program simulates at once (it used to walk
+    # them for 74 s) and prints its 0 J table.
+    src = os.path.join(tmp, "empty-fits.dra")
+    with open(src, "w", encoding="utf-8") as f:
+        f.write("program empty_fits\n"
+                "array A[2000000000]\n"
+                "nest n compute 1.0 {\n"
+                "  for i0 = 0 .. 1999999999\n"
+                "  for i1 = i0 + 1 .. i0\n"
+                "  read A[i0]\n"
+                "}\n")
+    start = time.monotonic()
+    try:
+        p = subprocess.run([drac, src], capture_output=True, text=True,
+                           timeout=2)
+    except subprocess.TimeoutExpired:
+        check(False, "empty-fits probe: no table within 2 s")
+        return
+    took = time.monotonic() - start
+    check(p.returncode == 0, f"empty-fits probe: exit {p.returncode}")
+    base = [line.split() for line in p.stdout.splitlines()
+            if line.startswith("Base ")]
+    check(len(base) == 1 and base[0][1] == "0.0",
+          f"empty-fits probe: stdout {p.stdout!r}")
+    check(took < 2.0, f"empty-fits probe: took {took:.2f} s")
+
 
 def main():
     ap = argparse.ArgumentParser()

@@ -14,10 +14,12 @@
 #include "driver/ExperimentRunner.h"
 #include "driver/SweepSpec.h"
 #include "obs/RunReport.h"
+#include "support/FileIO.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 
 using namespace dra;
@@ -246,6 +248,41 @@ TEST(ExperimentRunner, PerJobTelemetryLandsInDistinctFiles) {
       EXPECT_TRUE(fs::exists(Dir / (std::string(Stem) + Ext)))
           << Stem << Ext;
   fs::remove_all(Dir);
+}
+
+/// Per-job exports render inside the sweep's worker region, serially on
+/// the job's worker, and do not depend on how many workers run.
+TEST(ExperimentRunner, PerJobReportsAreByteIdenticalAcrossWorkerCounts) {
+  namespace fs = std::filesystem;
+  DiagnosticEngine DE;
+  auto Spec = SweepSpec::parse(R"({
+    "apps": ["AST"], "scale": 0.05,
+    "schemes": ["Base", "TPM"], "procs": [1, 2]
+  })",
+                               DE);
+  ASSERT_TRUE(Spec.has_value());
+  auto Jobs = Spec->expand(DE);
+  ASSERT_TRUE(Jobs.has_value());
+  ASSERT_EQ(Jobs->size(), 4u);
+
+  fs::path Root = fs::temp_directory_path() / "dra-driver-test-jobs";
+  fs::remove_all(Root);
+  for (unsigned Workers : {1u, 4u}) {
+    SweepOptions Opts;
+    Opts.Workers = Workers;
+    Opts.TelemetryDir = (Root / std::to_string(Workers)).string();
+    for (const JobOutcome &O : ExperimentRunner(Opts).run(*Jobs))
+      EXPECT_TRUE(O.Ok) << O.Error;
+  }
+  for (size_t J = 0; J != Jobs->size(); ++J)
+    for (const char *Ext : {".report.json", ".timeline.json"}) {
+      std::string Name = "job-0000" + std::to_string(J) + Ext;
+      std::optional<std::string> One = readFile((Root / "1" / Name).string());
+      std::optional<std::string> Four = readFile((Root / "4" / Name).string());
+      ASSERT_TRUE(One && Four) << Name;
+      EXPECT_EQ(*One, *Four) << Name;
+    }
+  fs::remove_all(Root);
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace dra;
 
 namespace {
@@ -269,6 +271,66 @@ TEST(IterationSpaceTest, StopsWalkingEmptyInnerRanges) {
   EXPECT_EQ(P2.nest(0).numIterations(), 0u);
   EXPECT_EQ(P2.nest(0).numIterations(/*Limit=*/0), 0u);
   EXPECT_EQ(IterationSpace(P2).size(), 0u);
+}
+
+TEST(IterationSpaceTest, SumsInnerTripCountsInClosedForm) {
+  // 2e9 outer points, every inner range empty: counted in closed form, not
+  // walked, and the empty nest is never enumerated.
+  ProgramBuilder B("empty");
+  ArrayId U = B.addArray("U", {2000000000});
+  B.beginNest("n0", 1.0)
+      .loop(0, 2000000000)
+      .loop(iv(0) + 1, iv(0) + 1)
+      .read(U, {iv(0)})
+      .endNest();
+  Program P = B.build();
+  EXPECT_EQ(P.nest(0).numIterations(), 0u);
+  EXPECT_EQ(P.nest(0).numIterations(/*Limit=*/0), 0u);
+  EXPECT_EQ(IterationSpace(P).size(), 0u);
+
+  // Only the last ten outer points have a non-empty inner range: 1 + ... +
+  // 10 iterations, and the walk visits just those points.
+  ProgramBuilder B2("tail");
+  ArrayId V = B2.addArray("V", {2000000000});
+  B2.beginNest("n0", 1.0)
+      .loop(0, 2000000000)
+      .loop(AffineExpr::constant(1999999990), iv(0) + 1)
+      .read(V, {iv(1)})
+      .endNest();
+  Program P2 = B2.build();
+  EXPECT_EQ(P2.nest(0).numIterations(), 55u);
+  IterationSpace S2(P2);
+  ASSERT_EQ(S2.size(), 55u);
+  EXPECT_EQ(S2.iterOf(0)[0], 1999999990);
+  EXPECT_EQ(S2.iterOf(54)[1], 1999999999);
+
+  // Rising, falling and flat inner counts, each starting empty, positive
+  // or negative: the closed form, and its stop once past a limit, agree
+  // with a walk that adds one outer point's count at a time.
+  for (int64_t Slope : {-3, -1, 0, 1, 2})
+    for (int64_t Offset : {-20, -1, 0, 3, 25}) {
+      ProgramBuilder B3("affine");
+      ArrayId W = B3.addArray("W", {64});
+      B3.beginNest("n0", 1.0)
+          .loop(-5, 12)
+          .loop(iv(0), iv(0) * (Slope + 1) + Offset)
+          .read(W, {AffineExpr::constant(0)})
+          .endNest();
+      Program P3 = B3.build();
+      const LoopNest &Nest = P3.nest(0);
+      for (uint64_t Limit : {uint64_t(0), uint64_t(7), uint64_t(40),
+                             uint64_t(MaxIterations)}) {
+        uint64_t Walked = 0;
+        for (int64_t V0 = -5; V0 < 12 && Walked <= Limit; ++V0)
+          Walked += uint64_t(std::max<int64_t>(0, V0 * Slope + Offset));
+        EXPECT_EQ(Nest.numIterations(Limit), Walked)
+            << "slope " << Slope << " offset " << Offset << " limit "
+            << Limit;
+      }
+      uint64_t Visited = 0;
+      Nest.forEachIteration([&](const IterVec &) { ++Visited; });
+      EXPECT_EQ(Visited, Nest.numIterations());
+    }
 }
 
 TEST(ProgramBuilderTest, BuildsMultiNestProgram) {

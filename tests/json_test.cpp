@@ -6,6 +6,7 @@
 
 #include "support/Format.h"
 #include "support/Json.h"
+#include "support/Parallel.h"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,10 @@
 #include <cstdio>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 using namespace dra;
 
@@ -91,6 +95,162 @@ TEST(JsonWriterTest, RawValueSplicesVerbatim) {
   ASSERT_NE(Pre, nullptr);
   ASSERT_NE(Pre->find("x"), nullptr);
   EXPECT_EQ(Pre->find("x")->Num, 1.0);
+}
+
+namespace {
+
+/// Element I of the chunked-writer tests: uneven sizes, from an empty
+/// object to strings that need escapes and arrays nested up to 4 deep.
+void writeUnevenElement(JsonWriter &W, size_t I) {
+  switch (I % 5) {
+  case 0:
+    W.beginObject();
+    W.endObject();
+    break;
+  case 1:
+    for (size_t D = 0; D != I % 4 + 1; ++D)
+      W.beginArray();
+    W.value(uint64_t(I));
+    for (size_t D = 0; D != I % 4 + 1; ++D)
+      W.endArray();
+    break;
+  case 2: {
+    std::string S;
+    for (size_t K = 0; K != I % 37; ++K)
+      S += "q\"\\\n\t\x01"[K % 6];
+    W.value(S);
+    break;
+  }
+  case 3:
+    W.value(double(I) * 0.1);
+    break;
+  default:
+    W.beginObject();
+    W.key("i");
+    W.value(uint64_t(I));
+    W.key("xs");
+    W.beginArray();
+    for (size_t K = 0; K != I % 13; ++K)
+      W.value(double(K) / 3.0);
+    W.endArray();
+    W.endObject();
+  }
+}
+
+/// A document whose "items" array holds elements [0, N), written by
+/// \p Elements, after a leading element when \p Head is set.
+template <typename WriteFn>
+std::string unevenDoc(size_t N, WriteFn Elements, bool Head = true) {
+  JsonWriter W;
+  W.beginObject();
+  W.key("items");
+  W.beginArray();
+  if (Head)
+    W.value("head");
+  Elements(W, N);
+  W.endArray();
+  W.key("n");
+  W.value(uint64_t(N));
+  W.endObject();
+  return W.take();
+}
+
+std::string serialUnevenDoc(size_t N, bool Head = true) {
+  return unevenDoc(
+      N,
+      [](JsonWriter &W, size_t Count) {
+        for (size_t I = 0; I != Count; ++I)
+          writeUnevenElement(W, I);
+      },
+      Head);
+}
+
+std::string chunkedUnevenDoc(size_t N, bool Head) {
+  return unevenDoc(
+      N,
+      [](JsonWriter &W, size_t Count) {
+        writeElements(W, Count, writeUnevenElement);
+      },
+      Head);
+}
+
+} // namespace
+
+TEST(ChunkedWriterTest, MatchesTheSerialLoopByteForByte) {
+  for (bool Head : {false, true})
+    for (size_t N : {0, 1, 63, 64, 65, 1024}) {
+      std::string Serial = serialUnevenDoc(N, Head);
+      EXPECT_EQ(chunkedUnevenDoc(N, Head), Serial)
+          << "N = " << N << ", head " << Head;
+      parseOk(Serial);
+    }
+}
+
+TEST(ChunkedWriterTest, ElementErrorReachesTheCallerAfterTheJoin) {
+  // One element throws, on whichever thread renders it: in the first
+  // chunk (rendered before any thread starts), in the middle and last.
+  for (size_t Bad : {0, 700, 1023}) {
+    JsonWriter W;
+    W.beginArray();
+    try {
+      writeElements(W, 1024, [Bad](JsonWriter &E, size_t I) {
+        if (I == Bad)
+          throw std::runtime_error("element " + std::to_string(I));
+        writeUnevenElement(E, I);
+      });
+      ADD_FAILURE() << "no exception for element " << Bad;
+    } catch (const std::runtime_error &E) {
+      EXPECT_EQ(std::string(E.what()), "element " + std::to_string(Bad));
+    }
+  }
+  JsonWriter W;
+  W.beginArray();
+  EXPECT_THROW(writeElements(W, 1024,
+                             [](JsonWriter &E, size_t I) {
+                               if (I == 512)
+                                 throw std::bad_alloc();
+                               writeUnevenElement(E, I);
+                             }),
+               std::bad_alloc);
+}
+
+TEST(ChunkedWriterTest, RunsSeriallyInsideAPoolWorker) {
+  // Fan-outs do not nest: a chunked write made by a pool worker renders
+  // every element on that worker's own thread.
+  const std::string Serial = serialUnevenDoc(1024);
+  std::vector<std::string> Docs(3);
+  std::vector<char> SameThread(3, 1);
+  runWorkers(3, [&](unsigned Self) {
+    const std::thread::id Me = std::this_thread::get_id();
+    EXPECT_TRUE(inWorkerRegion());
+    Docs[Self] = unevenDoc(1024, [&](JsonWriter &W, size_t N) {
+      writeElements(W, N, [&](JsonWriter &E, size_t I) {
+        if (std::this_thread::get_id() != Me)
+          SameThread[Self] = 0;
+        writeUnevenElement(E, I);
+      });
+    });
+  });
+  EXPECT_FALSE(inWorkerRegion());
+  for (unsigned Self = 0; Self != 3; ++Self) {
+    EXPECT_TRUE(SameThread[Self]) << "worker " << Self;
+    EXPECT_EQ(Docs[Self], Serial) << "worker " << Self;
+  }
+}
+
+TEST(ChunkedWriterTest, WorkerErrorsAreRethrownLowestFirst) {
+  std::vector<char> Ran(4, 0);
+  try {
+    runWorkers(4, [&](unsigned Self) {
+      Ran[Self] = 1;
+      if (Self >= 2)
+        throw std::runtime_error("worker " + std::to_string(Self));
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error &E) {
+    EXPECT_EQ(std::string(E.what()), "worker 2");
+  }
+  EXPECT_EQ(Ran, std::vector<char>(4, 1));
 }
 
 TEST(JsonParserTest, ParsesScalarsAndContainers) {

@@ -17,13 +17,19 @@
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
 #include "obs/Telemetry.h"
+#include "obs/Timeline.h"
 #include "obs/Tracer.h"
+#include "sim/SimEngine.h"
 #include "support/Json.h"
+#include "support/Parallel.h"
+#include "trace/TenantMerge.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <random>
 
 using namespace dra;
 
@@ -399,5 +405,96 @@ TEST(RunReportTest, RoundTripsEverySimResultsField) {
       EXPECT_EQ(DJ.find("idle_hist")->find("total_count")->Num,
                 double(DS.IdleHist.totalCount()));
     }
+  }
+}
+
+TEST(RunReportTest, PerDiskSectionsRenderTheSameOnEveryCore) {
+  // A merged run over 1024 disks: at top level its per-disk report and
+  // timeline arrays take the chunked path, inside a one-worker region the
+  // serial loop. The bytes must not differ.
+  StripingConfig C;
+  C.StripeFactor = 1024;
+  struct Tenant {
+    Program P;
+    DiskLayout Layout;
+    Trace Replay;
+    Tenant(const char *Name, const StripingConfig &C, unsigned Seed)
+        : P(makeProgram(Name)), Layout(P, C), Replay(2, 4096) {
+      std::mt19937 Rng(Seed);
+      std::uniform_int_distribution<uint64_t> TileD(0, 2047);
+      std::uniform_real_distribution<double> ThinkD(0.0, 40.0);
+      for (uint32_t Proc = 0; Proc != 2; ++Proc)
+        for (uint32_t I = 0; I != 300; ++I) {
+          Request R;
+          R.StartBlock = TileD(Rng) * 8;
+          R.SizeBytes = 32 * 1024 * (1 + I % 3);
+          R.IsWrite = I % 5 == 0;
+          R.Proc = Proc;
+          R.ThinkMs = ThinkD(Rng);
+          R.Phase = I / 100;
+          if (I % 6 != 5)
+            R.Prov = Provenance{0, I % 2, 0};
+          Replay.addRequest(R);
+        }
+    }
+    static Program makeProgram(const char *Name) {
+      ProgramBuilder B(Name);
+      ArrayId U = B.addArray("U", {2048});
+      B.beginNest("scan", 1.0).loop(0, 2048).read(U, {iv(0)}).endNest();
+      return B.build();
+    }
+  };
+  Tenant A("olap", C, 7), B("ingest", C, 11);
+  std::vector<TenantInput> In(2);
+  In[0].Label = "olap";
+  In[0].Prog = &A.P;
+  In[0].Replay = &A.Replay;
+  In[0].Layout = &A.Layout;
+  In[0].Names = attributionNamesOf(A.P);
+  In[1].Label = "ingest";
+  In[1].Prog = &B.P;
+  In[1].Replay = &B.Replay;
+  In[1].Layout = &B.Layout;
+  In[1].Names = attributionNamesOf(B.P);
+  In[1].StartMs = 250.0;
+  MergedWorkload W = mergeTenants(In);
+
+  TimelineRecorder TL;
+  AppResults App;
+  App.Name = "multitenant";
+  for (auto [S, Policy] : {std::pair(Scheme::Base, PowerPolicyKind::None),
+                           std::pair(Scheme::Tpm, PowerPolicyKind::Tpm)}) {
+    SimEngine E(W.Layout, DiskParams(), Policy, CacheConfig(), nullptr,
+                schemeName(S), /*Attribution=*/true, &TL);
+    SchemeRun Run;
+    Run.S = S;
+    Run.Sim = E.run(W.Replay);
+    Run.AttribNames = W.Names;
+    App.Runs.push_back(std::move(Run));
+  }
+  ASSERT_EQ(App.Runs[0].Sim.PerDisk.size(), 1024u);
+  PipelineConfig Cfg;
+  Cfg.NumProcs = W.Replay.numProcs();
+
+  std::string Report = renderRunReportJson(Cfg, {App}, "obs_test");
+  std::string Timeline = renderTimelineJson(TL, "obs_test");
+  std::string SerialReport, SerialTimeline;
+  runWorkers(1, [&](unsigned) {
+    SerialReport = renderRunReportJson(Cfg, {App}, "obs_test");
+    SerialTimeline = renderTimelineJson(TL, "obs_test");
+  });
+  // Megabytes each: compare without printing them.
+  EXPECT_TRUE(Report == SerialReport);
+  EXPECT_TRUE(Timeline == SerialTimeline);
+  JsonValue V = parseOk(Report);
+  const JsonValue *Apps = V.find("apps");
+  ASSERT_TRUE(Apps && Apps->isArray() && !Apps->Arr.empty());
+  const JsonValue *Runs = Apps->Arr[0].find("runs");
+  ASSERT_TRUE(Runs && Runs->isArray() && !Runs->Arr.empty());
+  for (const char *Section : {"sim", "ledger", "attribution"}) {
+    const JsonValue *S = Runs->Arr[0].find(Section);
+    const JsonValue *PerDisk = S ? S->find("per_disk") : nullptr;
+    ASSERT_TRUE(PerDisk && PerDisk->isArray()) << Section;
+    EXPECT_EQ(PerDisk->Arr.size(), 1024u) << Section;
   }
 }
