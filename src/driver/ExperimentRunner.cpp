@@ -62,9 +62,10 @@ JobOutcome ExperimentRunner::runOne(const SweepJob &J) const {
                  .count();
 
   if (Telemetry && O.Ok) {
+    // The run moves into the one-app results for the export and back.
     AppResults App;
     App.Name = J.Point.App;
-    App.Runs.push_back(O.Run);
+    App.Runs.push_back(std::move(O.Run));
     std::string Stem = jobFileStem(Opts.TelemetryDir, J.Index);
     RunArtifacts Out;
     Out.ChromeTracePath = Stem + ".trace.json";
@@ -80,6 +81,7 @@ JobOutcome ExperimentRunner::runOne(const SweepJob &J) const {
                                 : "cannot open '" + Failure->Path +
                                       "' for writing";
     }
+    O.Run = std::move(App.Runs.front());
   }
   return O;
 }
@@ -169,14 +171,10 @@ std::string dra::renderSweepJson(const SweepSpec &Spec,
     else
       W.null();
     W.key("report");
-    if (O.Ok) {
-      AppResults App;
-      App.Name = O.Point.App;
-      App.Runs.push_back(O.Run);
-      W.rawValue(renderRunReportJson(O.Config, {App}, "sweep"));
-    } else {
+    if (O.Ok)
+      W.rawValue(renderRunReportJson(O.Config, O.Point.App, O.Run, "sweep"));
+    else
       W.null();
-    }
     W.endObject();
   }
   W.endArray();

@@ -29,15 +29,6 @@ void AffineExpr::trim() {
 
 bool AffineExpr::isConstant() const { return Coeffs.empty(); }
 
-int64_t AffineExpr::evaluate(IterSpan Iter) const {
-  assert(Coeffs.size() <= Iter.size() &&
-         "expression references an unbound induction variable");
-  int64_t V = Const;
-  for (size_t K = 0, E = Coeffs.size(); K != E; ++K)
-    V += Coeffs[K] * Iter[K];
-  return V;
-}
-
 AffineExpr AffineExpr::operator+(const AffineExpr &O) const {
   AffineExpr R(Const + O.Const);
   R.Coeffs.assign(std::max(Coeffs.size(), O.Coeffs.size()), 0);

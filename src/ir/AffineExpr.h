@@ -17,6 +17,7 @@
 
 #include "support/IterVec.h"
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,8 +54,16 @@ public:
   bool isConstant() const;
 
   /// Evaluates the expression for a concrete iteration vector. The vector
-  /// must bind every depth the expression references.
-  int64_t evaluate(IterSpan Iter) const;
+  /// must bind every depth the expression references. Defined here so the
+  /// walks over a program's subscripts inline it.
+  int64_t evaluate(IterSpan Iter) const {
+    assert(Coeffs.size() <= Iter.size() &&
+           "expression references an unbound induction variable");
+    int64_t V = Const;
+    for (size_t K = 0, E = Coeffs.size(); K != E; ++K)
+      V += Coeffs[K] * Iter[K];
+    return V;
+  }
 
   AffineExpr operator+(const AffineExpr &O) const;
   AffineExpr operator-(const AffineExpr &O) const;

@@ -14,6 +14,7 @@
 #include "support/Parallel.h"
 
 #include <cmath>
+#include <span>
 #include <string_view>
 
 using namespace dra;
@@ -350,9 +351,24 @@ void dra::writeSchemeRunJson(JsonWriter &W, const SchemeRun &R,
   W.endObject();
 }
 
-std::string dra::renderRunReportJson(const PipelineConfig &Cfg,
-                                     const std::vector<AppResults> &Apps,
-                                     const std::string &Source) {
+namespace {
+
+/// One app of a dra-report-v1 document: its name, its runs and, when
+/// rendered, its dra-footprint-v1 body. Views into the caller's results,
+/// so no renderer copies a run.
+struct AppView {
+  std::string_view Name;
+  std::span<const SchemeRun> Runs;
+  std::string_view FootprintJson;
+};
+
+AppView viewOf(const AppResults &A) {
+  return {A.Name, A.Runs, A.FootprintJson};
+}
+
+std::string renderReport(const PipelineConfig &Cfg,
+                         std::span<const AppView> Apps,
+                         const std::string &Source) {
   double BreakEvenS = Cfg.Disk.TpmBreakEvenS;
   JsonWriter W;
   W.beginObject();
@@ -377,7 +393,7 @@ std::string dra::renderRunReportJson(const PipelineConfig &Cfg,
   W.endObject();
   W.key("apps");
   W.beginArray();
-  for (const AppResults &A : Apps) {
+  for (const AppView &A : Apps) {
     W.beginObject();
     W.key("app");
     W.value(A.Name);
@@ -398,6 +414,33 @@ std::string dra::renderRunReportJson(const PipelineConfig &Cfg,
   return W.take();
 }
 
+} // namespace
+
+std::string dra::renderRunReportJson(const PipelineConfig &Cfg,
+                                     const std::vector<AppResults> &Apps,
+                                     const std::string &Source) {
+  std::vector<AppView> Views;
+  Views.reserve(Apps.size());
+  for (const AppResults &A : Apps)
+    Views.push_back(viewOf(A));
+  return renderReport(Cfg, Views, Source);
+}
+
+std::string dra::renderRunReportJson(const PipelineConfig &Cfg,
+                                     const AppResults &App,
+                                     const std::string &Source) {
+  const AppView View = viewOf(App);
+  return renderReport(Cfg, {&View, 1}, Source);
+}
+
+std::string dra::renderRunReportJson(const PipelineConfig &Cfg,
+                                     std::string_view AppName,
+                                     const SchemeRun &Run,
+                                     const std::string &Source) {
+  const AppView View{AppName, {&Run, 1}, {}};
+  return renderReport(Cfg, {&View, 1}, Source);
+}
+
 /// One collapsed-stack flame line: \p Prefix holds the ';'-joined frames
 /// up to and including the trailing ';', then the category frame, a space
 /// and the weight, matching the flamegraph.pl/speedscope collapsed format.
@@ -413,50 +456,62 @@ static void appendFlameLine(std::string &Out, std::string_view Prefix,
   Out += '\n';
 }
 
-std::string dra::renderAttribFlame(const std::vector<AppResults> &Apps) {
-  std::string Out;
-  std::string Prefix; // "app;scheme;nest;ref;diskD;", reused across stacks.
-  for (const AppResults &A : Apps) {
-    for (const SchemeRun &R : A.Runs) {
-      if (!R.Sim.AttributionEnabled)
-        continue;
-      const std::string_view Scheme = schemeName(R.S);
-      for (size_t D = 0; D != R.Sim.PerDisk.size(); ++D) {
-        // Collapse rounds per (nest, ref) so each stack appears once: the
-        // map is ordered by (Nest, Ref, Round), so each (nest, ref) is one
-        // contiguous run of entries.
-        const AttributionMap &M = R.Sim.PerDisk[D].Attrib;
-        for (auto It = M.begin(); It != M.end();) {
-          const uint32_t Nest = It->first.Nest, Ref = It->first.Ref;
-          EnergyLedger L;
-          for (; It != M.end() && It->first.Nest == Nest &&
-                 It->first.Ref == Ref;
-               ++It)
-            L += It->second.Energy;
-          Prefix.assign(A.Name);
-          Prefix += ';';
-          Prefix += Scheme;
-          Prefix += ';';
-          Prefix += R.AttribNames.nestLabel(Nest);
-          Prefix += ';';
-          Prefix += R.AttribNames.refLabel(Nest, Ref);
-          Prefix += ";disk";
-          Prefix += std::to_string(D);
-          Prefix += ';';
-          appendFlameLine(Out, Prefix, "active_read", L.ActiveReadJ);
-          appendFlameLine(Out, Prefix, "active_write", L.ActiveWriteJ);
-          for (const auto &[Rpm, Joules] : L.IdleByRpmJ)
-            appendFlameLine(Out, Prefix, "idle@" + std::to_string(Rpm),
-                            Joules);
-          appendFlameLine(Out, Prefix, "spin_down", L.SpinDownJ);
-          appendFlameLine(Out, Prefix, "spin_up", L.SpinUpJ);
-          appendFlameLine(Out, Prefix, "standby", L.StandbyJ);
-          appendFlameLine(Out, Prefix, "rpm_step", L.RpmStepJ);
-          appendFlameLine(Out, Prefix, "ready_penalty", L.ReadyPenaltyJ);
-        }
+/// Appends the flame stacks of \p A's runs to \p Out; \p Prefix is the
+/// caller's reused frame buffer.
+static void appendAppFlame(std::string &Out, std::string &Prefix,
+                           const AppResults &A) {
+  for (const SchemeRun &R : A.Runs) {
+    if (!R.Sim.AttributionEnabled)
+      continue;
+    const std::string_view Scheme = schemeName(R.S);
+    for (size_t D = 0; D != R.Sim.PerDisk.size(); ++D) {
+      // Collapse rounds per (nest, ref) so each stack appears once: the
+      // map is ordered by (Nest, Ref, Round), so each (nest, ref) is one
+      // contiguous run of entries.
+      const AttributionMap &M = R.Sim.PerDisk[D].Attrib;
+      for (auto It = M.begin(); It != M.end();) {
+        const uint32_t Nest = It->first.Nest, Ref = It->first.Ref;
+        EnergyLedger L;
+        for (; It != M.end() && It->first.Nest == Nest &&
+               It->first.Ref == Ref;
+             ++It)
+          L += It->second.Energy;
+        Prefix.assign(A.Name);
+        Prefix += ';';
+        Prefix += Scheme;
+        Prefix += ';';
+        Prefix += R.AttribNames.nestLabel(Nest);
+        Prefix += ';';
+        Prefix += R.AttribNames.refLabel(Nest, Ref);
+        Prefix += ";disk";
+        Prefix += std::to_string(D);
+        Prefix += ';';
+        appendFlameLine(Out, Prefix, "active_read", L.ActiveReadJ);
+        appendFlameLine(Out, Prefix, "active_write", L.ActiveWriteJ);
+        for (const auto &[Rpm, Joules] : L.IdleByRpmJ)
+          appendFlameLine(Out, Prefix, "idle@" + std::to_string(Rpm),
+                          Joules);
+        appendFlameLine(Out, Prefix, "spin_down", L.SpinDownJ);
+        appendFlameLine(Out, Prefix, "spin_up", L.SpinUpJ);
+        appendFlameLine(Out, Prefix, "standby", L.StandbyJ);
+        appendFlameLine(Out, Prefix, "rpm_step", L.RpmStepJ);
+        appendFlameLine(Out, Prefix, "ready_penalty", L.ReadyPenaltyJ);
       }
     }
   }
+}
+
+std::string dra::renderAttribFlame(const std::vector<AppResults> &Apps) {
+  std::string Out;
+  std::string Prefix; // "app;scheme;nest;ref;diskD;", reused across stacks.
+  for (const AppResults &A : Apps)
+    appendAppFlame(Out, Prefix, A);
+  return Out;
+}
+
+std::string dra::renderAttribFlame(const AppResults &App) {
+  std::string Out, Prefix;
+  appendAppFlame(Out, Prefix, App);
   return Out;
 }
 
@@ -476,8 +531,8 @@ dra::writeRunArtifacts(const RunArtifacts &A, const PipelineConfig &Cfg,
         [&] { return A.Tracer->renderChromeTrace(); });
   write(A.MetricsPath, "metrics", [&] { return A.Metrics->renderJson(); });
   write(A.ReportPath, "report",
-        [&] { return renderRunReportJson(Cfg, {App}, Source); });
-  write(A.FlamePath, "flame stacks", [&] { return renderAttribFlame({App}); });
+        [&] { return renderRunReportJson(Cfg, App, Source); });
+  write(A.FlamePath, "flame stacks", [&] { return renderAttribFlame(App); });
   write(A.TimelinePath, "timeline", [&] {
     return renderTimelineJson(*A.Timeline, Source, A.ServingJson);
   });

@@ -27,6 +27,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dra {
@@ -68,10 +69,27 @@ void writeAttributionSectionJson(JsonWriter &W, const SchemeRun &R);
 /// loadable directly in speedscope or flamegraph.pl (`drac --flame`).
 std::string renderAttribFlame(const std::vector<AppResults> &Apps);
 
+/// renderAttribFlame of the one app \p App. A braced `{App}` argument
+/// binds here, so rendering one app's runs copies none of them.
+std::string renderAttribFlame(const AppResults &App);
+
 /// Renders the full "dra-report-v1" document for \p Apps under \p Cfg.
 /// \param Source free-form provenance label ("drac", a bench name, ...).
 std::string renderRunReportJson(const PipelineConfig &Cfg,
                                 const std::vector<AppResults> &Apps,
+                                const std::string &Source);
+
+/// renderRunReportJson of the one app \p App. A braced `{App}` argument
+/// binds here, so rendering one app's runs copies none of them.
+std::string renderRunReportJson(const PipelineConfig &Cfg,
+                                const AppResults &App,
+                                const std::string &Source);
+
+/// renderRunReportJson of one app \p AppName with the single run \p Run
+/// and no footprint: the sweep runner's per-job report, rendered from the
+/// job's outcome in place.
+std::string renderRunReportJson(const PipelineConfig &Cfg,
+                                std::string_view AppName, const SchemeRun &Run,
                                 const std::string &Source);
 
 /// The artifacts one run may export and where to put them. An empty path
