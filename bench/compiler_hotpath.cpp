@@ -76,8 +76,7 @@ PathResult runHotPath(const Program &P, const StripingConfig &SC) {
     for (auto &[Phase, Subset] : ByPhase) {
       (void)Phase;
       std::sort(Subset.begin(), Subset.end());
-      Schedule S =
-          Sched.schedule(IterationGraph(Table, Subset), Subset, StartDisk);
+      Schedule S = Sched.schedule(IterationGraph(Table, Subset), StartDisk);
       R.Work.PerProc[Proc].insert(R.Work.PerProc[Proc].end(),
                                   S.Order.begin(), S.Order.end());
     }

@@ -40,7 +40,7 @@ int main() {
     std::printf("  iteration %u -> iteration %u\n", From + 1, To + 1);
 
   unsigned Rounds = 0;
-  Schedule S = DiskReuseScheduler::scheduleMasked(Mask, G, 4, {}, &Rounds);
+  Schedule S = DiskReuseScheduler::scheduleMasked(Mask, G, 4, &Rounds);
 
   std::printf("\nRestructured sequence (%u rounds of the Fig. 3 "
               "while-loop):\n  ",

@@ -68,18 +68,24 @@ public:
   /// scan, no subscript re-evaluation).
   DiskReuseScheduler(const TileAccessTable &Table, const DiskLayout &Layout);
 
-  /// Restructures the iterations in \p Subset (all iterations when empty),
-  /// honoring \p Graph. \p Graph must have been built over the same subset.
+  /// Restructures the iterations \p Graph spans: its members when it is a
+  /// subset graph, every iteration otherwise.
   /// \param StartDisk first disk of the round-robin sweep (the Fig. 3 disk
   ///        order is arbitrary; multi-processor runs stagger it so
   ///        processors cluster different disks at the same time).
+  Schedule schedule(const IterationGraph &Graph, unsigned StartDisk = 0) const;
+
+  /// The same, for callers that pass along the subset they built \p Graph
+  /// over (empty for a whole-space graph). Throws std::invalid_argument
+  /// when \p Subset is not \p Graph's member list.
   Schedule schedule(const IterationGraph &Graph,
-                    const std::vector<GlobalIter> &Subset = {},
-                    unsigned StartDisk = 0) const;
+                    const std::vector<GlobalIter> &Subset,
+                    unsigned StartDisk) const;
 
   /// The core Fig. 3 loop over explicit disk masks: \p Masks[g] is the set
-  /// of disks iteration g touches. \p Subset empty means all iterations.
-  /// Exposed for replaying published examples (Fig. 4) and for testing.
+  /// of disks iteration g touches; the iterations scheduled are those
+  /// \p Graph spans, as in schedule(). Exposed for replaying published
+  /// examples (Fig. 4) and for testing.
   /// \param RoundsOut when non-null receives the number of while-loop
   ///        rounds used.
   /// \param RoundStatsOut when non-null receives one entry per round
@@ -87,7 +93,6 @@ public:
   static Schedule
   scheduleMasked(const std::vector<uint64_t> &Masks,
                  const IterationGraph &Graph, unsigned NumDisks,
-                 const std::vector<GlobalIter> &Subset = {},
                  unsigned *RoundsOut = nullptr, unsigned StartDisk = 0,
                  std::vector<SchedulerRoundStats> *RoundStatsOut = nullptr);
 

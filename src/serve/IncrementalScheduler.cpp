@@ -84,7 +84,7 @@ TickResult IncrementalScheduler::runTick(uint64_t Budget, uint64_t Tick) {
     // restructurePerProc). Predecessors outside the subset were placed by
     // earlier ticks; the tick barrier orders them.
     IterationGraph SubGraph(Table, Subset);
-    Schedule S = Scheduler.schedule(SubGraph, Subset, R.StartDisk);
+    Schedule S = Scheduler.schedule(SubGraph, R.StartDisk);
     assert(S.RoundOf.size() == S.Order.size() &&
            "scheduler must tag every placed iteration with its round");
     R.Order = std::move(S.Order);

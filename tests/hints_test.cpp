@@ -123,7 +123,7 @@ TEST(StaggerTest, StartDiskRotatesTheSweep) {
   TileAccessTable Table(P, Space);
   DiskReuseScheduler Sched(Table, L);
   IterationGraph G(P, Space);
-  Schedule S2 = Sched.schedule(G, {}, /*StartDisk=*/2);
+  Schedule S2 = Sched.schedule(G, /*StartDisk=*/2);
   // Clusters come out in disk order 2, 3, 0, 1.
   std::vector<GlobalIter> Expected;
   for (unsigned D : {2u, 3u, 0u, 1u})

@@ -110,9 +110,16 @@ scheduleMaskedReference(const std::vector<uint64_t> &Masks,
     Q = Subset;
   }
 
+  // The graph in iteration numbering: node N of a subset graph is member
+  // iterationOf(N).
+  constexpr uint64_t NoNode = ~uint64_t(0);
+  std::vector<uint64_t> NodeOf(Masks.size(), NoNode);
+  for (uint64_t N = 0; N != Graph.numLocalNodes(); ++N)
+    NodeOf[Graph.iterationOf(N)] = N;
   std::vector<uint32_t> RemainingPreds(Masks.size(), 0);
   for (GlobalIter G : Q)
-    RemainingPreds[G] = Graph.inDegree(G);
+    if (NodeOf[G] != NoNode)
+      RemainingPreds[G] = Graph.localInDegree(NodeOf[G]);
 
   Schedule Result;
   unsigned Rounds = 0;
@@ -133,8 +140,9 @@ scheduleMaskedReference(const std::vector<uint64_t> &Masks,
         // Schedule G: all predecessors done and it touches disk D.
         Result.Order.push_back(G);
         Result.RoundOf.push_back(Rounds - 1);
-        for (GlobalIter V : Graph.succs(G))
-          --RemainingPreds[V];
+        if (NodeOf[G] != NoNode)
+          for (GlobalIter V : Graph.localSuccs(NodeOf[G]))
+            --RemainingPreds[Graph.iterationOf(V)];
         --Left;
       }
       Q.resize(Out);
@@ -152,11 +160,12 @@ scheduleMaskedReference(const std::vector<uint64_t> &Masks,
 }
 
 bool sameGraph(const IterationGraph &A, const IterationGraph &B) {
-  if (A.numNodes() != B.numNodes() || A.numEdges() != B.numEdges())
+  if (A.numNodes() != B.numNodes() || A.numEdges() != B.numEdges() ||
+      A.members() != B.members())
     return false;
-  for (GlobalIter G = 0; G != GlobalIter(A.numNodes()); ++G)
-    if (!std::ranges::equal(A.succs(G), B.succs(G)) ||
-        A.inDegree(G) != B.inDegree(G))
+  for (uint64_t N = 0; N != A.numLocalNodes(); ++N)
+    if (!std::ranges::equal(A.localSuccs(N), B.localSuccs(N)) ||
+        A.localInDegree(N) != B.localInDegree(N))
       return false;
   return true;
 }
@@ -264,8 +273,7 @@ TEST(HotPathSchedulerTest, MatchesReferenceAcrossProgramsSubsetsAndDisks) {
           unsigned RoundsNew = 0, RoundsRef = 0;
           std::vector<SchedulerRoundStats> StatsNew, StatsRef;
           Schedule New = DiskReuseScheduler::scheduleMasked(
-              Masks, Graph, NumDisks, Subset, &RoundsNew, StartDisk,
-              &StatsNew);
+              Masks, Graph, NumDisks, &RoundsNew, StartDisk, &StatsNew);
           Schedule Ref = scheduleMaskedReference(
               Masks, Graph, NumDisks, Subset, &RoundsRef, StartDisk,
               &StatsRef);
@@ -302,7 +310,7 @@ TEST(HotPathSchedulerTest, MatchesReferenceOnSubGraphSubsets) {
       unsigned RN = 0, RR = 0;
       std::vector<SchedulerRoundStats> SN, SR;
       Schedule New = DiskReuseScheduler::scheduleMasked(
-          Masks, Sub, 4, Subset, &RN, /*StartDisk=*/2, &SN);
+          Masks, Sub, 4, &RN, /*StartDisk=*/2, &SN);
       Schedule Ref = scheduleMaskedReference(Masks, Sub, 4, Subset, &RR,
                                              /*StartDisk=*/2, &SR);
       ASSERT_EQ(New.Order, Ref.Order);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 using namespace dra;
 
@@ -68,7 +69,7 @@ TEST(SchedulerTest, ReproducesFig4Example) {
   IterationGraph G(13, {{1, 8}, {5, 6}, {9, 11}, {4, 10}, {10, 12}});
 
   unsigned Rounds = 0;
-  Schedule S = DiskReuseScheduler::scheduleMasked(Mask, G, 4, {}, &Rounds);
+  Schedule S = DiskReuseScheduler::scheduleMasked(Mask, G, 4, &Rounds);
 
   // Paper order (converted to 0-based): round 1 = 1,3 | 2,6,10 | 4,8 | 5,9;
   // round 2 = 7,12 | - | 11 | 13.
@@ -173,11 +174,19 @@ TEST(SchedulerTest, SubsetScheduling) {
   for (GlobalIter G = Space.nestBegin(1); G != Space.nestEnd(1); ++G)
     Subset.push_back(G);
   IterationGraph G(P, Space, Subset);
-  Schedule S = Sched.schedule(G, Subset);
+  Schedule S = Sched.schedule(G);
   EXPECT_EQ(S.Order.size(), Subset.size());
   std::vector<GlobalIter> Sorted = S.Order;
   std::sort(Sorted.begin(), Sorted.end());
   EXPECT_EQ(Sorted, Subset);
+
+  // Passing the subset along names the graph's own members; any other
+  // list is refused rather than indexed with the graph's numbering.
+  EXPECT_EQ(Sched.schedule(G, Subset, 0).Order, S.Order);
+  std::vector<GlobalIter> Other(Subset.begin() + 1, Subset.end());
+  EXPECT_THROW(Sched.schedule(G, Other, 0), std::invalid_argument);
+  EXPECT_THROW(Sched.schedule(IterationGraph(P, Space), Subset, 0),
+               std::invalid_argument);
 }
 
 TEST(SchedulerTest, DiskMaskMatchesLayout) {
