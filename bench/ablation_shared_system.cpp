@@ -24,12 +24,13 @@ int main() {
   Pipeline Pipe(P, Cfg);
   Trace Restructured = Pipe.trace(Scheme::TTpmS);
 
-  DiskParams Hinted = Cfg.Disk;
-  Hinted.TpmProactiveHints = true;
-  SimEngine Tpm(Pipe.layout(), Hinted, PowerPolicyKind::Tpm);
-  SimEngine Base(Pipe.layout(), Cfg.Disk, PowerPolicyKind::None);
+  // The trace replays under T-TPM-s (TPM with the compiler's hints) and
+  // under Base (no power management) for the savings baseline.
+  auto Simulate = [&](Scheme S, const Trace &T) {
+    return simulateScheme(S, Pipe.layout(), Cfg, T);
+  };
 
-  double Duration = Base.run(Restructured).WallTimeMs;
+  double Duration = Simulate(Scheme::Base, Restructured).WallTimeMs;
 
   TextTable T({"Background req/s", "Savings vs Base", "Spin-downs",
                "Wall (s)"});
@@ -37,8 +38,8 @@ int main() {
   for (double Rate : {0.0, 2.0, 10.0, 40.0, 150.0}) {
     Trace Shared =
         withBackgroundTraffic(Restructured, Pipe.layout(), Rate, Duration);
-    SimResults WithPm = Tpm.run(Shared);
-    SimResults NoPm = Base.run(Shared);
+    SimResults WithPm = Simulate(Scheme::TTpmS, Shared);
+    SimResults NoPm = Simulate(Scheme::Base, Shared);
     double Savings = 1.0 - WithPm.EnergyJ / NoPm.EnergyJ;
     if (FirstSavings < 0)
       FirstSavings = Savings;

@@ -6,16 +6,15 @@
 // Table 2 applications:
 //
 //   1. times the table-free symbolic compile path (DiskLayout +
-//      SymbolicFootprint in mode Symbolic + the footprint-based energy
-//      bound) at scales x1, x10 and x100 of the bench scale, and gates the
+//      SymbolicFootprint in mode Symbolic) at scales x1, x10 and x100 of
+//      the bench scale, and gates the
 //      headline claim: the x100 wall time stays within 2x of the x1 wall
 //      time (near-flat — the analysis cost depends on program shape, not
 //      iteration count);
 //   2. wherever the enumerated oracle is affordable, derives the same
 //      footprint from TileAccessTable rows (mode Enumerated) and requires
 //      every count — iterations, per-reference distinct tiles, per-disk
-//      demand — to agree exactly, and the estimator bound fed from either
-//      footprint to be byte-identical;
+//      demand — to agree exactly;
 //   3. emits a dra-report-v1 artifact (DRA_BENCH_JSON) whose per-app
 //      "footprint" sections carry only deterministic counts, gated in CI
 //      against bench/baselines by tools/check-regression.
@@ -27,10 +26,8 @@
 
 #include "BenchCommon.h"
 #include "analysis/SymbolicFootprint.h"
-#include "core/EnergyEstimator.h"
 
 #include <chrono>
-#include <cstring>
 #include <memory>
 
 using namespace dra;
@@ -75,33 +72,28 @@ constexpr bool TimeGateMeaningful = true;
 #endif
 
 /// One timed run of the table-free symbolic compile path: layout +
-/// symbolic footprint + footprint-based energy bound. This is the path a
-/// unified optimizer iterates when ranking candidate layouts, and the one
-/// whose cost must not scale with the iteration count.
+/// symbolic footprint, whose cost must not scale with the iteration
+/// count.
 struct SymbolicLeg {
   double WallMs = 0.0;
   /// The footprint refers to the layout, so the leg owns both.
   std::unique_ptr<DiskLayout> Layout;
   std::unique_ptr<SymbolicFootprint> FP;
-  EnergyEstimate Bound;
 };
 
-SymbolicLeg runSymbolic(const Program &P, const StripingConfig &SC,
-                        const DiskParams &Disk) {
+SymbolicLeg runSymbolic(const Program &P, const StripingConfig &SC) {
   SymbolicLeg R;
   double T0 = nowMs();
   R.Layout = std::make_unique<DiskLayout>(P, SC);
   R.FP = std::make_unique<SymbolicFootprint>(P, *R.Layout,
                                              FootprintMode::Symbolic);
-  R.Bound = EnergyEstimator::footprintBound(P, *R.Layout, Disk, *R.FP);
   R.WallMs = nowMs() - T0;
   return R;
 }
 
 /// The enumerated oracle: the full virtual execution (IterationSpace +
 /// TileAccessTable), then the footprint re-derived purely from table rows.
-SymbolicLeg runEnumerated(const Program &P, const StripingConfig &SC,
-                          const DiskParams &Disk) {
+SymbolicLeg runEnumerated(const Program &P, const StripingConfig &SC) {
   SymbolicLeg R;
   double T0 = nowMs();
   R.Layout = std::make_unique<DiskLayout>(P, SC);
@@ -110,7 +102,6 @@ SymbolicLeg runEnumerated(const Program &P, const StripingConfig &SC,
   R.FP = std::make_unique<SymbolicFootprint>(P, *R.Layout,
                                              FootprintMode::Enumerated,
                                              &Table);
-  R.Bound = EnergyEstimator::footprintBound(P, *R.Layout, Disk, *R.FP);
   R.WallMs = nowMs() - T0;
   return R;
 }
@@ -149,25 +140,6 @@ bool sameCounts(const SymbolicFootprint &A, const SymbolicFootprint &B,
   return true;
 }
 
-/// Byte-identical estimator gate: the bound is a pure function of the
-/// counts, so equal counts must give bit-equal doubles — no tolerance.
-bool sameBound(const EnergyEstimate &A, const EnergyEstimate &B,
-               const char *App) {
-  bool Ok = std::memcmp(&A.EnergyJ, &B.EnergyJ, sizeof(double)) == 0 &&
-            std::memcmp(&A.WallMs, &B.WallMs, sizeof(double)) == 0 &&
-            std::memcmp(&A.IoTimeMs, &B.IoTimeMs, sizeof(double)) == 0 &&
-            A.PerDiskEnergyJ.size() == B.PerDiskEnergyJ.size();
-  for (size_t D = 0; Ok && D != A.PerDiskEnergyJ.size(); ++D)
-    Ok = std::memcmp(&A.PerDiskEnergyJ[D], &B.PerDiskEnergyJ[D],
-                     sizeof(double)) == 0;
-  if (!Ok)
-    std::fprintf(stderr,
-                 "FAIL %s: estimator bound differs between symbolic and "
-                 "enumerated footprints\n",
-                 App);
-  return Ok;
-}
-
 } // namespace
 
 int main() {
@@ -191,11 +163,10 @@ int main() {
           App.Name + "@x" + std::to_string(int64_t(Multipliers[SI]));
 
       // Best-of-3 absorbs allocator and frequency noise.
-      SymbolicLeg Sym = runSymbolic(P, Cfg.Striping, Cfg.Disk);
+      SymbolicLeg Sym = runSymbolic(P, Cfg.Striping);
       for (int Rep = 0; Rep != 2; ++Rep) {
-        SymbolicLeg S2 = runSymbolic(P, Cfg.Striping, Cfg.Disk);
-        AllAgree &= sameCounts(*Sym.FP, *S2.FP, Label.c_str()) &&
-                    sameBound(Sym.Bound, S2.Bound, Label.c_str());
+        SymbolicLeg S2 = runSymbolic(P, Cfg.Striping);
+        AllAgree &= sameCounts(*Sym.FP, *S2.FP, Label.c_str());
         Sym.WallMs = std::min(Sym.WallMs, S2.WallMs);
       }
       SymTotal[SI] += Sym.WallMs;
@@ -203,9 +174,8 @@ int main() {
       char OracleMs[32];
       uint64_t Iters = Sym.FP->totalIterations();
       if (Iters <= EnumCap) {
-        SymbolicLeg Enum = runEnumerated(P, Cfg.Striping, Cfg.Disk);
-        AllAgree &= sameCounts(*Sym.FP, *Enum.FP, Label.c_str()) &&
-                    sameBound(Sym.Bound, Enum.Bound, Label.c_str());
+        SymbolicLeg Enum = runEnumerated(P, Cfg.Striping);
+        AllAgree &= sameCounts(*Sym.FP, *Enum.FP, Label.c_str());
         if (SI == 0)
           OracleX1Ms += Enum.WallMs;
         std::snprintf(OracleMs, sizeof(OracleMs), "%12.2f", Enum.WallMs);
@@ -227,8 +197,8 @@ int main() {
 
   if (!AllAgree)
     return 1;
-  std::printf("\n  [ok] symbolic counts match the enumerated oracle exactly; "
-              "estimator bounds byte-identical\n");
+  std::printf("\n  [ok] symbolic counts match the enumerated oracle "
+              "exactly\n");
 
   // The headline gate: symbolic analysis of the x100 problems costs at
   // most 2x the x1 problems (both clamped to the measurement floor, which

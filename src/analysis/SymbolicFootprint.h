@@ -15,8 +15,8 @@
 ///   (b) how many of those tiles reside on each I/O node under the active
 ///       DiskLayout striping (the per-disk demand); and
 ///   (c) exact inter-reference overlaps (shared tiles) within a nest,
-///       the reuse signal the energy estimator and the layout-aware
-///       parallelizer consume without a TileAccessTable.
+///       the reuse signal the layout-aware parallelizer consumes without
+///       a TileAccessTable.
 ///
 /// Counts (a) and (b) are exact, never estimates: a reference whose shape
 /// escapes the closed forms is *demoted* to per-reference enumeration (the

@@ -5,75 +5,45 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/LayoutOptimizer.h"
-#include "analysis/IterationGraph.h"
-#include "core/DiskReuseScheduler.h"
 
 #include <cassert>
 
 using namespace dra;
 
-double LayoutOptimizer::predictEnergy(const Program &P,
-                                      const IterationSpace &Space,
-                                      const DiskLayout &Layout,
-                                      const DiskParams &Disk,
-                                      PowerPolicyKind Policy,
-                                      const TileAccessTable &Table,
-                                      const IterationGraph &Graph) {
-  // Restructure under this layout (the unified part: layout changes feed
-  // back into the code transformation), then predict analytically.
-  Schedule S = DiskReuseScheduler(Table, Layout).schedule(Graph);
-  EnergyEstimator Est(P, Space, Layout, Disk, Policy, Table);
-  return Est.estimate(S).EnergyJ;
-}
-
 LayoutChoice LayoutOptimizer::optimize(const Program &P,
-                                       const StripingConfig &Base,
-                                       const DiskParams &Disk,
+                                       const PipelineConfig &Base, Scheme S,
                                        const Options &Opts) {
-  IterationSpace Space(P);
-
-  DiskParams Pred = Disk;
-  if (Opts.ProactiveHints) {
-    Pred.TpmProactiveHints = Opts.Policy == PowerPolicyKind::Tpm;
-    Pred.DrpmProactiveHints = Opts.Policy == PowerPolicyKind::Drpm;
-  }
-
-  // Shared across every candidate: accesses and dependences are properties
-  // of the program, not of the layout under evaluation.
-  TileAccessTable Table(P, Space);
-  IterationGraph Graph(Table);
+  // Scoring runs are not part of the caller's observed run.
+  PipelineConfig Cfg = Base;
+  Cfg.Trace = nullptr;
+  Cfg.Metrics = nullptr;
+  Cfg.Timeline = nullptr;
 
   LayoutChoice Best;
-  Best.Config = Base;
-  Best.ArrayStartDisks.assign(P.arrays().size(), Base.StartDisk);
-  {
-    DiskLayout Default(P, Base);
-    Best.DefaultEnergyJ =
-        predictEnergy(P, Space, Default, Pred, Opts.Policy, Table, Graph);
-    Best.PredictedEnergyJ = Best.DefaultEnergyJ;
-    Best.CandidatesTried = 1;
-  }
+  auto Evaluate = [&](unsigned Factor, const std::vector<unsigned> &Starts) {
+    Cfg.Striping.StripeFactor = Factor;
+    Cfg.ArrayStartDisks = Starts;
+    ++Best.CandidatesTried;
+    return Pipeline(P, Cfg).run(S).Sim.EnergyJ;
+  };
 
-  std::vector<unsigned> Factors{Base.StripeFactor};
+  const StripingConfig &C = Base.Striping;
+  Best.Config = C;
+  Best.ArrayStartDisks.assign(P.arrays().size(), C.StartDisk);
+  Best.DefaultEnergyJ = Evaluate(C.StripeFactor, Best.ArrayStartDisks);
+  Best.ChosenEnergyJ = Best.DefaultEnergyJ;
+
+  std::vector<unsigned> Factors{C.StripeFactor};
   for (unsigned F : Opts.CandidateStripeFactors)
-    if (F != Base.StripeFactor)
+    if (F != C.StripeFactor)
       Factors.push_back(F);
 
   for (unsigned Factor : Factors) {
-    StripingConfig C = Base;
-    C.StripeFactor = Factor;
     assert(C.StartDisk < Factor && "base start disk beyond stripe factor");
     std::vector<unsigned> Starts(P.arrays().size(), C.StartDisk);
-
-    auto Evaluate = [&](const std::vector<unsigned> &Cand) {
-      DiskLayout L(P, C);
-      for (ArrayId A = 0; A != Cand.size(); ++A)
-        L.setArrayStartDisk(A, Cand[A]);
-      ++Best.CandidatesTried;
-      return predictEnergy(P, Space, L, Pred, Opts.Policy, Table, Graph);
-    };
-
-    double Cur = Evaluate(Starts);
+    // The base factor's all-default candidate is the default layout.
+    double Cur = Factor == C.StripeFactor ? Best.DefaultEnergyJ
+                                          : Evaluate(Factor, Starts);
     if (Opts.TuneStartDisks) {
       // Coordinate descent: one pass over the arrays, each trying every
       // starting iodevice. A single pass suffices in practice because the
@@ -85,7 +55,7 @@ LayoutChoice LayoutOptimizer::optimize(const Program &P,
             continue;
           std::vector<unsigned> Cand = Starts;
           Cand[A] = SD;
-          double E = Evaluate(Cand);
+          double E = Evaluate(Factor, Cand);
           if (E < Cur) {
             Cur = E;
             BestStart = SD;
@@ -94,9 +64,10 @@ LayoutChoice LayoutOptimizer::optimize(const Program &P,
         Starts[A] = BestStart;
       }
     }
-    if (Cur < Best.PredictedEnergyJ) {
-      Best.PredictedEnergyJ = Cur;
+    if (Cur < Best.ChosenEnergyJ) {
+      Best.ChosenEnergyJ = Cur;
       Best.Config = C;
+      Best.Config.StripeFactor = Factor;
       Best.ArrayStartDisks = Starts;
     }
   }

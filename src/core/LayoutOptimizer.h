@@ -13,33 +13,33 @@
 ///
 /// This module implements that framework for the starting-iodevice
 /// parameter: a greedy coordinate-descent search that, for each array in
-/// turn, tries every starting disk, re-runs the disk-reuse restructuring
-/// under the candidate layout, and keeps the start that minimizes the
-/// analytical energy estimate. Optionally sweeps the stripe factor too.
+/// turn, tries every starting disk, compiles and simulates the scheme under
+/// the candidate layout (so layout changes feed back into the code
+/// transformation), and keeps the start with the lowest simulated energy.
+/// Optionally sweeps the stripe factor too. The simulator is the one
+/// energy model: a choice's energy is what Pipeline::run reports for it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRA_CORE_LAYOUTOPTIMIZER_H
 #define DRA_CORE_LAYOUTOPTIMIZER_H
 
-#include "analysis/IterationGraph.h"
-#include "core/EnergyEstimator.h"
-#include "layout/DiskLayout.h"
-#include "sim/DiskParams.h"
+#include "core/Pipeline.h"
 
 #include <vector>
 
 namespace dra {
 
-/// The optimizer's result: chosen layout parameters and predicted energy.
+/// The optimizer's result: chosen layout parameters and their energy.
 struct LayoutChoice {
   StripingConfig Config;
   /// Chosen starting iodevice per array.
   std::vector<unsigned> ArrayStartDisks;
-  /// Predicted energy of the restructured schedule under the chosen layout.
-  double PredictedEnergyJ = 0.0;
-  /// Predicted energy under the default layout (all arrays start at disk
-  /// Config.StartDisk), for comparison.
+  /// Simulated energy of the scheme under the chosen layout: exactly what
+  /// a Pipeline with Config and ArrayStartDisks reports.
+  double ChosenEnergyJ = 0.0;
+  /// Simulated energy under the default layout (all arrays start at disk
+  /// Config.StartDisk of the base striping), for comparison.
   double DefaultEnergyJ = 0.0;
   /// Candidate layouts evaluated.
   unsigned CandidatesTried = 0;
@@ -52,29 +52,17 @@ public:
   struct Options {
     /// Try every starting iodevice for every array (coordinate descent).
     bool TuneStartDisks = true;
-    /// Additional stripe factors to consider besides Config.StripeFactor
+    /// Additional stripe factors to consider besides the base striping's
     /// (each candidate factor restarts the start-disk descent).
     std::vector<unsigned> CandidateStripeFactors;
-    /// Power policy to optimize for.
-    PowerPolicyKind Policy = PowerPolicyKind::Drpm;
-    /// Apply the compiler's proactive hints while predicting (matches the
-    /// restructured pipeline versions).
-    bool ProactiveHints = true;
   };
 
-  /// Optimizes the layout of \p P for the disk-reuse restructured schedule.
-  static LayoutChoice optimize(const Program &P, const StripingConfig &Base,
-                               const DiskParams &Disk, const Options &Opts);
-
-  /// Predicted energy of the restructured schedule of \p P under a given
-  /// layout (helper shared with tests and examples). \p Table and \p Graph
-  /// are layout-independent, so optimize() derives them once and reuses
-  /// them across every candidate.
-  static double predictEnergy(const Program &P, const IterationSpace &Space,
-                              const DiskLayout &Layout,
-                              const DiskParams &Disk, PowerPolicyKind Policy,
-                              const TileAccessTable &Table,
-                              const IterationGraph &Graph);
+  /// Optimizes the layout of \p P for scheme \p S: each candidate is
+  /// \p Base with the candidate's stripe factor and per-array start disks,
+  /// scored by Pipeline(P, Cfg).run(S).Sim.EnergyJ. \p Base's telemetry
+  /// sinks are not attached to the candidate runs.
+  static LayoutChoice optimize(const Program &P, const PipelineConfig &Base,
+                               Scheme S, const Options &Opts);
 };
 
 } // namespace dra

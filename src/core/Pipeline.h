@@ -104,8 +104,9 @@ struct PipelineConfig {
   StripingConfig Striping;
   DiskParams Disk;
   uint64_t BlockBytes = 4096;
-  /// Per-array starting iodevice overrides (from the layout optimizer);
-  /// empty means every file starts at Striping.StartDisk.
+  /// Per-array starting iodevice overrides (a LayoutChoice's, which the
+  /// optimizer scored by running this pipeline); empty means every file
+  /// starts at Striping.StartDisk.
   std::vector<unsigned> ArrayStartDisks;
   /// Optional storage cache in front of the disks (Sec. 3 related work).
   CacheConfig Cache;

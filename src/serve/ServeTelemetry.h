@@ -55,16 +55,14 @@ struct LagHistogram {
   }
 };
 
-/// Renders the per-tick summary table both online drivers print (the
-/// single renderer of satellite "deduplicate the per-tick tables").
+/// Renders the per-tick summary table dra-serve prints.
 /// \param Lags per-tick dispatch-lag histograms aligned with \p Ticks;
 ///        pass empty to omit the latency columns (a session that failed
 ///        before scheduling).
 std::string renderServeTickTable(const std::vector<ServeTickStats> &Ticks,
                                  const std::vector<LagHistogram> &Lags);
 
-/// Emits the serve counters into \p M (dra-metrics-v1 "serve.*" names);
-/// shared so both drivers export the identical counter set.
+/// Emits the serve counters into \p M (dra-metrics-v1 "serve.*" names).
 void recordServeMetrics(MetricsRegistry &M, const SessionResult &R);
 
 /// One rule of a dra-slo-v1 spec: Metric <= Max per window.

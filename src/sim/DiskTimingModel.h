@@ -33,35 +33,6 @@ namespace dra {
 /// charged the near-sequential seek time instead of the average seek.
 inline constexpr uint64_t SeqWindowBytes = 1024 * 1024;
 
-/// Evaluates an idle gap of \p GapMs under \p Policy: the one policy
-/// dispatch, shared by DiskTimingModel and the compiler's EnergyEstimator.
-/// The disk enters the gap at \p Rpm with a deferred DRPM step-down target
-/// of \p PendingRpm (== \p Rpm when none); \p RequestArrives is false for
-/// the trailing gap at the end of a run. The proactive-hint flags of the
-/// policies' DiskParams (both policies share one PowerModel) apply.
-inline IdleOutcome evaluateIdleGap(PowerPolicyKind Policy,
-                                   const TpmPolicy &Tpm,
-                                   const DrpmPolicy &Drpm, double GapMs,
-                                   unsigned Rpm, unsigned PendingRpm,
-                                   bool RequestArrives) {
-  const DiskParams &P = Tpm.powerModel().params();
-  switch (Policy) {
-  case PowerPolicyKind::None: {
-    IdleOutcome O;
-    O.add(GapPhase::Idle, Rpm, GapMs, P.IdlePowerW * GapMs / 1000.0);
-    O.EndRpm = Rpm;
-    return O;
-  }
-  case PowerPolicyKind::Tpm:
-    return Tpm.evaluateIdle(GapMs, RequestArrives);
-  case PowerPolicyKind::Drpm:
-    return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
-                             P.DrpmProactiveHints && RequestArrives);
-  }
-  assert(false && "unknown policy kind");
-  return IdleOutcome();
-}
-
 /// How the model serviced one fragment.
 struct FragmentTiming {
   double ServiceStartMs = 0.0; ///< After queueing and any ready delay.
@@ -168,6 +139,35 @@ private:
   bool HasLastOffset = false;
   double LastArrivalMs = 0.0;
   bool Finalized = false;
+
+  /// Evaluates an idle gap of \p GapMs under \p Policy: the one policy
+  /// dispatch. The disk enters the gap at \p Rpm with a deferred DRPM
+  /// step-down target of \p PendingRpm (== \p Rpm when none);
+  /// \p RequestArrives is false for the trailing gap at the end of a run.
+  /// The proactive-hint flags of the policies' DiskParams (both policies
+  /// share one PowerModel) apply.
+  static IdleOutcome evaluateIdleGap(PowerPolicyKind Policy,
+                                     const TpmPolicy &Tpm,
+                                     const DrpmPolicy &Drpm, double GapMs,
+                                     unsigned Rpm, unsigned PendingRpm,
+                                     bool RequestArrives) {
+    const DiskParams &P = Tpm.powerModel().params();
+    switch (Policy) {
+    case PowerPolicyKind::None: {
+      IdleOutcome O;
+      O.add(GapPhase::Idle, Rpm, GapMs, P.IdlePowerW * GapMs / 1000.0);
+      O.EndRpm = Rpm;
+      return O;
+    }
+    case PowerPolicyKind::Tpm:
+      return Tpm.evaluateIdle(GapMs, RequestArrives);
+    case PowerPolicyKind::Drpm:
+      return Drpm.evaluateIdle(GapMs, Rpm, PendingRpm,
+                               P.DrpmProactiveHints && RequestArrives);
+    }
+    assert(false && "unknown policy kind");
+    return IdleOutcome();
+  }
 
   /// Evaluates the idle gap of \p GapMs starting at BusyUntilMs, hands it
   /// to \p OnGap and takes the disk to the gap's end speed. Returns the

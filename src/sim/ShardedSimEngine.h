@@ -63,9 +63,6 @@ public:
   /// Runs the sharded replay of \p T; byte-identical to SimEngine::run.
   SimResults run(const Trace &T) const;
 
-  double windowMs() const { return WindowMs; }
-  unsigned numShards() const { return NumShards; }
-
 private:
   const DiskLayout &Layout;
   DiskParams Params;

@@ -393,12 +393,6 @@ bool ScheduleVerifier::verifyWork(const ScheduledWork &Work) {
   return Ok;
 }
 
-bool ScheduleVerifier::verifyOrder(const std::vector<GlobalIter> &Order) {
-  ScheduledWork Work;
-  Work.PerProc.push_back(Order);
-  return verifyWork(Work);
-}
-
 bool ScheduleVerifier::verifyFootprint(const SymbolicFootprint &FP) {
   derive(Recount);
   bool Ok = true;

@@ -92,9 +92,6 @@ public:
   /// schedule proves legal.
   bool verifyWork(const ScheduledWork &Work);
 
-  /// Convenience for a single total order over the whole space.
-  bool verifyOrder(const std::vector<GlobalIter> &Order);
-
   /// Recounts locality metrics of \p S from scratch and compares them to
   /// \p Claimed.
   bool verifyLocality(const Schedule &S, const ScheduleLocality &Claimed);

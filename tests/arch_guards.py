@@ -58,6 +58,47 @@ GUARDS = [
                  "  P.appendTouchedTiles(0, I, Out);\n"
                  "}\n"),
     ),
+    # One disk timing model (DESIGN.md Sec. 11): service times, idle-gap
+    # outcomes and the DRPM controller are computed only inside
+    # DiskTimingModel, whose private evaluateIdleGap is the one policy
+    # dispatch; Disk, the sharded coordinator and every energy the layout
+    # optimizer ranks run that model. A second timing path shows up as a
+    # fresh call to one of the three timing primitives, so any call outside
+    # this allowlist fails:
+    #   src/sim/DiskTimingModel.h   the model itself.
+    #   src/sim/{TpmPolicy,DrpmPolicy,PowerModel}.{h,cpp}
+    #                               the primitives' own files.
+    Guard(
+        name="One disk timing model",
+        pattern=r"\b(serviceMs|evaluateIdle|onRequestServiced)\(",
+        paths=("src",),
+        allowlist=r"^src/sim/(DiskTimingModel\.h"
+                  r"|(TpmPolicy|DrpmPolicy|PowerModel)\.(h|cpp)):",
+        reason="compute disk timing through DiskTimingModel "
+               "(sim/DiskTimingModel.h)",
+        planted=("src/core/Estimate.cpp",
+                 "double estimate(const PowerModel &PM, uint64_t Bytes) {\n"
+                 "  return PM.serviceMs(Bytes, PM.params().MaxRpm, false);\n"
+                 "}\n"),
+    ),
+    # One record per idle gap (sim/IdleOutcome.h): a gap's energy is stated
+    # once, as its time-ordered slices, and IdleOutcome::add is the only
+    # code that charges GapEnergyJ and the category fields from them. Any
+    # assignment to those fields elsewhere in src/ would be a second
+    # statement of the same energy.
+    Guard(
+        name="One record per idle gap",
+        pattern=r"(\.|->)(GapEnergyJ|SpinDownEnergyJ|StandbyEnergyJ"
+                r"|RpmStepEnergyJ)\s*[-+*/]?=([^=]|$)",
+        paths=("src",),
+        allowlist=r"^src/sim/IdleOutcome\.h:",
+        reason="charge idle-gap energy through IdleOutcome::add "
+               "(sim/IdleOutcome.h)",
+        planted=("src/sim/Disk.cpp",
+                 "void charge(IdleOutcome &O, double Extra) {\n"
+                 "  O.StandbyEnergyJ += Extra;\n"
+                 "}\n"),
+    ),
 ]
 
 

@@ -84,20 +84,18 @@ TEST(InterferenceTest, SharedSystemErodesTpmSavings) {
   // unaffected (requests still complete).
   SharedRig R;
   PipelineConfig Cfg = paperConfig(1);
-  DiskParams Hinted = Cfg.Disk;
-  Hinted.TpmProactiveHints = true;
+  auto Simulate = [&](Scheme S, const Trace &T) {
+    return simulateScheme(S, R.Pipe.layout(), Cfg, T);
+  };
 
-  SimEngine Engine(R.Pipe.layout(), Hinted, PowerPolicyKind::Tpm);
-  SimEngine BaseEngine(R.Pipe.layout(), Cfg.Disk, PowerPolicyKind::None);
-
-  SimResults Alone = Engine.run(R.Base);
-  SimResults AloneBase = BaseEngine.run(R.Base);
+  SimResults Alone = Simulate(Scheme::TTpmS, R.Base);
+  SimResults AloneBase = Simulate(Scheme::Base, R.Base);
   double SavingsAlone = 1.0 - Alone.EnergyJ / AloneBase.EnergyJ;
 
   Trace Shared = withBackgroundTraffic(R.Base, R.Pipe.layout(), 40.0,
                                        AloneBase.WallTimeMs);
-  SimResults Together = Engine.run(Shared);
-  SimResults TogetherBase = BaseEngine.run(Shared);
+  SimResults Together = Simulate(Scheme::TTpmS, Shared);
+  SimResults TogetherBase = Simulate(Scheme::Base, Shared);
   double SavingsShared = 1.0 - Together.EnergyJ / TogetherBase.EnergyJ;
 
   EXPECT_GT(SavingsAlone, 0.0);

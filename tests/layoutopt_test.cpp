@@ -49,11 +49,9 @@ TEST(LayoutTestExt, ArrayOfByteFindsTheFile) {
 
 TEST(LayoutOptimizerTest, NeverWorseThanDefault) {
   Program P = makeScf(0.12);
-  LayoutOptimizer::Options Opts;
-  Opts.Policy = PowerPolicyKind::Drpm;
-  LayoutChoice Choice =
-      LayoutOptimizer::optimize(P, StripingConfig(), DiskParams(), Opts);
-  EXPECT_LE(Choice.PredictedEnergyJ, Choice.DefaultEnergyJ + 1e-9);
+  LayoutChoice Choice = LayoutOptimizer::optimize(
+      P, paperConfig(1), Scheme::TDrpmS, LayoutOptimizer::Options());
+  EXPECT_LE(Choice.ChosenEnergyJ, Choice.DefaultEnergyJ);
   EXPECT_GT(Choice.CandidatesTried, 1u);
   EXPECT_EQ(Choice.ArrayStartDisks.size(), P.arrays().size());
 }
@@ -63,10 +61,14 @@ TEST(LayoutOptimizerTest, NoTuningMeansDefaultChoice) {
   LayoutOptimizer::Options Opts;
   Opts.TuneStartDisks = false;
   LayoutChoice Choice =
-      LayoutOptimizer::optimize(P, StripingConfig(), DiskParams(), Opts);
-  EXPECT_DOUBLE_EQ(Choice.PredictedEnergyJ, Choice.DefaultEnergyJ);
+      LayoutOptimizer::optimize(P, paperConfig(1), Scheme::TDrpmS, Opts);
+  EXPECT_EQ(Choice.ChosenEnergyJ, Choice.DefaultEnergyJ);
+  EXPECT_EQ(Choice.CandidatesTried, 1u);
   for (unsigned SD : Choice.ArrayStartDisks)
     EXPECT_EQ(SD, StripingConfig().StartDisk);
+  // The default is the base configuration's own run.
+  EXPECT_EQ(Choice.DefaultEnergyJ,
+            Pipeline(P, paperConfig(1)).run(Scheme::TDrpmS).Sim.EnergyJ);
 }
 
 TEST(LayoutOptimizerTest, StripeFactorSweepConsidersAlternatives) {
@@ -75,32 +77,24 @@ TEST(LayoutOptimizerTest, StripeFactorSweepConsidersAlternatives) {
   Opts.TuneStartDisks = false;
   Opts.CandidateStripeFactors = {2, 4};
   LayoutChoice Choice =
-      LayoutOptimizer::optimize(P, StripingConfig(), DiskParams(), Opts);
-  EXPECT_GE(Choice.CandidatesTried, 3u);
+      LayoutOptimizer::optimize(P, paperConfig(1), Scheme::TDrpmS, Opts);
+  EXPECT_EQ(Choice.CandidatesTried, 3u);
   // Fewer spindles always burn less total power in this regime: the sweep
   // must pick one of the smaller factors over the default 8.
   EXPECT_LT(Choice.Config.StripeFactor, 8u);
 }
 
 TEST(LayoutOptimizerTest, ChoiceIsSimulatableEndToEnd) {
+  // The optimizer's score is the simulator's energy: a fresh pipeline on
+  // the chosen layout reproduces it exactly, for every scheme it tunes.
   Program P = makeScf(0.12);
-  LayoutOptimizer::Options Opts;
-  Opts.Policy = PowerPolicyKind::Drpm;
-  LayoutChoice Choice =
-      LayoutOptimizer::optimize(P, StripingConfig(), DiskParams(), Opts);
-
-  PipelineConfig Cfg = paperConfig(1);
-  Cfg.Striping = Choice.Config;
-  Cfg.ArrayStartDisks = Choice.ArrayStartDisks;
-  Pipeline Pipe(P, Cfg);
-  SchemeRun R = Pipe.run(Scheme::TDrpmS);
-  EXPECT_GT(R.Sim.EnergyJ, 0.0);
-
-  // When the optimizer predicts an improvement, the simulator should agree
-  // about the direction.
-  if (Choice.PredictedEnergyJ < Choice.DefaultEnergyJ * 0.98) {
-    Pipeline Default(P, paperConfig(1));
-    SchemeRun D = Default.run(Scheme::TDrpmS);
-    EXPECT_LT(R.Sim.EnergyJ, D.Sim.EnergyJ * 1.02);
+  for (Scheme S : {Scheme::TDrpmS, Scheme::TTpmS}) {
+    LayoutChoice Choice = LayoutOptimizer::optimize(
+        P, paperConfig(1), S, LayoutOptimizer::Options());
+    PipelineConfig Cfg = paperConfig(1);
+    Cfg.Striping = Choice.Config;
+    Cfg.ArrayStartDisks = Choice.ArrayStartDisks;
+    EXPECT_EQ(Choice.ChosenEnergyJ, Pipeline(P, Cfg).run(S).Sim.EnergyJ)
+        << schemeName(S);
   }
 }

@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/EnergyEstimator.h"
 #include "core/LoopFusion.h"
 #include "core/Pipeline.h"
 #include "core/ScheduleCodeGen.h"
@@ -230,23 +229,6 @@ TEST_P(RandomProgramProperty, BaseIoTimeMatchesBusySum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramProperty,
                          ::testing::Range(1u, 21u));
-
-TEST_P(RandomProgramProperty, EstimatorMatchesSimulatorOnBase) {
-  // The compiler-side cost model must agree with the event simulator when
-  // nothing dynamic happens (no policy, one processor).
-  Program P = randomProgram(GetParam());
-  PipelineConfig Cfg;
-  Cfg.Striping.StripeFactor = 4;
-  Pipeline Pipe(P, Cfg);
-  SchemeRun Sim = Pipe.run(Scheme::Base);
-  EnergyEstimator Est(Pipe.program(), Pipe.space(), Pipe.layout(), Cfg.Disk,
-                      PowerPolicyKind::None, Pipe.table());
-  Schedule S;
-  S.Order = Pipe.compile(Scheme::Base).PerProc[0];
-  EnergyEstimate E = Est.estimate(S);
-  EXPECT_NEAR(E.EnergyJ, Sim.Sim.EnergyJ, Sim.Sim.EnergyJ * 0.01);
-  EXPECT_NEAR(E.IoTimeMs, Sim.Sim.IoTimeMs, Sim.Sim.IoTimeMs * 0.01);
-}
 
 TEST_P(RandomProgramProperty, FusionPreservesBehaviour) {
   // Whatever the fusion pass merges, the program must touch the same tiles
