@@ -6,8 +6,10 @@
 ///
 /// \file
 /// Shared helpers for the per-table/per-figure benchmark binaries: run the
-/// six applications through a scheme list, print the paper-style table, and
-/// print the paper's reported averages next to the measured ones.
+/// six applications through a scheme list, render the runs' dra-report-v1
+/// document once, normalize it to Base through the one Comparison
+/// (obs/CompareReport.h) the figures print from, and print the paper's
+/// reported averages next to the measured ones.
 ///
 /// The app x scheme matrix executes through the driver's ExperimentRunner
 /// (docs/SWEEPS.md): one job per (app, scheme) pair on a bounded worker
@@ -20,8 +22,8 @@
 #define DRA_BENCH_BENCHCOMMON_H
 
 #include "apps/Apps.h"
-#include "core/Report.h"
 #include "driver/ExperimentRunner.h"
+#include "obs/CompareReport.h"
 #include "obs/RunReport.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
@@ -59,14 +61,30 @@ inline unsigned benchJobs() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-/// Runs all six applications through \p Rep's scheme list on the parallel
-/// experiment runner.
-inline std::vector<AppResults> runAllApps(const Report &Rep) {
+/// Runs all six applications through \p Schemes under \p Config on the
+/// parallel experiment runner.
+inline std::vector<AppResults> runAllApps(const PipelineConfig &Config,
+                                          const std::vector<Scheme> &Schemes) {
   std::vector<AppUnderTest> Apps = paperApps(benchScale());
   unsigned Jobs = benchJobs();
   std::fprintf(stderr, "  running %zu apps x %zu schemes on %u worker%s...\n",
-               Apps.size(), Rep.schemes().size(), Jobs, Jobs == 1 ? "" : "s");
-  return runAppMatrix(Rep.config(), Rep.schemes(), Apps, Jobs);
+               Apps.size(), Schemes.size(), Jobs, Jobs == 1 ? "" : "s");
+  return runAppMatrix(Config, Schemes, Apps, Jobs);
+}
+
+/// Normalizes the rendered report \p ReportJson of bench \p Name to Base
+/// (compareReportJson): the figures take every ratio from the document
+/// that DRA_BENCH_JSON saves and dra-compare reads. A report that cannot
+/// be normalized is a hard error.
+inline Comparison compareBenchReport(const std::string &ReportJson,
+                                     const char *Name) {
+  Comparison C;
+  std::string Error;
+  if (!compareReportJson(ReportJson, Name, "Base", C, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    std::exit(1);
+  }
+  return C;
 }
 
 /// Writes \p Data as <dir>/<name>.<ext>, creating missing parent
@@ -94,40 +112,17 @@ inline std::string writeArtifact(const char *Dir, const std::string &Name,
   return Path;
 }
 
-/// Writes the artifacts of bench \p Name the environment asks for: with
-/// DRA_BENCH_CSV set to a directory, the raw numbers as <dir>/<name>.csv
-/// for external plotting; with DRA_BENCH_JSON set, the full run report as
-/// <dir>/<name>.json — the "dra-report-v1" schema (docs/FORMATS.md) that
-/// `drac --report-json` emits, so the CI regression gate can diff it
-/// against bench/baselines and `dra-compare` can read it.
-inline void writeBenchArtifacts(const Report &Rep,
-                                const std::vector<AppResults> &All,
+/// With DRA_BENCH_JSON set to a directory, writes bench \p Name's run
+/// report \p ReportJson as <dir>/<name>.json: the "dra-report-v1" schema
+/// (docs/FORMATS.md) that `drac --report-json` emits, so the CI regression
+/// gate can diff it against bench/baselines and `dra-compare` can read it.
+inline void writeBenchArtifacts(const std::string &ReportJson,
                                 const char *Name) {
-  if (const char *Dir = std::getenv("DRA_BENCH_CSV")) {
-    std::string Path = writeArtifact(Dir, Name, "csv", Rep.renderCsv(All));
-    std::printf("(raw numbers written to %s)\n", Path.c_str());
-  }
   const char *Dir = std::getenv("DRA_BENCH_JSON");
   if (!Dir)
     return;
-  std::string Path = writeArtifact(
-      Dir, Name, "json", renderRunReportJson(Rep.config(), All, Name));
+  std::string Path = writeArtifact(Dir, Name, "json", ReportJson);
   std::printf("(run report written to %s)\n", Path.c_str());
-}
-
-/// Average per-app missed-opportunity energy (sub-break-even idle joules
-/// at full RPM) of scheme index \p SI, normalized to Base energy.
-inline double avgNormalizedMissedOpportunity(const Report &Rep,
-                                             const std::vector<AppResults> &All,
-                                             size_t SI) {
-  double Sum = 0.0;
-  for (const AppResults &A : All) {
-    double MissedJ = 0.0;
-    for (const DiskStats &S : A.Runs[SI].Sim.PerDisk)
-      MissedJ += S.MissedOpportunityJ;
-    Sum += MissedJ / A.Runs[Rep.baseIndex()].Sim.EnergyJ;
-  }
-  return All.empty() ? 0.0 : Sum / double(All.size());
 }
 
 /// Prints a "paper vs measured" comparison line for one scheme average.

@@ -19,29 +19,31 @@ using namespace dra;
 
 int main() {
   PipelineConfig Config = paperConfig(1);
-  Report Rep(Config, singleProcSchemes());
-  auto All = runAllApps(Rep);
+  auto All = runAllApps(Config, singleProcSchemes());
+  std::string ReportJson = renderRunReportJson(Config, All, "fig9a");
+  Comparison C = compareBenchReport(ReportJson, "fig9a");
+  // C.Schemes follows singleProcSchemes(): Base, TPM, DRPM, T-TPM-s, T-DRPM-s.
+  size_t Tpm = 1, Drpm = 2, TTpmS = 3, TDrpmS = 4;
 
   std::printf("== Figure 9(a): Normalized energy consumption, 1 processor "
               "==\n\n");
-  std::printf("%s\n", Rep.renderEnergyTable(All).c_str());
-  std::printf("%s\n", Rep.renderEnergyBars(All).c_str());
+  std::printf("%s\n", renderEnergyMatrix(C).c_str());
+  std::printf("%s\n", renderEnergyBars(C).c_str());
 
-  std::printf("Energy attribution (normalized to Base, app average):\n");
-  std::printf("%s\n", Rep.renderLedgerTable(All).c_str());
+  std::printf("Energy attribution (normalized to Base, as dra-compare "
+              "prints it):\n");
+  std::printf("%s\n", renderCompareTable(C).c_str());
 
   std::printf("Paper vs measured (average normalized energy):\n");
   // Paper averages: TPM ~no savings, DRPM 9.95%% saving, T-TPM-s 8.30%%,
   // T-DRPM-s 18.30%% (Sec. 7.2).
   const double Paper[] = {1.0, 1.0, 0.9005, 0.917, 0.817};
-  const auto &Schemes = Rep.schemes();
-  for (size_t I = 0; I != Schemes.size(); ++I)
-    printComparison("energy", schemeName(Schemes[I]), Paper[I],
-                    Rep.averageNormalizedEnergy(All, I));
+  for (size_t I = 0; I != C.Schemes.size(); ++I)
+    printComparison("energy", C.Schemes[I].Scheme.c_str(), Paper[I],
+                    C.Schemes[I].MeanNormalizedEnergy);
 
   std::printf("\nShape checks (the paper's qualitative findings):\n");
-  size_t Tpm = 1, Drpm = 2, TTpmS = 3, TDrpmS = 4;
-  auto Avg = [&](size_t I) { return Rep.averageNormalizedEnergy(All, I); };
+  auto Avg = [&](size_t I) { return C.Schemes[I].MeanNormalizedEnergy; };
   std::printf("  [%s] TPM alone yields no significant savings (>= 0.99)\n",
               Avg(Tpm) >= 0.99 ? "ok" : "MISMATCH");
   std::printf("  [%s] DRPM alone saves roughly 10%% (0.85..0.95)\n",
@@ -55,7 +57,7 @@ int main() {
                   ? "ok"
                   : "MISMATCH");
   auto Missed = [&](size_t I) {
-    return avgNormalizedMissedOpportunity(Rep, All, I);
+    return C.Schemes[I].MeanNormalizedMissedOpportunity;
   };
   std::printf("  [%s] restructuring shrinks sub-break-even "
               "missed-opportunity energy (T-TPM-s %.4f < TPM %.4f)\n",
@@ -64,18 +66,18 @@ int main() {
 
   std::printf("\n== Figure 10(a): Performance degradation (disk I/O time), 1 "
               "processor ==\n\n");
-  std::printf("%s\n", Rep.renderPerfTable(All).c_str());
+  std::printf("%s\n", renderIoDegradationMatrix(C).c_str());
 
   std::printf("Paper vs measured (average degradation, fraction):\n");
   // Paper averages (Sec. 7.2): TPM ~0, DRPM 11.9%, T-TPM-s 2.1%,
   // T-DRPM-s 4.7%.
   const double PaperIo[] = {0.0, 0.0, 0.119, 0.021, 0.047};
-  for (size_t I = 0; I != Schemes.size(); ++I)
-    printComparison("io-time", schemeName(Schemes[I]), PaperIo[I],
-                    Rep.averagePerfDegradation(All, I));
+  auto AvgIo = [&](size_t I) { return C.Schemes[I].MeanIoDegradation; };
+  for (size_t I = 0; I != C.Schemes.size(); ++I)
+    printComparison("io-time", C.Schemes[I].Scheme.c_str(), PaperIo[I],
+                    AvgIo(I));
 
   std::printf("\nShape checks (the paper's qualitative findings):\n");
-  auto AvgIo = [&](size_t I) { return Rep.averagePerfDegradation(All, I); };
   std::printf("  [%s] TPM incurs no significant penalty (< 1%%)\n",
               AvgIo(Tpm) < 0.01 ? "ok" : "MISMATCH");
   std::printf("  [%s] DRPM incurs the largest penalty (~10%%+, slower "
@@ -89,6 +91,6 @@ int main() {
               AvgIo(TTpmS) < AvgIo(Drpm) / 2 && AvgIo(TDrpmS) < AvgIo(Drpm) / 2
                   ? "ok"
                   : "MISMATCH");
-  writeBenchArtifacts(Rep, All, "fig9a");
+  writeBenchArtifacts(ReportJson, "fig9a");
   return 0;
 }

@@ -6,11 +6,10 @@
 // Table 2 applications:
 //
 //   1. times the table-free symbolic compile path (DiskLayout +
-//      SymbolicFootprint in mode Symbolic) at scales x1, x10 and x100 of
-//      the bench scale, and gates the
-//      headline claim: the x100 wall time stays within 2x of the x1 wall
-//      time (near-flat — the analysis cost depends on program shape, not
-//      iteration count);
+//      SymbolicFootprint in mode Auto with no table) at scales x1, x10 and
+//      x100 of the bench scale, and gates the headline claim: the x100
+//      wall time stays within 2x of the x1 wall time (near-flat — the
+//      analysis cost depends on program shape, not iteration count);
 //   2. wherever the enumerated oracle is affordable, derives the same
 //      footprint from TileAccessTable rows (mode Enumerated) and requires
 //      every count — iterations, per-reference distinct tiles, per-disk
@@ -85,8 +84,7 @@ SymbolicLeg runSymbolic(const Program &P, const StripingConfig &SC) {
   SymbolicLeg R;
   double T0 = nowMs();
   R.Layout = std::make_unique<DiskLayout>(P, SC);
-  R.FP = std::make_unique<SymbolicFootprint>(P, *R.Layout,
-                                             FootprintMode::Symbolic);
+  R.FP = std::make_unique<SymbolicFootprint>(P, *R.Layout);
   R.WallMs = nowMs() - T0;
   return R;
 }

@@ -18,8 +18,6 @@ const char *dra::footprintModeName(FootprintMode M) {
   switch (M) {
   case FootprintMode::Enumerated:
     return "enumerated";
-  case FootprintMode::Symbolic:
-    return "symbolic";
   case FootprintMode::Auto:
     return "auto";
   }
@@ -828,11 +826,8 @@ SymbolicFootprint::SymbolicFootprint(const Program &P, const DiskLayout &L,
         }
       }
       if (!Done) {
-        // Mode Symbolic never reads the table (the table-free path); the
-        // other modes prefer it when present.
-        const TileAccessTable *T =
-            Mode == FootprintMode::Symbolic ? nullptr : Table;
-        enumerateRef(P, Nest, R, L, T, RowBegin, NF.Iterations, Budgets, RF);
+        enumerateRef(P, Nest, R, L, Table, RowBegin, NF.Iterations, Budgets,
+                     RF);
         RF.Method = FootprintMethod::Fallback;
         ++RefsFallback;
       }

@@ -37,9 +37,8 @@
 ///                class interval merging. O(outer iterations * log), still
 ///                independent of the innermost extent.
 ///   Fallback     everything else: per-reference enumeration, reading
-///                TileAccessTable rows when available (mode Auto/
-///                Enumerated) or re-evaluating this reference's subscripts
-///                (mode Symbolic).
+///                TileAccessTable rows when a table is given or
+///                re-evaluating this reference's subscripts when none is.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,14 +58,12 @@ namespace dra {
 /// How the pipeline derives footprints (PipelineConfig::Footprint):
 ///   Enumerated  every reference takes the fallback path — the oracle the
 ///               differential tests and the bench compare against;
-///   Symbolic    closed forms with direct per-reference re-evaluation as
-///               the fallback; never reads the TileAccessTable (the
-///               table-free compile path);
-///   Auto        closed forms with TileAccessTable-backed fallback for
-///               irregular references (the default).
-enum class FootprintMode { Enumerated, Symbolic, Auto };
+///   Auto        closed forms, with the fallback for irregular references
+///               (the default). Given no TileAccessTable, it is the
+///               table-free compile path.
+enum class FootprintMode { Enumerated, Auto };
 
-/// Lower-case mode name ("enumerated", "symbolic", "auto").
+/// Lower-case mode name ("enumerated", "auto").
 const char *footprintModeName(FootprintMode M);
 
 /// The derivation tier that produced one reference's footprint.
@@ -139,8 +136,8 @@ public:
   /// \param Table consulted only by the fallback tier (and required for
   ///        mode Enumerated to reproduce the oracle from table rows when
   ///        present); nullptr enumerates the fallback references directly.
-  ///        The null table is deliberate: it is the table-free Symbolic
-  ///        mode, which analyzes iteration spaces (10^10 and beyond) no
+  ///        The null table is deliberate: it is the table-free compile
+  ///        path, which analyzes iteration spaces (10^10 and beyond) no
   ///        table could hold. The table's rows must cover exactly the
   ///        program's iteration space in original order.
   SymbolicFootprint(const Program &P, const DiskLayout &Layout,

@@ -23,12 +23,20 @@
 #ifndef DRA_APPS_APPS_H
 #define DRA_APPS_APPS_H
 
-#include "core/Report.h"
+#include "core/Pipeline.h"
 #include "ir/Program.h"
 
+#include <functional>
+#include <string>
 #include <vector>
 
 namespace dra {
+
+/// One application under evaluation.
+struct AppUnderTest {
+  std::string Name;
+  std::function<Program()> Build;
+};
 
 Program makeAst(double Scale = 1.0);
 Program makeFft(double Scale = 1.0);

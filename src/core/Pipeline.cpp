@@ -167,8 +167,7 @@ Pipeline::Pipeline(const Program &P, PipelineConfig Config)
   }
   {
     // Closed-form tile demand per reference (docs/ANALYSIS.md). In Auto
-    // mode irregular references fall back to rows of the shared table; in
-    // Symbolic mode the pass never reads it.
+    // mode irregular references fall back to rows of the shared table.
     PassTimer PT(Tr, TracePid, 0, "symbolic-footprint", Me);
     Footprint = std::make_unique<SymbolicFootprint>(
         Prog, *Layout, Config.Footprint, Table.get());

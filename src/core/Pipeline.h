@@ -121,9 +121,9 @@ struct PipelineConfig {
   uint64_t ScratchTiles = 0;
   /// How the symbolic-footprint pass derives per-reference tile demand
   /// (docs/ANALYSIS.md): Auto (default) uses the closed forms and falls
-  /// back to shared-table rows for irregular references; Symbolic never
-  /// reads the table; Enumerated forces the fallback everywhere (the
-  /// differential oracle). All modes produce identical counts.
+  /// back to shared-table rows for irregular references; Enumerated forces
+  /// the fallback everywhere (the differential oracle). Both modes produce
+  /// identical counts.
   FootprintMode Footprint = FootprintMode::Auto;
   /// Independent verification level; errors throw VerificationError.
   VerifyLevel Verify = VerifyLevel::Off;

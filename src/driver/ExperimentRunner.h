@@ -23,8 +23,9 @@
 #ifndef DRA_DRIVER_EXPERIMENTRUNNER_H
 #define DRA_DRIVER_EXPERIMENTRUNNER_H
 
-#include "core/Report.h"
+#include "apps/Apps.h"
 #include "driver/SweepSpec.h"
+#include "obs/RunReport.h"
 
 #include <string>
 #include <vector>
@@ -82,9 +83,10 @@ std::string renderSweepJson(const SweepSpec &Spec,
 
 /// Convenience for the figure benches: runs the \p Apps x \p Schemes matrix
 /// through the worker pool and regroups the outcomes as per-app results in
-/// the serial order Report::evaluate would produce. Results are identical
-/// to the serial path for every worker count; the first failing job (which
-/// the serial path would have propagated) is rethrown as std::runtime_error.
+/// serial order (one Pipeline per app running every scheme). Results are
+/// identical to the serial path for every worker count; the first failing
+/// job (which the serial path would have propagated) is rethrown as
+/// std::runtime_error.
 std::vector<AppResults> runAppMatrix(const PipelineConfig &Config,
                                      const std::vector<Scheme> &Schemes,
                                      const std::vector<AppUnderTest> &Apps,

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 using namespace dra;
@@ -39,6 +40,8 @@ private:
   size_t Pos = 0;
   std::map<std::string, ArrayId> ArraysByName;
   std::map<std::string, unsigned> ArrayRank;
+  /// Attribution, the nest view and check-regression key nests by name.
+  std::set<std::string> NestNames;
 
   const Token &peek() const { return Tokens[Pos]; }
   const Token &next() { return Tokens[Pos++]; }
@@ -173,6 +176,8 @@ private:
     if (!peek().is(TokKind::Ident))
       return fail("expected a nest name");
     std::string Name = next().Text;
+    if (!NestNames.insert(Name).second)
+      return fail("nest '" + Name + "' is already declared");
     double ComputeMs = 1.0;
     if (peek().isIdent("compute")) {
       ++Pos;

@@ -6,7 +6,6 @@
 
 #include "obs/AttribDiff.h"
 
-#include "support/FileIO.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -15,115 +14,37 @@
 
 using namespace dra;
 
-static double num(const JsonValue &Obj, const char *Key) {
-  const JsonValue *V = Obj.find(Key);
-  return V && V->isNumber() ? V->Num : 0.0;
-}
-
-/// Reads one nest (or unattributed-bucket) entry of an attribution section.
-static AttribNestView readNestView(const JsonValue &Entry,
-                                   const std::string &Label) {
-  AttribNestView N;
-  N.Label = Label;
-  N.EnergyJ = num(Entry, "energy_j");
-  N.BusyMs = num(Entry, "busy_ms");
-  N.ReadyDelayMs = num(Entry, "ready_delay_ms");
-  N.NumRequests = uint64_t(num(Entry, "num_requests"));
-  return N;
-}
-
-bool dra::extractAttribRuns(const JsonValue &Doc,
-                            std::vector<AttribRunView> &Out,
-                            std::string &Error) {
-  const JsonValue *Schema = Doc.find("schema");
-  if (!Schema || !Schema->isString() || Schema->Str != "dra-report-v1") {
-    Error = "not a dra-report-v1 document";
-    return false;
-  }
-  const JsonValue *Apps = Doc.find("apps");
-  if (!Apps || !Apps->isArray()) {
-    Error = "missing 'apps' array";
-    return false;
-  }
-  for (const JsonValue &App : Apps->Arr) {
-    const JsonValue *Name = App.find("app");
-    const JsonValue *Runs = App.find("runs");
-    if (!Name || !Name->isString() || !Runs || !Runs->isArray()) {
-      Error = "malformed app entry";
-      return false;
-    }
-    for (const JsonValue &Run : Runs->Arr) {
-      const JsonValue *Scheme = Run.find("scheme");
-      if (!Scheme || !Scheme->isString()) {
-        Error = "run without 'scheme' in app '" + Name->Str + "'";
-        return false;
-      }
-      // Reports written with attribution off have no section; skip them
-      // rather than fail, so a mixed report still diffs on what it has.
-      const JsonValue *Attrib = Run.find("attribution");
-      if (!Attrib || !Attrib->isObject())
-        continue;
-      const JsonValue *Total = Attrib->find("total");
-      const JsonValue *Nests = Attrib->find("nests");
-      const JsonValue *Unattributed = Attrib->find("unattributed");
-      if (!Total || !Total->isObject() || !Nests || !Nests->isArray() ||
-          !Unattributed || !Unattributed->isObject()) {
-        Error = "malformed attribution section in app '" + Name->Str + "'";
-        return false;
-      }
-      AttribRunView V;
-      V.App = Name->Str;
-      V.Scheme = Scheme->Str;
-      V.TotalJ = num(*Total, "energy_j");
-      for (const JsonValue &Nest : Nests->Arr) {
-        const JsonValue *Label = Nest.find("label");
-        if (!Label || !Label->isString()) {
-          Error = "nest without 'label' in app '" + Name->Str + "'";
-          return false;
-        }
-        V.Nests.push_back(readNestView(Nest, Label->Str));
-      }
-      // The unattributed bucket participates like a nest row (warm-up and
-      // tail gap halves move between runs too).
-      V.Nests.push_back(readNestView(*Unattributed, "(unattributed)"));
-      Out.push_back(std::move(V));
-    }
-  }
-  return true;
-}
-
-/// Diffs one matched pair of runs into an AppAttribDiff.
-static AppAttribDiff diffRuns(const AttribRunView &A, const AttribRunView &B) {
+/// Diffs one matched pair of attributed runs into an AppAttribDiff.
+static AppAttribDiff diffRuns(const ReportRun &A, const ReportRun &B) {
   AppAttribDiff D;
   D.App = A.App;
   D.SchemeA = A.Scheme;
   D.SchemeB = B.Scheme;
-  D.TotalAJ = A.TotalJ;
-  D.TotalBJ = B.TotalJ;
+  D.TotalAJ = A.Attribution->TotalJ;
+  D.TotalBJ = B.Attribution->TotalJ;
 
-  // First-seen label order: A's nests, then B-only nests.
+  // First-seen label order: A's nests, then B-only nests. The unattributed
+  // bucket closes each side (warm-up and tail gap halves move between
+  // runs too).
   std::map<std::string, size_t> Index;
-  for (const AttribNestView &N : A.Nests) {
-    Index.emplace(N.Label, D.Nests.size());
-    AttribNestDelta Row;
-    Row.Label = N.Label;
-    Row.InA = true;
-    Row.AJ = N.EnergyJ;
-    Row.ABusyMs = N.BusyMs;
-    Row.AReadyDelayMs = N.ReadyDelayMs;
-    D.Nests.push_back(std::move(Row));
-  }
-  for (const AttribNestView &N : B.Nests) {
-    auto [It, Inserted] = Index.emplace(N.Label, D.Nests.size());
-    if (Inserted)
-      D.Nests.push_back(AttribNestDelta{});
-    AttribNestDelta &Row = D.Nests[It->second];
-    Row.Label = N.Label;
-    Row.InB = true;
-    Row.BJ = N.EnergyJ;
-    Row.BBusyMs = N.BusyMs;
-    Row.BReadyDelayMs = N.ReadyDelayMs;
-  }
+  auto addSide = [&](const ReportAttribution &Side, bool IsA) {
+    auto addRow = [&](const ReportNest &N) {
+      auto [It, Inserted] = Index.emplace(N.Label, D.Nests.size());
+      if (Inserted)
+        D.Nests.push_back(AttribNestDelta{});
+      AttribNestDelta &Row = D.Nests[It->second];
+      Row.Label = N.Label;
+      (IsA ? Row.InA : Row.InB) = true;
+      (IsA ? Row.AJ : Row.BJ) = N.EnergyJ;
+      (IsA ? Row.ABusyMs : Row.BBusyMs) = N.BusyMs;
+      (IsA ? Row.AReadyDelayMs : Row.BReadyDelayMs) = N.ReadyDelayMs;
+    };
+    for (const ReportNest &N : Side.Nests)
+      addRow(N);
+    addRow(Side.Unattributed);
+  };
+  addSide(*A.Attribution, true);
+  addSide(*B.Attribution, false);
   for (AttribNestDelta &Row : D.Nests) {
     Row.DeltaJ = Row.BJ - Row.AJ;
     Row.DeltaBusyMs = Row.BBusyMs - Row.ABusyMs;
@@ -136,8 +57,8 @@ static AppAttribDiff diffRuns(const AttribRunView &A, const AttribRunView &B) {
   return D;
 }
 
-bool dra::buildAttribDiff(const std::vector<AttribRunView> &A,
-                          const std::vector<AttribRunView> &B,
+bool dra::buildAttribDiff(const std::vector<ReportRun> &A,
+                          const std::vector<ReportRun> &B,
                           const std::string &SchemeA,
                           const std::string &SchemeB, AttribDiff &Out,
                           std::string &Error) {
@@ -146,26 +67,23 @@ bool dra::buildAttribDiff(const std::vector<AttribRunView> &A,
   std::string WantA = SchemeA.empty() ? SchemeB : SchemeA;
   std::string WantB = SchemeB.empty() ? SchemeA : SchemeB;
 
-  auto findRun = [](const std::vector<AttribRunView> &Runs,
+  auto findRun = [](const std::vector<ReportRun> &Runs,
                     const std::string &App,
-                    const std::string &Scheme) -> const AttribRunView * {
-    for (const AttribRunView &R : Runs)
-      if (R.App == App && R.Scheme == Scheme)
+                    const std::string &Scheme) -> const ReportRun * {
+    for (const ReportRun &R : Runs)
+      if (R.Attribution && R.App == App && R.Scheme == Scheme)
         return &R;
     return nullptr;
   };
 
-  for (const AttribRunView &RA : A) {
-    if (!WantA.empty()) {
-      if (RA.Scheme != WantA)
-        continue;
-      if (const AttribRunView *RB = findRun(B, RA.App, WantB))
-        Out.Apps.push_back(diffRuns(RA, *RB));
-    } else if (const AttribRunView *RB =
-                   findRun(B, RA.App, RA.Scheme)) {
-      // No filter: pair every (app, scheme) present on both sides.
+  // With no filter (both Want empty), pair every (app, scheme) present on
+  // both sides.
+  for (const ReportRun &RA : A) {
+    if (!RA.Attribution || (!WantA.empty() && RA.Scheme != WantA))
+      continue;
+    if (const ReportRun *RB =
+            findRun(B, RA.App, WantA.empty() ? RA.Scheme : WantB))
       Out.Apps.push_back(diffRuns(RA, *RB));
-    }
   }
   if (Out.Apps.empty()) {
     Error = WantA.empty()
@@ -211,24 +129,16 @@ std::string dra::renderAttribDiffJson(const AttribDiff &D) {
       W.value(N.InA);
       W.key("in_b");
       W.value(N.InB);
-      W.key("a_j");
-      W.value(N.AJ);
-      W.key("b_j");
-      W.value(N.BJ);
-      W.key("delta_j");
-      W.value(N.DeltaJ);
-      W.key("a_busy_ms");
-      W.value(N.ABusyMs);
-      W.key("b_busy_ms");
-      W.value(N.BBusyMs);
-      W.key("delta_busy_ms");
-      W.value(N.DeltaBusyMs);
-      W.key("a_ready_delay_ms");
-      W.value(N.AReadyDelayMs);
-      W.key("b_ready_delay_ms");
-      W.value(N.BReadyDelayMs);
-      W.key("delta_ready_delay_ms");
-      W.value(N.DeltaReadyDelayMs);
+      for (const auto &[Key, Value] :
+           {std::pair{"a_j", N.AJ}, {"b_j", N.BJ}, {"delta_j", N.DeltaJ},
+            {"a_busy_ms", N.ABusyMs}, {"b_busy_ms", N.BBusyMs},
+            {"delta_busy_ms", N.DeltaBusyMs},
+            {"a_ready_delay_ms", N.AReadyDelayMs},
+            {"b_ready_delay_ms", N.BReadyDelayMs},
+            {"delta_ready_delay_ms", N.DeltaReadyDelayMs}}) {
+        W.key(Key);
+        W.value(Value);
+      }
       W.endObject();
     }
     W.endArray();
@@ -272,41 +182,25 @@ std::string dra::renderAttribDiffTable(const AttribDiff &D) {
   return Out;
 }
 
-/// Reads, parses and extracts one input file.
-static bool loadAttribFile(const std::string &Path,
-                           std::vector<AttribRunView> &Out,
-                           std::string &Error) {
-  std::optional<std::string> Text = readFile(Path);
-  if (!Text) {
-    Error = "cannot read '" + Path + "'";
-    return false;
-  }
-  JsonValue Doc;
-  std::string Detail;
-  if (!parseJson(*Text, Doc, Detail)) {
-    Error = Path + ": " + Detail;
-    return false;
-  }
-  if (!extractAttribRuns(Doc, Out, Detail)) {
-    Error = Path + ": " + Detail;
-    return false;
-  }
-  if (Out.empty()) {
-    Error = Path + ": no run carries an attribution section";
-    return false;
-  }
-  return true;
-}
-
 bool dra::diffAttribFiles(const std::string &FileA, const std::string &FileB,
                           const std::string &SchemeA,
                           const std::string &SchemeB, AttribDiff &Out,
                           std::string &Error) {
-  std::vector<AttribRunView> A, B;
-  if (!loadAttribFile(FileA, A, Error) || !loadAttribFile(FileB, B, Error))
+  // Each file must hold at least one attributed run.
+  auto load = [&](const std::string &Path, ReportRecords &Records) {
+    if (!loadRunReport(Path, Records, Error))
+      return false;
+    for (const ReportRun &R : Records.Runs)
+      if (R.Attribution)
+        return true;
+    Error = Path + ": no run carries an attribution section";
+    return false;
+  };
+  ReportRecords A, B;
+  if (!load(FileA, A) || !load(FileB, B))
     return false;
   Out = AttribDiff();
   Out.SourceA = FileA;
   Out.SourceB = FileB;
-  return buildAttribDiff(A, B, SchemeA, SchemeB, Out, Error);
+  return buildAttribDiff(A.Runs, B.Runs, SchemeA, SchemeB, Out, Error);
 }

@@ -5,51 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Diffs two saved runs at source-attribution granularity: given two
-/// "dra-report-v1" documents (obs/RunReport.h), matches their apps and
-/// schemes and reports the signed per-nest joule and time deltas, sorted
-/// by delta magnitude — so "scheme X saved 31 J on app Y"
+/// Diffs two saved runs at source-attribution granularity: given the runs
+/// of two "dra-report-v1" documents, as read by obs/RunReport.h, matches
+/// their apps and schemes and reports the signed per-nest joule and time
+/// deltas, sorted by delta magnitude, so "scheme X saved 31 J on app Y"
 /// becomes "scheme X saved 28 J of full-RPM idle under nest jacobi.sweep".
-/// Nests are matched by label (stable across code versions even when ids
-/// shift); the unattributed bucket diffs like any other row. Rendered as
-/// the "dra-diff-v1" JSON schema (docs/FORMATS.md) and as a text table
-/// (`dra-compare --nests`).
+/// Nests are matched by label, which the reader keeps unique within a run
+/// (stable across code versions even when ids shift); the unattributed
+/// bucket diffs like any other row. Rendered as the "dra-diff-v1" JSON
+/// schema (docs/FORMATS.md) and as a text table (`dra-compare --nests`).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRA_OBS_ATTRIBDIFF_H
 #define DRA_OBS_ATTRIBDIFF_H
 
-#include "support/Json.h"
+#include "obs/RunReport.h"
 
 #include <string>
 #include <vector>
 
 namespace dra {
-
-/// One nest's (or the unattributed bucket's) measurements inside one run.
-struct AttribNestView {
-  std::string Label;
-  double EnergyJ = 0.0;
-  double BusyMs = 0.0;
-  double ReadyDelayMs = 0.0;
-  uint64_t NumRequests = 0;
-};
-
-/// One (app, scheme) attribution ledger extracted from a document.
-struct AttribRunView {
-  std::string App;
-  std::string Scheme;
-  double TotalJ = 0.0;
-  std::vector<AttribNestView> Nests; ///< Includes "(unattributed)".
-};
-
-/// Extracts every attributed app x scheme run of a parsed "dra-report-v1"
-/// document. Returns false with \p Error set when the document has another
-/// schema or is malformed; runs without an attribution section are skipped
-/// silently (reports written with attribution off).
-bool extractAttribRuns(const JsonValue &Doc, std::vector<AttribRunView> &Out,
-                       std::string &Error);
 
 /// One nest's signed delta between the two runs. A nest present on only
 /// one side diffs against zero (a restructuring that removes or introduces
@@ -77,14 +53,15 @@ struct AttribDiff {
   std::vector<AppAttribDiff> Apps;
 };
 
-/// Matches runs of \p A against runs of \p B per app. With \p SchemeA and
+/// Matches runs of \p A against runs of \p B per app; runs without an
+/// attribution section take no part. With \p SchemeA and
 /// \p SchemeB empty, every scheme present in both sides of an app is
 /// diffed; naming one scheme restricts that side (an empty one defaults to
 /// the other, so `--scheme-a Base --scheme-b T-TPM-s` diffs Base against
 /// the restructured run). Returns false with \p Error set when no app
 /// produces a matching pair.
-bool buildAttribDiff(const std::vector<AttribRunView> &A,
-                     const std::vector<AttribRunView> &B,
+bool buildAttribDiff(const std::vector<ReportRun> &A,
+                     const std::vector<ReportRun> &B,
                      const std::string &SchemeA, const std::string &SchemeB,
                      AttribDiff &Out, std::string &Error);
 
@@ -95,10 +72,10 @@ std::string renderAttribDiffJson(const AttribDiff &D);
 /// delta magnitude, with busy/stall time deltas alongside.
 std::string renderAttribDiffTable(const AttribDiff &D);
 
-/// Convenience entry point for `dra-compare --nests`: reads, parses and
-/// extracts both files (paths become the source labels) and builds the
-/// diff. Returns false with \p Error naming the offending file on any
-/// failure.
+/// Convenience entry point for `dra-compare --nests`: loads both reports
+/// (loadRunReport; paths become the source labels) and builds the diff.
+/// Returns false with \p Error naming the offending file on any failure,
+/// including a file none of whose runs carries an attribution section.
 bool diffAttribFiles(const std::string &FileA, const std::string &FileB,
                      const std::string &SchemeA, const std::string &SchemeB,
                      AttribDiff &Out, std::string &Error);

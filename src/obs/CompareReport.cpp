@@ -6,96 +6,13 @@
 
 #include "obs/CompareReport.h"
 
-#include "support/FileIO.h"
 #include "support/Format.h"
 
+#include <array>
 
 using namespace dra;
 
-static double num(const JsonValue &Obj, const char *Key) {
-  const JsonValue *V = Obj.find(Key);
-  return V && V->isNumber() ? V->Num : 0.0;
-}
-
-/// Flattens one run's "ledger" section into \p R's category list.
-static bool extractLedgerRun(const JsonValue &Ledger, CompareRun &R,
-                             std::string &Error) {
-  const JsonValue *Total = Ledger.find("total");
-  const JsonValue *Gaps = Ledger.find("gaps");
-  if (!Total || !Total->isObject() || !Gaps || !Gaps->isObject()) {
-    Error = "malformed ledger section (missing 'total' or 'gaps')";
-    return false;
-  }
-  R.HasLedger = true;
-  R.MissedOpportunityJ = num(*Gaps, "missed_opportunity_j");
-  R.CategoriesJ.emplace_back("active_read_j", num(*Total, "active_read_j"));
-  R.CategoriesJ.emplace_back("active_write_j", num(*Total, "active_write_j"));
-  if (const JsonValue *Idle = Total->find("idle_by_rpm_j");
-      Idle && Idle->isObject())
-    for (const auto &[Rpm, V] : Idle->Obj)
-      if (V.isNumber())
-        R.CategoriesJ.emplace_back("idle@" + Rpm + "_j", V.Num);
-  for (const char *Key : {"spin_down_j", "spin_up_j", "standby_j",
-                          "rpm_step_j", "ready_penalty_j"})
-    R.CategoriesJ.emplace_back(Key, num(*Total, Key));
-  return true;
-}
-
-bool dra::extractCompareRuns(const JsonValue &Doc,
-                             const std::string &SourceLabel,
-                             std::vector<CompareRun> &Out,
-                             std::string &Error) {
-  const JsonValue *Schema = Doc.find("schema");
-  if (!Schema || !Schema->isString() || Schema->Str != "dra-report-v1") {
-    Error = "not a dra-report-v1 document";
-    return false;
-  }
-  const JsonValue *Apps = Doc.find("apps");
-  if (!Apps || !Apps->isArray()) {
-    Error = "missing 'apps' array";
-    return false;
-  }
-  for (const JsonValue &App : Apps->Arr) {
-    const JsonValue *Name = App.find("app");
-    const JsonValue *Runs = App.find("runs");
-    if (!Name || !Name->isString() || !Runs || !Runs->isArray()) {
-      Error = "malformed app entry";
-      return false;
-    }
-    for (const JsonValue &Run : Runs->Arr) {
-      const JsonValue *Scheme = Run.find("scheme");
-      if (!Scheme || !Scheme->isString()) {
-        Error = "run without 'scheme' in app '" + Name->Str + "'";
-        return false;
-      }
-      CompareRun R;
-      R.Source = SourceLabel;
-      R.App = Name->Str;
-      R.Scheme = Scheme->Str;
-      const JsonValue *Sim = Run.find("sim");
-      if (!Sim || !Sim->isObject() || !Sim->find("energy_j")) {
-        Error = "run without sim results in app '" + Name->Str + "'";
-        return false;
-      }
-      R.EnergyJ = num(*Sim, "energy_j");
-      if (const JsonValue *Io = Sim->find("io_time_ms");
-          Io && Io->isNumber()) {
-        R.HasIoTime = true;
-        R.IoTimeMs = Io->Num;
-      }
-      // Reports written before the ledger section existed simply lack it;
-      // they still compare on total energy.
-      const JsonValue *Ledger = Run.find("ledger");
-      if (Ledger && Ledger->isObject() &&
-          !extractLedgerRun(*Ledger, R, Error))
-        return false;
-      Out.push_back(std::move(R));
-    }
-  }
-  return true;
-}
-
-bool dra::buildComparison(const std::vector<CompareRun> &Runs,
+bool dra::buildComparison(const std::vector<ReportRun> &Runs,
                           const std::string &BaselineScheme,
                           const std::vector<std::string> &Inputs,
                           Comparison &Out, std::string &Error) {
@@ -109,9 +26,9 @@ bool dra::buildComparison(const std::vector<CompareRun> &Runs,
 
   // Baseline resolution: same-source first, any-source fallback (lets a
   // set of single-scheme per-job reports borrow the Base job's run).
-  auto findBaseline = [&](const CompareRun &R) -> const CompareRun * {
-    const CompareRun *Fallback = nullptr;
-    for (const CompareRun &C : Runs) {
+  auto findBaseline = [&](const ReportRun &R) -> const ReportRun * {
+    const ReportRun *Fallback = nullptr;
+    for (const ReportRun &C : Runs) {
       if (C.App != R.App || C.Scheme != BaselineScheme)
         continue;
       if (C.Source == R.Source)
@@ -122,8 +39,8 @@ bool dra::buildComparison(const std::vector<CompareRun> &Runs,
     return Fallback;
   };
 
-  for (const CompareRun &R : Runs) {
-    const CompareRun *B = findBaseline(R);
+  for (const ReportRun &R : Runs) {
+    const ReportRun *B = findBaseline(R);
     if (!B) {
       Error = "no '" + BaselineScheme + "' baseline run for app '" + R.App +
               "' in any input";
@@ -138,15 +55,13 @@ bool dra::buildComparison(const std::vector<CompareRun> &Runs,
     C.BaselineSource = B->Source;
     C.BaselineEnergyJ = B->EnergyJ;
     C.NormalizedEnergy = R.EnergyJ / B->EnergyJ;
-    if (R.HasIoTime && B->HasIoTime && B->IoTimeMs > 0) {
+    if (B->IoTimeMs > 0) {
       C.HasIoDegradation = true;
       C.IoDegradation = R.IoTimeMs / B->IoTimeMs - 1.0;
     }
-    if (R.HasLedger) {
-      C.NormalizedMissedOpportunity = R.MissedOpportunityJ / B->EnergyJ;
-      for (const auto &[Key, Joules] : R.CategoriesJ)
-        C.NormalizedCategories.emplace_back(Key, Joules / B->EnergyJ);
-    }
+    C.NormalizedMissedOpportunity = R.MissedOpportunityJ / B->EnergyJ;
+    for (const auto &[Key, Joules] : R.CategoriesJ)
+      C.NormalizedCategories.emplace_back(Key, Joules / B->EnergyJ);
 
     AppComparison *A = nullptr;
     for (AppComparison &Existing : Out.Apps)
@@ -167,19 +82,23 @@ bool dra::buildComparison(const std::vector<CompareRun> &Runs,
         if (Existing.Scheme == C.Run.Scheme && Existing.Source == C.Run.Source)
           S = &Existing;
       if (!S) {
-        Out.Schemes.push_back(SchemeSummary{C.Run.Scheme, C.Run.Source, 0,
-                                            0.0, 0.0, true});
+        Out.Schemes.push_back(SchemeSummary{C.Run.Scheme, C.Run.Source});
         S = &Out.Schemes.back();
       }
       ++S->Apps;
       S->MeanNormalizedEnergy += C.NormalizedEnergy;
       S->MeanNormalizedMissedOpportunity += C.NormalizedMissedOpportunity;
-      S->AllHaveLedger = S->AllHaveLedger && C.Run.HasLedger;
+      if (C.HasIoDegradation) {
+        ++S->IoApps;
+        S->MeanIoDegradation += C.IoDegradation;
+      }
     }
   }
   for (SchemeSummary &S : Out.Schemes) {
     S.MeanNormalizedEnergy /= double(S.Apps);
     S.MeanNormalizedMissedOpportunity /= double(S.Apps);
+    if (S.IoApps != 0)
+      S.MeanIoDegradation /= double(S.IoApps);
   }
   return true;
 }
@@ -229,25 +148,16 @@ std::string dra::renderCompareJson(const Comparison &C) {
       W.key("normalized_energy");
       W.value(R.NormalizedEnergy);
       W.key("io_time_ms");
-      if (R.Run.HasIoTime)
-        W.value(R.Run.IoTimeMs);
-      else
-        W.null();
+      W.value(R.Run.IoTimeMs);
       W.key("io_degradation");
       if (R.HasIoDegradation)
         W.value(R.IoDegradation);
       else
         W.null();
       W.key("missed_opportunity_j");
-      if (R.Run.HasLedger)
-        W.value(R.Run.MissedOpportunityJ);
-      else
-        W.null();
+      W.value(R.Run.MissedOpportunityJ);
       W.key("normalized_missed_opportunity");
-      if (R.Run.HasLedger)
-        W.value(R.NormalizedMissedOpportunity);
-      else
-        W.null();
+      W.value(R.NormalizedMissedOpportunity);
       W.key("categories_j");
       writeCategoryMap(W, R.Run.CategoriesJ);
       W.key("categories_normalized");
@@ -271,10 +181,7 @@ std::string dra::renderCompareJson(const Comparison &C) {
     W.key("mean_normalized_energy");
     W.value(S.MeanNormalizedEnergy);
     W.key("mean_normalized_missed_opportunity");
-    if (S.AllHaveLedger)
-      W.value(S.MeanNormalizedMissedOpportunity);
-    else
-      W.null();
+    W.value(S.MeanNormalizedMissedOpportunity);
     W.endObject();
   }
   W.endArray();
@@ -284,31 +191,31 @@ std::string dra::renderCompareJson(const Comparison &C) {
 
 namespace {
 
-/// Normalized category groups of one run (the table's columns).
-struct CategoryGroups {
-  double Active = 0.0;
-  double Idle = 0.0;
-  double Standby = 0.0;
-  double Transitions = 0.0;
-  double Penalty = 0.0;
-};
+/// The table's category groups of one run, each the sum of its
+/// categories: active, idle, standby, transitions (spin-down, spin-up, RPM
+/// steps) and ready penalty.
+using CategoryGroups = std::array<double, 5>;
 
 CategoryGroups
 groupCategories(const std::vector<std::pair<std::string, double>> &Cats) {
-  CategoryGroups G;
+  CategoryGroups G{};
   for (const auto &[Key, Val] : Cats) {
-    if (Key.rfind("active", 0) == 0)
-      G.Active += Val;
-    else if (Key.rfind("idle@", 0) == 0)
-      G.Idle += Val;
-    else if (Key == "standby_j")
-      G.Standby += Val;
-    else if (Key == "ready_penalty_j")
-      G.Penalty += Val;
-    else // spin_down_j / spin_up_j / rpm_step_j
-      G.Transitions += Val;
+    size_t I = Key.rfind("active", 0) == 0  ? 0
+               : Key.rfind("idle@", 0) == 0 ? 1
+               : Key == "standby_j"         ? 2
+               : Key == "ready_penalty_j"   ? 4
+                                            : 3; // spin-down/-up, RPM step
+    G[I] += Val;
   }
   return G;
+}
+
+/// \p A's run of summary \p S's (scheme, source), or null.
+const ComparedRun *runOf(const AppComparison &A, const SchemeSummary &S) {
+  for (const ComparedRun &R : A.Runs)
+    if (R.Run.Scheme == S.Scheme && R.Run.Source == S.Source)
+      return &R;
+  return nullptr;
 }
 
 } // namespace
@@ -329,18 +236,9 @@ std::string dra::renderCompareTable(const Comparison &C) {
     if (MultiSource)
       Row.push_back(R.Run.Source);
     Row.push_back(fmtDouble(R.NormalizedEnergy, 4));
-    if (R.Run.HasLedger) {
-      CategoryGroups G = groupCategories(R.NormalizedCategories);
-      Row.push_back(fmtDouble(G.Active, 4));
-      Row.push_back(fmtDouble(G.Idle, 4));
-      Row.push_back(fmtDouble(G.Standby, 4));
-      Row.push_back(fmtDouble(G.Transitions, 4));
-      Row.push_back(fmtDouble(G.Penalty, 4));
-      Row.push_back(fmtDouble(R.NormalizedMissedOpportunity, 4));
-    } else {
-      for (int I = 0; I != 6; ++I)
-        Row.push_back("-");
-    }
+    for (double V : groupCategories(R.NormalizedCategories))
+      Row.push_back(fmtDouble(V, 4));
+    Row.push_back(fmtDouble(R.NormalizedMissedOpportunity, 4));
     Row.push_back(R.HasIoDegradation ? fmtPercent(R.IoDegradation) : "-");
     T.addRow(std::move(Row));
   };
@@ -351,68 +249,110 @@ std::string dra::renderCompareTable(const Comparison &C) {
 
   // Per-(scheme, source) averages across apps, Fig. 9's "average" group.
   for (const SchemeSummary &S : C.Schemes) {
-    CategoryGroups Sum;
-    double IoSum = 0.0;
-    unsigned N = 0, IoN = 0;
-    bool AllLedger = true;
+    CategoryGroups Sum{};
     for (const AppComparison &A : C.Apps)
-      for (const ComparedRun &R : A.Runs) {
-        if (R.Run.Scheme != S.Scheme || R.Run.Source != S.Source)
-          continue;
-        ++N;
-        AllLedger = AllLedger && R.Run.HasLedger;
-        CategoryGroups G = groupCategories(R.NormalizedCategories);
-        Sum.Active += G.Active;
-        Sum.Idle += G.Idle;
-        Sum.Standby += G.Standby;
-        Sum.Transitions += G.Transitions;
-        Sum.Penalty += G.Penalty;
-        if (R.HasIoDegradation) {
-          IoSum += R.IoDegradation;
-          ++IoN;
+      for (const ComparedRun &R : A.Runs)
+        if (R.Run.Scheme == S.Scheme && R.Run.Source == S.Source) {
+          CategoryGroups G = groupCategories(R.NormalizedCategories);
+          for (size_t I = 0; I != G.size(); ++I)
+            Sum[I] += G[I];
         }
-      }
     std::vector<std::string> Row{"average", S.Scheme};
     if (MultiSource)
       Row.push_back(S.Source);
     Row.push_back(fmtDouble(S.MeanNormalizedEnergy, 4));
-    if (AllLedger && N != 0) {
-      Row.push_back(fmtDouble(Sum.Active / N, 4));
-      Row.push_back(fmtDouble(Sum.Idle / N, 4));
-      Row.push_back(fmtDouble(Sum.Standby / N, 4));
-      Row.push_back(fmtDouble(Sum.Transitions / N, 4));
-      Row.push_back(fmtDouble(Sum.Penalty / N, 4));
-      Row.push_back(fmtDouble(S.MeanNormalizedMissedOpportunity, 4));
-    } else {
-      for (int I = 0; I != 6; ++I)
-        Row.push_back("-");
-    }
-    Row.push_back(IoN != 0 ? fmtPercent(IoSum / IoN) : "-");
+    for (double V : Sum)
+      Row.push_back(fmtDouble(V / S.Apps, 4));
+    Row.push_back(fmtDouble(S.MeanNormalizedMissedOpportunity, 4));
+    Row.push_back(S.IoApps != 0 ? fmtPercent(S.MeanIoDegradation) : "-");
     T.addRow(std::move(Row));
   }
   return T.render();
 }
 
+std::string dra::renderEnergyMatrix(const Comparison &C) {
+  std::vector<std::string> Header{"App"};
+  for (const SchemeSummary &S : C.Schemes)
+    Header.push_back(S.Scheme);
+  TextTable T(std::move(Header));
+  for (const AppComparison &A : C.Apps) {
+    std::vector<std::string> Row{A.App};
+    for (const SchemeSummary &S : C.Schemes) {
+      const ComparedRun *R = runOf(A, S);
+      Row.push_back(R ? fmtDouble(R->NormalizedEnergy, 4) : "-");
+    }
+    T.addRow(std::move(Row));
+  }
+  std::vector<std::string> Avg{"average"};
+  for (const SchemeSummary &S : C.Schemes)
+    Avg.push_back(fmtDouble(S.MeanNormalizedEnergy, 4));
+  T.addRow(std::move(Avg));
+  return T.render();
+}
+
+std::string dra::renderEnergyBars(const Comparison &C) {
+  std::vector<std::string> Names;
+  for (const SchemeSummary &S : C.Schemes)
+    Names.push_back(S.Scheme);
+  BarChart Chart(std::move(Names), 50);
+  for (const AppComparison &A : C.Apps) {
+    BarGroup G;
+    G.Label = A.App;
+    for (const SchemeSummary &S : C.Schemes) {
+      const ComparedRun *R = runOf(A, S);
+      G.Values.push_back(R ? R->NormalizedEnergy : 0.0);
+    }
+    Chart.addGroup(std::move(G));
+  }
+  return Chart.render();
+}
+
+std::string dra::renderIoDegradationMatrix(const Comparison &C) {
+  std::vector<const SchemeSummary *> Cols;
+  std::vector<std::string> Header{"App"};
+  for (const SchemeSummary &S : C.Schemes)
+    if (S.Scheme != C.BaselineScheme) {
+      Cols.push_back(&S);
+      Header.push_back(S.Scheme);
+    }
+  TextTable T(std::move(Header));
+  for (const AppComparison &A : C.Apps) {
+    std::vector<std::string> Row{A.App};
+    for (const SchemeSummary *S : Cols) {
+      const ComparedRun *R = runOf(A, *S);
+      Row.push_back(!R ? "-"
+                       : R->HasIoDegradation ? fmtPercent(R->IoDegradation)
+                                             : "n/a");
+    }
+    T.addRow(std::move(Row));
+  }
+  std::vector<std::string> Avg{"average"};
+  for (const SchemeSummary *S : Cols)
+    Avg.push_back(S->IoApps != 0 ? fmtPercent(S->MeanIoDegradation) : "n/a");
+  T.addRow(std::move(Avg));
+  return T.render();
+}
+
+bool dra::compareReportJson(const std::string &ReportJson,
+                            const std::string &Source,
+                            const std::string &BaselineScheme,
+                            Comparison &Out, std::string &Error) {
+  JsonValue Doc;
+  ReportRecords Records;
+  if (!parseJson(ReportJson, Doc, Error)) {
+    Error = Source + ": " + Error;
+    return false;
+  }
+  return readRunReport(Doc, Source, Records, Error) &&
+         buildComparison(Records.Runs, BaselineScheme, {Source}, Out, Error);
+}
+
 bool dra::compareReportFiles(const std::vector<std::string> &Files,
                              const std::string &BaselineScheme,
                              Comparison &Out, std::string &Error) {
-  std::vector<CompareRun> Runs;
-  for (const std::string &Path : Files) {
-    std::optional<std::string> Text = readFile(Path);
-    if (!Text) {
-      Error = "cannot read '" + Path + "'";
+  ReportRecords Records;
+  for (const std::string &Path : Files)
+    if (!loadRunReport(Path, Records, Error))
       return false;
-    }
-    JsonValue Doc;
-    std::string ParseError;
-    if (!parseJson(*Text, Doc, ParseError)) {
-      Error = Path + ": " + ParseError;
-      return false;
-    }
-    if (!extractCompareRuns(Doc, Path, Runs, ParseError)) {
-      Error = Path + ": " + ParseError;
-      return false;
-    }
-  }
-  return buildComparison(Runs, BaselineScheme, Files, Out, Error);
+  return buildComparison(Records.Runs, BaselineScheme, Files, Out, Error);
 }

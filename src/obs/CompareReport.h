@@ -5,23 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Diffs two or more "dra-report-v1" documents into the paper's Fig. 9
-/// view: per-scheme energy normalized to a baseline scheme (Base by
-/// default), broken down by the categories of each run's ledger section,
-/// with the missed-opportunity energy the restructuring exists to shrink.
+/// The one normalization of results to a baseline scheme (Base by
+/// default), the paper's Fig. 9/10 view: per-scheme energy and disk I/O
+/// time relative to the baseline, energy broken down by ledger category
+/// and the missed-opportunity energy the restructuring exists to shrink.
+/// It reads the runs of "dra-report-v1" documents (readRunReport, obs/RunReport.h).
 /// Each run normalizes against the baseline of its own source document
 /// when present (so two reports of the same app from different code
 /// versions stay internally consistent), falling back to any source's
-/// baseline for the same app — which lets per-job sweep reports, each
-/// holding one scheme, be compared as a set. Rendered as the "dra-compare-v1" JSON schema
-/// (docs/FORMATS.md) and as a text table (`tools/dra-compare`).
+/// baseline for the same app, which lets per-job sweep reports, each
+/// holding one scheme, be compared as a set. Rendered as "dra-compare-v1"
+/// JSON (docs/FORMATS.md), as dra-compare's text table, and as the figure
+/// benches' Fig. 9/10 matrices and bar chart.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRA_OBS_COMPAREREPORT_H
 #define DRA_OBS_COMPAREREPORT_H
 
-#include "support/Json.h"
+#include "obs/RunReport.h"
 
 #include <string>
 #include <utility>
@@ -29,40 +31,17 @@
 
 namespace dra {
 
-/// One (source, app, scheme) energy record extracted from a report.
-struct CompareRun {
-  std::string Source; ///< Provenance label (usually the input file name).
-  std::string App;
-  std::string Scheme;
-  double EnergyJ = 0.0;
-  bool HasIoTime = false;
-  double IoTimeMs = 0.0;
-  /// False for pre-ledger reports: no categories / missed opportunity.
-  bool HasLedger = false;
-  double MissedOpportunityJ = 0.0;
-  /// Flat category joules in schema order ("active_read_j",
-  /// "idle@15000_j", ..., "ready_penalty_j").
-  std::vector<std::pair<std::string, double>> CategoriesJ;
-};
-
-/// Extracts every app x scheme run of a parsed "dra-report-v1" document.
-/// Returns false with \p Error set when the document has another schema or
-/// is malformed. A run without a ledger section (a report written before
-/// the section existed) still compares on total energy.
-bool extractCompareRuns(const JsonValue &Doc, const std::string &SourceLabel,
-                        std::vector<CompareRun> &Out, std::string &Error);
-
 /// One run normalized against its resolved baseline (the baseline-scheme
 /// run of the same source document, or any source's baseline for the same
 /// app when the run's own source has none).
 struct ComparedRun {
-  CompareRun Run;
+  ReportRun Run;
   std::string BaselineSource;    ///< Source the baseline came from.
   double BaselineEnergyJ = 0.0;
   double NormalizedEnergy = 0.0; ///< EnergyJ / BaselineEnergyJ.
-  bool HasIoDegradation = false;
+  bool HasIoDegradation = false; ///< False when the baseline did no I/O.
   double IoDegradation = 0.0; ///< IoTimeMs / baseline IoTimeMs - 1.
-  /// MissedOpportunityJ / BaselineEnergyJ (0 unless Run.HasLedger).
+  /// MissedOpportunityJ / BaselineEnergyJ.
   double NormalizedMissedOpportunity = 0.0;
   /// CategoriesJ each divided by BaselineEnergyJ, so one run's normalized
   /// categories stack to its NormalizedEnergy.
@@ -82,7 +61,9 @@ struct SchemeSummary {
   unsigned Apps = 0;
   double MeanNormalizedEnergy = 0.0;
   double MeanNormalizedMissedOpportunity = 0.0;
-  bool AllHaveLedger = true;
+  /// Mean IoDegradation over the IoApps apps that have one.
+  unsigned IoApps = 0;
+  double MeanIoDegradation = 0.0;
 };
 
 /// The full comparison.
@@ -96,7 +77,7 @@ struct Comparison {
 /// Normalizes \p Runs against \p BaselineScheme per app. Returns false
 /// with \p Error set when an app has no baseline run in any source, when a
 /// baseline's energy is zero, or when \p Runs is empty.
-bool buildComparison(const std::vector<CompareRun> &Runs,
+bool buildComparison(const std::vector<ReportRun> &Runs,
                      const std::string &BaselineScheme,
                      const std::vector<std::string> &Inputs, Comparison &Out,
                      std::string &Error);
@@ -106,15 +87,38 @@ std::string renderCompareJson(const Comparison &C);
 
 /// Renders the normalized-savings text table (Fig. 9 view): one row per
 /// app x scheme plus per-scheme averages, with the normalized category
-/// groups (active / idle / standby / transitions / ready penalty) and the
-/// normalized missed-opportunity energy.
+/// groups (active / idle / standby / transitions / ready penalty), the
+/// normalized missed-opportunity energy and the I/O-time degradation.
 std::string renderCompareTable(const Comparison &C);
 
-/// Convenience entry point for tools/dra-compare: reads and parses every
-/// file in \p Files (the file path becomes the run's source label),
-/// extracts its runs, and normalizes them against \p BaselineScheme.
-/// Returns false with \p Error naming the offending file on any
-/// read/parse/extract/normalization failure.
+/// Renders Fig. 9's matrix: one row per app plus an "average" row, one
+/// column per scheme summary, each entry the energy normalized to the
+/// baseline (1.0000 = baseline).
+std::string renderEnergyMatrix(const Comparison &C);
+
+/// Renders Fig. 9's grouped bar chart of the same normalized energies.
+std::string renderEnergyBars(const Comparison &C);
+
+/// Renders Fig. 10's matrix: the percent increase of disk I/O time over
+/// the baseline, with the baseline's own column left out.
+std::string renderIoDegradationMatrix(const Comparison &C);
+
+/// Normalizes the runs of the rendered report \p ReportJson (labelled
+/// \p Source) against \p BaselineScheme: the figure benches' path from
+/// their own runs to Figs. 9 and 10. The report's 17-digit numbers parse
+/// back to the exact doubles of the runs, so every ratio equals the one
+/// computed from the runs in memory. Returns false with \p Error set when
+/// the text does not parse, the reader refuses it or normalization fails.
+bool compareReportJson(const std::string &ReportJson,
+                       const std::string &Source,
+                       const std::string &BaselineScheme, Comparison &Out,
+                       std::string &Error);
+
+/// Convenience entry point for tools/dra-compare: loads every report in
+/// \p Files (loadRunReport; the file path becomes the run's source label)
+/// and normalizes the runs against \p BaselineScheme. Returns false with
+/// \p Error naming the offending file on any read/parse/read/normalization
+/// failure.
 bool compareReportFiles(const std::vector<std::string> &Files,
                         const std::string &BaselineScheme, Comparison &Out,
                         std::string &Error);

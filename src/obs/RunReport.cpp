@@ -14,6 +14,7 @@
 #include "support/Parallel.h"
 
 #include <cmath>
+#include <set>
 #include <span>
 #include <string_view>
 
@@ -537,4 +538,167 @@ dra::writeRunArtifacts(const RunArtifacts &A, const PipelineConfig &Cfg,
     return renderTimelineJson(*A.Timeline, Source, A.ServingJson);
   });
   return Failure;
+}
+
+//===----------------------------------------------------------------------===//
+// Reading
+//===----------------------------------------------------------------------===//
+
+static double num(const JsonValue &Obj, const char *Key) {
+  const JsonValue *V = Obj.find(Key);
+  return V && V->isNumber() ? V->Num : 0.0;
+}
+
+/// The object at \p Key of \p Obj, or null when absent or not an object.
+static const JsonValue *object(const JsonValue &Obj, const char *Key) {
+  const JsonValue *V = Obj.find(Key);
+  return V && V->isObject() ? V : nullptr;
+}
+
+/// Flattens a ledger section's total into \p R's categories.
+static bool readLedger(const JsonValue &Ledger, ReportRun &R) {
+  const JsonValue *Total = object(Ledger, "total");
+  const JsonValue *Gaps = object(Ledger, "gaps");
+  if (!Total || !Gaps)
+    return false;
+  R.MissedOpportunityJ = num(*Gaps, "missed_opportunity_j");
+  R.CategoriesJ.emplace_back("active_read_j", num(*Total, "active_read_j"));
+  R.CategoriesJ.emplace_back("active_write_j", num(*Total, "active_write_j"));
+  if (const JsonValue *Idle = object(*Total, "idle_by_rpm_j"))
+    for (const auto &[Rpm, V] : Idle->Obj)
+      if (V.isNumber())
+        R.CategoriesJ.emplace_back("idle@" + Rpm + "_j", V.Num);
+  for (const char *Key : {"spin_down_j", "spin_up_j", "standby_j",
+                          "rpm_step_j", "ready_penalty_j"})
+    R.CategoriesJ.emplace_back(Key, num(*Total, Key));
+  return true;
+}
+
+static ReportNest readNest(const JsonValue &Entry, std::string Label) {
+  return {std::move(Label), num(Entry, "energy_j"), num(Entry, "busy_ms"),
+          num(Entry, "ready_delay_ms")};
+}
+
+/// Reads an attribution section into \p Out. A failure that is not plain
+/// malformation sets \p Error.
+static bool readAttribution(const JsonValue &Attrib, ReportAttribution &Out,
+                            std::string &Error) {
+  const JsonValue *Total = object(Attrib, "total");
+  const JsonValue *Nests = Attrib.find("nests");
+  const JsonValue *Unattributed = object(Attrib, "unattributed");
+  if (!Total || !Nests || !Nests->isArray() || !Unattributed)
+    return false;
+  Out.TotalJ = num(*Total, "energy_j");
+  Out.TotalRequests = num(*Total, "num_requests");
+  std::set<std::string> Seen;
+  for (const JsonValue &Nest : Nests->Arr) {
+    const JsonValue *Label = Nest.find("label");
+    if (!Label || !Label->isString()) {
+      Error = "nest without 'label'";
+      return false;
+    }
+    if (!Seen.insert(Label->Str).second) {
+      Error = "attribution section repeats nest label '" + Label->Str + "'";
+      return false;
+    }
+    Out.Nests.push_back(readNest(Nest, Label->Str));
+  }
+  Out.Unattributed = readNest(*Unattributed, "(unattributed)");
+  return true;
+}
+
+/// Reads an app's footprint body; false when it lacks coverage or totals.
+static bool readFootprint(const JsonValue &FP, ReportFootprint &Out) {
+  const JsonValue *Cov = object(FP, "coverage");
+  const JsonValue *Total = object(FP, "total");
+  if (!Cov || !Total)
+    return false;
+  Out.RefsTotal = num(*Cov, "refs_total");
+  Out.RefsFallback = num(*Cov, "refs_fallback");
+  Out.SymbolicFraction = num(*Cov, "symbolic_fraction");
+  Out.Iterations = num(*Total, "iterations");
+  Out.DistinctTiles = num(*Total, "distinct_tiles");
+  if (const JsonValue *Demand = Total->find("per_disk_demand");
+      Demand && Demand->isArray())
+    for (const JsonValue &D : Demand->Arr)
+      Out.PerDiskDemand.push_back(D.isNumber() ? D.Num : 0.0);
+  return true;
+}
+
+bool dra::readRunReport(const JsonValue &Doc, const std::string &Source,
+                        ReportRecords &Out, std::string &Error) {
+  auto fail = [&](const std::string &Detail) {
+    Error = Source + ": " + Detail;
+    return false;
+  };
+  const JsonValue *Schema = Doc.find("schema");
+  if (!Schema || !Schema->isString() || Schema->Str != "dra-report-v1")
+    return fail("not a dra-report-v1 document");
+  const JsonValue *Apps = Doc.find("apps");
+  if (!Apps || !Apps->isArray())
+    return fail("missing 'apps' array");
+  for (const JsonValue &App : Apps->Arr) {
+    const JsonValue *Name = App.find("app");
+    const JsonValue *Runs = App.find("runs");
+    if (!Name || !Name->isString() || !Runs || !Runs->isArray())
+      return fail("malformed app entry");
+    const std::string InApp = " in app '" + Name->Str + "'";
+    Out.Apps.push_back(Name->Str);
+    for (const JsonValue &Run : Runs->Arr) {
+      const JsonValue *Scheme = Run.find("scheme");
+      if (!Scheme || !Scheme->isString())
+        return fail("run without 'scheme'" + InApp);
+      ReportRun R;
+      R.Source = Source;
+      R.App = Name->Str;
+      R.Scheme = Scheme->Str;
+      const JsonValue *Sim = object(Run, "sim");
+      if (!Sim || !Sim->find("energy_j") || !Sim->find("io_time_ms"))
+        return fail("run without sim results" + InApp);
+      R.EnergyJ = num(*Sim, "energy_j");
+      R.IoTimeMs = num(*Sim, "io_time_ms");
+      R.WallTimeMs = num(*Sim, "wall_time_ms");
+      R.NumRequests = num(*Sim, "num_requests");
+      R.SpinDowns = num(*Sim, "spin_downs");
+      R.RpmSteps = num(*Sim, "rpm_steps");
+      R.TraceBytes = num(Run, "trace_bytes");
+      const JsonValue *Ledger = object(Run, "ledger");
+      if (!Ledger)
+        return fail("run without 'ledger' section" + InApp);
+      if (!readLedger(*Ledger, R))
+        return fail("malformed ledger section (missing 'total' or 'gaps')" +
+                    InApp);
+      if (const JsonValue *Attrib = Run.find("attribution")) {
+        std::string Detail = "malformed attribution section";
+        if (!Attrib->isObject() ||
+            !readAttribution(*Attrib, R.Attribution.emplace(), Detail))
+          return fail(Detail + InApp + " (scheme '" + R.Scheme + "')");
+      }
+      Out.Runs.push_back(std::move(R));
+    }
+    if (const JsonValue *FP = App.find("footprint")) {
+      ReportFootprint F;
+      F.App = Name->Str;
+      if (!FP->isObject() || !readFootprint(*FP, F))
+        return fail("malformed footprint" + InApp);
+      Out.Footprints.push_back(std::move(F));
+    }
+  }
+  return true;
+}
+
+bool dra::loadRunReport(const std::string &Path, ReportRecords &Out,
+                        std::string &Error) {
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text) {
+    Error = "cannot read '" + Path + "'";
+    return false;
+  }
+  JsonValue Doc;
+  std::string Detail;
+  if (!parseJson(*Text, Doc, Detail)) {
+    Error = Path + ": " + Detail;
+    return false;
+  }
+  return readRunReport(Doc, Path, Out, Error);
 }

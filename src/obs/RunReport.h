@@ -14,20 +14,29 @@
 /// ("dra-attrib-v1") are sections of it, and each app's dra-footprint-v1
 /// body is its "footprint". Emitted by `drac --report-json`, dra-serve,
 /// the sweep runner's per-job telemetry and the bench binaries
-/// (DRA_BENCH_JSON). dra-compare reads only this schema; dra-dash reads it
-/// beside dra-timeline-v1.
+/// (DRA_BENCH_JSON).
+///
+/// The schema's one reader lives here too, beside the writer: readRunReport
+/// turns a document into per-run records for dra-compare's two views,
+/// dra-dash, check-regression and the figure benches. It is as strict as
+/// the writer, which always writes a run's "sim" and "ledger" sections: a
+/// run without either is a diagnostic naming the file and the app.
+/// "attribution" (absent with PipelineConfig::Attribution off) and an
+/// app's "footprint" are optional; an attribution section that repeats a
+/// nest label is refused, since every consumer keys nests by label.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRA_OBS_RUNREPORT_H
 #define DRA_OBS_RUNREPORT_H
 
-#include "core/Report.h"
+#include "core/Pipeline.h"
 #include "support/Json.h"
 
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dra {
@@ -35,6 +44,15 @@ namespace dra {
 class EventTracer;
 class MetricsRegistry;
 class TimelineRecorder;
+
+/// Results of one app across schemes.
+struct AppResults {
+  std::string Name;
+  std::vector<SchemeRun> Runs; ///< One per scheme, in scheme-list order.
+  /// Rendered "dra-footprint-v1" body for this app (docs/FORMATS.md),
+  /// embedded verbatim in the report document when non-empty.
+  std::string FootprintJson;
+};
 
 /// Serializes every field of \p R (including cache and per-disk stats) as
 /// one JSON object.
@@ -124,6 +142,69 @@ std::optional<ArtifactFailure> writeRunArtifacts(const RunArtifacts &A,
                                                  const PipelineConfig &Cfg,
                                                  const AppResults &App,
                                                  const std::string &Source);
+
+//===----------------------------------------------------------------------===//
+// Reading
+//===----------------------------------------------------------------------===//
+
+/// One nest's (or the unattributed bucket's) share of a run's attribution.
+struct ReportNest {
+  std::string Label;
+  double EnergyJ = 0.0, BusyMs = 0.0, ReadyDelayMs = 0.0;
+};
+
+/// A run's "attribution" section: its total, its nests in document order
+/// (labels unique) and the unattributed bucket, labelled "(unattributed)".
+struct ReportAttribution {
+  double TotalJ = 0.0, TotalRequests = 0.0;
+  std::vector<ReportNest> Nests;
+  ReportNest Unattributed;
+};
+
+/// One app x scheme run of a report. Counters keep the document's numbers.
+struct ReportRun {
+  std::string Source; ///< Provenance label (the file path).
+  std::string App, Scheme;
+  /// The "sim" scalars, and the run's "trace_bytes".
+  double EnergyJ = 0.0, IoTimeMs = 0.0, WallTimeMs = 0.0;
+  double NumRequests = 0.0, SpinDowns = 0.0, RpmSteps = 0.0;
+  double TraceBytes = 0.0;
+  /// The "ledger" total's categories in schema order ("active_read_j",
+  /// "active_write_j", "idle@<rpm>_j"..., "spin_down_j", "spin_up_j",
+  /// "standby_j", "rpm_step_j", "ready_penalty_j").
+  std::vector<std::pair<std::string, double>> CategoriesJ;
+  /// The ledger's sub-break-even idle joules at full RPM.
+  double MissedOpportunityJ = 0.0;
+  std::optional<ReportAttribution> Attribution;
+};
+
+/// An app's "footprint" coverage and totals (dra-footprint-v1).
+struct ReportFootprint {
+  std::string App;
+  double RefsTotal = 0.0, RefsFallback = 0.0, SymbolicFraction = 0.0;
+  double Iterations = 0.0, DistinctTiles = 0.0;
+  std::vector<double> PerDiskDemand;
+};
+
+/// The records of one or more reports, in document order.
+struct ReportRecords {
+  std::vector<ReportRun> Runs;
+  std::vector<ReportFootprint> Footprints;
+  /// App names in document order, apps without runs included.
+  std::vector<std::string> Apps;
+};
+
+/// Appends the runs, footprints and app names of the parsed document
+/// \p Doc to \p Out, labelling each run with \p Source. Returns false with
+/// \p Error ("<Source>: ...") when \p Doc is not a dra-report-v1 document
+/// or is malformed; a malformed run's diagnostic names its app.
+bool readRunReport(const JsonValue &Doc, const std::string &Source,
+                   ReportRecords &Out, std::string &Error);
+
+/// readRunReport of the file at \p Path, labelled with the path. Returns
+/// false with \p Error naming the file on any failure.
+bool loadRunReport(const std::string &Path, ReportRecords &Out,
+                   std::string &Error);
 
 } // namespace dra
 

@@ -37,8 +37,8 @@ std::string fmtDouble(double Value, int Decimals = 2);
 
 /// Formats \p Value with max_digits10 significant digits, so reading the
 /// text back recovers the exact double (appendExactDouble's text). For
-/// machine-consumed writers (CSV artifacts); human-facing tables keep
-/// fmtDouble.
+/// values a reader must recover exactly (SLO diagnostics); human-facing
+/// tables keep fmtDouble.
 std::string fmtExact(double Value);
 
 /// Formats \p Value as a percentage with two fractional digits ("18.17%");

@@ -3,12 +3,14 @@
 one-mechanism rules.
 
 Each guard is a (pattern, paths, allowlist, reason) record. A line of a
-file under `paths` that matches `pattern` fails the guard unless its
-`path:line:text` form matches `allowlist`, exactly as
-`grep -rnE pattern paths | grep -vE allowlist` would report it. Every
-guard also carries a planted violation: the self-test writes it into an
-empty scratch tree and requires the guard to catch it, so a guard whose
-pattern has rotted into matching nothing fails too.
+file under `paths` (a directory, searched recursively, or one file) that
+matches `pattern` fails the guard unless its `path:line:text` form
+matches `allowlist`, exactly as `grep -rnE pattern paths | grep -vE
+allowlist` would report it. A guard with `suffixes` reads only files
+ending in one of them, like grep's --include. Every guard also carries a
+planted violation: the self-test writes it into an empty scratch tree and
+requires the guard to catch it, so a guard whose pattern has rotted into
+matching nothing fails too.
 
 Usage: arch_guards.py --source-dir DIR
 """
@@ -30,6 +32,14 @@ class Guard:
     reason: str
     # (relative path, file text) of a violation the guard must catch.
     planted: tuple
+    # File-name endings to read; empty reads every file.
+    suffixes: tuple = ()
+
+
+# An allowlist that allows nothing.
+NOTHING = r"(?!)"
+# Comment lines, in `path:line:text` form.
+COMMENT_LINE = r"^[^:]+:[0-9]+:\s*//"
 
 
 GUARDS = [
@@ -99,6 +109,130 @@ GUARDS = [
                  "  O.StandbyEnergyJ += Extra;\n"
                  "}\n"),
     ),
+    # One exact-double formatter (docs/PERFORMANCE.md "Export path"):
+    # appendExactDouble in src/support/ prints "%.17g" text through
+    # std::to_chars, and every exporter appends through it. Any "%.17g" in
+    # src/ fails, except on comment lines in src/support/ that document
+    # what the formatter prints; a printf "%.17g" there or anywhere else is
+    # a second, slower formatter.
+    Guard(
+        name="No printf exact-double formatter",
+        pattern=r"%\.17g",
+        paths=("src",),
+        allowlist=r"^src/support/[^:]+:[0-9]+:\s*//",
+        reason="append through appendExactDouble/appendJsonNumber "
+               "(support/) instead of printf %.17g",
+        planted=("src/obs/Export.cpp",
+                 "void put(std::string &Out, double V) {\n"
+                 "  char Buf[32];\n"
+                 "  std::snprintf(Buf, sizeof Buf, \"%.17g\", V);\n"
+                 "  Out += Buf;\n"
+                 "}\n"),
+    ),
+    # One file reader/writer (support/FileIO.h): readFile and writeFile
+    # check every step, through the close, and every whole-file read or
+    # write in src/, tools/ and bench/ goes through them. A fresh fopen or
+    # file stream is a second, unchecked copy, so any use outside this
+    # allowlist fails:
+    #   src/support/            the reader and writer themselves.
+    #   src/trace/TraceIO.cpp   the dra-trace format, which streams line by
+    #                           line instead of whole files.
+    Guard(
+        name="One file reader/writer",
+        pattern=r"\bfopen\(|std::(ifstream|ofstream)\b",
+        paths=("src", "tools", "bench"),
+        allowlist=r"^src/(support/|trace/TraceIO\.cpp:)",
+        reason="read and write whole files through readFile/writeFile "
+               "(support/FileIO.h)",
+        planted=("tools/dump.cpp",
+                 "void dump(const std::string &Path, const std::string &S) {\n"
+                 "  std::ofstream Out(Path);\n"
+                 "  Out << S;\n"
+                 "}\n"),
+    ),
+    # Results are written once (DESIGN.md Sec. 11): both engines build
+    # SimResults once, in disk order, in replayAndAssemble, and every disk
+    # writes its own DiskTimeline slot of the run, so no partial result is
+    # ever combined. A merge( in the simulator or the timeline is a second
+    # writer of the same result, so any call there fails:
+    #   src/sim/                  the engines and their results.
+    #   src/obs/Timeline.{h,cpp}  the per-disk timeline slots.
+    # DurationHistogram::merge (support/) and LagHistogram::merge (serve/)
+    # combine samples, not results, and stay outside the guard.
+    Guard(
+        name="Results are written once",
+        pattern=r"merge\(",
+        paths=("src/sim", "src/obs/Timeline.h", "src/obs/Timeline.cpp"),
+        allowlist=NOTHING,
+        reason="write each per-disk result from its one owner instead of "
+               "merging partial results",
+        planted=("src/obs/Timeline.cpp",
+                 "void finish(DiskTimeline &Into, const DiskTimeline &Part) {\n"
+                 "  Into.merge(Part);\n"
+                 "}\n"),
+    ),
+    # Parallelism only where it pays (docs/PERFORMANCE.md): threads are
+    # spawned only by runWorkers (support/Parallel.cpp) and the sharded
+    # simulator. runWorkers serves the per-job sweep pool and the chunked
+    # per-disk export writer, which measured 1.71x ops_per_s on perfbench
+    # array-1024 on a quiet 4-thread host (1.36-1.44x under hypervisor
+    # steal; peak RSS -2%); a fan-out inside a pool worker runs serially.
+    # The compile side measured faster serial than sharded on a 4-thread
+    # host, so its pools were removed; a new thread anywhere else in src/
+    # fails unless a measurement puts it on this list:
+    #   src/support/Parallel.cpp       the sweep pool and export chunks.
+    #   src/sim/ShardedSimEngine.cpp   the shard workers.
+    # Any std::thread or std::jthread object counts (std::thread:: members
+    # such as hardware_concurrency do not); comment lines that mention the
+    # pools are not calls.
+    Guard(
+        name="Parallelism only where it pays",
+        pattern=r"std::j?thread([^:_A-Za-z0-9]|$)",
+        paths=("src",),
+        allowlist=r"^src/(support/Parallel|sim/ShardedSimEngine)\.cpp:|"
+                  + COMMENT_LINE,
+        reason="spawn threads only where a measurement shows they pay "
+               "(see the allowlist above)",
+        planted=("src/core/Pipeline.cpp",
+                 "void compileAll(std::vector<Job> &Jobs) {\n"
+                 "  std::vector<std::thread> Pool;\n"
+                 "}\n"),
+        suffixes=(".h", ".cpp"),
+    ),
+    # The sharded engine is not selectable (DESIGN.md Sec. 11): every
+    # pipeline, sweep, tenants and drac run simulates on the serial
+    # SimEngine. ShardedSimEngine is reached only from src/sim/ itself, its
+    # tests, bench/sharded_sim and perfbench's probe, so naming it anywhere
+    # else in src/ or in tools/ fails.
+    Guard(
+        name="The sharded engine is not selectable",
+        pattern=r"ShardedSimEngine",
+        paths=("src", "tools"),
+        allowlist=r"^src/sim/",
+        reason="simulate through simulateScheme (core/Pipeline.h); the "
+               "sharded engine is not selectable",
+        planted=("tools/drac.cpp",
+                 "#include \"sim/ShardedSimEngine.h\"\n"),
+        suffixes=(".h", ".cpp"),
+    ),
+    # One run-report reader (obs/RunReport.h): dra-compare's two views,
+    # dra-dash, check-regression and the figure benches read dra-report-v1
+    # through readRunReport, which sits beside the writer and is as strict
+    # as it. Walking a run's or app's sections by hand is a second reader
+    # with its own strictness, so a lookup of one outside that file fails.
+    Guard(
+        name="One run-report reader",
+        pattern=r'find\("(sim|ledger|attribution|footprint)"\)',
+        paths=("src", "tools", "bench"),
+        allowlist=r"^src/obs/RunReport\.cpp:",
+        reason="read dra-report-v1 through readRunReport "
+               "(obs/RunReport.h)",
+        planted=("tools/dra_dash.cpp",
+                 "double energyOf(const JsonValue &Run) {\n"
+                 "  const JsonValue *Sim = Run.find(\"sim\");\n"
+                 "  return Sim ? Sim->find(\"energy_j\")->Num : 0.0;\n"
+                 "}\n"),
+    ),
 ]
 
 
@@ -107,19 +241,30 @@ def violations(guard, root):
     pattern = re.compile(guard.pattern)
     allow = re.compile(guard.allowlist)
     found = []
+    for path in files(guard, root):
+        if guard.suffixes and not path.endswith(guard.suffixes):
+            continue
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        with open(path, encoding="utf-8", errors="replace") as f:
+            for number, text in enumerate(f, 1):
+                text = text.rstrip("\n")
+                line = f"{rel}:{number}:{text}"
+                if pattern.search(text) and not allow.search(line):
+                    found.append(line)
+    return found
+
+
+def files(guard, root):
+    """The files under \\p guard's paths: each named file, and every file
+    of each named directory, in sorted order."""
     for top in guard.paths:
-        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+        top = os.path.join(root, top)
+        if os.path.isfile(top):
+            yield top
+        for dirpath, dirnames, filenames in os.walk(top):
             dirnames.sort()
             for name in sorted(filenames):
-                path = os.path.join(dirpath, name)
-                rel = os.path.relpath(path, root).replace(os.sep, "/")
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    for number, text in enumerate(f, 1):
-                        text = text.rstrip("\n")
-                        line = f"{rel}:{number}:{text}"
-                        if pattern.search(text) and not allow.search(line):
-                            found.append(line)
-    return found
+                yield os.path.join(dirpath, name)
 
 
 def main():

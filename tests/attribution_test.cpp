@@ -655,18 +655,20 @@ TEST(AttribDiffTest, DiffNamesRestructuredNestsSortedByMagnitude) {
   std::string Error;
   ASSERT_TRUE(parseJson(Json, Doc, Error)) << Error;
 
-  std::vector<AttribRunView> Views;
-  ASSERT_TRUE(extractAttribRuns(Doc, Views, Error)) << Error;
+  ReportRecords Records;
+  ASSERT_TRUE(readRunReport(Doc, "test", Records, Error)) << Error;
+  const std::vector<ReportRun> &Views = Records.Runs;
   ASSERT_EQ(Views.size(), 2u);
+  ASSERT_TRUE(Views[0].Attribution && Views[1].Attribution);
 
   // The report is the only document the nest view reads.
   JsonValue AttribDoc;
   ASSERT_TRUE(parseJson(R"({"schema":"dra-attrib-v1","apps":[]})", AttribDoc,
                         Error))
       << Error;
-  std::vector<AttribRunView> Refused;
-  EXPECT_FALSE(extractAttribRuns(AttribDoc, Refused, Error));
-  EXPECT_EQ(Error, "not a dra-report-v1 document");
+  ReportRecords Refused;
+  EXPECT_FALSE(readRunReport(AttribDoc, "attrib", Refused, Error));
+  EXPECT_EQ(Error, "attrib: not a dra-report-v1 document");
 
   AttribDiff D;
   ASSERT_TRUE(buildAttribDiff(Views, Views, "TPM", "T-TPM-s", D, Error))

@@ -7,11 +7,15 @@ checks that:
     exits 2 with one line naming its replacement, in the source and the
     --tenants mode alike, and dra-serve no longer knows the standalone
     ledger and attribution flags;
-  * dra-compare --nests writes a dra-diff-v1 document and keeps each view's
-    options to itself;
-  * dra-compare (both views) and dra-dash read dra-report-v1 only, and
-    dra-dash renders the ledger tables from a report's runs, with no
-    external reference in its HTML;
+  * dra-compare --nests writes a dra-diff-v1 document, keeps each view's
+    options to itself, and diffs a report against itself into zero deltas
+    only;
+  * dra-compare (both views) and dra-dash read dra-report-v1 only, through
+    the one report reader: dra-dash renders the ledger tables from a
+    report's runs, with no external reference in its HTML, and refuses a
+    run without a ledger section as dra-compare does;
+  * a repeated nest name is a parse error, and a report whose attribution
+    section repeats a nest label is refused by the nest view;
   * a small sweep's per-job reports validate: every ledger section closes
     and its gap counts add up, every attribution section closes, the
     compare view's normalized categories stack to the normalized energy,
@@ -99,6 +103,55 @@ def compare_nests(drac, compare, src, tmp):
           "--nests with --baseline-scheme must be a usage error")
     check(run(compare, attrib, "--scheme-a", "TPM").returncode == 2,
           "--scheme-a without --nests must be a usage error")
+    # A report diffed against itself moves no joule and no millisecond.
+    p = run(compare, "--nests", attrib, attrib)
+    check(p.returncode == 0, f"dra-compare --nests self: exit {p.returncode}")
+    rows = [line.split() for line in p.stdout.splitlines()
+            if line and not line.startswith(("Nest ", "---"))]
+    check(rows, "dra-compare --nests self: no output")
+    for row in rows:
+        if "(A)" in row:
+            check(row[-2:] == ["(+0.0", "J)"],
+                  f"dra-compare --nests self: total {' '.join(row)}")
+        else:
+            check(row[-3:] == ["+0.00"] * 3 and "only]" not in row,
+                  f"dra-compare --nests self: row {' '.join(row)}")
+
+
+def repeated_nests(drac, compare, src, tmp):
+    # Two nests of one name would merge in every per-nest view: the parser
+    # refuses them, and so does the report reader when a label repeats.
+    dup = os.path.join(tmp, "dup.dra")
+    with open(dup, "w", encoding="utf-8") as f:
+        f.write("program dup\n"
+                "array A[64]\n"
+                "nest sweep compute 1.0 {\n  for i0 = 0 .. 63\n"
+                "  read A[i0]\n}\n"
+                "nest sweep compute 1.0 {\n  for i0 = 0 .. 63\n"
+                "  write A[i0]\n}\n")
+    p = run(drac, dup, "--report-json", os.path.join(tmp, "dup.json"))
+    check(p.returncode == 1, f"drac repeated nest: exit {p.returncode}")
+    check(p.stderr.startswith(dup + ": error: ") and
+          "nest 'sweep' is already declared" in p.stderr,
+          f"drac repeated nest: stderr {p.stderr!r}")
+    report = os.path.join(tmp, "relabelled.json")
+    p = run(drac, os.path.join(src, "examples/programs/demo.dra"),
+            "--report-json", report)
+    check(p.returncode == 0, f"drac demo report: exit {p.returncode}")
+    if p.returncode != 0:
+        return
+    doc = json.load(open(report))
+    app = doc["apps"][0]
+    nests = app["runs"][0]["attribution"]["nests"]
+    nests[1]["label"] = nests[0]["label"]
+    with open(report, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    p = run(compare, "--nests", report, report)
+    check(p.returncode == 1, f"dra-compare --nests repeated label: exit "
+          f"{p.returncode}")
+    check(f"{report}: attribution section repeats nest label" in p.stderr and
+          f"in app '{app['app']}'" in p.stderr,
+          f"dra-compare --nests repeated label: stderr {p.stderr!r}")
 
 
 def report_only(serve, compare, dash, src, tmp):
@@ -138,6 +191,20 @@ def report_only(serve, compare, dash, src, tmp):
     leak = re.search(r"https?://|src=|href=|@import|url\(", page, re.I)
     check(leak is None, "dra-dash: external reference " +
           (leak.group(0) if leak else ""))
+    # The writer always writes a run's ledger, so both readers refuse a
+    # run without one, naming the file and the app.
+    doc = json.load(open(report))
+    del doc["apps"][0]["runs"][0]["ledger"]
+    bad = os.path.join(tmp, "no-ledger.report.json")
+    with open(bad, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    for tool, argv in (("dra-dash", [dash, bad, "-o", html]),
+                       ("dra-compare", [compare, bad])):
+        p = run(*argv)
+        check(p.returncode == 1, f"{tool} without ledger: exit "
+              f"{p.returncode}")
+        check(f"{bad}: run without 'ledger' section in app 'ci_small'"
+              in p.stderr, f"{tool} without ledger: stderr {p.stderr!r}")
 
 
 def close(value, want):
@@ -396,6 +463,7 @@ def main():
         compare_nests(a.drac, a.dra_compare, a.source_dir, tmp)
         report_only(a.dra_serve, a.dra_compare, a.dra_dash, a.source_dir,
                     tmp)
+        repeated_nests(a.drac, a.dra_compare, a.source_dir, tmp)
         sweep_reports(a.drac, a.dra_compare, a.source_dir, tmp)
         unwritable(a.drac, a.dra_serve, a.source_dir, tmp)
         pass_counts(a.drac, a.source_dir, tmp)
@@ -406,9 +474,9 @@ def main():
         print("FAIL: " + f)
     if FAILURES:
         return 1
-    print("ok: removed flags, compare --nests, report-only readers, sweep "
-          "reports, unwritable paths, pass counts, non-finite inputs, tenant "
-          "labels, oversized spaces")
+    print("ok: removed flags, compare --nests, report-only readers, repeated "
+          "nests, sweep reports, unwritable paths, pass counts, non-finite "
+          "inputs, tenant labels, oversized spaces")
     return 0
 
 

@@ -204,18 +204,31 @@ TEST(ExperimentRunner, FailingJobIsIsolatedAndReported) {
   EXPECT_NE(Doc.find("injected failure"), std::string::npos);
 }
 
+/// The serial reference of runAppMatrix: one Pipeline per app, running
+/// every scheme on the calling thread.
+static AppResults evaluate(const PipelineConfig &Config,
+                           const std::vector<Scheme> &Schemes,
+                           const AppUnderTest &App) {
+  AppResults R;
+  R.Name = App.Name;
+  Program P = App.Build();
+  Pipeline Pipe(P, Config);
+  for (Scheme S : Schemes)
+    R.Runs.push_back(Pipe.run(S));
+  return R;
+}
+
 /// The parallel matrix path the figure benches use must agree with the
-/// serial Report::evaluate reference bit-for-bit.
+/// serial reference bit-for-bit.
 TEST(ExperimentRunner, AppMatrixMatchesSerialEvaluate) {
   PipelineConfig Config = paperConfig(2);
   std::vector<Scheme> Schemes{Scheme::Base, Scheme::Tpm, Scheme::TDrpmM};
   std::vector<AppUnderTest> Apps = paperApps(0.05);
   Apps.resize(2); // AST + FFT keep the test fast.
 
-  Report Rep(Config, Schemes);
   std::vector<AppResults> Serial;
   for (const AppUnderTest &App : Apps)
-    Serial.push_back(Rep.evaluate(App));
+    Serial.push_back(evaluate(Config, Schemes, App));
   std::vector<AppResults> Parallel = runAppMatrix(Config, Schemes, Apps, 4);
 
   ASSERT_EQ(Serial.size(), Parallel.size());

@@ -6,9 +6,10 @@
 
 #include "apps/Apps.h"
 #include "core/Pipeline.h"
-#include "core/Report.h"
+#include "driver/ExperimentRunner.h"
 #include "frontend/Parser.h"
 #include "ir/ProgramBuilder.h"
+#include "obs/CompareReport.h"
 
 #include <gtest/gtest.h>
 
@@ -162,10 +163,16 @@ TEST(LayoutEdge, SingleDiskSystemDegenerates) {
 }
 
 TEST(ReportEdge, EnergyBarsContainEveryAppAndScheme) {
-  Report Rep(paperConfig(1), {Scheme::Base, Scheme::Tpm});
-  AppUnderTest App{"mini", [] { return makeFft(0.05); }};
-  std::vector<AppResults> All{Rep.evaluate(App)};
-  std::string Bars = Rep.renderEnergyBars(All);
+  PipelineConfig Cfg = paperConfig(1);
+  std::vector<AppResults> All =
+      runAppMatrix(Cfg, {Scheme::Base, Scheme::Tpm},
+                   {{"mini", [] { return makeFft(0.05); }}}, 1);
+  Comparison C;
+  std::string Error;
+  ASSERT_TRUE(compareReportJson(renderRunReportJson(Cfg, All, "edge"), "edge",
+                                "Base", C, Error))
+      << Error;
+  std::string Bars = renderEnergyBars(C);
   EXPECT_NE(Bars.find("mini"), std::string::npos);
   EXPECT_NE(Bars.find("Base"), std::string::npos);
   EXPECT_NE(Bars.find("TPM"), std::string::npos);
@@ -174,7 +181,8 @@ TEST(ReportEdge, EnergyBarsContainEveryAppAndScheme) {
 
 TEST(PipelineEdge, EmptyRangeRendersNoNanPercentages) {
   // A nest whose range is empty issues no requests, so every run is empty
-  // and every "vs Base" ratio is 0/0.
+  // and every "vs Base" ratio would be 0/0: normalization refuses the run
+  // with a diagnostic instead of printing nan.
   std::string Error;
   std::optional<Program> P = Parser::parse(R"(
 program empty
@@ -183,11 +191,24 @@ nest n { for i0 = 10 .. 0 read A[i0] }
 )",
                                            Error);
   ASSERT_TRUE(P) << Error;
-  Report Rep(paperConfig(1), singleProcSchemes());
-  AppResults App = Rep.evaluate({"empty", [&] { return *P; }});
-  for (const SchemeRun &R : App.Runs)
+  PipelineConfig Cfg = paperConfig(1);
+  std::vector<AppResults> All = runAppMatrix(
+      Cfg, singleProcSchemes(), {{"empty", [&] { return *P; }}}, 1);
+  for (const SchemeRun &R : All[0].Runs)
     EXPECT_EQ(R.Sim.NumRequests, 0u);
-  std::string Perf = Rep.renderPerfTable({App});
+  Comparison C;
+  EXPECT_FALSE(compareReportJson(renderRunReportJson(Cfg, All, "edge"),
+                                 "edge", "Base", C, Error));
+  EXPECT_EQ(Error, "baseline energy for app 'empty' is not positive");
+  // The I/O ratio alone has no baseline I/O to divide by: "n/a", not nan.
+  ReportRun Base, Tpm;
+  Base.App = Tpm.App = "empty";
+  Base.Scheme = "Base";
+  Tpm.Scheme = "TPM";
+  Base.EnergyJ = Tpm.EnergyJ = 1.0;
+  ASSERT_TRUE(buildComparison({Base, Tpm}, "Base", {"edge"}, C, Error))
+      << Error;
+  std::string Perf = renderIoDegradationMatrix(C);
   EXPECT_EQ(Perf.find("nan"), std::string::npos) << Perf;
   EXPECT_NE(Perf.find("n/a"), std::string::npos) << Perf;
 }

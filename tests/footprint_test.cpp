@@ -116,14 +116,14 @@ void expectMatchesOracle(const SymbolicFootprint &FP,
   }
 }
 
-/// Runs all three modes (plus table-backed variants) against the oracle.
+/// Runs both modes, with and without a table, against the oracle.
 void checkAllModes(const Program &P, const DiskLayout &L,
                    const std::string &Tag,
                    const FootprintBudgets &Budgets = {}) {
   std::vector<NestOracle> Oracle = oracleOf(P, L);
 
-  SymbolicFootprint Sym(P, L, FootprintMode::Symbolic, nullptr, Budgets);
-  expectMatchesOracle(Sym, Oracle, Tag + "/symbolic");
+  SymbolicFootprint Sym(P, L, FootprintMode::Auto, nullptr, Budgets);
+  expectMatchesOracle(Sym, Oracle, Tag + "/table-free");
 
   SymbolicFootprint Enu(P, L, FootprintMode::Enumerated, nullptr, Budgets);
   expectMatchesOracle(Enu, Oracle, Tag + "/enumerated");
@@ -177,7 +177,7 @@ TEST(FootprintTest, RectangularSeparableIsClosedForm) {
   Program P = B.build();
   DiskLayout L(P, makeConfig(4, 0));
 
-  SymbolicFootprint FP(P, L, FootprintMode::Symbolic);
+  SymbolicFootprint FP(P, L);
   EXPECT_EQ(FP.numClosedFormRefs(), 2u);
   EXPECT_EQ(FP.numFallbackRefs(), 0u);
   EXPECT_EQ(FP.symbolicCoverage(), 1.0);
@@ -222,7 +222,7 @@ TEST(FootprintTest, TriangularNestIsRowSymbolic) {
   Program P = B.build();
   DiskLayout L(P, makeConfig(4, 1));
 
-  SymbolicFootprint FP(P, L, FootprintMode::Symbolic);
+  SymbolicFootprint FP(P, L);
   EXPECT_EQ(FP.numRowSymbolicRefs(), 2u);
   EXPECT_EQ(FP.numFallbackRefs(), 0u);
   // Triangular footprint: n(n+1)/2 distinct tiles per ref.
@@ -246,7 +246,7 @@ TEST(FootprintTest, DiagonalAndSkewedReferences) {
       .endNest();
   Program P = B.build();
   DiskLayout L(P, makeConfig(4, 0));
-  SymbolicFootprint FP(P, L, FootprintMode::Symbolic);
+  SymbolicFootprint FP(P, L);
   EXPECT_EQ(FP.numFallbackRefs(), 0u);
   EXPECT_EQ(FP.nests()[0].Refs[0].DistinctTiles, 10u); // the diagonal
   EXPECT_EQ(FP.nests()[0].Refs[1].DistinctTiles, 19u); // anti-diagonal sweep
@@ -261,7 +261,7 @@ TEST(FootprintTest, EmptyAndDegenerateNests) {
   B.beginNest("single").loop(2, 3).write(U, {iv(0)}).endNest();
   Program P = B.build();
   DiskLayout L(P, makeConfig(2, 0));
-  SymbolicFootprint FP(P, L, FootprintMode::Symbolic);
+  SymbolicFootprint FP(P, L);
   EXPECT_EQ(FP.nests()[0].Iterations, 0u);
   EXPECT_EQ(FP.nests()[0].Refs[0].DistinctTiles, 0u);
   EXPECT_EQ(FP.nests()[1].Iterations, 0u);
@@ -313,13 +313,13 @@ TEST(FootprintTest, ShrunkenBudgetsForceFallbackAndStillAgree) {
   Tiny.FoldWidth = 1;
   Tiny.StoredRuns = 2;
 
-  SymbolicFootprint FP(P, L, FootprintMode::Symbolic, nullptr, Tiny);
+  SymbolicFootprint FP(P, L, FootprintMode::Auto, nullptr, Tiny);
   EXPECT_EQ(FP.numFallbackRefs(), FP.numRefs());
   EXPECT_EQ(FP.symbolicCoverage(), 0.0);
   checkAllModes(P, L, "forced", Tiny);
 
   // Same program, default budgets: fully symbolic and identical.
-  SymbolicFootprint Full(P, L, FootprintMode::Symbolic);
+  SymbolicFootprint Full(P, L);
   EXPECT_EQ(Full.numFallbackRefs(), 0u);
   ASSERT_EQ(Full.nests().size(), FP.nests().size());
   for (size_t N = 0; N != Full.nests().size(); ++N)
@@ -342,7 +342,7 @@ TEST(FootprintTest, PaperAppsMatchOracleExactly) {
     checkAllModes(P, L, A.Name);
     // Every paper-app reference is affine: the symbolic path must cover
     // all of them without enumeration.
-    SymbolicFootprint FP(P, L, FootprintMode::Symbolic);
+    SymbolicFootprint FP(P, L);
     EXPECT_EQ(FP.numFallbackRefs(), 0u) << A.Name;
     EXPECT_EQ(FP.symbolicCoverage(), 1.0) << A.Name;
   }
@@ -513,7 +513,7 @@ TEST(FootprintTest, RandomizedSweepUnderShrunkenBudgets) {
 TEST(FootprintTest, JsonDocumentIsWellFormed) {
   Program P = makeAst(0.06);
   DiskLayout L(P, StripingConfig{});
-  SymbolicFootprint FP(P, L, FootprintMode::Auto);
+  SymbolicFootprint FP(P, L);
 
   JsonValue Doc;
   std::string Error;

@@ -228,6 +228,19 @@ nest n { for i0 = 0 .. 3 read A[i0] }
   EXPECT_NE(E.find("already declared"), std::string::npos);
 }
 
+TEST(ParserTest, ErrorDuplicateNest) {
+  // Attribution, dra-compare --nests and check-regression key nests by
+  // name, so two nests of one name would merge in every per-nest view.
+  std::string E = parseFail(R"(
+program p
+array A[4]
+nest sweep { for i0 = 0 .. 3 read A[i0] }
+nest sweep { for i0 = 0 .. 3 write A[i0] }
+)");
+  EXPECT_NE(E.find("nest 'sweep' is already declared"), std::string::npos)
+      << E;
+}
+
 TEST(ParserTest, ErrorDecimalArrayDim) {
   std::string E = parseFail(R"(
 program p

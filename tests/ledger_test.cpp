@@ -14,6 +14,7 @@
 
 #include "apps/Apps.h"
 #include "core/Pipeline.h"
+#include "driver/ExperimentRunner.h"
 #include "ir/ProgramBuilder.h"
 #include "obs/CompareReport.h"
 #include "obs/IdleGapAnalyzer.h"
@@ -395,12 +396,13 @@ TEST(CompareReportTest, NormalizedCategoriesStackToNormalizedEnergy) {
   std::string Error;
   ASSERT_TRUE(parseJson(R.ReportJson, Doc, Error)) << Error;
 
-  std::vector<CompareRun> Runs;
-  ASSERT_TRUE(extractCompareRuns(Doc, "report", Runs, Error)) << Error;
-  ASSERT_EQ(Runs.size(), singleProcSchemes().size());
+  ReportRecords Records;
+  ASSERT_TRUE(readRunReport(Doc, "report", Records, Error)) << Error;
+  ASSERT_EQ(Records.Runs.size(), singleProcSchemes().size());
 
   Comparison C;
-  ASSERT_TRUE(buildComparison(Runs, "Base", {"report"}, C, Error)) << Error;
+  ASSERT_TRUE(buildComparison(Records.Runs, "Base", {"report"}, C, Error))
+      << Error;
   ASSERT_EQ(C.Apps.size(), 1u);
   for (const ComparedRun &CR : C.Apps[0].Runs) {
     double Stack = 0.0;
@@ -422,9 +424,9 @@ TEST(CompareReportTest, NormalizedCategoriesStackToNormalizedEnergy) {
 }
 
 TEST(CompareReportTest, ReportLedgerSectionsFeedTheComparison) {
-  // Each extracted run carries its own run's energy and its ledger
-  // section's missed opportunity; the report is the only document
-  // dra-compare reads, so a standalone ledger document is refused.
+  // Each read run carries its own run's energy and its ledger section's
+  // missed opportunity; the report is the only document dra-compare
+  // reads, so a standalone ledger document is refused.
   RenderedRun R = renderTinyRun();
   JsonValue RepDoc, LedDoc;
   std::string Error;
@@ -433,8 +435,9 @@ TEST(CompareReportTest, ReportLedgerSectionsFeedTheComparison) {
                         Error))
       << Error;
 
-  std::vector<CompareRun> Rep, Led;
-  ASSERT_TRUE(extractCompareRuns(RepDoc, "rep", Rep, Error)) << Error;
+  ReportRecords RepRecords, Led;
+  ASSERT_TRUE(readRunReport(RepDoc, "rep", RepRecords, Error)) << Error;
+  const std::vector<ReportRun> &Rep = RepRecords.Runs;
   const std::vector<SchemeRun> &Runs = R.Apps[0].Runs;
   ASSERT_EQ(Rep.size(), Runs.size());
   for (size_t I = 0; I != Rep.size(); ++I) {
@@ -444,23 +447,58 @@ TEST(CompareReportTest, ReportLedgerSectionsFeedTheComparison) {
                          .Total.MissedOpportunityJ;
     EXPECT_TRUE(Closes(Rep[I].MissedOpportunityJ, MissedJ));
   }
-  EXPECT_FALSE(extractCompareRuns(LedDoc, "led", Led, Error));
-  EXPECT_EQ(Error, "not a dra-report-v1 document");
-  EXPECT_TRUE(Led.empty());
+  EXPECT_FALSE(readRunReport(LedDoc, "led", Led, Error));
+  EXPECT_EQ(Error, "led: not a dra-report-v1 document");
+  EXPECT_TRUE(Led.Runs.empty());
 
-  // A report written before the ledger section existed still compares on
-  // total energy.
+  // The writer always writes a run's ledger section, so a run without one
+  // is refused rather than compared on total energy alone.
   JsonValue OldDoc;
   ASSERT_TRUE(parseJson(R"({"schema":"dra-report-v1","apps":[{"app":"a",
       "runs":[{"scheme":"Base","sim":{"energy_j":2.5,"io_time_ms":4}}]}]})",
                         OldDoc, Error))
       << Error;
-  std::vector<CompareRun> Old;
-  ASSERT_TRUE(extractCompareRuns(OldDoc, "old", Old, Error)) << Error;
-  ASSERT_EQ(Old.size(), 1u);
-  EXPECT_FALSE(Old[0].HasLedger);
-  EXPECT_EQ(Old[0].EnergyJ, 2.5);
-  EXPECT_EQ(Old[0].IoTimeMs, 4.0);
+  ReportRecords Old;
+  EXPECT_FALSE(readRunReport(OldDoc, "old", Old, Error));
+  EXPECT_EQ(Error, "old: run without 'ledger' section in app 'a'");
+}
+
+TEST(CompareReportTest, ReportRoundTripReproducesInMemoryRatiosExactly) {
+  // The figure benches normalize their own rendered report. Every ratio
+  // must equal the one computed from the runs in memory, bit for bit.
+  PipelineConfig Cfg = paperConfig(1);
+  std::vector<Scheme> Schemes = singleProcSchemes();
+  std::vector<AppUnderTest> Apps = paperApps(0.05);
+  Apps.resize(2);
+  std::vector<AppResults> All = runAppMatrix(Cfg, Schemes, Apps, 2);
+
+  Comparison C;
+  std::string Error;
+  ASSERT_TRUE(compareReportJson(renderRunReportJson(Cfg, All, "rt"), "rt",
+                                "Base", C, Error))
+      << Error;
+  ASSERT_EQ(C.Apps.size(), All.size());
+  ASSERT_EQ(C.Schemes.size(), Schemes.size());
+  std::vector<double> SumE(Schemes.size()), SumIo(Schemes.size());
+  for (size_t A = 0; A != All.size(); ++A) {
+    const std::vector<SchemeRun> &Runs = All[A].Runs;
+    const SimResults &Base = Runs[0].Sim;
+    ASSERT_EQ(C.Apps[A].Runs.size(), Runs.size());
+    for (size_t S = 0; S != Runs.size(); ++S) {
+      const ComparedRun &R = C.Apps[A].Runs[S];
+      double E = Runs[S].Sim.EnergyJ / Base.EnergyJ;
+      double Io = Runs[S].Sim.IoTimeMs / Base.IoTimeMs - 1.0;
+      EXPECT_EQ(R.NormalizedEnergy, E) << All[A].Name << " " << R.Run.Scheme;
+      ASSERT_TRUE(R.HasIoDegradation);
+      EXPECT_EQ(R.IoDegradation, Io) << All[A].Name << " " << R.Run.Scheme;
+      SumE[S] += E;
+      SumIo[S] += Io;
+    }
+  }
+  for (size_t S = 0; S != Schemes.size(); ++S) {
+    EXPECT_EQ(C.Schemes[S].MeanNormalizedEnergy, SumE[S] / double(All.size()));
+    EXPECT_EQ(C.Schemes[S].MeanIoDegradation, SumIo[S] / double(All.size()));
+  }
 }
 
 TEST(CompareReportTest, RestructuringShrinksMissedOpportunity) {

@@ -408,6 +408,76 @@ TEST(RunReportTest, RoundTripsEverySimResultsField) {
   }
 }
 
+/// The parsed report of smallStencil's Base and T-DRPM-s runs, app "small".
+static JsonValue smallReport() {
+  Program P = smallStencil();
+  PipelineConfig Cfg = miniConfig(2);
+  Pipeline Pipe(P, Cfg);
+  AppResults App;
+  App.Name = "small";
+  App.Runs.push_back(Pipe.run(Scheme::Base));
+  App.Runs.push_back(Pipe.run(Scheme::TDrpmS));
+  return parseOk(renderRunReportJson(Cfg, {App}, "obs_test"));
+}
+
+/// The second run of \p Doc's one app.
+static JsonValue &secondRun(JsonValue &Doc) {
+  return Doc.Obj.at("apps").Arr[0].Obj.at("runs").Arr[1];
+}
+
+TEST(ReportReaderTest, ReadsEveryRunOfTheWriter) {
+  JsonValue Doc = smallReport();
+  ReportRecords R;
+  std::string Error;
+  ASSERT_TRUE(readRunReport(Doc, "r.json", R, Error)) << Error;
+  ASSERT_EQ(R.Runs.size(), 2u);
+  EXPECT_EQ(R.Apps, std::vector<std::string>{"small"});
+  for (const ReportRun &Run : R.Runs) {
+    EXPECT_EQ(Run.Source, "r.json");
+    EXPECT_EQ(Run.App, "small");
+    EXPECT_GT(Run.EnergyJ, 0.0);
+    EXPECT_FALSE(Run.CategoriesJ.empty());
+    ASSERT_TRUE(Run.Attribution);
+    EXPECT_EQ(Run.Attribution->Nests.size(), 2u);
+  }
+  EXPECT_EQ(R.Runs[1].Scheme, "T-DRPM-s");
+  ASSERT_EQ(R.Footprints.size(), 0u);
+}
+
+TEST(ReportReaderTest, RunWithoutSimIsRefused) {
+  JsonValue Doc = smallReport();
+  secondRun(Doc).Obj.erase("sim");
+  ReportRecords R;
+  std::string Error;
+  EXPECT_FALSE(readRunReport(Doc, "r.json", R, Error));
+  EXPECT_EQ(Error, "r.json: run without sim results in app 'small'");
+}
+
+TEST(ReportReaderTest, RunWithoutLedgerIsRefused) {
+  JsonValue Doc = smallReport();
+  secondRun(Doc).Obj.erase("ledger");
+  ReportRecords R;
+  std::string Error;
+  EXPECT_FALSE(readRunReport(Doc, "r.json", R, Error));
+  EXPECT_EQ(Error, "r.json: run without 'ledger' section in app 'small'");
+}
+
+TEST(ReportReaderTest, RepeatedNestLabelIsRefused) {
+  // Every consumer keys nests by label: a repeated one would diff a report
+  // against itself into nonzero deltas and gate only the last nest.
+  JsonValue Doc = smallReport();
+  std::vector<JsonValue> &Nests =
+      secondRun(Doc).Obj.at("attribution").Obj.at("nests").Arr;
+  ASSERT_EQ(Nests.size(), 2u);
+  Nests[1].Obj.at("label").Str = Nests[0].Obj.at("label").Str;
+  ReportRecords R;
+  std::string Error;
+  EXPECT_FALSE(readRunReport(Doc, "r.json", R, Error));
+  EXPECT_EQ(Error, "r.json: attribution section repeats nest label '" +
+                       Nests[0].Obj.at("label").Str +
+                       "' in app 'small' (scheme 'T-DRPM-s')");
+}
+
 TEST(RunReportTest, PerDiskSectionsRenderTheSameOnEveryCore) {
   // A merged run over 1024 disks: at top level its per-disk report and
   // timeline arrays take the chunked path, inside a one-worker region the

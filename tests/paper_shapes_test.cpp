@@ -12,40 +12,44 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
-#include "core/Report.h"
+#include "driver/ExperimentRunner.h"
+#include "obs/CompareReport.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace dra;
 
 namespace {
 
-/// One evaluation of all six apps per processor count, shared across the
-/// assertions below (gtest environments would be overkill; a function-local
-/// static is enough).
-const std::vector<AppResults> &results(unsigned Procs) {
-  static std::map<unsigned, std::vector<AppResults>> Cache;
+/// One evaluation of all six apps per processor count, normalized to Base
+/// through the figure benches' own path (their rendered report), shared
+/// across the assertions below (gtest environments would be overkill; a
+/// function-local static is enough).
+const Comparison &results(unsigned Procs) {
+  static std::map<unsigned, Comparison> Cache;
   auto It = Cache.find(Procs);
   if (It != Cache.end())
     return It->second;
-  Report Rep(paperConfig(Procs),
-             Procs == 1 ? singleProcSchemes() : allSchemes());
-  std::vector<AppResults> All;
-  for (const AppUnderTest &App : paperApps(0.5))
-    All.push_back(Rep.evaluate(App));
-  return Cache.emplace(Procs, std::move(All)).first->second;
+  PipelineConfig Cfg = paperConfig(Procs);
+  std::vector<AppResults> All =
+      runAppMatrix(Cfg, Procs == 1 ? singleProcSchemes() : allSchemes(),
+                   paperApps(0.5), 1);
+  Comparison C;
+  std::string Error;
+  EXPECT_TRUE(compareReportJson(renderRunReportJson(Cfg, All, "shapes"),
+                                "shapes", "Base", C, Error))
+      << Error;
+  return Cache.emplace(Procs, std::move(C)).first->second;
 }
 
 double avgEnergy(unsigned Procs, size_t SchemeIdx) {
-  Report Rep(paperConfig(Procs),
-             Procs == 1 ? singleProcSchemes() : allSchemes());
-  return Rep.averageNormalizedEnergy(results(Procs), SchemeIdx);
+  return results(Procs).Schemes.at(SchemeIdx).MeanNormalizedEnergy;
 }
 
 double avgPerf(unsigned Procs, size_t SchemeIdx) {
-  Report Rep(paperConfig(Procs),
-             Procs == 1 ? singleProcSchemes() : allSchemes());
-  return Rep.averagePerfDegradation(results(Procs), SchemeIdx);
+  return results(Procs).Schemes.at(SchemeIdx).MeanIoDegradation;
 }
 
 // Scheme indices in singleProcSchemes() / allSchemes().

@@ -6,8 +6,9 @@
 
 #include "apps/Apps.h"
 #include "core/Pipeline.h"
-#include "core/Report.h"
+#include "driver/ExperimentRunner.h"
 #include "ir/ProgramBuilder.h"
+#include "obs/CompareReport.h"
 
 #include <gtest/gtest.h>
 
@@ -205,39 +206,56 @@ TEST(PipelineTest, SchedulerRoundsReported) {
   EXPECT_EQ(B.SchedulerRounds, 0u);
 }
 
-TEST(ReportTest, EvaluateAndRenderTables) {
-  PipelineConfig C = paperConfig(1);
-  Report Rep(C, singleProcSchemes());
-  AppUnderTest App{"mini", [] { return smallStencil(); }};
-  std::vector<AppResults> All{Rep.evaluate(App)};
-  ASSERT_EQ(All[0].Runs.size(), 5u);
+/// A figure bench's path: run the matrix, render its report and normalize
+/// the report to Base.
+static Comparison compareMini(const PipelineConfig &C,
+                              const std::vector<Scheme> &Schemes) {
+  std::vector<AppResults> All =
+      runAppMatrix(C, Schemes, {{"mini", smallStencil}}, 1);
+  Comparison Cmp;
+  std::string Error;
+  EXPECT_TRUE(compareReportJson(renderRunReportJson(C, All, "test"), "test",
+                                "Base", Cmp, Error))
+      << Error;
+  return Cmp;
+}
 
-  std::string Energy = Rep.renderEnergyTable(All);
+TEST(ReportTest, EvaluateAndRenderTables) {
+  Comparison C = compareMini(paperConfig(1), singleProcSchemes());
+  ASSERT_EQ(C.Apps.size(), 1u);
+  ASSERT_EQ(C.Apps[0].Runs.size(), 5u);
+
+  std::string Energy = renderEnergyMatrix(C);
   EXPECT_NE(Energy.find("mini"), std::string::npos);
   EXPECT_NE(Energy.find("T-DRPM-s"), std::string::npos);
   EXPECT_NE(Energy.find("average"), std::string::npos);
 
-  std::string Perf = Rep.renderPerfTable(All);
+  std::string Perf = renderIoDegradationMatrix(C);
   EXPECT_EQ(Perf.find("Base"), std::string::npos); // Base column dropped
   EXPECT_NE(Perf.find("%"), std::string::npos);
 
   // Base normalizes to exactly 1.
-  EXPECT_DOUBLE_EQ(Rep.averageNormalizedEnergy(All, Rep.baseIndex()), 1.0);
-  EXPECT_DOUBLE_EQ(Rep.averagePerfDegradation(All, Rep.baseIndex()), 0.0);
+  ASSERT_EQ(C.Schemes[0].Scheme, "Base");
+  EXPECT_DOUBLE_EQ(C.Schemes[0].MeanNormalizedEnergy, 1.0);
+  EXPECT_DOUBLE_EQ(C.Schemes[0].MeanIoDegradation, 0.0);
 }
 
 TEST(ReportTest, BaseIndexFound) {
-  Report Rep(paperConfig(1), {Scheme::Tpm, Scheme::Base});
-  EXPECT_EQ(Rep.baseIndex(), 1u);
+  // Base is the baseline wherever it sits in the scheme list.
+  Comparison C = compareMini(paperConfig(1), {Scheme::Tpm, Scheme::Base});
+  ASSERT_EQ(C.Schemes.size(), 2u);
+  EXPECT_EQ(C.Schemes[1].Scheme, "Base");
+  ASSERT_EQ(C.Apps.size(), 1u);
+  EXPECT_EQ(C.Apps[0].Runs[1].NormalizedEnergy, 1.0);
+  EXPECT_EQ(C.Apps[0].Runs[0].BaselineEnergyJ,
+            C.Apps[0].Runs[1].Run.EnergyJ);
 }
 
 TEST(PipelineTest, FootprintPassRunsInAllModesAndVerifies) {
   Program P = smallStencil();
   std::vector<uint64_t> FirstDemand;
   uint64_t FirstTiles = 0;
-  for (FootprintMode M :
-       {FootprintMode::Auto, FootprintMode::Symbolic,
-        FootprintMode::Enumerated}) {
+  for (FootprintMode M : {FootprintMode::Auto, FootprintMode::Enumerated}) {
     PipelineConfig Cfg = paperConfig(1);
     Cfg.Footprint = M;
     Cfg.Verify = VerifyLevel::Full; // includes the verify-footprint stage

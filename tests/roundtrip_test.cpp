@@ -12,7 +12,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
-#include "core/Report.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
 
@@ -80,17 +79,4 @@ TEST(SourcePrinterTest, TriangularBoundsSurvive) {
   ASSERT_TRUE(Q.has_value()) << Error;
   // The triangular inner loop (i1 <= i0) survives the trip.
   EXPECT_EQ(Q->nest(0).numIterations(), P.nest(0).numIterations());
-}
-
-TEST(ReportTest, CsvHasHeaderAndAllRows) {
-  PipelineConfig Cfg = paperConfig(1);
-  Report Rep(Cfg, {Scheme::Base, Scheme::Tpm});
-  AppUnderTest App{"mini", [] { return makeFft(0.05); }};
-  std::vector<AppResults> All{Rep.evaluate(App)};
-  std::string Csv = Rep.renderCsv(All);
-  EXPECT_EQ(Csv.rfind("app,scheme,", 0), 0u);
-  // Header + 2 scheme rows.
-  EXPECT_EQ(size_t(std::count(Csv.begin(), Csv.end(), '\n')), 3u);
-  EXPECT_NE(Csv.find("mini,Base,"), std::string::npos);
-  EXPECT_NE(Csv.find("mini,TPM,"), std::string::npos);
 }

@@ -14,7 +14,6 @@
 
 #include "apps/Apps.h"
 #include "core/Pipeline.h"
-#include "core/Report.h"
 #include "ir/ProgramBuilder.h"
 #include "obs/RunReport.h"
 #include "obs/Timeline.h"

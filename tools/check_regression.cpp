@@ -20,8 +20,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/RunReport.h"
 #include "support/FileIO.h"
-#include "support/Json.h"
 
 #include <algorithm>
 #include <cmath>
@@ -108,111 +108,71 @@ bool extractTimelineMetrics(const JsonValue &Doc, MetricMap &Out,
   return true;
 }
 
-/// Extracts the tracked metrics of one report into (app|scheme|metric)
-/// keyed form. Returns false when the document is neither a dra-report-v1
-/// nor a dra-timeline-v1.
-bool extractMetrics(const JsonValue &Doc, MetricMap &Out, std::string &Error) {
+/// Extracts the tracked metrics of the document \p Doc read from \p Path
+/// into (app|scheme|metric) keyed form; a report's come from the records
+/// of the one report reader. Returns false with \p Error ("<Path>: ...")
+/// when the document is malformed or neither a dra-report-v1 nor a
+/// dra-timeline-v1.
+bool extractMetrics(const JsonValue &Doc, const std::string &Path,
+                    MetricMap &Out, std::string &Error) {
   const JsonValue *Schema = Doc.find("schema");
-  if (Schema && Schema->isString() && Schema->Str == "dra-timeline-v1")
-    return extractTimelineMetrics(Doc, Out, Error);
-  if (!Schema || !Schema->isString() || Schema->Str != "dra-report-v1") {
-    Error = "not a dra-report-v1 or dra-timeline-v1 document";
+  std::string Name = Schema && Schema->isString() ? Schema->Str : "";
+  if (Name == "dra-timeline-v1") {
+    if (extractTimelineMetrics(Doc, Out, Error))
+      return true;
+    Error = Path + ": " + Error;
     return false;
   }
-  const JsonValue *Apps = Doc.find("apps");
-  if (!Apps || !Apps->isArray()) {
-    Error = "missing 'apps' array";
+  if (Name != "dra-report-v1") {
+    Error = Path + ": not a dra-report-v1 or dra-timeline-v1 document";
     return false;
   }
-  for (const JsonValue &App : Apps->Arr) {
-    const JsonValue *Name = App.find("app");
-    const JsonValue *Runs = App.find("runs");
-    if (!Name || !Name->isString() || !Runs || !Runs->isArray()) {
-      Error = "malformed app entry";
-      return false;
-    }
-    for (const JsonValue &Run : Runs->Arr) {
-      const JsonValue *Scheme = Run.find("scheme");
-      const JsonValue *Sim = Run.find("sim");
-      if (!Scheme || !Scheme->isString() || !Sim || !Sim->isObject()) {
-        Error = "malformed run entry in app '" + Name->Str + "'";
-        return false;
-      }
-      std::string Prefix = Name->Str + "|" + Scheme->Str + "|";
-      // The energy/perf numbers the paper's figures gate on, plus the
-      // deterministic counters that catch behavioural (non-FP) drift.
-      Out[Prefix + "energy_j"] = num(Sim->find("energy_j"));
-      Out[Prefix + "io_time_ms"] = num(Sim->find("io_time_ms"));
-      Out[Prefix + "wall_time_ms"] = num(Sim->find("wall_time_ms"));
-      Out[Prefix + "num_requests"] = num(Sim->find("num_requests"));
-      Out[Prefix + "spin_downs"] = num(Sim->find("spin_downs"));
-      Out[Prefix + "rpm_steps"] = num(Sim->find("rpm_steps"));
-      Out[Prefix + "trace_bytes"] = num(Run.find("trace_bytes"));
-      // Ledger-era reports also gate every attributed energy category:
-      // a drift that cancels out of total energy_j (say, idle attributed
-      // as standby) still moves its category and fails here.
-      if (const JsonValue *Ledger = Run.find("ledger")) {
-        if (const JsonValue *Total = Ledger->find("total")) {
-          for (const char *Cat :
-               {"active_read_j", "active_write_j", "spin_down_j", "spin_up_j",
-                "standby_j", "rpm_step_j", "ready_penalty_j"})
-            Out[Prefix + "ledger." + Cat] = num(Total->find(Cat));
-          const JsonValue *ByRpm = Total->find("idle_by_rpm_j");
-          if (ByRpm && ByRpm->isObject())
-            for (const auto &[Rpm, Joules] : ByRpm->Obj)
-              Out[Prefix + "ledger.idle@" + Rpm + "_j"] =
-                  Joules.isNumber() ? Joules.Num : 0.0;
-        }
-        if (const JsonValue *Gaps = Ledger->find("gaps"))
-          Out[Prefix + "ledger.missed_opportunity_j"] =
-              num(Gaps->find("missed_opportunity_j"));
-      }
-      // Attribution-era reports also gate the per-nest energy split:
-      // a provenance bug that reshuffles joules between nests while every
-      // ledger category stays put fails here. Guarded on key presence so
-      // pre-attribution baselines stay comparable.
-      if (const JsonValue *Attrib = Run.find("attribution")) {
-        if (const JsonValue *Total = Attrib->find("total")) {
-          Out[Prefix + "attrib.total_j"] = num(Total->find("energy_j"));
-          Out[Prefix + "attrib.num_requests"] =
-              num(Total->find("num_requests"));
-        }
-        if (const JsonValue *Un = Attrib->find("unattributed"))
-          Out[Prefix + "attrib.unattributed_j"] = num(Un->find("energy_j"));
-        const JsonValue *Nests = Attrib->find("nests");
-        if (Nests && Nests->isArray())
-          for (const JsonValue &Nest : Nests->Arr) {
-            const JsonValue *Label = Nest.find("label");
-            if (!Label || !Label->isString())
-              continue;
-            std::string NP = Prefix + "attrib.nest." + Label->Str + ".";
-            Out[NP + "energy_j"] = num(Nest.find("energy_j"));
-            Out[NP + "busy_ms"] = num(Nest.find("busy_ms"));
-            Out[NP + "ready_delay_ms"] = num(Nest.find("ready_delay_ms"));
-          }
+  ReportRecords Records;
+  if (!readRunReport(Doc, Path, Records, Error))
+    return false;
+  for (const ReportRun &R : Records.Runs) {
+    std::string Prefix = R.App + "|" + R.Scheme + "|";
+    // The energy/perf numbers the paper's figures gate on, plus the
+    // deterministic counters that catch behavioural (non-FP) drift.
+    Out[Prefix + "energy_j"] = R.EnergyJ;
+    Out[Prefix + "io_time_ms"] = R.IoTimeMs;
+    Out[Prefix + "wall_time_ms"] = R.WallTimeMs;
+    Out[Prefix + "num_requests"] = R.NumRequests;
+    Out[Prefix + "spin_downs"] = R.SpinDowns;
+    Out[Prefix + "rpm_steps"] = R.RpmSteps;
+    Out[Prefix + "trace_bytes"] = R.TraceBytes;
+    // Every attributed energy category too: a drift that cancels out of
+    // total energy_j (say, idle attributed as standby) still moves its
+    // category and fails here.
+    for (const auto &[Cat, Joules] : R.CategoriesJ)
+      Out[Prefix + "ledger." + Cat] = Joules;
+    Out[Prefix + "ledger.missed_opportunity_j"] = R.MissedOpportunityJ;
+    // And the per-nest energy split: a provenance bug that reshuffles
+    // joules between nests while every ledger category stays put fails
+    // here.
+    if (const std::optional<ReportAttribution> &A = R.Attribution) {
+      Out[Prefix + "attrib.total_j"] = A->TotalJ;
+      Out[Prefix + "attrib.num_requests"] = A->TotalRequests;
+      Out[Prefix + "attrib.unattributed_j"] = A->Unattributed.EnergyJ;
+      for (const ReportNest &N : A->Nests) {
+        std::string NP = Prefix + "attrib.nest." + N.Label + ".";
+        Out[NP + "energy_j"] = N.EnergyJ;
+        Out[NP + "busy_ms"] = N.BusyMs;
+        Out[NP + "ready_delay_ms"] = N.ReadyDelayMs;
       }
     }
-    // Footprint-era reports also gate the symbolic-analysis counts
-    // (docs/ANALYSIS.md). Guarded on key presence so pre-footprint
-    // baselines stay comparable: the symmetric missing-key check above
-    // only fires once baselines are regenerated with footprints in them.
-    if (const JsonValue *FP = App.find("footprint")) {
-      std::string Prefix = Name->Str + "|footprint|";
-      if (const JsonValue *Cov = FP->find("coverage")) {
-        Out[Prefix + "refs_total"] = num(Cov->find("refs_total"));
-        Out[Prefix + "refs_fallback"] = num(Cov->find("refs_fallback"));
-        Out[Prefix + "symbolic_fraction"] = num(Cov->find("symbolic_fraction"));
-      }
-      if (const JsonValue *Total = FP->find("total")) {
-        Out[Prefix + "iterations"] = num(Total->find("iterations"));
-        Out[Prefix + "distinct_tiles"] = num(Total->find("distinct_tiles"));
-        const JsonValue *Demand = Total->find("per_disk_demand");
-        if (Demand && Demand->isArray())
-          for (size_t D = 0; D != Demand->Arr.size(); ++D)
-            Out[Prefix + "demand_disk" + std::to_string(D)] =
-                num(&Demand->Arr[D]);
-      }
-    }
+  }
+  // The symbolic-analysis counts of every app that carries a footprint
+  // (docs/ANALYSIS.md).
+  for (const ReportFootprint &FP : Records.Footprints) {
+    std::string Prefix = FP.App + "|footprint|";
+    Out[Prefix + "refs_total"] = FP.RefsTotal;
+    Out[Prefix + "refs_fallback"] = FP.RefsFallback;
+    Out[Prefix + "symbolic_fraction"] = FP.SymbolicFraction;
+    Out[Prefix + "iterations"] = FP.Iterations;
+    Out[Prefix + "distinct_tiles"] = FP.DistinctTiles;
+    for (size_t D = 0; D != FP.PerDiskDemand.size(); ++D)
+      Out[Prefix + "demand_disk" + std::to_string(D)] = FP.PerDiskDemand[D];
   }
   return true;
 }
@@ -240,9 +200,9 @@ bool loadMetrics(const char *Role, const std::string &Path, MetricMap &Out) {
                  Role, Path.c_str(), Error.c_str());
     return false;
   }
-  if (!extractMetrics(Doc, Out, Error)) {
-    std::fprintf(stderr, "check-regression: error: %s '%s': %s\n", Role,
-                 Path.c_str(), Error.c_str());
+  if (!extractMetrics(Doc, Path, Out, Error)) {
+    std::fprintf(stderr, "check-regression: error: %s %s\n", Role,
+                 Error.c_str());
     return false;
   }
   if (Out.empty()) {

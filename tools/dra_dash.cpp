@@ -14,7 +14,8 @@
 //                    series and SLO violations when present
 //   dra-report-v1    per-app scheme summary table (energy vs Base) and
 //                    per-scheme energy category table (from each run's
-//                    ledger section)
+//                    ledger section), read by readRunReport (obs/RunReport.h): a
+//                    malformed report exits 1 with the reader's diagnostic
 //
 // Usage:
 //   dra-dash <doc.json>... -o <out.html> [--title T]
@@ -27,9 +28,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/RunReport.h"
 #include "support/FileIO.h"
 #include "support/Format.h"
-#include "support/Json.h"
 
 #include <algorithm>
 #include <cmath>
@@ -437,80 +438,53 @@ std::string renderServing(const JsonValue &Serving) {
   return H;
 }
 
-/// Renders a dra-report-v1 document as a per-app scheme summary table.
-std::string renderReport(const JsonValue &Doc) {
+/// Renders a report's records: per app, a scheme summary table (energy vs
+/// Base), then per app, the energy categories of each run's ledger.
+std::string renderReport(const ReportRecords &Doc) {
   std::string H;
-  const JsonValue *Apps = Doc.find("apps");
-  if (!Apps || !Apps->isArray())
-    return H;
-  for (const JsonValue &App : Apps->Arr) {
-    H += "<section><h2>Report: " + esc(str(App.find("app"))) +
+  for (const std::string &App : Doc.Apps) {
+    H += "<section><h2>Report: " + esc(App) +
          "</h2><table><tr><th>Scheme</th><th>Energy (J)</th><th>vs Base</th>"
          "<th>Disk I/O (s)</th><th>Wall (s)</th></tr>";
-    const JsonValue *Runs = App.find("runs");
     double BaseE = 0.0;
-    if (Runs && Runs->isArray())
-      for (const JsonValue &Run : Runs->Arr)
-        if (str(Run.find("scheme")) == "Base")
-          if (const JsonValue *Sim = Run.find("sim"))
-            BaseE = num(Sim->find("energy_j"));
-    if (Runs && Runs->isArray())
-      for (const JsonValue &Run : Runs->Arr) {
-        const JsonValue *Sim = Run.find("sim");
-        if (!Sim)
-          continue;
-        double E = num(Sim->find("energy_j"));
-        H += "<tr><td>" + esc(str(Run.find("scheme"))) + "</td><td>" +
-             fmtDouble(E, 1) + "</td><td>" +
-             (BaseE > 0.0 ? fmtPercent(E / BaseE - 1.0) : std::string("-")) +
-             "</td><td>" + fmtDouble(num(Sim->find("io_time_ms")) / 1000.0, 1) +
-             "</td><td>" +
-             fmtDouble(num(Sim->find("wall_time_ms")) / 1000.0, 1) +
-             "</td></tr>";
-      }
+    for (const ReportRun &R : Doc.Runs)
+      if (R.App == App && R.Scheme == "Base")
+        BaseE = R.EnergyJ;
+    for (const ReportRun &R : Doc.Runs)
+      if (R.App == App)
+        H += "<tr><td>" + esc(R.Scheme) + "</td><td>" +
+             fmtDouble(R.EnergyJ, 1) + "</td><td>" +
+             (BaseE > 0.0 ? fmtPercent(R.EnergyJ / BaseE - 1.0)
+                          : std::string("-")) +
+             "</td><td>" + fmtDouble(R.IoTimeMs / 1000.0, 1) + "</td><td>" +
+             fmtDouble(R.WallTimeMs / 1000.0, 1) + "</td></tr>";
     H += "</table></section>";
   }
-  return H;
-}
-
-/// Renders the ledger sections of a dra-report-v1 document's runs as
-/// per-scheme category tables.
-std::string renderLedger(const JsonValue &Doc) {
-  std::string H;
-  const JsonValue *Apps = Doc.find("apps");
-  if (!Apps || !Apps->isArray())
-    return H;
-  for (const JsonValue &App : Apps->Arr) {
-    H += "<section><h2>Ledger: " + esc(str(App.find("app"))) +
+  for (const std::string &App : Doc.Apps) {
+    H += "<section><h2>Ledger: " + esc(App) +
          "</h2><table><tr><th>Scheme</th><th>Active read</th>"
          "<th>Active write</th><th>Idle</th><th>Spin-down</th>"
          "<th>Spin-up</th><th>Standby</th><th>RPM step</th>"
          "<th>Ready penalty</th><th>Total (J)</th></tr>";
-    const JsonValue *Runs = App.find("runs");
-    if (Runs && Runs->isArray())
-      for (const JsonValue &Run : Runs->Arr) {
-        const JsonValue *Led = Run.find("ledger");
-        const JsonValue *Total = Led ? Led->find("total") : nullptr;
-        if (!Total)
-          continue;
-        double IdleJ = 0.0;
-        const JsonValue *ByRpm = Total->find("idle_by_rpm_j");
-        if (ByRpm && ByRpm->isObject())
-          for (const auto &[Rpm, J] : ByRpm->Obj) {
-            (void)Rpm;
-            IdleJ += J.isNumber() ? J.Num : 0.0;
-          }
-        H += "<tr><td>" + esc(str(Run.find("scheme"))) + "</td>";
-        for (double V :
-             {num(Total->find("active_read_j")),
-              num(Total->find("active_write_j")), IdleJ,
-              num(Total->find("spin_down_j")), num(Total->find("spin_up_j")),
-              num(Total->find("standby_j")), num(Total->find("rpm_step_j")),
-              num(Total->find("ready_penalty_j")),
-              num(Total->find("energy_j"))})
-          H += "<td>" + fmtDouble(V, 1) + "</td>";
-        H += "</tr>";
-      }
+    for (const ReportRun &R : Doc.Runs) {
+      if (R.App != App)
+        continue;
+      // The categories in schema order, the idle@<rpm> ones summed into
+      // one column after the two active ones.
+      std::vector<double> Cells;
+      double IdleJ = 0.0;
+      for (const auto &[Key, Joules] : R.CategoriesJ)
+        if (Key.rfind("idle@", 0) == 0)
+          IdleJ += Joules;
+        else
+          Cells.push_back(Joules);
+      Cells.insert(Cells.begin() + 2, IdleJ);
+      Cells.push_back(R.EnergyJ);
+      H += "<tr><td>" + esc(R.Scheme) + "</td>";
+      for (double V : Cells)
+        H += "<td>" + fmtDouble(V, 1) + "</td>";
+      H += "</tr>";
+    }
     H += "</table></section>";
   }
   return H;
@@ -624,8 +598,12 @@ int main(int argc, char **argv) {
       if (const JsonValue *Serving = Doc.find("serving"))
         Body += renderServing(*Serving);
     } else if (Schema == "dra-report-v1") {
-      Body += renderReport(Doc);
-      Body += renderLedger(Doc);
+      ReportRecords Records;
+      if (!readRunReport(Doc, Path, Records, Error)) {
+        std::fprintf(stderr, "dra-dash: error: %s\n", Error.c_str());
+        return 1;
+      }
+      Body += renderReport(Records);
     } else {
       std::fprintf(stderr,
                    "dra-dash: error: '%s' has unsupported schema '%s' "
